@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
 
@@ -163,9 +162,6 @@ class MixedTable:
         return IntersectionTable(label, self.n, ae, kae, self.epsilon)
 
 
-Model = Union[IntersectionTable, MixedTable, "object"]
-
-
 def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset()):
     keys = set(doc)
     missing = required - keys
@@ -293,10 +289,6 @@ def serialize_model(model) -> dict:
     from .toric import serialize_toric_model
 
     return serialize_toric_model(model)
-
-
-def to_json(model) -> str:
-    return json.dumps(serialize_model(model), indent=2) + "\n"
 
 
 def validate(table) -> Diagnostics:

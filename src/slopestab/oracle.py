@@ -3,8 +3,8 @@
 For a toric model, section counts h0(mL) and filtration weights w_m are
 computed by deliberately naive bounding-box enumeration, fitted exactly to
 their asymptotic expansions, and the extracted invariant is compared against
-the slope engine's prediction.  Nothing here reuses the volume or
-interpolation machinery of the table path.
+the slope engine's prediction.  Nothing here reuses the intersection-number
+machinery of the table path.
 """
 
 from __future__ import annotations

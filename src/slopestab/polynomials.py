@@ -361,8 +361,3 @@ def isolate_roots(
             stack.append((m, b, vm, vb))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
-
-
-def count_roots(p: UniPoly, lo, hi) -> int:
-    """Number of distinct real roots of p in (lo, hi]."""
-    return len(isolate_roots(p, lo, hi))

@@ -1,9 +1,14 @@
 """Combinatorial toric backend: fans, star subdivisions, nef thresholds,
-lattice polytopes with exact volumes, and export of intersection tables.
+intersection numbers, lattice polytopes with exact volumes, and export of
+intersection tables.
 
 Smooth complete fans only.  Blowing up the orbit closure of a smooth cone
 is realized as the star subdivision inserting the barycentric ray; the
 divisorial case (a single ray) is the identity blow-up.
+
+Intersection numbers come from fixed-point localization: one exact sum over
+the maximal cones (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
+form).  The polytope volumes are an independent reference for it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import gcd, prod
 
 from .models import (
     Diagnostic,
@@ -21,7 +26,6 @@ from .models import (
     MixedTable,
     ModelError,
 )
-from .polynomials import UniPoly, WitnessMismatch, fit_polynomial
 
 
 class ToricError(ValueError):
@@ -156,7 +160,9 @@ def _facet_incidence(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
 
 
 def check_fan(fan: Fan) -> Diagnostics:
-    """Smoothness (unimodular cones) and completeness (wall accounting)."""
+    """Smoothness (unimodular cones), completeness (wall accounting) and,
+    for smooth cones, covering: a generic direction lies in exactly one
+    maximal cone."""
     entries = []
     for cone in fan.max_cones:
         det = fan.cone_det(cone)
@@ -164,6 +170,7 @@ def check_fan(fan: Fan) -> Diagnostics:
             entries.append(
                 Diagnostic("error", f"non-smooth cone {tuple(cone)}, det {det}")
             )
+    smooth = not entries
     for facet, inc in sorted(_facet_incidence(fan).items()):
         if len(inc) != 2:
             entries.append(
@@ -172,7 +179,62 @@ def check_fan(fan: Fan) -> Diagnostics:
                     f"wall {facet} with {len(inc)} incident cone(s), expected 2",
                 )
             )
+    if smooth:
+        c, coords = _generic_direction(fan)
+        covering = sum(all(y > 0 for y in ys) for ys in coords)
+        if covering != 1:
+            entries.append(
+                Diagnostic(
+                    "error",
+                    f"direction {c} lies in {covering} maximal cones, expected 1",
+                )
+            )
     return Diagnostics(tuple(entries))
+
+
+def _generic_direction(fan: Fan):
+    """A direction c with nonzero coordinates y_sigma in every maximal cone's
+    ray basis, c = sum_{i in sigma} y_{sigma,i} u_i; returns c and the y_sigma.
+
+    c = (1, k, ..., k^(n-1)) for the first k >= 2 that works.  On smooth
+    cones each coordinate is a nonzero polynomial of degree <= n-1 in k, so
+    at most n(n-1) values of k fail per cone.
+    """
+    n = fan.dim
+    bound = n * (n - 1) * len(fan.max_cones)
+    for k in range(2, bound + 3):
+        c = tuple(k**d for d in range(n))
+        coords = []
+        for cone in fan.max_cones:
+            ys = _solve_linear([[fan.rays[i][d] for i in cone] for d in range(n)], c)
+            if ys is None or 0 in ys:
+                break
+            coords.append(tuple(ys))
+        else:
+            return c, coords
+    raise RuntimeError(f"no generic direction among {bound + 1} candidates")
+
+
+def _localize(fan: Fan, divisors) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """Per maximal cone sigma: the weight 1/prod_i y_{sigma,i} and the value
+    sum_{i in sigma} a_i y_{sigma,i} of each divisor at the generic direction."""
+    _, coords = _generic_direction(fan)
+    return [
+        (
+            1 / prod(ys),
+            tuple(sum(d.coeffs[i] * y for i, y in zip(cone, ys)) for d in divisors),
+        )
+        for cone, ys in zip(fan.max_cones, coords)
+    ]
+
+
+def _intersect(points, exponents) -> Fraction:
+    """D_1^e_1 ... D_m^e_m with sum e = n over the localized divisors, by
+    fixed-point localization (Brion 1988): sum over maximal cones of the
+    weight times the product of the divisor values."""
+    return sum(
+        w * prod(v**e for v, e in zip(values, exponents)) for w, values in points
+    )
 
 
 def walls(fan: Fan) -> list[Wall]:
@@ -280,7 +342,10 @@ def _restrict(ineqs, pivot_ineq, drop):
             if b2 < 0:
                 return None
             continue
-        reduced.append((w, b2))
+        # canonical positive multiple, so that proportional inequalities
+        # become equal and _volume_hrep counts their facet once
+        scale = abs(next(x for x in w if x != 0))
+        reduced.append((tuple(x / scale for x in w), b2 / scale))
     return reduced
 
 
@@ -493,9 +558,11 @@ class ToricModel:
                 Diagnostic("error", f"sigma {self.sigma} is not a face of any cone")
             )
         if not entries:
+            l_nef = True
             for wall in walls(self.fan):
                 deg = curve_degree(self.fan, wall, self.L)
                 if deg < 0:
+                    l_nef = False
                     entries.append(
                         Diagnostic("error", f"L not nef: degree {deg} on wall {wall.rays}")
                     )
@@ -507,7 +574,8 @@ class ToricModel:
                                 "error", f"H not ample: degree {hdeg} on wall {wall.rays}"
                             )
                         )
-            if polytope_of(self.fan, self.L).volume() <= 0:
+            # for nef L, L^n is n! times the volume of its sections polytope
+            if l_nef and _intersect(_localize(self.fan, (self.L,)), (self.fan.dim,)) <= 0:
                 entries.append(Diagnostic("error", "L not big: sections polytope is flat"))
         return Diagnostics(tuple(entries))
 
@@ -579,47 +647,13 @@ def _exceptional_setup(model: ToricModel):
     return fan1, e_idx, pullback
 
 
-def _alpha_samples(fan1, e_idx, pi_a, eps, n):
-    """Exact alpha polynomials of pi_a - tE from polytope volumes.
-
-    Volumes are sampled at t_i = i*eps/(n+2); the nodes beyond the fit
-    degree act as guards against non-polynomial behavior.
-    """
-    e_div = ToricDivisor(
-        tuple(Fraction(int(i == e_idx)) for i in range(len(fan1.rays)))
-    )
-    t_nodes = [Fraction(i) * eps / (n + 2) for i in range(n + 3)]
-    vol_samples = []
-    bdy_samples = []
-    for t in t_nodes:
-        poly = polytope_of(fan1, pi_a - t * e_div)
-        vol_samples.append((t, poly.volume()))
-        bdy_samples.append((t, poly.boundary_lattice_volume() / 2))
-    try:
-        alpha0 = fit_polynomial(vol_samples, n)
-        alpha1 = fit_polynomial(bdy_samples, n - 1)
-    except WitnessMismatch as exc:
-        raise ToricError(f"guard-node mismatch, non-polynomial behavior: {exc}") from exc
-    return alpha0, alpha1
-
-
-def _table_entries(alpha0: UniPoly, alpha1: UniPoly, n: int):
-    ae = tuple(
-        alpha0.coeff(k) * (-1) ** k * factorial(n) / comb(n, k) for k in range(n + 1)
-    )
-    kae = tuple(
-        alpha1.coeff(k) * (-1) ** k * (-2 * factorial(n - 1)) / comb(n - 1, k)
-        for k in range(n)
-    )
-    return ae, kae
-
-
 def export_table(model: ToricModel):
     """IntersectionTable of (X, L, Z); a MixedTable when H is present.
 
-    alpha polynomials are interpolated from exact truncated-polytope volumes
-    and lattice facet volumes, then matched against the binomial expansion
-    to recover the individual intersection numbers.
+    Every entry is an intersection number on the subdivided fan, by
+    fixed-point localization: AE[k] = (pi*L)^(n-k).E^k,
+    KAE[k] = K.(pi*L)^(n-1-k).E^k with K = -sum D_rho, and
+    MIX[(i, j, k)] = (pi*L)^i.(pi*H)^j.E^k, KMIX likewise with K.
     """
     diags = model.validate()
     if not diags.ok:
@@ -628,46 +662,30 @@ def export_table(model: ToricModel):
     fan1, e_idx, pullback = _exceptional_setup(model)
     pi_l = pullback(model.L)
     eps = nef_threshold(fan1, pi_l, e_idx)
-    alpha0, alpha1 = _alpha_samples(fan1, e_idx, pi_l, eps, n)
-    ae, kae = _table_entries(alpha0, alpha1, n)
+    nrays = len(fan1.rays)
+    e_div = ToricDivisor(tuple(int(i == e_idx) for i in range(nrays)))
+    canonical = ToricDivisor((-1,) * nrays)
+    divisors = (pi_l, e_div, canonical)
+    if model.H is not None:
+        divisors += (pullback(model.H),)
+    points = _localize(fan1, divisors)
+
+    def number(i, j, k, kappa):
+        # (pi*L)^i . (pi*H)^j . E^k . K^kappa
+        return _intersect(points, (i, k, kappa, j))
+
+    ae = tuple(number(n - k, 0, k, 0) for k in range(n + 1))
+    kae = tuple(number(n - 1 - k, 0, k, 1) for k in range(n))
     if model.H is None:
         return IntersectionTable(model.label, n, ae, kae, eps)
-
-    pi_h = pullback(model.H)
-    s_nodes = [Fraction(j, n + 2) for j in range(n + 3)]
-    per_s = [
-        _alpha_samples(fan1, e_idx, pi_l + s * pi_h, eps, n) for s in s_nodes
-    ]
-    mixed: dict[tuple[int, int, int], Fraction] = {}
-    kmixed: dict[tuple[int, int, int], Fraction] = {}
-    try:
-        for k in range(n + 1):
-            coeff_in_s = fit_polynomial(
-                [(s, a0.coeff(k)) for s, (a0, _) in zip(s_nodes, per_s)], n - k
-            )
-            for j in range(n - k + 1):
-                i = n - k - j
-                mixed[(i, j, k)] = (
-                    coeff_in_s.coeff(j)
-                    * (-1) ** k
-                    * factorial(i)
-                    * factorial(j)
-                    * factorial(k)
-                )
-        for k in range(n):
-            coeff_in_s = fit_polynomial(
-                [(s, a1.coeff(k)) for s, (_, a1) in zip(s_nodes, per_s)], n - 1 - k
-            )
-            for j in range(n - k):
-                i = n - 1 - k - j
-                kmixed[(i, j, k)] = (
-                    coeff_in_s.coeff(j)
-                    * (-2)
-                    * (-1) ** k
-                    * factorial(i)
-                    * factorial(j)
-                    * factorial(k)
-                )
-    except WitnessMismatch as exc:
-        raise ToricError(f"guard-node mismatch in mixed sampling: {exc}") from exc
+    mixed = {
+        (i, j, n - i - j): number(i, j, n - i - j, 0)
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+    }
+    kmixed = {
+        (i, j, n - 1 - i - j): number(i, j, n - 1 - i - j, 1)
+        for i in range(n)
+        for j in range(n - i)
+    }
     return MixedTable(model.label, n, ae, kae, mixed, kmixed, eps)

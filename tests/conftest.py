@@ -1,15 +1,62 @@
 import pathlib
+from itertools import combinations, product
 
 import pytest
 
-from slopestab.models import parse_model
+from slopestab.models import MixedTable, parse_model
+from slopestab.slope import alpha_polys
+from slopestab.toric import (
+    Fan,
+    ToricDivisor,
+    ToricModel,
+    _exceptional_setup,
+    export_table,
+    polytope_of,
+)
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+_P3_BLOWUP = Fan(
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)),
+    ((0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2, 4), (0, 2, 4), (0, 1, 4)),
+)
+
+# toric models beyond the fixture files: higher dimension, and Bl_pt P3
+# blown up again at the torus-fixed point sigma = [0, 1, 4] on E
+EXTRA_TORIC = {
+    "p4_o2_codim2": ToricModel(
+        "P4 O(2) codim 2",
+        Fan(
+            tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+            + ((-1, -1, -1, -1),),
+            tuple(combinations(range(5), 4)),
+        ),
+        ToricDivisor((0, 0, 0, 0, 2)),
+        (0, 1),
+    ),
+    "p1_cubed_point": ToricModel(
+        "(P1)^3 O(1) point",
+        Fan(
+            tuple(tuple(s * int(i == j) for j in range(3)) for s in (1, -1) for i in range(3)),
+            tuple(
+                tuple(i if plus else i + 3 for i, plus in enumerate(choice))
+                for choice in product((True, False), repeat=3)
+            ),
+        ),
+        ToricDivisor((0, 0, 0, 1, 1, 1)),
+        (0, 1, 2),
+    ),
+    "blp3_014": ToricModel(
+        "Bl P3 2H-E sigma [0, 1, 4]", _P3_BLOWUP, ToricDivisor((0, 0, 0, 2, -1)), (0, 1, 4)
+    ),
+}
 
 
 @pytest.fixture(scope="session")
 def load_model():
     def load(name):
+        if name in EXTRA_TORIC:
+            return EXTRA_TORIC[name]
         return parse_model((MODELS_DIR / f"{name}.json").read_bytes())
 
     return load
@@ -18,3 +65,33 @@ def load_model():
 @pytest.fixture(scope="session")
 def models_dir():
     return MODELS_DIR
+
+
+@pytest.fixture(scope="session")
+def agrees_with_polytopes():
+    """The exported table of L + sH against the polytope reference path:
+    alpha0(t) must be the volume of pi*(L + sH) - tE and alpha1(t) half its
+    boundary lattice volume at t_i = i*eps/(n+2), i = 0..n+2, eps included.
+    Both alphas have degree <= n, so agreement at n+3 nodes is exact."""
+
+    def agrees(model, s=0) -> bool:
+        table = export_table(model)
+        if isinstance(table, MixedTable):
+            table = table.specialize(s)
+        pair = alpha_polys(table)
+        fan1, e_idx, pullback = _exceptional_setup(model)
+        divisor = pullback(model.L)
+        if s:
+            divisor = divisor + s * pullback(model.H)
+        e_div = ToricDivisor(tuple(int(i == e_idx) for i in range(len(fan1.rays))))
+        n = model.fan.dim
+        for i in range(n + 3):
+            t = i * table.epsilon / (n + 2)
+            poly = polytope_of(fan1, divisor - t * e_div)
+            if poly.volume() != pair.alpha0(t):
+                return False
+            if poly.boundary_lattice_volume() / 2 != pair.alpha1(t):
+                return False
+        return True
+
+    return agrees

@@ -113,22 +113,14 @@ def test_criterion_5_ehrhart_rr(load_model):
     emit(5, ok, "a0 = alpha0(0) and a1 = alpha1(0) on 5 toric fixtures incl. P3")
 
 
-def test_criterion_6_two_path_consistency(load_model):
-    from slopestab.toric import _alpha_samples, _exceptional_setup
-
+def test_criterion_6_two_path_consistency(load_model, agrees_with_polytopes):
     ok = True
-    for name in ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef"):
-        model = load_model(name)
-        table = export_table(model)
-        if hasattr(table, "base_table"):
-            table = table.base_table()
-        fan1, e_idx, pullback = _exceptional_setup(model)
-        a0, a1 = _alpha_samples(
-            fan1, e_idx, pullback(model.L), table.epsilon, model.fan.dim
-        )
-        pair = alpha_polys(table)
-        ok = ok and a0 == pair.alpha0 and a1 == pair.alpha1
-    emit(6, ok, "interpolated and table-expanded alpha polynomials coincide")
+    for name in ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
+                 "p4_o2_codim2", "p1_cubed_point", "blp3_014"):
+        ok = ok and agrees_with_polytopes(load_model(name))
+    for s in (F(1, 4), F(1, 2), F(1)):
+        ok = ok and agrees_with_polytopes(load_model("f1_bignef"), s)
+    emit(6, ok, "localized tables match polytope volumes at n+3 nodes per model")
 
 
 def test_criterion_7_scaling_law(load_model):

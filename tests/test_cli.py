@@ -152,6 +152,18 @@ class TestExportTable:
         code, _, err = run(capsys, "export-table", str(models_dir / "t1.json"))
         assert code == 2 and "toric" in err
 
+    def test_winding_cones_rejected(self, capsys, tmp_path):
+        # eight smooth cones that wind three times around the plane
+        rays = [[1, 0], [-1, 1], [0, -1], [1, 1], [-1, 0], [1, -1], [0, 1], [-1, -1]]
+        doc = {"kind": "toric", "label": "winding", "rays": rays,
+               "max_cones": [sorted([i, (i + 1) % 8]) for i in range(8)],
+               "L": [1] * 8, "sigma": [0]}
+        path = tmp_path / "winding.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export-table", str(path))
+        assert code == 2 and out == ""
+        assert "lies in 3 maximal cones" in err
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, models_dir):

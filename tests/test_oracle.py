@@ -133,6 +133,11 @@ class TestVerifyMainTheorem:
         assert rec.df_predicted > 0
         assert rec.sign_match and rec.exact_match
 
+    @pytest.mark.parametrize("c, df", [(F(1, 2), F(9, 448)), (F(1), F(3, 28))])
+    def test_blown_up_p3_at_point_on_e(self, load_model, c, df):
+        rec = verify_main_theorem(load_model("blp3_014"), c)
+        assert rec.exact_match and rec.df_oracle == df
+
     def test_c_out_of_range(self, load_model):
         with pytest.raises(ToricError, match="outside"):
             verify_main_theorem(load_model("p2"), 2)

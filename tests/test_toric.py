@@ -10,7 +10,6 @@ from slopestab.toric import (
     ToricDivisor,
     ToricError,
     ToricModel,
-    _alpha_samples,
     _exceptional_setup,
     check_fan,
     curve_degree,
@@ -23,6 +22,12 @@ from slopestab.toric import (
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 F1_FAN = Fan(((1, 0), (0, 1), (-1, -1), (1, 1)), ((0, 3), (1, 3), (1, 2), (0, 2)))
+# eight unimodular cones winding three times around the plane: every wall
+# has two cones and every cone is smooth, but it is not a fan
+WINDING_FAN = Fan(
+    ((1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0), (1, -1), (0, 1), (-1, -1)),
+    tuple(tuple(sorted((i, (i + 1) % 8))) for i in range(8)),
+)
 
 
 def wall_with_rays(fan, rays):
@@ -45,6 +50,15 @@ class TestCheckFan:
         fan = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
         diags = check_fan(fan)
         assert any("incident cone" in d.message for d in diags.errors)
+
+    def test_winding_cones_cover_three_times(self):
+        for diags in (
+            check_fan(WINDING_FAN),
+            ToricModel("winding", WINDING_FAN, ToricDivisor((1,) * 8), (0,)).validate(),
+        ):
+            assert [d.message for d in diags.errors] == [
+                "direction (1, 2) lies in 3 maximal cones, expected 1"
+            ]
 
 
 class TestStarSubdivide:
@@ -175,6 +189,17 @@ class TestFacetLatticeVolume:
         )
         assert simplex.facet_lattice_volume(3) == F(1, 2)
 
+    def test_proportional_restrictions_count_once(self, load_model):
+        # at t = eps = 1 two inequalities restrict to proportional ones on the
+        # z = 0 facet; each facet of the slice must be counted once
+        model = load_model("blp3_014")
+        fan1, e_idx, pullback = _exceptional_setup(model)
+        e_div = ToricDivisor(tuple(int(i == e_idx) for i in range(len(fan1.rays))))
+        p = polytope_of(fan1, pullback(model.L) - e_div)
+        assert p.inequalities[2][0] == (0, 0, 1)
+        assert p.facet_lattice_volume(2) == F(3, 2)
+        assert p.boundary_lattice_volume() / 2 == 3
+
     def test_non_primitive_normal_rejected(self):
         p = LatticePolytope([((2, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
         with pytest.raises(ToricError, match="primitive"):
@@ -204,6 +229,12 @@ class TestExportTable:
         assert base.ae == p2.ae and base.kae == p2.kae
         assert slope_mu(alpha_polys(base)) == 3
 
+    def test_blown_up_p3_at_point_on_e(self, load_model):
+        t = export_table(load_model("blp3_014"))
+        assert t.ae == (7, 0, 0, 1)
+        assert t.kae == (-14, 0, 2)
+        assert t.epsilon == 1
+
     def test_invalid_model_rejected(self):
         model = ToricModel(
             "bad", P2_FAN, ToricDivisor((0, 0, -1)), (0, 1)
@@ -213,24 +244,18 @@ class TestExportTable:
 
 
 class TestTwoPathConsistency:
-    # volume-interpolated alpha polynomials must equal the binomial expansion
-    # of the exported table, coefficient by coefficient
+    # the localization table against the polytope volume reference path
     @pytest.mark.parametrize(
-        "name", ["p2", "p2_o2", "p3", "f1_ample", "f1_bignef"]
+        "name",
+        ["p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
+         "p4_o2_codim2", "p1_cubed_point", "blp3_014"],
     )
-    def test_fixture(self, load_model, name):
-        model = load_model(name)
-        fan1, e_idx, pullback = _exceptional_setup(model)
-        pi_l = pullback(model.L)
-        table = export_table(model)
-        if isinstance(table, MixedTable):
-            table = table.base_table()
-        sampled0, sampled1 = _alpha_samples(
-            fan1, e_idx, pi_l, table.epsilon, model.fan.dim
-        )
-        pair = alpha_polys(table)
-        assert sampled0 == pair.alpha0
-        assert sampled1 == pair.alpha1
+    def test_fixture(self, load_model, agrees_with_polytopes, name):
+        assert agrees_with_polytopes(load_model(name))
+
+    @pytest.mark.parametrize("s", [F(1, 4), F(1, 2), F(1)])
+    def test_mixed_s_direction(self, load_model, agrees_with_polytopes, s):
+        assert agrees_with_polytopes(load_model("f1_bignef"), s)
 
 
 class TestScaling:
@@ -253,6 +278,12 @@ class TestModelValidation:
     def test_good_fixtures(self, load_model):
         for name in ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef"):
             assert load_model(name).validate().ok
+
+    def test_l_must_be_big(self):
+        # pullback of O(1) from one factor of P1 x P1: nef with L^2 = 0
+        fan = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+        diags = ToricModel("P1xP1 O(1,0)", fan, ToricDivisor((0, 0, 1, 0)), (0, 1)).validate()
+        assert [d.message for d in diags.errors] == ["L not big: sections polytope is flat"]
 
     def test_h_must_be_ample(self, load_model):
         m = load_model("p2")
