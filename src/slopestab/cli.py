@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     m_list = None
     if args.max_m is not None:
         d = max(Fraction(c).denominator for c in args.c)
-        m_list = [m for m in range(d, args.max_m + 1, d)]
+        m_list = range(d, args.max_m + 1, d)
     lines = ["label c df_oracle df_predicted sign_match exact_match"]
     any_sign_fail = False
     for c in args.c:

@@ -1,10 +1,13 @@
 """Independent per-instance verification via lattice-point enumeration.
 
 For a toric model, section counts h0(mL) and filtration weights w_m are
-computed by deliberately naive bounding-box enumeration, fitted exactly to
-their asymptotic expansions, and the extracted invariant is compared against
-the slope engine's prediction.  Nothing here reuses the intersection-number
-machinery of the table path.
+counted slice by slice: the first n-1 coordinates run over the integer
+points of a bounding box, the range of the last one follows by floor
+division from the facet inequalities, and the levels along each slice are
+summed in closed form.  The counts are fitted exactly to their asymptotic
+expansions, and the extracted invariant is compared against the slope
+engine's prediction.  Nothing here reuses the intersection-number machinery
+of the table path.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, prod
+from operator import mul
 
 from .polynomials import fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
 from .toric import ToricError, ToricModel, export_table, polytope_of
+
+# most prefixes (x_1, ..., x_{n-1}) one count may enumerate over its m-samples
+_PREFIX_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -59,33 +66,98 @@ def _sigma_form(model: ToricModel):
     return u_sigma, offset
 
 
-def _lattice_points(model: ToricModel, m: int):
-    """Integer points of m * P_L by bounding-box enumeration."""
-    base = polytope_of(model.fan, model.L)
-    verts = base.vertices
+def _box(verts, m: int, d: int) -> range:
+    """Integer range of coordinate d over the bounding box of m * P_L."""
+    coords = [v[d] for v in verts]
+    return range(floor(m * min(coords)), ceil(m * max(coords)) + 1)
+
+
+def _vertices(model: ToricModel, ms):
+    """Vertices of P_L, once for all m-samples of a count; refuses, before
+    anything is enumerated, a count whose prefix boxes hold more than
+    _PREFIX_BUDGET points in total."""
+    verts = polytope_of(model.fan, model.L).vertices
+    if not verts:
+        return verts
+    total = 0
+    for m in ms:
+        total += prod(len(_box(verts, m, d)) for d in range(model.fan.dim - 1))
+        if total > _PREFIX_BUDGET:
+            raise ValueError(
+                f"lattice-point budget exceeded at m={m}: {total} prefixes "
+                f"to enumerate, limit {_PREFIX_BUDGET}"
+            )
+    return verts
+
+
+def _slices(model: ToricModel, m: int, verts):
+    """Lattice points of m * P_L, one slice per integer prefix
+    (x_1, ..., x_{n-1}) of the bounding box.
+
+    Yields (base, step, lo, hi) for each nonempty slice: its points have
+    filtration levels base + step * t for t = lo..hi, with step >= 0 (t is
+    x_n, or -x_n when u_sigma has a negative last coordinate).
+    """
     if not verts:
         return
-    dim = model.fan.dim
-    ranges = []
-    for d in range(dim):
-        coords = [v[d] for v in verts]
-        ranges.append(range(floor(m * min(coords)), ceil(m * max(coords)) + 1))
-    rays = model.fan.rays
-    coeffs = model.L.coeffs
-    for pt in product(*ranges):
-        if all(
-            sum(x * u for x, u in zip(pt, ray)) >= -m * a
-            for ray, a in zip(rays, coeffs)
-        ):
-            yield pt
-
-
-def _levels(model: ToricModel, m: int) -> list:
+    n = model.fan.dim
     u_sigma, offset = _sigma_form(model)
-    return [
-        sum(x * u for x, u in zip(pt, u_sigma)) + m * offset
-        for pt in _lattice_points(model, m)
+    shift = m * offset
+    if shift.denominator == 1:  # int arithmetic per slice, not Fraction
+        shift = int(shift)
+    # <x, u_rho> >= -m a_rho holds on integer x exactly when
+    # <x, u_rho> >= ceil(-m a_rho)
+    facets = [
+        (ray[:-1], ray[-1], ceil(-m * a))
+        for ray, a in zip(model.fan.rays, model.L.coeffs)
     ]
+    last = _box(verts, m, n - 1)
+    step = u_sigma[-1]
+    for prefix in product(*(_box(verts, m, d) for d in range(n - 1))):
+        lo, hi = last.start, last.stop - 1
+        for u, u_last, bound in facets:
+            slack = sum(map(mul, prefix, u)) - bound
+            if u_last > 0:
+                lo = max(lo, -(slack // u_last))
+            elif u_last < 0:
+                hi = min(hi, slack // -u_last)
+            elif slack < 0:
+                break
+            if lo > hi:
+                break
+        else:
+            base = sum(map(mul, prefix, u_sigma)) + shift
+            if step < 0:
+                yield base, -step, -hi, -lo
+            else:
+                yield base, step, lo, hi
+
+
+def _capped_sum(base, step, lo, hi, cap):
+    """Sum of min(base + step * t, cap) over t = lo..hi, step >= 0."""
+    if step == 0:
+        return (hi - lo + 1) * min(base, cap)
+    # levels at most cap are those with t <= k
+    k = min(hi, max(lo - 1, (cap - base) // step))
+    below = k - lo + 1
+    return below * base + step * ((lo + k) * below // 2) + (hi - k) * cap
+
+
+def _count_at_least(base, step, lo, hi, j) -> int:
+    """Number of t = lo..hi with base + step * t >= j, step >= 0."""
+    if step == 0:
+        return hi - lo + 1 if base >= j else 0
+    first = max(lo, -((base - j) // step))
+    return max(0, hi - first + 1)
+
+
+def _sample(model: ToricModel, m: int, verts, cap: int) -> WeightSample:
+    """h0(mL) and the weight total with levels capped at cap."""
+    h0 = w = 0
+    for base, step, lo, hi in _slices(model, m, verts):
+        h0 += hi - lo + 1
+        w += _capped_sum(base, step, lo, hi, cap)
+    return WeightSample(m, h0, int(w))
 
 
 def filtration_count(model: ToricModel, m: int, j: int) -> int:
@@ -95,7 +167,8 @@ def filtration_count(model: ToricModel, m: int, j: int) -> int:
         raise ValueError("m must be positive")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    return sum(1 for level in _levels(model, m) if level >= j)
+    verts = _vertices(model, (m,))
+    return sum(_count_at_least(*s, j) for s in _slices(model, m, verts))
 
 
 def weight_total(model: ToricModel, c, m: int) -> int:
@@ -107,7 +180,8 @@ def weight_total(model: ToricModel, c, m: int) -> int:
     cm = int(cm)
     if cm < 1:
         raise ValueError("c*m must be at least 1")
-    return int(sum(min(level, cm) for level in _levels(model, m)))
+    verts = _vertices(model, (m,))
+    return _sample(model, m, verts, cm).w
 
 
 def default_m_list(n: int, c) -> list[int]:
@@ -124,15 +198,13 @@ def fit_expansions(model: ToricModel, c, m_list=None) -> ExpansionFit:
         m_list = default_m_list(n, c)
     if len(m_list) < n + 4:
         raise ValueError(f"need at least {n + 4} m-samples, got {len(m_list)}")
+    verts = _vertices(model, m_list)
     samples = []
     for m in m_list:
-        levels = _levels(model, m)
         cm = c * m
         if cm.denominator != 1:
             raise ValueError(f"m={m} does not make c*m integral")
-        samples.append(
-            WeightSample(m, len(levels), int(sum(min(lv, int(cm)) for lv in levels)))
-        )
+        samples.append(_sample(model, m, verts, int(cm)))
     h_poly = fit_polynomial([(s.m, s.h0) for s in samples], n)
     w_poly = fit_polynomial([(s.m, s.w) for s in samples], n + 1)
     a = tuple(h_poly.coeff(n - i) for i in range(n + 1))
@@ -162,7 +234,8 @@ def verify_main_theorem(model: ToricModel, c, m_list=None) -> VerificationRecord
         return (x > 0) - (x < 0)
 
     # cross-check the prediction path: Q/denominator must reproduce mu - mu_c
-    assert sgn(predicted) == sgn(slope_mu(pair) - mu_c(pair, c))
+    if sgn(predicted) != sgn(slope_mu(pair) - mu_c(pair, c)):
+        raise RuntimeError(f"sign of Q at c={c} disagrees with mu - mu_c")
     return VerificationRecord(
         label=model.label,
         c=c,

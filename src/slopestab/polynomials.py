@@ -171,7 +171,8 @@ class UniPoly:
             return self
         g = poly_gcd(self, self.derivative())
         q, r = divmod(self, g)
-        assert r.is_zero
+        if not r.is_zero:
+            raise RuntimeError(f"gcd(p, p') does not divide p: remainder {r}")
         return q
 
 

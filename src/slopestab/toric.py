@@ -558,22 +558,28 @@ class ToricModel:
                 Diagnostic("error", f"sigma {self.sigma} is not a face of any cone")
             )
         if not entries:
+            try:
+                degrees = [
+                    (
+                        wall,
+                        curve_degree(self.fan, wall, self.L),
+                        None if self.H is None else curve_degree(self.fan, wall, self.H),
+                    )
+                    for wall in walls(self.fan)
+                ]
+            except ToricError as exc:  # a wall with both cones on one side
+                return Diagnostics((Diagnostic("error", str(exc)),))
             l_nef = True
-            for wall in walls(self.fan):
-                deg = curve_degree(self.fan, wall, self.L)
+            for wall, deg, hdeg in degrees:
                 if deg < 0:
                     l_nef = False
                     entries.append(
                         Diagnostic("error", f"L not nef: degree {deg} on wall {wall.rays}")
                     )
-                if self.H is not None:
-                    hdeg = curve_degree(self.fan, wall, self.H)
-                    if hdeg <= 0:
-                        entries.append(
-                            Diagnostic(
-                                "error", f"H not ample: degree {hdeg} on wall {wall.rays}"
-                            )
-                        )
+                if hdeg is not None and hdeg <= 0:
+                    entries.append(
+                        Diagnostic("error", f"H not ample: degree {hdeg} on wall {wall.rays}")
+                    )
             # for nef L, L^n is n! times the volume of its sections polytope
             if l_nef and _intersect(_localize(self.fan, (self.L,)), (self.fan.dim,)) <= 0:
                 entries.append(Diagnostic("error", "L not big: sections polytope is flat"))

@@ -49,6 +49,13 @@ EXTRA_TORIC = {
     "blp3_014": ToricModel(
         "Bl P3 2H-E sigma [0, 1, 4]", _P3_BLOWUP, ToricDivisor((0, 0, 0, 2, -1)), (0, 1, 4)
     ),
+    # u_sigma = (0, -1): filtration levels fall along the last coordinate
+    "p2_o2_point_02": ToricModel(
+        "P2 O(2) point [0, 2]",
+        Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+        ToricDivisor((0, 0, 2)),
+        (0, 2),
+    ),
 }
 
 

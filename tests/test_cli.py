@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,19 @@ class TestVerify:
                            "--c", "1", "--max-m", "6")
         assert code == 0
         assert out.strip().splitlines()[1].endswith("True True")
+
+    def test_point_budget_exits_2_quickly(self, capsys, tmp_path):
+        rays = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
+        doc = {"kind": "toric", "label": "P4 O(1)", "rays": rays,
+               "max_cones": [[j for j in range(5) if j != i] for i in range(5)],
+               "L": [0, 0, 0, 0, 1], "sigma": [0]}
+        path = tmp_path / "p4.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path), "--c", "1", "--max-m", "100000")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert "budget exceeded at m=" in err
 
     def test_sign_mismatch_exits_3(self, capsys, models_dir, monkeypatch):
         fake = VerificationRecord(

@@ -1,9 +1,14 @@
+import ast
+import pathlib
 from fractions import Fraction as F
-from math import comb
+from itertools import product
+from math import ceil, comb, floor
 
 import pytest
 
+from slopestab import oracle
 from slopestab.oracle import (
+    _sigma_form,
     default_m_list,
     filtration_count,
     fit_expansions,
@@ -11,8 +16,35 @@ from slopestab.oracle import (
     weight_total,
 )
 from slopestab.polynomials import integrate_definite
-from slopestab.slope import alpha_polys
-from slopestab.toric import ToricError, export_table
+from slopestab.slope import alpha_polys, slope_mu
+from slopestab.toric import ToricError, export_table, polytope_of
+
+SRC = pathlib.Path(oracle.__file__).resolve().parent
+
+# every toric fixture and every model of EXTRA_TORIC in conftest
+REFERENCE_MODELS = (
+    "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
+    "p4_o2_codim2", "p1_cubed_point", "blp3_014", "p2_o2_point_02",
+)
+
+
+def box_levels(model, m):
+    """Reference counter: the filtration level of every lattice point of
+    m * P_L, by testing each point of the bounding box against every facet."""
+    verts = polytope_of(model.fan, model.L).vertices
+    ranges = [
+        range(floor(m * min(v[d] for v in verts)), ceil(m * max(v[d] for v in verts)) + 1)
+        for d in range(model.fan.dim)
+    ]
+    u_sigma, offset = _sigma_form(model)
+    return [
+        sum(x * u for x, u in zip(pt, u_sigma)) + m * offset
+        for pt in product(*ranges)
+        if all(
+            sum(x * u for x, u in zip(pt, ray)) >= -m * a
+            for ray, a in zip(model.fan.rays, model.L.coeffs)
+        )
+    ]
 
 
 class TestFiltrationCount:
@@ -39,6 +71,30 @@ class TestFiltrationCount:
             filtration_count(p2, 0, 0)
         with pytest.raises(ValueError):
             filtration_count(p2, 1, -1)
+
+
+class TestAgainstBoxCounter:
+    def test_slice_steps_take_every_sign(self, load_model):
+        steps = {_sigma_form(load_model(name))[0][-1] for name in REFERENCE_MODELS}
+        assert min(steps) < 0 and 0 in steps and max(steps) > 0
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_counts_match(self, load_model, name):
+        model = load_model(name)
+        verts = polytope_of(model.fan, model.L).vertices
+        for m in range(1, 5):
+            levels = box_levels(model, m)
+            assert oracle._sample(model, m, verts, 1).h0 == len(levels)
+            for j in range(int(max(levels)) + 2):
+                assert filtration_count(model, m, j) == sum(lv >= j for lv in levels)
+            for c in (F(1, 2), F(1)):
+                if (c * m).denominator == 1:
+                    cap = int(c * m)
+                    assert weight_total(model, c, m) == sum(min(lv, cap) for lv in levels)
+
+    def test_point_budget(self, load_model):
+        with pytest.raises(ValueError, match="budget exceeded at m="):
+            fit_expansions(load_model("p3"), 1, m_list=range(1, 10**6))
 
 
 class TestWeightTotal:
@@ -138,6 +194,22 @@ class TestVerifyMainTheorem:
         rec = verify_main_theorem(load_model("blp3_014"), c)
         assert rec.exact_match and rec.df_oracle == df
 
+    def test_prediction_cross_check_is_an_internal_error(self, load_model, monkeypatch):
+        monkeypatch.setattr(oracle, "mu_c", lambda pair, c: slope_mu(pair) + 1)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            verify_main_theorem(load_model("p2"), F(1, 2))
+
     def test_c_out_of_range(self, load_model):
         with pytest.raises(ToricError, match="outside"):
             verify_main_theorem(load_model("p2"), 2)
+
+
+def test_no_assert_statements_in_package():
+    # assert vanishes under python -O; invariants are explicit checks
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -285,6 +285,13 @@ class TestModelValidation:
         diags = ToricModel("P1xP1 O(1,0)", fan, ToricDivisor((0, 0, 1, 0)), (0, 1)).validate()
         assert [d.message for d in diags.errors] == ["L not big: sections polytope is flat"]
 
+    def test_folded_wall_is_a_diagnostic(self):
+        # the cones (0, 1) and (1, 2) lie on the same side of their wall
+        fan = Fan(((-1, 0), (0, 1), (-1, 1), (1, 0), (0, -1)),
+                  ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+        diags = ToricModel("folded", fan, ToricDivisor((1,) * 5), (0,)).validate()
+        assert [d.message for d in diags.errors] == ["wall data inconsistent at (1,)"]
+
     def test_h_must_be_ample(self, load_model):
         m = load_model("p2")
         bad = ToricModel(m.label, m.fan, m.L, m.sigma, H=ToricDivisor((0, 0, 0)))
