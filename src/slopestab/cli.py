@@ -2,7 +2,8 @@
 verification, perturbation-limit studies, and toric table export.
 
 Exit codes: 0 success, 2 parse/validation error, 3 theorem-verification
-failure.  All machine-readable output is exact-rational text, no floats.
+failure, 4 internal fault (a failed internal consistency check).  All
+machine-readable output is exact-rational text, no floats.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .toric import ToricError, ToricModel, export_table
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
     except (ModelError, ToricError, PositivityError, CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

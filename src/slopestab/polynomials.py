@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**20)
@@ -29,6 +29,17 @@ class WitnessMismatch(ValueError):
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _horner(coeffs, num: int, den: int) -> tuple[int, int]:
+    """(a, b) with a/b the polynomial with rational `coeffs` (constant term
+    first) at num/den, and b > 0 if den > 0.  Integer arithmetic with a
+    single reduction at the end is several times faster than Fractions."""
+    a, b = 0, 1
+    for c in reversed(coeffs):
+        d = c.denominator
+        a, b = a * num * d + c.numerator * b * den, b * den * d
+    return a, b
 
 
 class UniPoly:
@@ -60,10 +71,7 @@ class UniPoly:
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(*_horner(self.coeffs, x.numerator, x.denominator))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
@@ -129,9 +137,6 @@ class UniPoly:
             rem.pop()
         return UniPoly(quot), UniPoly(rem)
 
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -142,16 +147,6 @@ class UniPoly:
         if self.is_zero:
             return self
         return self / self.coeffs[-1]
-
-    def scale_input(self, r) -> "UniPoly":
-        """The polynomial x -> p(r*x)."""
-        r = Fraction(r)
-        pw = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= r
-        return UniPoly(out)
 
     def deflate(self, root) -> "UniPoly":
         """Synthetic division by (x - root); root must be an exact root."""
@@ -166,21 +161,16 @@ class UniPoly:
         return UniPoly(list(reversed(out[:-1])))
 
     def squarefree(self) -> "UniPoly":
-        """Square-free part: p / gcd(p, p')."""
+        """Square-free part: p / gcd(p, p'), with gcd(p, p') monic."""
         if self.degree <= 1:
             return self
-        g = poly_gcd(self, self.derivative())
+        g = UniPoly(sturm_sequence(self)[-1]).monic()
+        if g.degree == 0:
+            return self
         q, r = divmod(self, g)
         if not r.is_zero:
             raise RuntimeError(f"gcd(p, p') does not divide p: remainder {r}")
         return q
-
-
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
 
 
 def integrate_definite(p: UniPoly, a, b) -> Fraction:
@@ -236,7 +226,13 @@ def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Interval (lo, hi] containing exactly one root; lo == hi marks an exact root."""
+    """Interval (lo, hi] containing exactly one root; lo == hi marks an exact root.
+
+    On an inexact interval, sign_left and sign_right are the signs at lo and
+    hi of the square-free part with the exact roots in the isolation window
+    divided out, which differ; rational roots outside the window stay in it.
+    Exact intervals carry 0, 0.
+    """
 
     lo: Fraction
     hi: Fraction
@@ -253,84 +249,171 @@ class IsolatingInterval:
         return f"({self.lo}, {self.hi}]"
 
 
-def sturm_sequence(p: UniPoly) -> list[UniPoly]:
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero:
-        seq.append(-(seq[-2] % seq[-1]))
-    seq.pop()
+def _primitive(ints: list[int]) -> list[int]:
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _integer_form(p: UniPoly) -> list[int]:
+    """Coefficients of the primitive integer multiple of p with positive
+    scale, so its signs are those of p."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of a mod b."""
+    lead, scale = b[-1], abs(b[-1])
+    shift = len(a) - len(b)
+    r = list(a)
+    while shift >= 0 and r:
+        f = r[-1] if lead > 0 else -r[-1]
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+        shift = len(r) - len(b)
+    return r
+
+
+def sturm_sequence(p: UniPoly) -> list[list[int]]:
+    """Sturm sequence of p as integer coefficient lists, constant term first.
+
+    Every entry is the classical one (p, p', minus the remainders) times a
+    positive factor that makes it a primitive integer polynomial: the signs,
+    and so the sign variations, are unchanged, and integer pseudo-remainders
+    cost far less than remainders over Fractions.  The last entry is
+    gcd(p, p') up to a factor.
+    """
+    seq = [_integer_form(p)]
+    nxt = _primitive([i * c for i, c in enumerate(seq[0])][1:])
+    while nxt:
+        seq.append(nxt)
+        nxt = _primitive([-c for c in _pseudo_remainder(seq[-2], seq[-1])])
     return seq
 
 
-def sign_variations(seq: Sequence[UniPoly], x) -> int:
-    signs = [s for s in (_sign(q(x)) for q in seq) if s != 0]
+def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
+    """Sign changes of the Sturm sequence `seq` at x, zeros skipped."""
+    x = Fraction(x)
+    values = (_horner(q, x.numerator, x.denominator)[0] for q in seq)
+    signs = [s for s in map(_sign, values) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return out
+def _squarefree_sturm(p: UniPoly) -> tuple[UniPoly, list[list[int]]]:
+    """The square-free part of p and its Sturm sequence."""
+    seq = sturm_sequence(p)
+    if len(seq[-1]) == 1:
+        return p, seq
+    q = p.squarefree()
+    return q, sturm_sequence(q)
 
 
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of p, each listed once, sorted."""
+def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
+    """Sign of the integer polynomial `ints` at num/den, for den > 0."""
+    return _sign(_horner(ints, num, den)[0])
+
+
+def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
+    """The root in (a, b] if it is rational, else None; (a, b] must hold
+    exactly one root of the square-free integer polynomial `ints`.
+
+    A rational root of `ints` has a denominator dividing its leading
+    coefficient `lead`, and two such rationals lie at least 1/lead^2 apart.
+    Bisection on the sign alone narrows the open interval around the root
+    below 1/(2 lead^2), so the closest rational with denominator <= lead to
+    its midpoint is the root, if the root is rational.
+    """
+    sign_b = _sign_at(ints, b.numerator, b.denominator)
+    if sign_b == 0:
+        return b
+    lead = abs(ints[-1])
+    w = b - a
+    # grid a + i*w/2^k, 0 <= i <= 2^k, with w/2^k < 1/(2 lead^2)
+    k = (2 * lead * lead * w.numerator // w.denominator).bit_length()
+    den = a.denominator * w.denominator << k
+    base = a.numerator * w.denominator << k
+    step = w.numerator * a.denominator
+    i, j = 0, 1 << k
+    while j - i > 1:
+        mid = (i + j) // 2
+        s = _sign_at(ints, base + mid * step, den)
+        if s == 0:
+            return Fraction(base + mid * step, den)
+        if s == sign_b:
+            j = mid
+        else:
+            i = mid
+    left, right = Fraction(base + i * step, den), Fraction(base + j * step, den)
+    r = ((left + right) / 2).limit_denominator(lead)
+    if left < r < right and _sign_at(ints, r.numerator, r.denominator) == 0:
+        return r
+    return None
+
+
+def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
+    """The rational roots of p in (lo, hi], each listed once, sorted.
+
+    Without a window, all of them: the window is then (-B, B] for the
+    Cauchy bound B.  The Sturm sequence of the square-free part isolates
+    every real root in the window; each is then tested by `_root_in`, at a
+    cost polynomial in the bit size of the coefficients.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    coeffs = list(p.coeffs)
+    if p.degree < 1:
+        return []
+    _, seq = _squarefree_sturm(p)
+    ints = seq[0]
+    if lo is None:
+        bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
+        lo, hi = -bound, bound
+    lo, hi = Fraction(lo), Fraction(hi)
     roots = []
-    if coeffs[0] == 0:
-        roots.append(Fraction(0))
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return roots
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    tail, lead = ints[0], ints[-1]
-    q = UniPoly(coeffs)
-    seen = set(roots)
-    for pn in _divisors(tail):
-        for qd in _divisors(lead):
-            for s in (1, -1):
-                r = Fraction(s * pn, qd)
-                if r not in seen and q(r) == 0:
-                    seen.add(r)
-                    roots.append(r)
+    stack = [(lo, hi, sign_variations(seq, lo), sign_variations(seq, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            r = _root_in(ints, a, b)
+            if r is not None:
+                roots.append(r)
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = sign_variations(seq, m)
+            stack.append((a, m, va, vm))
+            stack.append((m, b, vm, vb))
     return sorted(roots)
 
 
 def isolate_roots(
     p: UniPoly, lo, hi, width: Fraction = DEFAULT_ISOLATION_WIDTH
 ) -> list[IsolatingInterval]:
-    """Isolate all distinct real roots of the square-free part of p in (lo, hi].
+    """Isolate the distinct real roots of p in the window (lo, hi].
 
-    Exact rational roots are reported as degenerate intervals (lo == hi);
-    remaining roots get disjoint Sturm-bisected intervals of width <= `width`
-    whose endpoint signs differ.  Result is sorted left to right.
+    The rational roots, found by `rational_roots`, are reported as
+    degenerate intervals (lo == hi).  They are divided out of the
+    square-free part q of p, and every other root in the window gets an
+    interval (a, b] of width <= `width` from Sturm bisection of what is
+    left of q.  Its endpoints are neither lo, hi nor an exact root, so q is
+    nonzero there; the root lies strictly inside.  Result is sorted left to
+    right.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    q = p.squarefree()
-    out: list[IsolatingInterval] = []
-    exact: list[Fraction] = []
-    for r in rational_roots(q):
-        if lo < r <= hi:
-            out.append(IsolatingInterval(r, r, 0, 0))
-            exact.append(r)
+    q, seq = _squarefree_sturm(p)
+    exact = rational_roots(q, lo, hi)
+    out = [IsolatingInterval(r, r, 0, 0) for r in exact]
+    for r in exact:
         q = q.deflate(r)
-    if q.degree >= 1:
+    if exact:
         seq = sturm_sequence(q)
+    if q.degree >= 1:
 
         def var(x):
             return sign_variations(seq, x)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopestab import cli
+from slopestab import cli, toric
 from slopestab.models import parse_model
 from slopestab.oracle import VerificationRecord
 from slopestab.toric import export_table
@@ -67,6 +67,22 @@ class TestScan:
         assert [row.split(",")[3] for row in lines[1:]] == ["+", "+", "+", "-"]
         assert all(row.split(",")[1] == "5/3" for row in lines[1:])
 
+    @pytest.mark.parametrize("ae, kae", [
+        # the ROADMAP table: trial division of AE[0] took 1.2 s here
+        ([10**14 + 3, 0, -1], [-3, -1]),
+        # 25 digits: trial division did not finish in 100 s
+        ([10**24 + 7, 0, 0, -1], [-(3 * 10**13 + 1), 0, -1]),
+    ])
+    def test_large_entries_finish_quickly(self, capsys, tmp_path, ae, kae):
+        doc = {"kind": "table", "label": "large", "n": len(ae) - 1,
+               "AE": ae, "KAE": kae, "epsilon": "1"}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "scan", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 0 and len(out.splitlines()) == 21
+
 
 class TestVerify:
     def test_p2_multiple_c(self, capsys, models_dir):
@@ -121,6 +137,27 @@ class TestVerify:
                            "--c", "1/2")
         assert code == 3
         assert "False" in out
+
+
+class TestInternalFault:
+    def test_runtime_error_exits_4(self, capsys, models_dir, monkeypatch):
+        def fail(model, c, m_list=None):
+            raise RuntimeError("sign of Q at c=1/2 disagrees with mu - mu_c")
+
+        monkeypatch.setattr(cli.oracle_mod, "verify_main_theorem", fail)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
+                             "--c", "1/2")
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        assert err == "internal error: sign of Q at c=1/2 disagrees with mu - mu_c\n"
+
+    def test_generic_direction_fault_exits_4(self, capsys, models_dir, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("no generic direction among 10 candidates")
+
+        monkeypatch.setattr(toric, "_generic_direction", fail)
+        code, out, err = run(capsys, "export-table", str(models_dir / "p2.json"))
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: no generic direction")
 
 
 class TestLimit:

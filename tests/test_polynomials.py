@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,52 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 def poly(*coeffs):
     return UniPoly([F(c) for c in coeffs])
+
+
+def divisor_roots(p):
+    """Reference counter: every rational root of p by trial division, testing
+    +-u/v for each divisor u of the scaled constant term and v of the scaled
+    leading coefficient (the rational root theorem)."""
+
+    def divisors(n):
+        n = abs(n)
+        return [d for i in range(1, isqrt(n) + 1) if n % i == 0 for d in (i, n // i)]
+
+    coeffs = list(p.coeffs)
+    roots = set()
+    while coeffs and coeffs[0] == 0:
+        roots.add(F(0))
+        coeffs.pop(0)
+    if len(coeffs) <= 1:
+        return sorted(roots)
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    q = UniPoly(coeffs)
+    for u in divisors(ints[0]):
+        for v in divisors(ints[-1]):
+            for r in (F(u, v), F(-u, v)):
+                if q(r) == 0:
+                    roots.add(r)
+    return sorted(roots)
+
+
+def planted(rng):
+    """A random integer polynomial and its planted rational roots: one or
+    two with denominators up to 10^3, sometimes 0, sometimes a repeated one,
+    and sometimes an irrational pair x^2 = k beside them."""
+    roots = [F(rng.randint(-99, 99), rng.randint(1, 1000)) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.3:
+        roots.append(F(0))
+    p = poly(rng.choice((1, -1, 3)))
+    for r in roots:
+        p = p * poly(-r.numerator, r.denominator)
+    if rng.random() < 0.4:
+        p = p * poly(-roots[0].numerator, roots[0].denominator)
+    if rng.random() < 0.6:
+        p = p * poly(-rng.choice((2, 3, 5, 7)), 0, 1)
+    return p, sorted(set(roots))
 
 
 class TestArithmetic:
@@ -137,6 +185,62 @@ class TestRationalRoots:
     def test_finds_all(self):
         p = poly(0, 1) * poly(-1, 2) * poly(3, 1)  # roots 0, 1/2, -3
         assert rational_roots(p) == [F(-3), F(0), F(1, 2)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_divisor_reference(self, seed):
+        p, roots = planted(random.Random(seed))
+        assert rational_roots(p) == divisor_roots(p) == roots
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_window_matches_reference(self, seed):
+        rng = random.Random(seed)
+        p, roots = planted(rng)
+        r = rng.choice(roots)
+        tiny = F(1, 10**9)
+        windows = [
+            (r, r + 1),  # a root at lo is left out
+            (r - 1, r),  # a root at hi is kept
+            (r - 1, r - tiny),  # just below the root
+            (r + tiny, r + 1),  # just above it
+            (min(roots) - tiny, max(roots)),
+            (F(-1, 3), F(5, 7)),
+        ]
+        reference = divisor_roots(p)
+        for lo, hi in windows:
+            inside = [x for x in reference if lo < x <= hi]
+            assert rational_roots(p, lo, hi) == inside
+            exact = [iv.lo for iv in isolate_roots(p, lo, hi) if iv.is_exact]
+            assert exact == inside
+
+    def test_irrational_next_to_rational(self):
+        # 577/408 and 99/70 are convergents of sqrt(2), within 2.2e-6 and 7.3e-5
+        p = poly(-2, 0, 1) * poly(-577, 408) * poly(-99, 70)
+        assert rational_roots(p) == divisor_roots(p) == [F(577, 408), F(99, 70)]
+        ivs = isolate_roots(p, 1, 2)
+        assert [str(iv) for iv in ivs if iv.is_exact] == ["577/408", "99/70"]
+        (irr,) = [iv for iv in ivs if not iv.is_exact]
+        assert irr.lo ** 2 < 2 < irr.hi**2
+
+    def test_candidate_outside_the_interval_is_refused(self):
+        # near sqrt(2) the nearest integer is 1, a root, but outside (6/5, 2]
+        p = poly(-1, 1) * poly(-2, 0, 1)
+        assert rational_roots(p, F(6, 5), 2) == []
+        assert rational_roots(p) == [F(1)]
+
+    def test_close_denominators(self):
+        p = poly(-1, 1000) * poly(-1, 999) * poly(-998, 999)
+        assert rational_roots(p) == [F(1, 1000), F(1, 999), F(998, 999)]
+
+    def test_large_entries(self):
+        # trial division would need about 10^12 steps on this constant term
+        a, b = 10**24 + 7, 3 * 10**13 + 1
+        p = poly(-a, b) * poly(-5, 0, 1)
+        assert rational_roots(p) == [F(a, b)]
+        assert rational_roots(poly(a, 0, 0, 1) * poly(1, 3)) == [F(-1, 3)]
+
+    def test_no_real_roots(self):
+        assert rational_roots(poly(1, 0, 1)) == []
+        assert rational_roots(poly(7)) == []
 
 
 class TestIsolateRoots:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from slopestab.models import IntersectionTable, MixedTable
+from slopestab.polynomials import UniPoly
 from slopestab.slope import alpha_polys, slope_mu
 from slopestab.toric import (
     Fan,
@@ -265,7 +266,9 @@ class TestScaling:
         for d, name in ((2, "p2_o2"),):
             scaled = alpha_polys(export_table(load_model(name)))
             assert scaled.epsilon == d * base.epsilon
-            assert scaled.alpha0 == d**2 * base.alpha0.scale_input(F(1, d))
+            # base.alpha0 at t/d: the coefficient of t^k divided by d^k
+            at_t_over_d = UniPoly(c / d**k for k, c in enumerate(base.alpha0.coeffs))
+            assert scaled.alpha0 == d**2 * at_t_over_d
 
     def test_birational_invariance(self, load_model):
         # mu from the subdivided fan equals the value on the base variety
