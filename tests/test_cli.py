@@ -68,9 +68,9 @@ class TestScan:
         assert all(row.split(",")[1] == "5/3" for row in lines[1:])
 
     @pytest.mark.parametrize("ae, kae", [
-        # the ROADMAP table: trial division of AE[0] took 1.2 s here
+        # the ROADMAP table, a 15-digit AE[0]
         ([10**14 + 3, 0, -1], [-3, -1]),
-        # 25 digits: trial division did not finish in 100 s
+        # n = 3 with a 25-digit AE[0]
         ([10**24 + 7, 0, 0, -1], [-(3 * 10**13 + 1), 0, -1]),
     ])
     def test_large_entries_finish_quickly(self, capsys, tmp_path, ae, kae):
