@@ -53,7 +53,6 @@ from .toric import (
     nef_threshold,
     polytope_of,
     star_subdivide,
-    walls,
 )
 
 __version__ = "0.1.0"

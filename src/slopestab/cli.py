@@ -9,6 +9,7 @@ machine-readable output is exact-rational text, no floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -209,6 +210,7 @@ def cmd_export_table(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, then shared: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopestab",
@@ -251,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "c", None) is not None:
             args.c = _parse_c_list(args.c)

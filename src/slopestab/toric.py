@@ -8,7 +8,15 @@ divisorial case (a single ray) is the identity blow-up.
 
 Intersection numbers come from fixed-point localization: one exact sum over
 the maximal cones (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
-form).  The polytope volumes are an independent reference for it.
+form), summed in integers over one common denominator.  The polytope
+volumes are an independent reference for it.
+
+All linear algebra goes through one integer kernel, `_adjugate`
+(fraction-free Gauss-Jordan, Bareiss 1968).  Each fan keeps the (det, adj)
+of its maximal cones, so cone determinants, the cone coordinates of the
+generic direction and the wall relations behind curve degrees are integer
+matrix-vector products; polytope vertices take one adjugate per n-subset
+of facets.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .models import (
     Diagnostic,
@@ -33,61 +41,45 @@ class ToricError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
+# exact linear algebra: one integer kernel
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
+def _adjugate(rows) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate of a square integer matrix, A adj = det I;
+    adj is None when det is 0.
+
+    Fraction-free Gauss-Jordan elimination on [A | I] (Bareiss 1968): the
+    step at pivot k replaces every other row by
+    (piv * m[i] - m[i][k] * m[k]) // prev, a division that is exact because
+    each entry is then a minor of [A | I].  The left block ends as +-det I
+    and the right block as +-adj, the sign being that of the row swaps.
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        piv = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def _solve_linear(rows, rhs):
-    """Solve A x = b exactly; returns the solution list or None when the
-    system is inconsistent or underdetermined."""
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None  # inconsistent
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
-    return sol
+def _apply(det: int, adj, v) -> list:
+    """The solution x = adj v / det of A x = v for nonzero det: ints when
+    |det| = 1 and v is integral, Fractions otherwise."""
+    xs = [sum(a * x for a, x in zip(row, v)) for row in adj]
+    if det in (1, -1):
+        return [det * x for x in xs]
+    return [Fraction(x, det) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +111,32 @@ class Fan:
     def dim(self) -> int:
         return len(self.rays[0])
 
-    def cone_det(self, cone) -> Fraction:
-        return _det([list(self.rays[i]) for i in cone])
+    # computed once per fan (a frozen dataclass may still fill its __dict__)
+
+    @cached_property
+    def adjugates(self) -> tuple[tuple[int, list[list[int]] | None], ...]:
+        """(det, adj) per maximal cone of the matrix with its rays as columns."""
+        return tuple(
+            _adjugate([[self.rays[i][d] for i in cone] for d in range(self.dim)])
+            for cone in self.max_cones
+        )
+
+    @cached_property
+    def generic(self):
+        """The generic direction c and its cone coordinates; see
+        _generic_direction."""
+        return _generic_direction(self)
+
+    @cached_property
+    def walls(self) -> tuple[Wall, ...]:
+        """The walls, each shared by exactly two maximal cones."""
+        out = []
+        for facet, inc in sorted(_facet_incidence(self).items()):
+            if len(inc) != 2:
+                raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
+            (ca, ia), (cb, ib) = inc
+            out.append(Wall(facet, (ca, cb), (ia, ib)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -163,13 +179,11 @@ def check_fan(fan: Fan) -> Diagnostics:
     """Smoothness (unimodular cones), completeness (wall accounting) and,
     for smooth cones, covering: a generic direction lies in exactly one
     maximal cone."""
-    entries = []
-    for cone in fan.max_cones:
-        det = fan.cone_det(cone)
-        if abs(det) != 1:
-            entries.append(
-                Diagnostic("error", f"non-smooth cone {tuple(cone)}, det {det}")
-            )
+    entries = [
+        Diagnostic("error", f"non-smooth cone {tuple(cone)}, det {det}")
+        for cone, (det, _) in zip(fan.max_cones, fan.adjugates)
+        if abs(det) != 1
+    ]
     smooth = not entries
     for facet, inc in sorted(_facet_incidence(fan).items()):
         if len(inc) != 2:
@@ -180,7 +194,7 @@ def check_fan(fan: Fan) -> Diagnostics:
                 )
             )
     if smooth:
-        c, coords = _generic_direction(fan)
+        c, coords = fan.generic
         covering = sum(all(y > 0 for y in ys) for ys in coords)
         if covering != 1:
             entries.append(
@@ -194,7 +208,8 @@ def check_fan(fan: Fan) -> Diagnostics:
 
 def _generic_direction(fan: Fan):
     """A direction c with nonzero coordinates y_sigma in every maximal cone's
-    ray basis, c = sum_{i in sigma} y_{sigma,i} u_i; returns c and the y_sigma.
+    ray basis, c = sum_{i in sigma} y_{sigma,i} u_i; returns c and the y_sigma,
+    ints on unimodular cones.
 
     c = (1, k, ..., k^(n-1)) for the first k >= 2 that works.  On smooth
     cones each coordinate is a nonzero polynomial of degree <= n-1 in k, so
@@ -205,46 +220,44 @@ def _generic_direction(fan: Fan):
     for k in range(2, bound + 3):
         c = tuple(k**d for d in range(n))
         coords = []
-        for cone in fan.max_cones:
-            ys = _solve_linear([[fan.rays[i][d] for i in cone] for d in range(n)], c)
-            if ys is None or 0 in ys:
+        for det, adj in fan.adjugates:
+            ys = tuple(_apply(det, adj, c)) if det else (0,)  # flat: no coordinates
+            if 0 in ys:
                 break
-            coords.append(tuple(ys))
+            coords.append(ys)
         else:
             return c, coords
     raise RuntimeError(f"no generic direction among {bound + 1} candidates")
 
 
-def _localize(fan: Fan, divisors) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """Per maximal cone sigma: the weight 1/prod_i y_{sigma,i} and the value
-    sum_{i in sigma} a_i y_{sigma,i} of each divisor at the generic direction."""
-    _, coords = _generic_direction(fan)
-    return [
-        (
-            1 / prod(ys),
-            tuple(sum(d.coeffs[i] * y for i, y in zip(cone, ys)) for d in divisors),
-        )
-        for cone, ys in zip(fan.max_cones, coords)
+def _localize(fan: Fan, divisors) -> tuple[int, list[tuple[int, tuple]]]:
+    """Fixed-point data at the generic direction, in integers: a common
+    denominator D, the lcm of |prod_i y_{sigma,i}| over the maximal cones,
+    and per cone sigma the weight D / prod_i y_{sigma,i} with the value
+    sum_{i in sigma} a_i y_{sigma,i} of each divisor (a Fraction only when a
+    coefficient a_i is not integral)."""
+    _, coords = fan.generic
+    weights = [prod(ys) for ys in coords]
+    denom = lcm(*weights)
+    coeffs = [
+        tuple(a.numerator if a.denominator == 1 else a for a in d.coeffs)
+        for d in divisors
+    ]
+    return denom, [
+        (denom // w, tuple(sum(a[i] * y for i, y in zip(cone, ys)) for a in coeffs))
+        for cone, ys, w in zip(fan.max_cones, coords, weights)
     ]
 
 
-def _intersect(points, exponents) -> Fraction:
+def _intersect(localized, exponents) -> Fraction:
     """D_1^e_1 ... D_m^e_m with sum e = n over the localized divisors, by
     fixed-point localization (Brion 1988): sum over maximal cones of the
-    weight times the product of the divisor values."""
-    return sum(
-        w * prod(v**e for v, e in zip(values, exponents)) for w, values in points
+    weight times the product of the divisor values, over the denominator."""
+    denom, points = localized
+    return Fraction(
+        sum(w * prod(v**e for v, e in zip(values, exponents)) for w, values in points),
+        denom,
     )
-
-
-def walls(fan: Fan) -> list[Wall]:
-    out = []
-    for facet, inc in sorted(_facet_incidence(fan).items()):
-        if len(inc) != 2:
-            raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
-        (ca, ia), (cb, ib) = inc
-        out.append(Wall(facet, (ca, cb), (ia, ib)))
-    return out
 
 
 def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
@@ -279,23 +292,20 @@ def curve_degree(fan: Fan, wall: Wall, divisor: ToricDivisor) -> Fraction:
 
     With the integral relation u_a + u_b = sum_i c_i u_i over the wall's
     rays, the degree is a_a + a_b - sum_i c_i a_i for the support-function
-    convention <x, u_rho> >= -a_rho.
+    convention <x, u_rho> >= -a_rho.  The relation is read from the
+    coordinates x of u_b in the ray basis of cone a: it holds, with c_i = x_i,
+    exactly when x_a = -1.
     """
+    ca, _ = wall.cones
     ia, ib = wall.opposite
-    target = [
-        fan.rays[ia][d] + fan.rays[ib][d] for d in range(fan.dim)
-    ]
-    if wall.rays:
-        rows = [[fan.rays[i][d] for i in wall.rays] for d in range(fan.dim)]
-        sol = _solve_linear(rows, target)
-        if sol is None:
-            raise ToricError(f"wall data inconsistent at {wall.rays}")
-    else:
-        if any(t != 0 for t in target):
+    det, adj = fan.adjugates[ca]
+    x = dict(zip(fan.max_cones[ca], _apply(det, adj, fan.rays[ib]))) if det else {}
+    if x.get(ia) != -1:
+        if not wall.rays:
             raise ToricError("wall data inconsistent in dimension one")
-        sol = []
+        raise ToricError(f"wall data inconsistent at {wall.rays}")
     a = divisor.coeffs
-    return a[ia] + a[ib] - sum(c * a[i] for c, i in zip(sol, wall.rays))
+    return a[ia] + a[ib] - sum(x[i] * a[i] for i in wall.rays)
 
 
 def nef_threshold(fan: Fan, pi_l: ToricDivisor, e_index: int) -> Fraction:
@@ -304,7 +314,7 @@ def nef_threshold(fan: Fan, pi_l: ToricDivisor, e_index: int) -> Fraction:
         tuple(Fraction(int(i == e_index)) for i in range(len(fan.rays)))
     )
     bounds = []
-    for wall in walls(fan):
+    for wall in fan.walls:
         dl = curve_degree(fan, wall, pi_l)
         if dl < 0:
             raise ToricError(f"pi*L is not nef: degree {dl} on wall {wall.rays}")
@@ -417,13 +427,11 @@ class LatticePolytope:
         """Exact vertex enumeration over all n-subsets of tight inequalities."""
         out = []
         seen = set()
-        for subset in combinations(range(len(self.inequalities)), self.dim):
-            rows = [list(self.inequalities[i][0]) for i in subset]
-            rhs = [-self.inequalities[i][1] for i in subset]
-            sol = _solve_linear(rows, rhs)
-            if sol is None:
+        for subset in combinations(self.inequalities, self.dim):
+            det, adj = _adjugate([normal for normal, _ in subset])
+            if det == 0:
                 continue
-            pt = tuple(sol)
+            pt = tuple(_apply(det, adj, [-offset for _, offset in subset]))
             if pt not in seen and self.contains(pt):
                 seen.add(pt)
                 out.append(pt)
@@ -465,64 +473,14 @@ class LatticePolytope:
         )
 
 
-def _recession_is_trivial(normals) -> bool:
-    """True when {d : <d,u> >= 0 for all normals} = {0}."""
-    dim = len(normals[0])
-    rows = [list(u) for u in normals]
-    # a full line in the recession cone forces rank deficiency
-    if _rank(rows) < dim:
-        return False
-    for subset in combinations(range(len(normals)), dim - 1):
-        d = _nullspace_vector([list(normals[i]) for i in subset], dim)
-        if d is None:
-            continue
-        for cand in (d, [-x for x in d]):
-            if all(sum(c * u for c, u in zip(cand, n)) >= 0 for n in normals):
-                return False
-    return True
-
-
-def _rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _nullspace_vector(rows, dim):
-    """A nonzero vector orthogonal to all rows, when the nullspace is a line."""
-    if dim == 1:
-        return [Fraction(1)] if not rows or _rank(rows) == 0 else None
-    if _rank(rows) != dim - 1:
-        return None
-    for free in range(dim):
-        sys_rows = [row[:free] + row[free + 1 :] for row in rows]
-        rhs = [-row[free] for row in rows]
-        sol = _solve_linear(sys_rows, rhs) if sys_rows and sys_rows[0] else None
-        if sol is not None:
-            vec = list(sol[:free]) + [Fraction(1)] + list(sol[free:])
-            return vec
-    return None
-
-
 def polytope_of(fan: Fan, divisor: ToricDivisor) -> LatticePolytope:
     """Sections polytope {x : <x, u_rho> >= -a_rho for every ray}."""
     if len(divisor.coeffs) != len(fan.rays):
         raise ToricError("divisor coefficient count does not match the fan")
-    if not _recession_is_trivial(fan.rays):
-        raise ToricError("unbounded polytope: fan does not span all directions")
+    # a smooth complete fan makes the polytope bounded
+    diags = check_fan(fan)
+    if not diags.ok:
+        raise ToricError(f"polytope of an invalid fan: {diags.errors[0].message}")
     return LatticePolytope(list(zip(fan.rays, divisor.coeffs)))
 
 
@@ -565,7 +523,7 @@ class ToricModel:
                         curve_degree(self.fan, wall, self.L),
                         None if self.H is None else curve_degree(self.fan, wall, self.H),
                     )
-                    for wall in walls(self.fan)
+                    for wall in self.fan.walls
                 ]
             except ToricError as exc:  # a wall with both cones on one side
                 return Diagnostics((Diagnostic("error", str(exc)),))

@@ -55,6 +55,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "no-such-model.json")
         assert code == 2 and "cannot read" in err
 
+    def test_parser_keeps_no_state_between_calls(self, capsys, models_dir):
+        path = str(models_dir / "t1.json")
+        code, out, _ = run(capsys, "analyze", path, "--c", "1/2")
+        assert code == 0 and "c: 1/2\n" in out
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0 and out.startswith("label: ")
+        assert not any(line.startswith(("c:", "mu_c:", "verdict:")) for line in out.splitlines())
+
 
 class TestScan:
     def test_t3_grid(self, capsys, models_dir):

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -11,14 +14,16 @@ from slopestab.toric import (
     ToricDivisor,
     ToricError,
     ToricModel,
+    _adjugate,
     _exceptional_setup,
+    _intersect,
+    _localize,
     check_fan,
     curve_degree,
     export_table,
     nef_threshold,
     polytope_of,
     star_subdivide,
-    walls,
 )
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -31,8 +36,78 @@ WINDING_FAN = Fan(
 )
 
 
+# every toric fixture and every model of EXTRA_TORIC in conftest
+REFERENCE_MODELS = (
+    "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
+    "p4_o2_codim2", "p1_cubed_point", "blp3_014", "p2_o2_point_02",
+)
+
+
+def gauss_jordan_solve(rows, rhs):
+    """Reference solver: Fraction Gauss-Jordan elimination of A x = b; the
+    solution list, or None when the system is inconsistent or underdetermined."""
+    m = [[F(x) for x in row] + [F(b)] for row, b in zip(rows, rhs)]
+    nrows, ncols = len(m), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if any(m[i][ncols] != 0 for i in range(r, nrows)) or len(pivots) < ncols:
+        return None
+    sol = [F(0)] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = m[i][ncols]
+    return sol
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        * prod(rows[i][p[i]] for i in range(n))
+        for p in permutations(range(n))
+    )
+
+
+def reference_curve_degree(fan, wall, divisor):
+    """Solve u_a + u_b = sum_i c_i u_i over the wall's rays directly."""
+    ia, ib = wall.opposite
+    target = [fan.rays[ia][d] + fan.rays[ib][d] for d in range(fan.dim)]
+    if wall.rays:
+        rows = [[fan.rays[i][d] for i in wall.rays] for d in range(fan.dim)]
+        sol = gauss_jordan_solve(rows, target)
+    else:
+        sol = None if any(target) else []
+    if sol is None:
+        return None
+    a = divisor.coeffs
+    return a[ia] + a[ib] - sum(c * a[i] for c, i in zip(sol, wall.rays))
+
+
+def reference_vertices(polytope):
+    """Solve every n-subset of the inequalities as equalities."""
+    out = set()
+    for subset in combinations(polytope.inequalities, polytope.dim):
+        sol = gauss_jordan_solve([u for u, _ in subset], [-a for _, a in subset])
+        if sol is not None and polytope.contains(sol):
+            out.add(tuple(sol))
+    return tuple(sorted(out))
+
+
 def wall_with_rays(fan, rays):
-    for w in walls(fan):
+    for w in fan.walls:
         if w.rays == tuple(sorted(rays)):
             return w
     raise AssertionError(f"no wall {rays}")
@@ -45,7 +120,7 @@ class TestCheckFan:
     def test_non_smooth_cone(self):
         fan = Fan(((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
         diags = check_fan(fan)
-        assert any("non-smooth" in d.message and "2" in d.message for d in diags.errors)
+        assert [d.message for d in diags.errors] == ["non-smooth cone (0, 1), det 2"]
 
     def test_missing_cone(self):
         fan = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
@@ -90,7 +165,7 @@ class TestCurveDegree:
     def test_p2_lines(self):
         # O(1) as the single prime divisor of the ray (-1,-1)
         d = ToricDivisor((0, 0, 1))
-        for w in walls(P2_FAN):
+        for w in P2_FAN.walls:
             assert curve_degree(P2_FAN, w, d) == 1
 
     def test_exceptional_self_intersection(self):
@@ -100,8 +175,16 @@ class TestCurveDegree:
 
     def test_zero_divisor(self):
         z = ToricDivisor((0, 0, 0, 0))
-        for w in walls(F1_FAN):
+        for w in F1_FAN.walls:
             assert curve_degree(F1_FAN, w, z) == 0
+
+    def test_dimension_one(self):
+        p1 = Fan(((1,), (-1,)), ((0,), (1,)))
+        (wall,) = p1.walls
+        assert curve_degree(p1, wall, ToricDivisor((2, 3))) == 5
+        folded = Fan(((1,), (1,)), ((0,), (1,)))
+        with pytest.raises(ToricError, match="^wall data inconsistent in dimension one$"):
+            curve_degree(folded, folded.walls[0], ToricDivisor((1, 1)))
 
 
 class TestNefThreshold:
@@ -126,12 +209,12 @@ class TestNefThreshold:
         eps = nef_threshold(fan, pi_l, e_idx)
         e = ToricDivisor(tuple(int(i == e_idx) for i in range(4)))
         at = [curve_degree(fan, w, pi_l) - eps * curve_degree(fan, w, e)
-              for w in walls(fan)]
+              for w in fan.walls]
         assert min(at) == 0
         past = [
             curve_degree(fan, w, pi_l)
             - (eps + F(1, 1000)) * curve_degree(fan, w, e)
-            for w in walls(fan)
+            for w in fan.walls
         ]
         assert min(past) < 0
 
@@ -156,6 +239,12 @@ class TestPolytopes:
         p = polytope_of(fan, ToricDivisor((0, 0, 1, -2)))
         assert p.is_empty
         assert p.volume() == 0
+
+    def test_incomplete_fan_rejected(self):
+        # P2 without its maximal cone (0, 2): the rays still span the plane
+        fan = Fan(P2_FAN.rays, ((0, 1), (1, 2)))
+        with pytest.raises(ToricError, match=r"wall \(0,\) with 1 incident cone"):
+            polytope_of(fan, ToricDivisor((0, 0, 1)))
 
     def test_unit_square_volume(self):
         square = LatticePolytope(
@@ -300,3 +389,100 @@ class TestModelValidation:
         bad = ToricModel(m.label, m.fan, m.L, m.sigma, H=ToricDivisor((0, 0, 0)))
         diags = bad.validate()
         assert any("ample" in d.message for d in diags.errors)
+
+
+class TestIntegerKernel:
+    """The integer adjugate kernel against Fraction Gauss-Jordan elimination."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_adjugate_on_random_matrices(self, n):
+        rng = random.Random(1000 + n)
+        dets = []
+        for trial in range(60):
+            size = 10**12 if trial % 5 == 4 else 4
+            rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 0:  # singular: the last row depends on the others
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n // 2])]
+                if n == 1:
+                    rows = [[0]]
+            det, adj = _adjugate(rows)
+            dets.append(det)
+            assert det == leibniz_det(rows)
+            if det == 0:
+                assert adj is None
+                continue
+            for i in range(n):
+                for j in range(n):
+                    assert sum(rows[i][k] * adj[k][j] for k in range(n)) == det * (i == j)
+            for j in range(n):
+                unit = [int(i == j) for i in range(n)]
+                assert [F(adj[i][j], det) for i in range(n)] == gauss_jordan_solve(rows, unit)
+        assert 0 in dets and any(abs(d) > 1 for d in dets)
+
+    def test_row_swap(self):
+        assert _adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert _adjugate([[0, 2], [3, 1]]) == (-6, [[1, -2], [-3, 0]])
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_toric_data_match_reference(self, load_model, name):
+        model = load_model(name)
+        fan1, e_idx, pullback = _exceptional_setup(model)
+        e_div = ToricDivisor(tuple(int(i == e_idx) for i in range(len(fan1.rays))))
+        hs = [] if model.H is None else [model.H]
+        for fan, divisors in (
+            (model.fan, [model.L, *hs]),
+            (fan1, [pullback(model.L), e_div, *map(pullback, hs)]),
+        ):
+            c, coords = fan.generic
+            for cone, ys in zip(fan.max_cones, coords):
+                rows = [[fan.rays[i][d] for i in cone] for d in range(fan.dim)]
+                assert list(ys) == gauss_jordan_solve(rows, c)
+            for wall in fan.walls:
+                for d in divisors:
+                    assert curve_degree(fan, wall, d) == reference_curve_degree(fan, wall, d)
+        eps = export_table(model).epsilon
+        for p in (
+            polytope_of(model.fan, model.L),
+            polytope_of(fan1, pullback(model.L) - eps / 2 * e_div),
+            polytope_of(fan1, pullback(model.L) - eps * e_div),
+        ):
+            assert p.vertices == reference_vertices(p)
+
+    def test_folded_wall_matches_reference(self):
+        fan = Fan(((-1, 0), (0, 1), (-1, 1), (1, 0), (0, -1)),
+                  ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+        wall = next(w for w in fan.walls if w.rays == (1,))
+        assert reference_curve_degree(fan, wall, ToricDivisor((1,) * 5)) is None
+        with pytest.raises(ToricError, match=r"^wall data inconsistent at \(1,\)$"):
+            curve_degree(fan, wall, ToricDivisor((1,) * 5))
+
+
+class TestNoFloats:
+    """Localization runs on ints: a float must never reach a table entry
+    (1 / prod(ys) of ints would be one)."""
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_table_entries_and_weights(self, load_model, name):
+        model = load_model(name)
+        table = export_table(model)
+        entries = [*table.ae, *table.kae, table.epsilon]
+        if isinstance(table, MixedTable):
+            entries += [*table.mixed.values(), *table.kmixed.values()]
+        assert all(type(x) in (int, F) for x in entries)
+        fan1, e_idx, pullback = _exceptional_setup(model)
+        denom, points = _localize(fan1, (pullback(model.L),))
+        assert type(denom) is int
+        assert all(type(w) is int and type(v) is int for w, (v,) in points)
+
+    def test_fractional_coefficient(self):
+        fan, _ = star_subdivide(P2_FAN, (0, 1))
+        divisor = ToricDivisor((0, 0, 1, F(-1, 2)))
+        denom, points = _localize(fan, (divisor,))
+        assert type(denom) is int and all(type(w) is int for w, _ in points)
+        values = [v for _, (v,) in points]
+        assert all(type(v) in (int, F) for v in values)
+        assert any(type(v) is F and v.denominator == 2 for v in values)
+        square = _intersect((denom, points), (2,))
+        # D^2 = 2! vol(P_D) for nef D: the truncated simplex of area 3/8
+        assert type(square) is F and square == F(3, 4)
