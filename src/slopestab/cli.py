@@ -79,18 +79,11 @@ def _load_model(path: str):
 
 def _coerce_table(model) -> IntersectionTable:
     """Any model kind down to a plain single-polarization table."""
-    if isinstance(model, ToricModel):
-        table = export_table(model)
-        return table.base_table() if isinstance(table, MixedTable) else table
-    if isinstance(model, MixedTable):
-        diags = validate(model)
-        if not diags.ok:
-            raise ModelError("; ".join(d.message for d in diags.errors))
-        return model.base_table()
-    diags = validate(model)
-    if not diags.ok:
-        raise ModelError("; ".join(d.message for d in diags.errors))
-    return model
+    table = export_table(model) if isinstance(model, ToricModel) else model
+    errors = validate(table)
+    if errors:
+        raise ModelError("; ".join(errors))
+    return table.base_table()
 
 
 def _poly_line(p: UniPoly) -> str:
@@ -137,6 +130,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.steps < 1:
+        raise CliError(f"--steps must be at least 1, got {args.steps}")
     model = _load_model(args.model)
     table = _coerce_table(model)
     pair = alpha_polys(table)
@@ -180,14 +175,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    model = _load_model(args.model)
-    if isinstance(model, ToricModel):
-        if model.H is None:
-            raise ModelError("limit needs a mixed table or a toric model with H")
-        mixed = export_table(model)
-    elif isinstance(model, MixedTable):
-        mixed = model
-    else:
+    mixed = _load_model(args.model)
+    if isinstance(mixed, ToricModel) and mixed.H is not None:
+        mixed = export_table(mixed)
+    if not isinstance(mixed, MixedTable):
         raise ModelError("limit needs a mixed table or a toric model with H")
     if len(args.c or []) != 1:
         raise CliError("limit needs exactly one --c value")

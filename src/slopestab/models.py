@@ -20,32 +20,6 @@ class ModelError(ValueError):
     """Malformed or invariant-violating model document."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "warn" | "error"
-    message: str
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    entries: tuple[Diagnostic, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    @property
-    def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.entries if d.severity == "error")
-
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.entries if d.severity == "warn")
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int or a "p/q" string."""
     if isinstance(value, bool):
@@ -87,6 +61,8 @@ class IntersectionTable:
     epsilon: Fraction
 
     def __post_init__(self):
+        if self.epsilon <= 0:
+            raise ModelError(f"epsilon must be positive, got {format_rational(self.epsilon)}")
         if self.n < 1:
             raise ModelError(f"dimension must be positive, got {self.n}")
         if len(self.ae) != self.n + 1:
@@ -94,16 +70,8 @@ class IntersectionTable:
         if len(self.kae) != self.n:
             raise ModelError(f"KAE must have {self.n} entries, got {len(self.kae)}")
 
-    def alpha0_value(self, t) -> Fraction:
-        """((pi*L - tE)^n) / n! by binomial expansion of the stored entries."""
-        t = Fraction(t)
-        total = sum(
-            comb(self.n, k) * (-t) ** k * self.ae[k] for k in range(self.n + 1)
-        )
-        fact = 1
-        for i in range(2, self.n + 1):
-            fact *= i
-        return Fraction(total, fact)
+    def base_table(self) -> IntersectionTable:
+        return self
 
 
 @dataclass(frozen=True)
@@ -124,8 +92,7 @@ class MixedTable:
     epsilon: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ModelError(f"dimension must be positive, got {self.n}")
+        self.base_table()  # epsilon, dimension and entry counts
         for deg, entries, name in (
             (self.n, self.mixed, "MIX"),
             (self.n - 1, self.kmixed, "KMIX"),
@@ -137,6 +104,18 @@ class MixedTable:
             }
             if set(entries) != expected:
                 raise ModelError(f"{name} must cover exactly the degree-{deg} index simplex")
+        n = self.n
+        errors = [
+            f"MIX j=0 slice disagrees with AE at k={k}"
+            for k in range(n + 1)
+            if self.mixed[(n - k, 0, k)] != self.ae[k]
+        ] + [
+            f"KMIX j=0 slice disagrees with KAE at k={k}"
+            for k in range(n)
+            if self.kmixed[(n - 1 - k, 0, k)] != self.kae[k]
+        ]
+        if errors:
+            raise ModelError("; ".join(errors))
 
     def base_table(self) -> IntersectionTable:
         return IntersectionTable(self.label, self.n, self.ae, self.kae, self.epsilon)
@@ -205,13 +184,6 @@ def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
     return out
 
 
-def _parse_epsilon(doc) -> Fraction:
-    eps = parse_rational(doc["epsilon"])
-    if eps <= 0:
-        raise ModelError(f"epsilon must be positive, got {format_rational(eps)}")
-    return eps
-
-
 def parse_model(data):
     """Parse a model document (bytes, str or already-decoded dict).
 
@@ -237,7 +209,7 @@ def parse_model(data):
             n=_parse_int(doc, "n"),
             ae=_parse_rational_list(doc, "AE"),
             kae=_parse_rational_list(doc, "KAE"),
-            epsilon=_parse_epsilon(doc),
+            epsilon=parse_rational(doc["epsilon"]),
         )
     if kind == "mixed-table":
         _require_keys(doc, {"kind", "label", "n", "AE", "KAE", "MIX", "KMIX", "epsilon"})
@@ -249,7 +221,7 @@ def parse_model(data):
             kae=_parse_rational_list(doc, "KAE"),
             mixed=_parse_index_map(doc, "MIX", n),
             kmixed=_parse_index_map(doc, "KMIX", n - 1),
-            epsilon=_parse_epsilon(doc),
+            epsilon=parse_rational(doc["epsilon"]),
         )
     if kind == "toric":
         from .toric import parse_toric_model
@@ -291,37 +263,9 @@ def serialize_model(model) -> dict:
     return serialize_toric_model(model)
 
 
-def validate(table) -> Diagnostics:
-    """Hypothesis checks for a parsed table; errors block downstream work."""
-    entries: list[Diagnostic] = []
-    if isinstance(table, MixedTable):
-        base = table.specialize(0)
-        for k in range(table.n + 1):
-            if base.ae[k] != table.ae[k]:
-                entries.append(
-                    Diagnostic("error", f"MIX j=0 slice disagrees with AE at k={k}")
-                )
-        for k in range(table.n):
-            if base.kae[k] != table.kae[k]:
-                entries.append(
-                    Diagnostic("error", f"KMIX j=0 slice disagrees with KAE at k={k}")
-                )
-        table = table.base_table()
+def validate(table) -> list[str]:
+    """Hypothesis checks on a parsed table beyond its structure, one message
+    per failed check; an empty list means valid."""
     if table.ae[0] <= 0:
-        entries.append(
-            Diagnostic("error", f"not big: top self-intersection {format_rational(table.ae[0])} <= 0")
-        )
-    if table.epsilon <= 0:
-        entries.append(
-            Diagnostic("error", f"nef threshold {format_rational(table.epsilon)} <= 0")
-        )
-    elif table.ae[0] > 0 and table.alpha0_value(table.epsilon) < 0:
-        entries.append(
-            Diagnostic(
-                "warn",
-                "alpha0 negative before threshold: user-supplied epsilon looks inconsistent",
-            )
-        )
-    if table.n == 1:
-        entries.append(Diagnostic("warn", "n=1 degenerate conventions apply"))
-    return Diagnostics(tuple(entries))
+        return [f"not big: top self-intersection {format_rational(table.ae[0])} <= 0"]
+    return []

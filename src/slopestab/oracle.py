@@ -220,9 +220,7 @@ def verify_main_theorem(model: ToricModel, c, m_list=None) -> VerificationRecord
     fixed normalization Q(c) / alpha0(0).
     """
     c = Fraction(c)
-    table = export_table(model)
-    if hasattr(table, "base_table"):
-        table = table.base_table()
+    table = export_table(model).base_table()
     if not 0 < c <= table.epsilon:
         raise ToricError(f"c={c} outside (0, {table.epsilon}]")
     pair = alpha_polys(table)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
-from .models import IntersectionTable, MixedTable, ModelError
+from .models import IntersectionTable, MixedTable
 from .polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
@@ -33,6 +34,18 @@ class AlphaPair:
     alpha1: UniPoly
     n: int
     epsilon: Fraction
+
+    # computed once per pair (a frozen dataclass may still fill its __dict__)
+
+    @cached_property
+    def alpha0_integral(self) -> UniPoly:
+        """int_0^t alpha0, the denominator of mu_c."""
+        return self.alpha0.antiderivative()
+
+    @cached_property
+    def numerator_integral(self) -> UniPoly:
+        """int_0^t (alpha1 + alpha0'/2), the numerator of mu_c."""
+        return (self.alpha1 + self.alpha0.derivative() / 2).antiderivative()
 
 
 @dataclass(frozen=True)
@@ -111,21 +124,13 @@ def slope_mu(alpha: AlphaPair) -> Fraction:
     return alpha.alpha1(0) / alpha.alpha0(0)
 
 
-def _numerator_antiderivative(alpha: AlphaPair) -> UniPoly:
-    # antiderivative of alpha1 + alpha0'/2, vanishing at 0
-    integrand = alpha.alpha1 + alpha.alpha0.derivative() / 2
-    return integrand.antiderivative()
-
-
 def mu_c(alpha: AlphaPair, c) -> Fraction:
     """The quotient slope: integral of (alpha1 + alpha0'/2) over [0, c]
     divided by the integral of alpha0."""
     c = Fraction(c)
     if not 0 < c <= alpha.epsilon:
         raise ValueError(f"c={c} outside (0, {alpha.epsilon}]")
-    num = _numerator_antiderivative(alpha)(c)
-    den = alpha.alpha0.antiderivative()(c)
-    return num / den
+    return alpha.numerator_integral(c) / alpha.alpha0_integral(c)
 
 
 def df_numerator(alpha: AlphaPair) -> tuple[UniPoly, UniPoly]:
@@ -136,7 +141,7 @@ def df_numerator(alpha: AlphaPair) -> tuple[UniPoly, UniPoly]:
     so Q carries the full sign information.
     """
     mu = slope_mu(alpha)
-    q = mu * alpha.alpha0.antiderivative() - _numerator_antiderivative(alpha)
+    q = mu * alpha.alpha0_integral - alpha.numerator_integral
     return q, q / alpha.alpha0(0)
 
 
@@ -177,13 +182,10 @@ def perturbation_limit(
 ) -> tuple[list[Fraction], Fraction]:
     """mu - mu_c of L + eps*H for each eps, and the exact eps = 0 value.
 
-    The limit is the s = 0 specialization of the mixed table, which must
-    agree with the declared base table entries.
+    The limit is the s = 0 specialization of the mixed table, which is its
+    base table (MixedTable checks that its j = 0 slice agrees with it).
     """
     c = Fraction(c)
-    base_slice = mixed.specialize(0)
-    if base_slice.ae != mixed.ae or base_slice.kae != mixed.kae:
-        raise ModelError("mixed table s=0 slice disagrees with declared base table")
     values = []
     for s in eps_list:
         pair = alpha_polys(mixed.specialize(s))

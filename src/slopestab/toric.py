@@ -27,13 +27,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
 
-from .models import (
-    Diagnostic,
-    Diagnostics,
-    IntersectionTable,
-    MixedTable,
-    ModelError,
-)
+from .models import IntersectionTable, MixedTable, ModelError
 
 
 class ToricError(ValueError):
@@ -129,13 +123,25 @@ class Fan:
 
     @cached_property
     def walls(self) -> tuple[Wall, ...]:
-        """The walls, each shared by exactly two maximal cones."""
+        """The walls, each shared by exactly two maximal cones, with their
+        relations.
+
+        The relation u_a + u_b = sum_i c_i u_i over the wall's rays is read
+        from the coordinates x of u_b in the ray basis of cone a: it holds,
+        with c_i = x_i, exactly when x_a = -1.
+        """
         out = []
         for facet, inc in sorted(_facet_incidence(self).items()):
             if len(inc) != 2:
                 raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
-            (ca, ia), (cb, ib) = inc
-            out.append(Wall(facet, (ca, cb), (ia, ib)))
+            (ca, ia), (_, ib) = inc
+            det, adj = self.adjugates[ca]
+            x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
+            if x.get(ia) != -1:
+                if not facet:
+                    raise ToricError("wall data inconsistent in dimension one")
+                raise ToricError(f"wall data inconsistent at {facet}")
+            out.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
         return tuple(out)
 
 
@@ -144,8 +150,8 @@ class Wall:
     """Codimension-one face shared by two maximal cones."""
 
     rays: tuple[int, ...]  # the n-1 common ray indices
-    cones: tuple[int, int]
     opposite: tuple[int, int]  # the two non-shared ray indices
+    relation: tuple[int | Fraction, ...]  # c_i per wall ray: u_a + u_b = sum_i c_i u_i
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,12 @@ class ToricDivisor:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+
+    @cached_property
+    def int_coeffs(self) -> tuple:
+        """The coefficients, each an int when it is integral: integer sums
+        skip the cost of Fraction arithmetic."""
+        return tuple(a.numerator if a.denominator == 1 else a for a in self.coeffs)
 
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
         return ToricDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -175,35 +187,25 @@ def _facet_incidence(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     return inc
 
 
-def check_fan(fan: Fan) -> Diagnostics:
+def check_fan(fan: Fan) -> list[str]:
     """Smoothness (unimodular cones), completeness (wall accounting) and,
     for smooth cones, covering: a generic direction lies in exactly one
-    maximal cone."""
-    entries = [
-        Diagnostic("error", f"non-smooth cone {tuple(cone)}, det {det}")
+    maximal cone.  One message per failed check; empty when the fan is valid."""
+    errors = [
+        f"non-smooth cone {tuple(cone)}, det {det}"
         for cone, (det, _) in zip(fan.max_cones, fan.adjugates)
         if abs(det) != 1
     ]
-    smooth = not entries
+    smooth = not errors
     for facet, inc in sorted(_facet_incidence(fan).items()):
         if len(inc) != 2:
-            entries.append(
-                Diagnostic(
-                    "error",
-                    f"wall {facet} with {len(inc)} incident cone(s), expected 2",
-                )
-            )
+            errors.append(f"wall {facet} with {len(inc)} incident cone(s), expected 2")
     if smooth:
         c, coords = fan.generic
         covering = sum(all(y > 0 for y in ys) for ys in coords)
         if covering != 1:
-            entries.append(
-                Diagnostic(
-                    "error",
-                    f"direction {c} lies in {covering} maximal cones, expected 1",
-                )
-            )
-    return Diagnostics(tuple(entries))
+            errors.append(f"direction {c} lies in {covering} maximal cones, expected 1")
+    return errors
 
 
 def _generic_direction(fan: Fan):
@@ -239,10 +241,7 @@ def _localize(fan: Fan, divisors) -> tuple[int, list[tuple[int, tuple]]]:
     _, coords = fan.generic
     weights = [prod(ys) for ys in coords]
     denom = lcm(*weights)
-    coeffs = [
-        tuple(a.numerator if a.denominator == 1 else a for a in d.coeffs)
-        for d in divisors
-    ]
+    coeffs = [d.int_coeffs for d in divisors]
     return denom, [
         (denom // w, tuple(sum(a[i] * y for i, y in zip(cone, ys)) for a in coeffs))
         for cone, ys, w in zip(fan.max_cones, coords, weights)
@@ -287,25 +286,16 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
     return Fan(fan.rays + (new_ray,), tuple(cones)), new_idx
 
 
-def curve_degree(fan: Fan, wall: Wall, divisor: ToricDivisor) -> Fraction:
-    """Degree of a divisor on the invariant curve of a wall.
+def curve_degree(fan: Fan, wall: Wall, divisor: ToricDivisor) -> int | Fraction:
+    """Degree of a divisor on the invariant curve of a wall of the fan.
 
-    With the integral relation u_a + u_b = sum_i c_i u_i over the wall's
-    rays, the degree is a_a + a_b - sum_i c_i a_i for the support-function
-    convention <x, u_rho> >= -a_rho.  The relation is read from the
-    coordinates x of u_b in the ray basis of cone a: it holds, with c_i = x_i,
-    exactly when x_a = -1.
+    With the wall relation u_a + u_b = sum_i c_i u_i over the wall's rays,
+    the degree is a_a + a_b - sum_i c_i a_i for the support-function
+    convention <x, u_rho> >= -a_rho; an int when the coefficients are.
     """
-    ca, _ = wall.cones
     ia, ib = wall.opposite
-    det, adj = fan.adjugates[ca]
-    x = dict(zip(fan.max_cones[ca], _apply(det, adj, fan.rays[ib]))) if det else {}
-    if x.get(ia) != -1:
-        if not wall.rays:
-            raise ToricError("wall data inconsistent in dimension one")
-        raise ToricError(f"wall data inconsistent at {wall.rays}")
-    a = divisor.coeffs
-    return a[ia] + a[ib] - sum(x[i] * a[i] for i in wall.rays)
+    a = divisor.int_coeffs
+    return a[ia] + a[ib] - sum(c * a[i] for c, i in zip(wall.relation, wall.rays))
 
 
 def nef_threshold(fan: Fan, pi_l: ToricDivisor, e_index: int) -> Fraction:
@@ -320,7 +310,7 @@ def nef_threshold(fan: Fan, pi_l: ToricDivisor, e_index: int) -> Fraction:
             raise ToricError(f"pi*L is not nef: degree {dl} on wall {wall.rays}")
         de = curve_degree(fan, wall, e_div)
         if de > 0:
-            bounds.append(dl / de)
+            bounds.append(Fraction(dl, de))
     if not bounds:
         raise ToricError("no wall constrains t: nef threshold unbounded")
     eps = min(bounds)
@@ -478,9 +468,9 @@ def polytope_of(fan: Fan, divisor: ToricDivisor) -> LatticePolytope:
     if len(divisor.coeffs) != len(fan.rays):
         raise ToricError("divisor coefficient count does not match the fan")
     # a smooth complete fan makes the polytope bounded
-    diags = check_fan(fan)
-    if not diags.ok:
-        raise ToricError(f"polytope of an invalid fan: {diags.errors[0].message}")
+    errors = check_fan(fan)
+    if errors:
+        raise ToricError(f"polytope of an invalid fan: {errors[0]}")
     return LatticePolytope(list(zip(fan.rays, divisor.coeffs)))
 
 
@@ -509,39 +499,31 @@ class ToricModel:
         if not all(0 <= i < len(self.fan.rays) for i in self.sigma):
             raise ToricError("sigma references a missing ray")
 
-    def validate(self) -> Diagnostics:
-        entries = list(check_fan(self.fan).entries)
+    def validate(self) -> list[str]:
+        """One message per failed check; empty when the model is valid."""
+        errors = check_fan(self.fan)
         if not any(set(self.sigma) <= set(c) for c in self.fan.max_cones):
-            entries.append(
-                Diagnostic("error", f"sigma {self.sigma} is not a face of any cone")
-            )
-        if not entries:
-            try:
-                degrees = [
-                    (
-                        wall,
-                        curve_degree(self.fan, wall, self.L),
-                        None if self.H is None else curve_degree(self.fan, wall, self.H),
-                    )
-                    for wall in self.fan.walls
-                ]
-            except ToricError as exc:  # a wall with both cones on one side
-                return Diagnostics((Diagnostic("error", str(exc)),))
-            l_nef = True
-            for wall, deg, hdeg in degrees:
-                if deg < 0:
-                    l_nef = False
-                    entries.append(
-                        Diagnostic("error", f"L not nef: degree {deg} on wall {wall.rays}")
-                    )
-                if hdeg is not None and hdeg <= 0:
-                    entries.append(
-                        Diagnostic("error", f"H not ample: degree {hdeg} on wall {wall.rays}")
-                    )
-            # for nef L, L^n is n! times the volume of its sections polytope
-            if l_nef and _intersect(_localize(self.fan, (self.L,)), (self.fan.dim,)) <= 0:
-                entries.append(Diagnostic("error", "L not big: sections polytope is flat"))
-        return Diagnostics(tuple(entries))
+            errors.append(f"sigma {self.sigma} is not a face of any cone")
+        if errors:
+            return errors
+        try:
+            walls = self.fan.walls
+        except ToricError as exc:  # a wall with both cones on one side
+            return [str(exc)]
+        l_nef = True
+        for wall in walls:
+            deg = curve_degree(self.fan, wall, self.L)
+            if deg < 0:
+                l_nef = False
+                errors.append(f"L not nef: degree {deg} on wall {wall.rays}")
+            if self.H is not None:
+                hdeg = curve_degree(self.fan, wall, self.H)
+                if hdeg <= 0:
+                    errors.append(f"H not ample: degree {hdeg} on wall {wall.rays}")
+        # for nef L, L^n is n! times the volume of its sections polytope
+        if l_nef and _intersect(_localize(self.fan, (self.L,)), (self.fan.dim,)) <= 0:
+            errors.append("L not big: sections polytope is flat")
+        return errors
 
 
 def parse_toric_model(doc: dict) -> ToricModel:
@@ -619,9 +601,9 @@ def export_table(model: ToricModel):
     KAE[k] = K.(pi*L)^(n-1-k).E^k with K = -sum D_rho, and
     MIX[(i, j, k)] = (pi*L)^i.(pi*H)^j.E^k, KMIX likewise with K.
     """
-    diags = model.validate()
-    if not diags.ok:
-        raise ToricError("; ".join(d.message for d in diags.errors))
+    errors = model.validate()
+    if errors:
+        raise ToricError("; ".join(errors))
     n = model.fan.dim
     fan1, e_idx, pullback = _exceptional_setup(model)
     pi_l = pullback(model.L)

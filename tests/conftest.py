@@ -1,7 +1,10 @@
 import pathlib
+import tempfile
 from itertools import combinations, product
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from slopestab.models import MixedTable, parse_model
 from slopestab.slope import alpha_polys
@@ -13,6 +16,16 @@ from slopestab.toric import (
     export_table,
     polytope_of,
 )
+
+# the same examples on every run (100, the default count), and no example
+# database written to disk
+settings.register_profile("deterministic", derandomize=True, database=None, max_examples=100)
+settings.load_profile("deterministic")
+# Hypothesis also caches the constants it reads from local source files in its
+# storage directory, whatever the database setting: keep that in a temporary
+# directory, removed at exit, instead of .hypothesis/ in the working tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 

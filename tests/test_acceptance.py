@@ -101,10 +101,7 @@ def test_criterion_5_ehrhart_rr(load_model):
     ok = True
     for name in ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef"):
         model = load_model(name)
-        table = export_table(model)
-        if hasattr(table, "base_table"):
-            table = table.base_table()
-        pair = alpha_polys(table)
+        pair = alpha_polys(export_table(model).base_table())
         fit = fit_expansions(model, 1)
         ok = ok and fit.a[0] == pair.alpha0(0) and fit.a[1] == pair.alpha1(0)
         if name == "p3":

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from slopestab import cli, toric
-from slopestab.models import parse_model
+from slopestab.models import parse_model, serialize_model
 from slopestab.oracle import VerificationRecord
 from slopestab.toric import export_table
 
@@ -74,6 +74,12 @@ class TestScan:
         assert [row.split(",")[0] for row in lines[1:]] == ["1/4", "1/2", "3/4", "1"]
         assert [row.split(",")[3] for row in lines[1:]] == ["+", "+", "+", "-"]
         assert all(row.split(",")[1] == "5/3" for row in lines[1:])
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_steps_below_one_rejected(self, capsys, models_dir, steps):
+        code, out, err = run(capsys, "scan", str(models_dir / "t1.json"), "--steps", steps)
+        assert code == 2 and out == ""
+        assert err == f"error: --steps must be at least 1, got {steps}\n"
 
     @pytest.mark.parametrize("ae, kae", [
         # the ROADMAP table, a 15-digit AE[0]
@@ -182,6 +188,15 @@ class TestLimit:
         code, _, err = run(capsys, "limit", str(models_dir / "t1.json"),
                            "--c", "1/2")
         assert code == 2 and "mixed table" in err
+
+    def test_inconsistent_mixed_table_same_error_as_analyze(self, capsys, tmp_path, load_model):
+        doc = serialize_model(export_table(load_model("f1_bignef")))
+        doc["AE"][0] = "2"  # the MIX j=0 slice says 1
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        analyze = run(capsys, "analyze", str(path))
+        limit = run(capsys, "limit", str(path), "--c", "1/2", "--eps", "1/10")
+        assert analyze == limit == (2, "", "error: MIX j=0 slice disagrees with AE at k=0\n")
 
     def test_needs_single_c(self, capsys, models_dir):
         code, _, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),

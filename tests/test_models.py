@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slopestab.cli import main
 from slopestab.models import (
     IntersectionTable,
     MixedTable,
@@ -12,6 +13,7 @@ from slopestab.models import (
     serialize_model,
     validate,
 )
+from slopestab.slope import PositivityError, alpha_polys
 from slopestab.toric import ToricModel
 
 
@@ -82,18 +84,24 @@ class TestParseTable:
 
 class TestValidate:
     def test_t1_clean(self):
-        diags = validate(parse_model(json.dumps(table_doc())))
-        assert diags.ok and not diags.entries
+        assert validate(parse_model(json.dumps(table_doc()))) == []
 
     def test_not_big(self):
-        diags = validate(parse_model(json.dumps(table_doc(AE=[-1, 0, -1]))))
-        assert any("not big" in d.message for d in diags.errors)
+        errors = validate(parse_model(json.dumps(table_doc(AE=[-1, 0, -1]))))
+        assert errors == ["not big: top self-intersection -1 <= 0"]
 
-    def test_epsilon_past_alpha0_root_warns(self):
-        # alpha0 = (1 - t^2)/2 is -3/2 at t = 2
-        diags = validate(parse_model(json.dumps(table_doc(epsilon="2"))))
-        assert diags.ok
-        assert any("alpha0 negative" in d.message for d in diags.warnings)
+    def test_epsilon_past_alpha0_root_rejected(self, tmp_path, capsys):
+        # alpha0 = (1 - t^2)/2 vanishes at t = 1, inside [0, 2)
+        doc = table_doc(epsilon="2")
+        message = "alpha0 vanishes inside [0, 2): offending interval 1"
+        with pytest.raises(PositivityError) as excinfo:
+            alpha_polys(parse_model(json.dumps(doc)))
+        assert str(excinfo.value) == message
+        path = tmp_path / "t1_eps2.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestRoundTrip:
@@ -129,12 +137,21 @@ class TestMixedTable:
         from slopestab.toric import export_table
 
         mx = export_table(load_model("f1_bignef"))
-        broken = MixedTable(
-            mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae,
-            mx.mixed, mx.kmixed, mx.epsilon,
+        with pytest.raises(ModelError) as excinfo:
+            MixedTable(
+                mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae[:1] + (mx.kae[1] - 1,),
+                mx.mixed, mx.kmixed, mx.epsilon,
+            )
+        assert str(excinfo.value) == (
+            "MIX j=0 slice disagrees with AE at k=0; KMIX j=0 slice disagrees with KAE at k=1"
         )
-        diags = validate(broken)
-        assert any("disagrees" in d.message for d in diags.errors)
+
+    def test_entry_counts_enforced(self, load_model):
+        from slopestab.toric import export_table
+
+        mx = export_table(load_model("f1_bignef"))
+        with pytest.raises(ModelError, match="^AE must have 3 entries, got 2$"):
+            MixedTable(mx.label, mx.n, mx.ae[:2], mx.kae, mx.mixed, mx.kmixed, mx.epsilon)
 
     def test_index_simplex_enforced(self):
         with pytest.raises(ModelError, match="simplex"):

@@ -79,6 +79,18 @@ class TestMuC:
     def test_t2_at_one(self):
         assert mu_c(alpha_polys(T2), 1) == F(15, 11)
 
+    def test_integrals_built_once(self, monkeypatch):
+        pair = alpha_polys(T1)
+        first = mu_c(pair, F(1, 2))
+
+        def fail(self):
+            raise AssertionError("antiderivative rebuilt")
+
+        monkeypatch.setattr(UniPoly, "antiderivative", fail)
+        assert mu_c(pair, F(1, 2)) == first
+        assert mu_c(pair, F(1, 4)) == 3 * (3 - F(1, 4)) / (3 - F(1, 16))
+        df_numerator(pair)
+
     def test_out_of_range(self):
         pair = alpha_polys(T1)
         for c in (0, -1, 2):
@@ -203,9 +215,8 @@ class TestPerturbationLimit:
 
     def test_inconsistent_slice_rejected(self, load_model):
         mx = export_table(load_model("f1_bignef"))
-        broken = MixedTable(
-            mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae,
-            mx.mixed, mx.kmixed, mx.epsilon,
-        )
-        with pytest.raises(ModelError, match="disagrees"):
-            perturbation_limit(broken, F(1, 2), [F(1, 10)])
+        with pytest.raises(ModelError, match="^MIX j=0 slice disagrees with AE at k=0$"):
+            MixedTable(
+                mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae,
+                mx.mixed, mx.kmixed, mx.epsilon,
+            )
