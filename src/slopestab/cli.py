@@ -44,21 +44,30 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_INTERNAL = 4
 
+# Input bounds: bisection to --width costs about quadratically in its bits,
+# and a scan writes one row per step.
+MAX_WIDTH_BITS = 4096
+MAX_STEPS = 10000
+
 
 class CliError(Exception):
     pass
 
 
 def _parse_width(text: str) -> Fraction:
-    m = re.fullmatch(r"2\^(-\d+)", text.strip())
+    m = re.fullmatch(r"2\^-(\d+)", text.strip())
     if m:
-        return Fraction(1, 2 ** (-int(m.group(1))))
-    try:
-        w = parse_rational(text)
-    except ModelError as exc:
-        raise CliError(f"bad --width value {text!r}: {exc}") from exc
+        # an exponent past the limit is refused below: cap it before 2^N is built
+        w = Fraction(1, 2 ** min(int(m.group(1)), MAX_WIDTH_BITS + 1))
+    else:
+        try:
+            w = parse_rational(text)
+        except ModelError as exc:
+            raise CliError(f"bad --width value {text!r}: {exc}") from exc
     if w <= 0:
         raise CliError("--width must be positive")
+    if w < Fraction(1, 2**MAX_WIDTH_BITS):
+        raise CliError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, got {text}")
     return w
 
 
@@ -77,13 +86,17 @@ def _load_model(path: str):
     return parse_model(data)
 
 
-def _coerce_table(model) -> IntersectionTable:
-    """Any model kind down to a plain single-polarization table."""
-    table = export_table(model) if isinstance(model, ToricModel) else model
+def _validated(table):
     errors = validate(table)
     if errors:
         raise ModelError("; ".join(errors))
-    return table.base_table()
+    return table
+
+
+def _coerce_table(model) -> IntersectionTable:
+    """Any model kind down to a plain single-polarization table."""
+    table = export_table(model) if isinstance(model, ToricModel) else model
+    return _validated(table).base_table()
 
 
 def _poly_line(p: UniPoly) -> str:
@@ -132,6 +145,8 @@ def cmd_analyze(args) -> int:
 def cmd_scan(args) -> int:
     if args.steps < 1:
         raise CliError(f"--steps must be at least 1, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise CliError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     model = _load_model(args.model)
     table = _coerce_table(model)
     pair = alpha_polys(table)
@@ -180,6 +195,7 @@ def cmd_limit(args) -> int:
         mixed = export_table(mixed)
     if not isinstance(mixed, MixedTable):
         raise ModelError("limit needs a mixed table or a toric model with H")
+    _validated(mixed)
     if len(args.c or []) != 1:
         raise CliError("limit needs exactly one --c value")
     eps_list = args.eps or []

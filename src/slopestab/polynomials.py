@@ -7,6 +7,7 @@ isolation.  Everything here is pure and deterministic; no floats anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -117,60 +118,11 @@ class UniPoly:
         r = Fraction(scalar)
         return UniPoly([c / r for c in self.coeffs])
 
-    def __divmod__(self, other: "UniPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(dn - dd + 1, 0)
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / lead
-            quot[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return UniPoly(quot), UniPoly(rem)
-
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def antiderivative(self) -> "UniPoly":
         return UniPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        return self / self.coeffs[-1]
-
-    def deflate(self, root) -> "UniPoly":
-        """Synthetic division by (x - root); root must be an exact root."""
-        root = Fraction(root)
-        out = []
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        if out and out[-1] != 0:
-            raise ValueError(f"{root} is not a root")
-        return UniPoly(list(reversed(out[:-1])))
-
-    def squarefree(self) -> "UniPoly":
-        """Square-free part: p / gcd(p, p'), with gcd(p, p') monic."""
-        if self.degree <= 1:
-            return self
-        g = UniPoly(sturm_sequence(self)[-1]).monic()
-        if g.degree == 0:
-            return self
-        q, r = divmod(self, g)
-        if not r.is_zero:
-            raise RuntimeError(f"gcd(p, p') does not divide p: remainder {r}")
-        return q
 
 
 def integrate_definite(p: UniPoly, a, b) -> Fraction:
@@ -226,18 +178,15 @@ def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Interval (lo, hi] containing exactly one root; lo == hi marks an exact root.
+    """Interval (lo, hi] holding exactly one root; lo == hi marks an exact
+    rational root.
 
-    On an inexact interval, sign_left and sign_right are the signs at lo and
-    hi of the square-free part with the exact roots in the isolation window
-    divided out, which differ; rational roots outside the window stay in it.
-    Exact intervals carry 0, 0.
+    An inexact interval's ends are neither a window bound nor an exact root,
+    so the polynomial is nonzero at both and its root lies strictly inside.
     """
 
     lo: Fraction
     hi: Fraction
-    sign_left: int
-    sign_right: int
 
     @property
     def is_exact(self) -> bool:
@@ -255,19 +204,22 @@ def _primitive(ints: list[int]) -> list[int]:
 
 
 def _integer_form(p: UniPoly) -> list[int]:
-    """Coefficients of the primitive integer multiple of p with positive
-    scale, so its signs are those of p."""
+    """Coefficients of a positive integer multiple of p, so its signs are
+    those of p."""
     den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A positive integer multiple of a mod b."""
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with k*a = q*b + r for a positive integer k and deg r < deg b."""
     lead, scale = b[-1], abs(b[-1])
-    shift = len(a) - len(b)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)
+    shift = len(r) - len(b)
     while shift >= 0 and r:
         f = r[-1] if lead > 0 else -r[-1]
+        q = [c * scale for c in q]
+        q[shift] += f
         r = [c * scale for c in r]
         for i, c in enumerate(b):
             r[shift + i] -= f * c
@@ -275,11 +227,12 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         while r and r[-1] == 0:
             r.pop()
         shift = len(r) - len(b)
-    return r
+    return q, r
 
 
-def sturm_sequence(p: UniPoly) -> list[list[int]]:
-    """Sturm sequence of p as integer coefficient lists, constant term first.
+def sturm_sequence(ints: Sequence[int]) -> list[list[int]]:
+    """Sturm sequence of the integer polynomial `ints` (constant term first)
+    as integer coefficient lists.
 
     Every entry is the classical one (p, p', minus the remainders) times a
     positive factor that makes it a primitive integer polynomial: the signs,
@@ -287,11 +240,11 @@ def sturm_sequence(p: UniPoly) -> list[list[int]]:
     cost far less than remainders over Fractions.  The last entry is
     gcd(p, p') up to a factor.
     """
-    seq = [_integer_form(p)]
+    seq = [_primitive(list(ints))]
     nxt = _primitive([i * c for i, c in enumerate(seq[0])][1:])
     while nxt:
         seq.append(nxt)
-        nxt = _primitive([-c for c in _pseudo_remainder(seq[-2], seq[-1])])
+        nxt = _primitive([-c for c in _pseudo_divide(seq[-2], seq[-1])[1]])
     return seq
 
 
@@ -303,13 +256,36 @@ def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _squarefree_sturm(p: UniPoly) -> tuple[UniPoly, list[list[int]]]:
-    """The square-free part of p and its Sturm sequence."""
-    seq = sturm_sequence(p)
-    if len(seq[-1]) == 1:
-        return p, seq
-    q = p.squarefree()
-    return q, sturm_sequence(q)
+def _squarefree_sturm(p: UniPoly) -> list[list[int]]:
+    """Sturm sequence of the square-free part p / gcd(p, p'), in integers;
+    its first entry has the real roots of p, each once."""
+    seq = sturm_sequence(_integer_form(p))
+    if len(seq[-1]) > 1:
+        q, r = _pseudo_divide(seq[0], seq[-1])
+        if r:
+            raise RuntimeError(f"gcd(p, p') does not divide p: remainder {r}")
+        seq = sturm_sequence(q)
+    return seq
+
+
+def _bisect(count, lo: Fraction, hi: Fraction, width=None) -> list[tuple]:
+    """Intervals (a, b] in (lo, hi], left to right, that each hold one root
+    and together hold every root in (lo, hi], split off at midpoints;
+    count(a) - count(b) is the number of roots in (a, b].  With a width, each
+    also has b - a <= width and lo < a < b < hi."""
+    out = []
+    stack = [(lo, hi, count(lo), count(hi))]
+    while stack:
+        a, b, ca, cb = stack.pop()
+        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi)):
+            out.append((a, b))
+        elif ca > cb:
+            m = (a + b) / 2
+            cm = count(m)
+            stack.append((a, m, ca, cm))
+            stack.append((m, b, cm, cb))
+    out.sort()
+    return out
 
 
 def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
@@ -354,6 +330,16 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
     return None
 
 
+def _exact_roots(seq: list[list[int]], lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The rational roots in (lo, hi] of the first entry of the Sturm
+    sequence `seq`, sorted."""
+    found = (
+        _root_in(seq[0], a, b)
+        for a, b in _bisect(lambda x: sign_variations(seq, x), lo, hi)
+    )
+    return [r for r in found if r is not None]
+
+
 def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
     """The rational roots of p in (lo, hi], each listed once, sorted.
 
@@ -366,26 +352,12 @@ def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
-    _, seq = _squarefree_sturm(p)
-    ints = seq[0]
+    seq = _squarefree_sturm(p)
     if lo is None:
+        ints = seq[0]
         bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
         lo, hi = -bound, bound
-    lo, hi = Fraction(lo), Fraction(hi)
-    roots = []
-    stack = [(lo, hi, sign_variations(seq, lo), sign_variations(seq, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        if va - vb == 1:
-            r = _root_in(ints, a, b)
-            if r is not None:
-                roots.append(r)
-        elif va - vb > 1:
-            m = (a + b) / 2
-            vm = sign_variations(seq, m)
-            stack.append((a, m, va, vm))
-            stack.append((m, b, vm, vb))
-    return sorted(roots)
+    return _exact_roots(seq, Fraction(lo), Fraction(hi))
 
 
 def isolate_roots(
@@ -393,55 +365,28 @@ def isolate_roots(
 ) -> list[IsolatingInterval]:
     """Isolate the distinct real roots of p in the window (lo, hi].
 
-    The rational roots, found by `rational_roots`, are reported as
-    degenerate intervals (lo == hi).  They are divided out of the
-    square-free part q of p, and every other root in the window gets an
-    interval (a, b] of width <= `width` from Sturm bisection of what is
-    left of q.  Its endpoints are neither lo, hi nor an exact root, so q is
-    nonzero there; the root lies strictly inside.  Result is sorted left to
-    right.
+    One Sturm sequence, of the square-free part of p, serves the whole
+    call.  The rational roots are reported as degenerate intervals
+    (lo == hi).  They cut the window into segments, and bisection of each
+    segment, counting only the roots strictly inside it, gives every other
+    root an interval (a, b] of width <= `width` whose ends are neither a
+    segment end nor a root.  Result is sorted left to right.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    q, seq = _squarefree_sturm(p)
-    exact = rational_roots(q, lo, hi)
-    out = [IsolatingInterval(r, r, 0, 0) for r in exact]
-    for r in exact:
-        q = q.deflate(r)
-    if exact:
-        seq = sturm_sequence(q)
-    if q.degree >= 1:
+    seq = _squarefree_sturm(p)
+    exact = _exact_roots(seq, lo, hi)
 
-        def var(x):
-            return sign_variations(seq, x)
+    def count(x):
+        # falls by one across each root that is not exact
+        return sign_variations(seq, x) + bisect_right(exact, x)
 
-        # endpoints of reported intervals must avoid the window boundary and
-        # every exact root, so callers can sample signs at interval endpoints
-        forbidden = set(exact) | {lo, hi}
-
-        stack = [(lo, hi, var(lo), var(hi))]
-        while stack:
-            a, b, va, vb = stack.pop()
-            count = va - vb
-            if count == 0:
-                continue
-            inner = [r for r in exact if a < r < b]
-            if count == 1 and b - a <= width and not inner:
-                while a in forbidden or b in forbidden:
-                    m = (a + b) / 2
-                    vm = var(m)
-                    if va - vm == 1:
-                        b, vb = m, vm
-                    else:
-                        a, va = m, vm
-                out.append(IsolatingInterval(a, b, _sign(q(a)), _sign(q(b))))
-                continue
-            m = inner[len(inner) // 2] if inner else (a + b) / 2
-            vm = var(m)
-            stack.append((a, m, va, vm))
-            stack.append((m, b, vm, vb))
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
+    out = [IsolatingInterval(r, r) for r in exact]
+    ends = sorted({lo, hi, *exact})
+    for a, b in zip(ends, ends[1:]):
+        out.extend(IsolatingInterval(x, y) for x, y in _bisect(count, a, b, width))
+    out.sort(key=lambda iv: iv.lo)
     return out

@@ -156,10 +156,10 @@ def stability_scan(
         return SlopeReport(eps, mu, alpha.alpha0, alpha.alpha1, q, df_norm, (), True)
     roots = isolate_roots(q, 0, eps, width)
     # breakpoints bounding the sign-constant segments of (0, eps]
-    points = [IsolatingInterval(Fraction(0), Fraction(0), 0, 0)]
+    points = [IsolatingInterval(Fraction(0), Fraction(0))]
     points.extend(roots)
     if not (roots and roots[-1].is_exact and roots[-1].lo == eps):
-        points.append(IsolatingInterval(eps, eps, 0, 0))
+        points.append(IsolatingInterval(eps, eps))
     destabilizing = []
     for left, right in zip(points, points[1:]):
         lo_bound, hi_bound = left.hi, right.lo

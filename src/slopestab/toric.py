@@ -566,17 +566,25 @@ def parse_toric_model(doc: dict) -> ToricModel:
     return model
 
 
+def _integral_coeffs(name: str, divisor: ToricDivisor) -> list[int]:
+    """The coefficients as ints; a toric document holds integers only."""
+    for i, c in enumerate(divisor.coeffs):
+        if c.denominator != 1:
+            raise ToricError(f"{name} coefficient {i} is {c}, not an integer")
+    return [c.numerator for c in divisor.coeffs]
+
+
 def serialize_toric_model(model: ToricModel) -> dict:
     doc = {
         "kind": "toric",
         "label": model.label,
         "rays": [list(r) for r in model.fan.rays],
         "max_cones": [list(c) for c in model.fan.max_cones],
-        "L": [int(c) for c in model.L.coeffs],
+        "L": _integral_coeffs("L", model.L),
         "sigma": list(model.sigma),
     }
     if model.H is not None:
-        doc["H"] = [int(c) for c in model.H.coeffs]
+        doc["H"] = _integral_coeffs("H", model.H)
     return doc
 
 

@@ -51,6 +51,19 @@ class TestAnalyze:
                            "--width", "0")
         assert code == 2 and "width" in err
 
+    @pytest.mark.parametrize("width", ["2^-4097", "2^-1000000000", f"1/{2**4097}"])
+    def test_width_below_limit_rejected(self, capsys, models_dir, width):
+        code, out, err = run(capsys, "analyze", str(models_dir / "t3.json"),
+                             "--width", width)
+        assert code == 2 and out == ""
+        assert err == f"error: --width must be at least 2^-4096, got {width}\n"
+
+    def test_width_at_limit_accepted(self, capsys, models_dir):
+        # every root of Q for t1 is rational, so no interval is refined
+        code, _, err = run(capsys, "analyze", str(models_dir / "t1.json"),
+                           "--width", "2^-4096")
+        assert code == 0 and err == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "no-such-model.json")
         assert code == 2 and "cannot read" in err
@@ -80,6 +93,11 @@ class TestScan:
         code, out, err = run(capsys, "scan", str(models_dir / "t1.json"), "--steps", steps)
         assert code == 2 and out == ""
         assert err == f"error: --steps must be at least 1, got {steps}\n"
+
+    def test_steps_above_limit_rejected(self, capsys, models_dir):
+        code, out, err = run(capsys, "scan", str(models_dir / "t1.json"), "--steps", "10001")
+        assert code == 2 and out == ""
+        assert err == "error: --steps must be at most 10000, got 10001\n"
 
     @pytest.mark.parametrize("ae, kae", [
         # the ROADMAP table, a 15-digit AE[0]
@@ -197,6 +215,15 @@ class TestLimit:
         analyze = run(capsys, "analyze", str(path))
         limit = run(capsys, "limit", str(path), "--c", "1/2", "--eps", "1/10")
         assert analyze == limit == (2, "", "error: MIX j=0 slice disagrees with AE at k=0\n")
+
+    def test_not_big_mixed_table_same_error_as_analyze(self, capsys, tmp_path, load_model):
+        doc = serialize_model(export_table(load_model("f1_bignef")))
+        doc["AE"][0] = doc["MIX"]["2,0,0"] = "-1"  # the j=0 slice stays consistent
+        path = tmp_path / "not_big.json"
+        path.write_text(json.dumps(doc))
+        analyze = run(capsys, "analyze", str(path))
+        limit = run(capsys, "limit", str(path), "--c", "1/2", "--eps", "1/10")
+        assert analyze == limit == (2, "", "error: not big: top self-intersection -1 <= 0\n")
 
     def test_needs_single_c(self, capsys, models_dir):
         code, _, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, comb, floor
@@ -212,4 +213,27 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_runtime_imports_stdlib_only_and_has_no_floats():
+    # the runtime is stdlib-only and exact: no third-party import, no float
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                names = []
+            found += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                found.append(f"{path.name}:{node.lineno} float literal")
+            if isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno} uses float")
     assert found == []

@@ -5,6 +5,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from slopestab import polynomials
 from slopestab.polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     UniPoly,
@@ -14,6 +15,7 @@ from slopestab.polynomials import (
     interpolate,
     isolate_roots,
     rational_roots,
+    sturm_sequence,
 )
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -69,6 +71,10 @@ def planted(rng):
     return p, sorted(set(roots))
 
 
+MIXED_REPEATED = poly(F(1, 4), -1, 1) * poly(-2, 0, 1) * poly(-3, 2) * poly(-1, 0, 8)
+MIXED_SQUARE_FREE = poly(-1, 3) * poly(-3, 0, 1) * poly(-1, 0, 5)
+
+
 class TestArithmetic:
     def test_trim_and_degree(self):
         assert poly(1, 2, 0, 0).coeffs == (F(1), F(2))
@@ -78,18 +84,6 @@ class TestArithmetic:
     def test_eval_horner(self):
         p = poly(1, -2, 3)  # 1 - 2t + 3t^2
         assert p(F(1, 2)) == F(3, 4)
-
-    def test_divmod_remainder(self):
-        a = poly(-1, 0, 1)  # t^2 - 1
-        b = poly(-1, 1)  # t - 1
-        q, r = divmod(a, b)
-        assert q == poly(1, 1) and r.is_zero
-
-    def test_squarefree(self):
-        p = poly(F(1, 4), -1, 1) * poly(-2, 1)  # (t - 1/2)^2 (t - 2)
-        sf = p.squarefree()
-        assert sf(F(1, 2)) == 0 and sf(2) == 0
-        assert sf.degree == 2
 
 
 class TestIntegration:
@@ -252,7 +246,6 @@ class TestIsolateRoots:
         (iv,) = ivs
         assert not iv.is_exact
         assert iv.hi - iv.lo <= DEFAULT_ISOLATION_WIDTH
-        assert iv.sign_left != iv.sign_right
         # bisection oracle: the sign of p flips across the interval
         assert p(iv.lo) > 0 > p(iv.hi)
 
@@ -279,6 +272,41 @@ class TestIsolateRoots:
         p = poly(0, 1) * poly(-1, 1)  # roots 0 and 1
         ivs = isolate_roots(p, 0, 1)
         assert [iv.lo for iv in ivs] == [F(1)]
+
+    @pytest.mark.parametrize("p, lo, hi, width, expected", [
+        # (x - 1/2)^2 (x^2 - 2)(2x - 3)(8x^2 - 1): not square-free, exact
+        # roots at 1/2 and at hi, irrational ones at 1/sqrt(8) and sqrt(2)
+        (MIXED_REPEATED, 0, F(3, 2), F(1, 2**20), [
+            "(370727/1048576, 46341/131072]", "1/2",
+            "(741455/524288, 1482911/1048576]", "3/2"]),
+        (MIXED_REPEATED, 0, F(3, 2), F(1, 64),
+         ["(11/32, 23/64]", "1/2", "(45/32, 91/64]", "3/2"]),
+        # (3x - 1)(x^2 - 3)(5x^2 - 1): square-free, a window of width 3
+        (MIXED_SQUARE_FREE, -1, 2, F(1, 2**20), [
+            "(-234469/524288, -351703/786432]", "1/3",
+            "(468937/1048576, 2813627/6291456]",
+            "(10897117/6291456, 1816187/1048576]"]),
+        (MIXED_SQUARE_FREE, -1, 2, F(1, 64),
+         ["(-43/96, -7/16]", "1/3", "(7/16, 173/384]", "(221/128, 167/96]"]),
+    ])
+    def test_exact_and_irrational_roots_pinned(self, p, lo, hi, width, expected):
+        assert [str(iv) for iv in isolate_roots(p, lo, hi, width)] == expected
+
+    @pytest.mark.parametrize("p, lo, hi, builds", [
+        (MIXED_SQUARE_FREE, -1, 2, 1),
+        (MIXED_REPEATED, 0, F(3, 2), 2),
+    ])
+    def test_one_sturm_sequence_per_call(self, monkeypatch, p, lo, hi, builds):
+        # one for p, and one more for p / gcd(p, p') when p has a repeated root
+        built = []
+
+        def counted(ints):
+            built.append(ints)
+            return sturm_sequence(ints)
+
+        monkeypatch.setattr(polynomials, "sturm_sequence", counted)
+        isolate_roots(p, lo, hi)
+        assert len(built) == builds
 
     @given(
         coeffs=st.lists(small_fractions, min_size=2, max_size=5),

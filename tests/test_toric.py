@@ -24,6 +24,7 @@ from slopestab.toric import (
     export_table,
     nef_threshold,
     polytope_of,
+    serialize_toric_model,
     star_subdivide,
 )
 
@@ -400,6 +401,16 @@ class TestModelValidation:
             "H not ample: degree 0 on wall (2,)",
         ]
 
+    @pytest.mark.parametrize("L, H, message", [
+        ((0, 0, 1, F(-1, 2)), None, "L coefficient 3 is -1/2, not an integer"),
+        ((0, 0, 1, -1), (1, 1, 1, F(1, 3)), "H coefficient 3 is 1/3, not an integer"),
+    ])
+    def test_serialize_refuses_fractional_coefficient(self, L, H, message):
+        fan, _ = star_subdivide(P2_FAN, (0, 1))
+        model = ToricModel("fractional", fan, ToricDivisor(L), (0,), H and ToricDivisor(H))
+        with pytest.raises(ToricError) as err:
+            serialize_toric_model(model)
+        assert str(err.value) == message
 
 class TestIntegerKernel:
     """The integer adjugate kernel against Fraction Gauss-Jordan elimination."""
