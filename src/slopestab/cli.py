@@ -57,8 +57,12 @@ class CliError(Exception):
 def _parse_width(text: str) -> Fraction:
     m = re.fullmatch(r"2\^-(\d+)", text.strip())
     if m:
+        digits = m.group(1).lstrip("0")
+        if len(digits) > MAX_WIDTH_BITS:  # past the limit, and too long for int()
+            raise CliError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, "
+                           f"got an exponent of {len(digits)} digits")
         # an exponent past the limit is refused below: cap it before 2^N is built
-        w = Fraction(1, 2 ** min(int(m.group(1)), MAX_WIDTH_BITS + 1))
+        w = Fraction(1, 2 ** min(int(digits or 0), MAX_WIDTH_BITS + 1))
     else:
         try:
             w = parse_rational(text)

@@ -1,13 +1,13 @@
 """Independent per-instance verification via lattice-point enumeration.
 
 For a toric model, section counts h0(mL) and filtration weights w_m are
-counted slice by slice: the first n-1 coordinates run over the integer
-points of a bounding box, the range of the last one follows by floor
-division from the facet inequalities, and the levels along each slice are
-summed in closed form.  The counts are fitted exactly to their asymptotic
-expansions, and the extracted invariant is compared against the slope
-engine's prediction.  Nothing here reuses the intersection-number machinery
-of the table path.
+counted slice by slice in nested integer ranges: Fourier-Motzkin
+elimination of the facet inequalities, once per count, bounds each
+coordinate x_k by the ones before it, so a prefix outside the polytope's
+projection is never visited; the levels along each slice are summed in
+closed form.  The counts are fitted exactly to their asymptotic expansions,
+and the extracted invariant is compared against the slope engine's
+prediction.  Nothing here reuses the machinery of the table path.
 """
 
 from __future__ import annotations
@@ -15,15 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, prod
+from math import gcd, lcm
 from operator import mul
 
 from .polynomials import fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
-from .toric import ToricError, ToricModel, export_table, polytope_of
+from .toric import ToricError, ToricModel, export_table
 
-# most prefixes (x_1, ..., x_{n-1}) one count may enumerate over its m-samples
+# most prefixes (x_1, ..., x_{n-1}) one count may visit over its m-samples
 _PREFIX_BUDGET = 2_000_000
+# most rows one elimination step of _levels may keep
+_ROW_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -66,66 +68,95 @@ def _sigma_form(model: ToricModel):
     return u_sigma, offset
 
 
-def _box(verts, m: int, d: int) -> range:
-    """Integer range of coordinate d over the bounding box of m * P_L."""
-    coords = [v[d] for v in verts]
-    return range(floor(m * min(coords)), ceil(m * max(coords)) + 1)
+def _levels(model: ToricModel, ms):
+    """Rows bounding each coordinate x_k, once for all m-samples of a count;
+    None when m * P_L is empty for every m >= 1.
 
-
-def _vertices(model: ToricModel, ms):
-    """Vertices of P_L, once for all m-samples of a count; refuses, before
-    anything is enumerated, a count whose prefix boxes hold more than
-    _PREFIX_BUDGET points in total."""
-    verts = polytope_of(model.fan, model.L).vertices
-    if not verts:
-        return verts
+    Each facet <x, u_rho> >= -m a_rho is an integer row in (x, m), L scaled
+    by the lcm of its denominators.  Fourier-Motzkin elimination of x_n, ...,
+    x_2 makes each derived row primitive, keeps it once, and drops one combined
+    from more than t + 1 facets after t eliminations (Chernikov's rule).
+    Level k holds the rows with x_k != 0, as lowers and uppers
+    (r_1..r_{k-1}, |r_k|, r_m).  Before any slice is enumerated, a count is
+    refused that would visit more than _PREFIX_BUDGET prefixes
+    (x_1, ..., x_{n-1}): the range lengths of x_{n-1} summed over (x_1..x_{n-2}).
+    """
+    n = model.fan.dim
+    scale = lcm(*(a.denominator for a in model.L.coeffs))
+    rows = {  # row -> bit set of the facets it is combined from
+        (*(scale * x for x in ray), int(scale * a)): 1 << i
+        for i, (ray, a) in enumerate(zip(model.fan.rays, model.L.coeffs))
+    }
+    levels = []
+    for k in reversed(range(n)):
+        pos = [(r, h) for r, h in rows.items() if r[k] > 0]
+        neg = [(r, h) for r, h in rows.items() if r[k] < 0]
+        if not (pos and neg):
+            raise ToricError(f"sections polytope is unbounded along x_{k + 1}")
+        levels.insert(0, ([(r[:k], r[k], r[-1]) for r, _ in pos],
+                          [(r[:k], -r[k], r[-1]) for r, _ in neg]))
+        rows = {r: h for r, h in rows.items() if not r[k]}
+        for (p, hp), (q, hq) in product(pos, neg) if k else ():
+            h = hp | hq
+            if h.bit_count() > n - k + 1:
+                continue
+            row = tuple(p[k] * b - q[k] * a for a, b in zip(p, q))
+            g = gcd(*row[:-1])
+            if not g:  # r_m m >= 0: for every m >= 1, or for none
+                if row[-1] < 0:
+                    return None
+                continue
+            row = tuple(x // gcd(g, row[-1]) for x in row)
+            if row not in rows or h.bit_count() < rows[row].bit_count():
+                rows[row] = h
+        if len(rows) > _ROW_LIMIT:
+            raise ValueError(f"row limit exceeded eliminating x_{k + 1}: "
+                             f"{len(rows)} rows, limit {_ROW_LIMIT}")
     total = 0
     for m in ms:
-        total += prod(len(_box(verts, m, d)) for d in range(model.fan.dim - 1))
-        if total > _PREFIX_BUDGET:
-            raise ValueError(
-                f"lattice-point budget exceeded at m={m}: {total} prefixes "
-                f"to enumerate, limit {_PREFIX_BUDGET}"
-            )
-    return verts
+        for prefix in _prefixes(levels[:-2], m):
+            lo, hi = _bounds(levels[-2], prefix, m) if n > 1 else (0, 0)
+            total += max(0, hi - lo + 1)
+            if total > _PREFIX_BUDGET:
+                raise ValueError(f"lattice-point budget exceeded at m={m}: more "
+                                 f"than {_PREFIX_BUDGET} prefixes to enumerate")
+    return levels
 
 
-def _slices(model: ToricModel, m: int, verts):
+def _bounds(level, prefix, m: int) -> tuple[int, int]:
+    """Integer range lo..hi of the coordinate after prefix."""
+    lowers, uppers = level
+    lo = max(-((sum(map(mul, prefix, r)) + c * m) // d) for r, d, c in lowers)
+    hi = min((sum(map(mul, prefix, r)) + c * m) // d for r, d, c in uppers)
+    return lo, hi
+
+
+def _prefixes(levels, m: int, prefix=()):
+    """Integer points of m * P_L's projection onto levels, after prefix."""
+    if not levels:
+        yield prefix
+        return
+    lo, hi = _bounds(levels[0], prefix, m)
+    for x in range(lo, hi + 1):
+        yield from _prefixes(levels[1:], m, prefix + (x,))
+
+
+def _slices(model: ToricModel, m: int, levels):
     """Lattice points of m * P_L, one slice per integer prefix
-    (x_1, ..., x_{n-1}) of the bounding box.
+    (x_1, ..., x_{n-1}) of its projection.
 
     Yields (base, step, lo, hi) for each nonempty slice: its points have
     filtration levels base + step * t for t = lo..hi, with step >= 0 (t is
     x_n, or -x_n when u_sigma has a negative last coordinate).
     """
-    if not verts:
-        return
-    n = model.fan.dim
     u_sigma, offset = _sigma_form(model)
     shift = m * offset
     if shift.denominator == 1:  # int arithmetic per slice, not Fraction
         shift = int(shift)
-    # <x, u_rho> >= -m a_rho holds on integer x exactly when
-    # <x, u_rho> >= ceil(-m a_rho)
-    facets = [
-        (ray[:-1], ray[-1], ceil(-m * a))
-        for ray, a in zip(model.fan.rays, model.L.coeffs)
-    ]
-    last = _box(verts, m, n - 1)
     step = u_sigma[-1]
-    for prefix in product(*(_box(verts, m, d) for d in range(n - 1))):
-        lo, hi = last.start, last.stop - 1
-        for u, u_last, bound in facets:
-            slack = sum(map(mul, prefix, u)) - bound
-            if u_last > 0:
-                lo = max(lo, -(slack // u_last))
-            elif u_last < 0:
-                hi = min(hi, slack // -u_last)
-            elif slack < 0:
-                break
-            if lo > hi:
-                break
-        else:
+    for prefix in _prefixes(levels[:-1], m) if levels else ():
+        lo, hi = _bounds(levels[-1], prefix, m)
+        if lo <= hi:
             base = sum(map(mul, prefix, u_sigma)) + shift
             if step < 0:
                 yield base, -step, -hi, -lo
@@ -151,10 +182,10 @@ def _count_at_least(base, step, lo, hi, j) -> int:
     return max(0, hi - first + 1)
 
 
-def _sample(model: ToricModel, m: int, verts, cap: int) -> WeightSample:
+def _sample(model: ToricModel, m: int, levels, cap: int) -> WeightSample:
     """h0(mL) and the weight total with levels capped at cap."""
     h0 = w = 0
-    for base, step, lo, hi in _slices(model, m, verts):
+    for base, step, lo, hi in _slices(model, m, levels):
         h0 += hi - lo + 1
         w += _capped_sum(base, step, lo, hi, cap)
     return WeightSample(m, h0, int(w))
@@ -167,8 +198,7 @@ def filtration_count(model: ToricModel, m: int, j: int) -> int:
         raise ValueError("m must be positive")
     if j < 0:
         raise ValueError("j must be nonnegative")
-    verts = _vertices(model, (m,))
-    return sum(_count_at_least(*s, j) for s in _slices(model, m, verts))
+    return sum(_count_at_least(*s, j) for s in _slices(model, m, _levels(model, (m,))))
 
 
 def weight_total(model: ToricModel, c, m: int) -> int:
@@ -180,8 +210,7 @@ def weight_total(model: ToricModel, c, m: int) -> int:
     cm = int(cm)
     if cm < 1:
         raise ValueError("c*m must be at least 1")
-    verts = _vertices(model, (m,))
-    return _sample(model, m, verts, cm).w
+    return _sample(model, m, _levels(model, (m,)), cm).w
 
 
 def default_m_list(n: int, c) -> list[int]:
@@ -198,13 +227,13 @@ def fit_expansions(model: ToricModel, c, m_list=None) -> ExpansionFit:
         m_list = default_m_list(n, c)
     if len(m_list) < n + 4:
         raise ValueError(f"need at least {n + 4} m-samples, got {len(m_list)}")
-    verts = _vertices(model, m_list)
+    levels = _levels(model, m_list)
     samples = []
     for m in m_list:
         cm = c * m
         if cm.denominator != 1:
             raise ValueError(f"m={m} does not make c*m integral")
-        samples.append(_sample(model, m, verts, int(cm)))
+        samples.append(_sample(model, m, levels, int(cm)))
     h_poly = fit_polynomial([(s.m, s.h0) for s in samples], n)
     w_poly = fit_polynomial([(s.m, s.w) for s in samples], n + 1)
     a = tuple(h_poly.coeff(n - i) for i in range(n + 1))

@@ -134,25 +134,29 @@ def integrate_definite(p: UniPoly, a, b) -> Fraction:
 def interpolate(points: Sequence[tuple]) -> UniPoly:
     """Unique polynomial of degree < len(points) through all points.
 
-    Newton divided differences over Fractions; raises on duplicate abscissae.
+    Newton divided differences c_i over Fractions, then the Newton form
+    expanded by Horner, p <- p * (x - x_i) + c_i, in integers over one common
+    denominator.  Raises on duplicate abscissae.
     """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissa in interpolation points")
-    if not points:
-        return UniPoly()
     # divided-difference table, in place
     coef = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UniPoly()
-    basis = UniPoly([1])
-    for i, c in enumerate(coef):
-        poly = poly + c * basis
-        basis = basis * UniPoly([-xs[i], 1])
-    return poly
+    # p = sum_t acc[t] x^t / den, with x_i = num_i / xd
+    xd = lcm(*(x.denominator for x in xs))
+    den = lcm(*(c.denominator for c in coef))
+    acc = []
+    for x, c in zip(reversed(xs), reversed(coef)):
+        num = x.numerator * (xd // x.denominator)
+        acc = [xd * a - num * b for a, b in zip([0, *acc], [*acc, 0])]
+        den *= xd
+        acc[0] += c.numerator * (den // c.denominator)
+    return UniPoly(Fraction(a, den) for a in acc)
 
 
 def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:

@@ -8,8 +8,9 @@ divisorial case (a single ray) is the identity blow-up.
 
 Intersection numbers come from fixed-point localization: one exact sum over
 the maximal cones (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
-form), summed in integers over one common denominator.  The polytope
-volumes are an independent reference for it.
+form), summed in integers over one common denominator.  The polytopes,
+their volumes and vertices are only a reference, for the tests and the
+benchmark: the oracle enumerates lattice points without them.
 
 All linear algebra goes through one integer kernel, `_adjugate`
 (fraction-free Gauss-Jordan, Bareiss 1968).  Each fan keeps the (det, adj)

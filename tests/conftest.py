@@ -1,4 +1,5 @@
 import pathlib
+import random
 import tempfile
 from itertools import combinations, product
 
@@ -13,8 +14,10 @@ from slopestab.toric import (
     ToricDivisor,
     ToricModel,
     _exceptional_setup,
+    curve_degree,
     export_table,
     polytope_of,
+    star_subdivide,
 )
 
 # the same examples on every run (100, the default count), and no example
@@ -70,6 +73,36 @@ EXTRA_TORIC = {
         (0, 2),
     ),
 }
+
+
+@pytest.fixture(scope="session")
+def blown_up_projective_space():
+    """P^n with one star subdivision per delta_j, at a random smooth face,
+    and L = d pi*O(1) - sum_j delta_j E_j: a subdivision is kept only if
+    every curve degree of L stays positive, so L is ample.  Z is a random
+    codimension-2 face; the same seed gives the same model."""
+
+    def build(n, d, deltas, seed):
+        rng = random.Random(seed)
+        fan = Fan(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) + ((-1,) * n,),
+            tuple(combinations(range(n + 1), n)),
+        )
+        coeffs = (0,) * n + (d,)
+        for delta in deltas:
+            for _ in range(100):
+                sigma = rng.sample(rng.choice(fan.max_cones), rng.randint(2, n))
+                fan1, _ = star_subdivide(fan, sigma)
+                L = ToricDivisor(coeffs + (sum(coeffs[i] for i in sigma) - delta,))
+                if all(curve_degree(fan1, wall, L) > 0 for wall in fan1.walls):
+                    fan, coeffs = fan1, L.coeffs
+                    break
+            else:
+                raise RuntimeError(f"no ample subdivision of P{n} for delta {delta}")
+        sigma = rng.choice(fan.max_cones)[:2]
+        return ToricModel(f"Bl P{n} seed {seed}", fan, ToricDivisor(coeffs), sigma)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopestab import cli, toric
+from slopestab import cli, oracle, toric
 from slopestab.models import parse_model, serialize_model
 from slopestab.oracle import VerificationRecord
 from slopestab.toric import export_table
@@ -57,6 +57,20 @@ class TestAnalyze:
                              "--width", width)
         assert code == 2 and out == ""
         assert err == f"error: --width must be at least 2^-4096, got {width}\n"
+
+    def test_width_exponent_too_long_for_int_rejected(self, capsys, models_dir):
+        # int() refuses strings of more than 4300 digits; the flag is named
+        # and the exponent is not echoed
+        code, out, err = run(capsys, "analyze", str(models_dir / "t1.json"),
+                             "--width", "2^-" + "1" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: --width must be at least 2^-4096, got an exponent of 5000 digits\n"
+
+    def test_width_exponent_leading_zeros_ignored(self, capsys, models_dir):
+        code, out, err = run(capsys, "analyze", str(models_dir / "t1.json"),
+                             "--width", "2^-" + "0" * 5000 + "64")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "analyze", str(models_dir / "t1.json"), "--width", "2^-64")[1]
 
     def test_width_at_limit_accepted(self, capsys, models_dir):
         # every root of Q for t1 is rational, so no interval is refined
@@ -157,6 +171,36 @@ class TestVerify:
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert "budget exceeded at m=" in err
+
+    def test_p5_o2_codim_3_within_budget(self, capsys, tmp_path):
+        # the bounding boxes of its m-samples hold 2.6 * 10^6 prefixes, more than
+        # the budget: the count must stay inside the polytope's projections
+        rays = [[int(i == j) for j in range(5)] for i in range(5)] + [[-1] * 5]
+        doc = {"kind": "toric", "label": "P5 O(2)", "rays": rays,
+               "max_cones": [[j for j in range(6) if j != i] for i in range(6)],
+               "L": [0, 0, 0, 0, 0, 2], "sigma": [0, 1, 2]}
+        path = tmp_path / "p5.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "--c", "1/2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "P5 O(2) 1/2 405/4096 405/4096 True True"
+
+    def test_large_fan_exits_2_quickly(self, capsys, tmp_path, blown_up_projective_space):
+        # 15 rays in dimension 4, L = 2048 pi*O(1) - sum_j 2^(10-j) E_j
+        model = blown_up_projective_space(4, 2**11, [2 ** (10 - j) for j in range(10)], 5)
+        path = tmp_path / "large_fan.json"
+        path.write_text(json.dumps(toric.serialize_toric_model(model)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path), "--c", "1")
+        assert time.perf_counter() - start < 2
+        assert len(model.fan.rays) == 15 and code == 2 and out == ""
+        assert "budget exceeded at m=" in err
+
+    def test_row_limit_exits_2(self, capsys, models_dir, monkeypatch):
+        monkeypatch.setattr(oracle, "_ROW_LIMIT", 1)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2")
+        assert code == 2 and out == ""
+        assert err == "error: row limit exceeded eliminating x_2: 2 rows, limit 1\n"
 
     def test_sign_mismatch_exits_3(self, capsys, models_dir, monkeypatch):
         fake = VerificationRecord(

@@ -48,6 +48,21 @@ def box_levels(model, m):
     ]
 
 
+def assert_counts_match(model):
+    """h0, every filtration count and the capped weights of the oracle's
+    nested ranges equal box_levels' at m = 1..4."""
+    ranges = oracle._levels(model, range(1, 5))
+    for m in range(1, 5):
+        levels = box_levels(model, m)
+        assert oracle._sample(model, m, ranges, 1).h0 == len(levels)
+        for j in range(int(max(levels)) + 2):
+            assert filtration_count(model, m, j) == sum(lv >= j for lv in levels)
+        for c in (F(1, 2), F(1)):
+            if (c * m).denominator == 1:
+                cap = int(c * m)
+                assert weight_total(model, c, m) == sum(min(lv, cap) for lv in levels)
+
+
 class TestFiltrationCount:
     def test_p2_counts(self, load_model):
         p2 = load_model("p2")
@@ -81,17 +96,16 @@ class TestAgainstBoxCounter:
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_counts_match(self, load_model, name):
-        model = load_model(name)
-        verts = polytope_of(model.fan, model.L).vertices
-        for m in range(1, 5):
-            levels = box_levels(model, m)
-            assert oracle._sample(model, m, verts, 1).h0 == len(levels)
-            for j in range(int(max(levels)) + 2):
-                assert filtration_count(model, m, j) == sum(lv >= j for lv in levels)
-            for c in (F(1, 2), F(1)):
-                if (c * m).denominator == 1:
-                    cap = int(c * m)
-                    assert weight_total(model, c, m) == sum(min(lv, cap) for lv in levels)
+        assert_counts_match(load_model(name))
+
+    # P^n with L = d O(1), blown up once per delta_j: ids give n, d and the count
+    @pytest.mark.parametrize("n, d, deltas, seed", [
+        (3, 3, (1, 1), 1), (3, 4, (1, 1, 1), 2), (4, 3, (1, 1), 3), (4, 4, (2, 1, 1), 4),
+    ], ids=["P3-d3-2", "P3-d4-3", "P4-d3-2", "P4-d4-3"])
+    def test_generated_counts_match(self, blown_up_projective_space, n, d, deltas, seed):
+        model = blown_up_projective_space(n, d, deltas, seed)
+        assert len(model.fan.rays) == n + 1 + len(deltas) and model.validate() == []
+        assert_counts_match(model)
 
     def test_point_budget(self, load_model):
         with pytest.raises(ValueError, match="budget exceeded at m="):
@@ -237,3 +251,16 @@ def test_runtime_imports_stdlib_only_and_has_no_floats():
             if isinstance(node, ast.Name) and node.id == "float":
                 found.append(f"{path.name}:{node.lineno} uses float")
     assert found == []
+
+
+def test_oracle_imports_from_toric_only_the_model_and_export():
+    # the oracle must stay independent of the toric internals (lattice
+    # polytopes, fans, localization): it sees a model and its exported table
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    imported = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "toric"
+        for alias in node.names
+    )
+    assert imported == ["ToricError", "ToricModel", "export_table"]

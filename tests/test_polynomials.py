@@ -133,6 +133,20 @@ def _truncated_simplex_volume(t):
     return full - corner
 
 
+def lagrange_coeffs(points):
+    """Reference: sum_i y_i prod_{j != i} (x - x_j) / (x_i - x_j), expanded
+    over Fractions, constant term first."""
+    out = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [F(1)], F(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([F(0), *basis], [*basis, F(0)])]
+                scale /= xi - xj
+        out = [o + scale * c for o, c in zip(out, basis)]
+    return out
+
+
 class TestInterpolation:
     def test_symmetric_quadratic(self):
         assert interpolate([(0, 1), (1, 0), (-1, 0)]) == poly(1, 0, -1)
@@ -159,6 +173,22 @@ class TestInterpolation:
         assert p.degree < len(xs)
         for x, y in zip(xs, ys):
             assert p(x) == y
+
+
+    def test_matches_lagrange_on_random_points(self):
+        # derandomized: 240 point sets of 1..8 points; abscissae negative,
+        # zero, integral or not; ordinates up to 30 digits
+        rng = random.Random(2025)
+        for _ in range(240):
+            size = rng.randint(1, 8)
+            xs = set()
+            while len(xs) < size:
+                xs.add(F(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 7, 12))))
+            pts = [
+                (x, F(rng.randint(-10**rng.randint(1, 30), 10**30), rng.randint(1, 50)))
+                for x in sorted(xs, key=lambda _: rng.random())
+            ]
+            assert interpolate(pts) == UniPoly(lagrange_coeffs(pts))
 
 
 class TestFitPolynomial:
