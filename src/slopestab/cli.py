@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from . import oracle as oracle_mod
@@ -75,11 +76,11 @@ def _parse_width(text: str) -> Fraction:
     return w
 
 
-def _parse_c_list(text: str) -> list[Fraction]:
+def _parse_rationals(text: str, flag: str) -> list[Fraction]:
     try:
         return [parse_rational(part) for part in text.split(",") if part]
     except ModelError as exc:
-        raise CliError(f"bad --c value {text!r}: {exc}") from exc
+        raise CliError(f"bad {flag} value {text!r}: {exc}") from exc
 
 
 def _load_model(path: str):
@@ -98,9 +99,8 @@ def _validated(table):
 
 
 def _coerce_table(model) -> IntersectionTable:
-    """Any model kind down to a plain single-polarization table."""
-    table = export_table(model) if isinstance(model, ToricModel) else model
-    return _validated(table).base_table()
+    """The validated table of any model kind; a toric model is exported first."""
+    return _validated(export_table(model) if isinstance(model, ToricModel) else model)
 
 
 def _poly_line(p: UniPoly) -> str:
@@ -111,7 +111,10 @@ def _poly_line(p: UniPoly) -> str:
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -177,7 +180,7 @@ def cmd_verify(args) -> int:
         raise CliError("verify needs at least one --c value")
     m_list = None
     if args.max_m is not None:
-        d = max(Fraction(c).denominator for c in args.c)
+        d = lcm(*(c.denominator for c in args.c))
         m_list = range(d, args.max_m + 1, d)
     lines = ["label c df_oracle df_predicted sign_match exact_match"]
     any_sign_fail = False
@@ -194,12 +197,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    mixed = _load_model(args.model)
-    if isinstance(mixed, ToricModel) and mixed.H is not None:
-        mixed = export_table(mixed)
+    mixed = _coerce_table(_load_model(args.model))
     if not isinstance(mixed, MixedTable):
         raise ModelError("limit needs a mixed table or a toric model with H")
-    _validated(mixed)
     if len(args.c or []) != 1:
         raise CliError("limit needs exactly one --c value")
     eps_list = args.eps or []
@@ -267,9 +267,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "c", None) is not None:
-            args.c = _parse_c_list(args.c)
+            args.c = _parse_rationals(args.c, "--c")
         if getattr(args, "eps", None) is not None:
-            args.eps = _parse_c_list(args.eps)
+            args.eps = _parse_rationals(args.eps, "--eps")
         return args.func(args)
     except (ModelError, ToricError, PositivityError, CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,9 @@ from fractions import Fraction
 from math import comb
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
+# int() refuses a decimal string of more digits than this (Python's default
+# sys.get_int_max_str_digits()); longer literals are refused here by name
+MAX_LITERAL_DIGITS = 4300
 
 
 class ModelError(ValueError):
@@ -30,6 +33,10 @@ def parse_rational(value) -> Fraction:
         m = _RATIONAL_RE.fullmatch(value.strip())
         if not m:
             raise ModelError(f"malformed rational literal {value!r}")
+        longest = max(len(part.lstrip("-")) for part in m.groups(""))
+        if longest > MAX_LITERAL_DIGITS:
+            raise ModelError(f"rational literal too long: a part of {longest} digits, "
+                             f"limit {MAX_LITERAL_DIGITS}")
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) is not None else 1
         if den <= 0:
@@ -70,29 +77,21 @@ class IntersectionTable:
         if len(self.kae) != self.n:
             raise ModelError(f"KAE must have {self.n} entries, got {len(self.kae)}")
 
-    def base_table(self) -> IntersectionTable:
-        return self
-
 
 @dataclass(frozen=True)
-class MixedTable:
+class MixedTable(IntersectionTable):
     """Two-polarization table for L + sH perturbations.
 
     mixed[(i, j, k)] houses ((pi*L)^i . (pi*H)^j . E^k) over i+j+k = n and
     kmixed the analogous K_X' pairings over i+j+k = n-1.  The j = 0 slice
-    must agree with the declared base table entries.
+    is the table of L itself: it must agree with AE and KAE.
     """
 
-    label: str
-    n: int
-    ae: tuple[Fraction, ...]
-    kae: tuple[Fraction, ...]
     mixed: dict[tuple[int, int, int], Fraction] = field(compare=False)
     kmixed: dict[tuple[int, int, int], Fraction] = field(compare=False)
-    epsilon: Fraction = Fraction(1)
 
     def __post_init__(self):
-        self.base_table()  # epsilon, dimension and entry counts
+        super().__post_init__()
         for deg, entries, name in (
             (self.n, self.mixed, "MIX"),
             (self.n - 1, self.kmixed, "KMIX"),
@@ -116,9 +115,6 @@ class MixedTable:
         ]
         if errors:
             raise ModelError("; ".join(errors))
-
-    def base_table(self) -> IntersectionTable:
-        return IntersectionTable(self.label, self.n, self.ae, self.kae, self.epsilon)
 
     def specialize(self, s) -> IntersectionTable:
         """Single-polarization table of L + sH, exact in s."""
@@ -197,32 +193,23 @@ def parse_model(data):
             doc = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed JSON: {exc}") from exc
+        except ValueError as exc:  # only int() raises others: a number past its digit limit
+            raise ModelError(f"malformed JSON: a number of more than {MAX_LITERAL_DIGITS} "
+                             "digits") from exc
     else:
         doc = data
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     kind = doc.get("kind")
-    if kind == "table":
-        _require_keys(doc, {"kind", "label", "n", "AE", "KAE", "epsilon"})
-        return IntersectionTable(
-            label=str(doc["label"]),
-            n=_parse_int(doc, "n"),
-            ae=_parse_rational_list(doc, "AE"),
-            kae=_parse_rational_list(doc, "KAE"),
-            epsilon=parse_rational(doc["epsilon"]),
-        )
-    if kind == "mixed-table":
-        _require_keys(doc, {"kind", "label", "n", "AE", "KAE", "MIX", "KMIX", "epsilon"})
+    if kind in ("table", "mixed-table"):
+        map_keys = ("MIX", "KMIX") if kind == "mixed-table" else ()
+        _require_keys(doc, {"kind", "label", "n", "AE", "KAE", "epsilon", *map_keys})
+        label = str(doc["label"])
         n = _parse_int(doc, "n")
-        return MixedTable(
-            label=str(doc["label"]),
-            n=n,
-            ae=_parse_rational_list(doc, "AE"),
-            kae=_parse_rational_list(doc, "KAE"),
-            mixed=_parse_index_map(doc, "MIX", n),
-            kmixed=_parse_index_map(doc, "KMIX", n - 1),
-            epsilon=parse_rational(doc["epsilon"]),
-        )
+        entries = (_parse_rational_list(doc, "AE"), _parse_rational_list(doc, "KAE"))
+        maps = [_parse_index_map(doc, key, n - i) for i, key in enumerate(map_keys)]
+        epsilon = parse_rational(doc["epsilon"])
+        return (MixedTable if maps else IntersectionTable)(label, n, *entries, epsilon, *maps)
     if kind == "toric":
         from .toric import parse_toric_model
 
@@ -233,31 +220,20 @@ def parse_model(data):
 def serialize_model(model) -> dict:
     """Inverse of parse_model on table-like values (bit-exact rationals)."""
     if isinstance(model, IntersectionTable):
-        return {
-            "kind": "table",
+        doc = {
+            "kind": "mixed-table" if isinstance(model, MixedTable) else "table",
             "label": model.label,
             "n": model.n,
             "AE": [format_rational(x) for x in model.ae],
             "KAE": [format_rational(x) for x in model.kae],
-            "epsilon": format_rational(model.epsilon),
         }
-    if isinstance(model, MixedTable):
-        return {
-            "kind": "mixed-table",
-            "label": model.label,
-            "n": model.n,
-            "AE": [format_rational(x) for x in model.ae],
-            "KAE": [format_rational(x) for x in model.kae],
-            "MIX": {
-                ",".join(map(str, k)): format_rational(v)
-                for k, v in sorted(model.mixed.items())
-            },
-            "KMIX": {
-                ",".join(map(str, k)): format_rational(v)
-                for k, v in sorted(model.kmixed.items())
-            },
-            "epsilon": format_rational(model.epsilon),
-        }
+        if isinstance(model, MixedTable):
+            for key, entries in (("MIX", model.mixed), ("KMIX", model.kmixed)):
+                doc[key] = {
+                    ",".join(map(str, k)): format_rational(v) for k, v in sorted(entries.items())
+                }
+        doc["epsilon"] = format_rational(model.epsilon)
+        return doc
     from .toric import serialize_toric_model
 
     return serialize_toric_model(model)

@@ -97,15 +97,9 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
     isolation, not assumed.
     """
     n = table.n
-    alpha0 = UniPoly()
-    for k in range(n + 1):
-        term = [Fraction(0)] * k + [comb(n, k) * (-1) ** k * table.ae[k]]
-        alpha0 = alpha0 + UniPoly(term)
+    alpha0 = UniPoly((-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae))
     alpha0 = alpha0 / factorial(n)
-    alpha1 = UniPoly()
-    for k in range(n):
-        term = [Fraction(0)] * k + [comb(n - 1, k) * (-1) ** k * table.kae[k]]
-        alpha1 = alpha1 + UniPoly(term)
+    alpha1 = UniPoly((-1) ** k * comb(n - 1, k) * a for k, a in enumerate(table.kae))
     alpha1 = alpha1 / (-2 * factorial(n - 1))
     if alpha0(0) <= 0:
         raise PositivityError(f"alpha0(0) = {alpha0(0)} is not positive")
@@ -182,14 +176,14 @@ def perturbation_limit(
 ) -> tuple[list[Fraction], Fraction]:
     """mu - mu_c of L + eps*H for each eps, and the exact eps = 0 value.
 
-    The limit is the s = 0 specialization of the mixed table, which is its
-    base table (MixedTable checks that its j = 0 slice agrees with it).
+    The limit is the s = 0 specialization, which is the mixed table's own
+    AE/KAE (MixedTable checks that its j = 0 slice agrees with them).
     """
     c = Fraction(c)
     values = []
     for s in eps_list:
         pair = alpha_polys(mixed.specialize(s))
         values.append(slope_mu(pair) - mu_c(pair, c))
-    base_pair = alpha_polys(mixed.base_table())
-    limit = slope_mu(base_pair) - mu_c(base_pair, c)
+    pair = alpha_polys(mixed)
+    limit = slope_mu(pair) - mu_c(pair, c)
     return values, limit

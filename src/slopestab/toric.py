@@ -629,9 +629,9 @@ def export_table(model: ToricModel):
         # (pi*L)^i . (pi*H)^j . E^k . K^kappa
         return _intersect(points, (i, k, kappa, j))
 
-    ae = tuple(number(n - k, 0, k, 0) for k in range(n + 1))
-    kae = tuple(number(n - 1 - k, 0, k, 1) for k in range(n))
     if model.H is None:
+        ae = tuple(number(n - k, 0, k, 0) for k in range(n + 1))
+        kae = tuple(number(n - 1 - k, 0, k, 1) for k in range(n))
         return IntersectionTable(model.label, n, ae, kae, eps)
     mixed = {
         (i, j, n - i - j): number(i, j, n - i - j, 0)
@@ -643,4 +643,7 @@ def export_table(model: ToricModel):
         for i in range(n)
         for j in range(n - i)
     }
-    return MixedTable(model.label, n, ae, kae, mixed, kmixed, eps)
+    # the j = 0 slices are the table of L itself
+    ae = tuple(mixed[(n - k, 0, k)] for k in range(n + 1))
+    kae = tuple(kmixed[(n - 1 - k, 0, k)] for k in range(n))
+    return MixedTable(model.label, n, ae, kae, eps, mixed, kmixed)

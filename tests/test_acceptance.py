@@ -101,7 +101,7 @@ def test_criterion_5_ehrhart_rr(load_model):
     ok = True
     for name in ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef"):
         model = load_model(name)
-        pair = alpha_polys(export_table(model).base_table())
+        pair = alpha_polys(export_table(model))
         fit = fit_expansions(model, 1)
         ok = ok and fit.a[0] == pair.alpha0(0) and fit.a[1] == pair.alpha1(0)
         if name == "p3":
@@ -140,7 +140,7 @@ def test_criterion_7_scaling_law(load_model):
 def test_criterion_8_perturbation_limit(load_model):
     mx = export_table(load_model("f1_bignef"))
     c = F(1, 2)
-    base_pair = alpha_polys(mx.base_table())
+    base_pair = alpha_polys(mx)
     ok = slope_mu(base_pair) == 3
     # symbolic s = 0 specialization reproduces the base table exactly
     ok = ok and mu_c(alpha_polys(mx.specialize(0)), c) == mu_c(base_pair, c)

@@ -82,6 +82,24 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "no-such-model.json")
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize("command, model, flag", [
+        ("analyze", "t1.json", "--c"),
+        ("analyze", "t1.json", "--width"),
+        ("limit", "f1_bignef.json", "--eps"),
+    ])
+    def test_overlong_rational_flag_named(self, capsys, models_dir, command, model, flag):
+        value = "1/" + "1" * 5000
+        code, out, err = run(capsys, command, str(models_dir / model), flag, value)
+        assert code == 2 and out == ""
+        assert err == (f"error: bad {flag} value {value!r}: rational literal too long: "
+                       "a part of 5000 digits, limit 4300\n")
+
+    def test_unwritable_out_exits_2(self, capsys, models_dir, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "scan", str(models_dir / "t1.json"), "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output file: ") and str(path) in err
+
     def test_parser_keeps_no_state_between_calls(self, capsys, models_dir):
         path = str(models_dir / "t1.json")
         code, out, _ = run(capsys, "analyze", path, "--c", "1/2")
@@ -158,6 +176,17 @@ class TestVerify:
                            "--c", "1", "--max-m", "6")
         assert code == 0
         assert out.strip().splitlines()[1].endswith("True True")
+
+    def test_max_m_steps_by_lcm_of_denominators(self, capsys, models_dir):
+        # m = 6, 12, ..., 60: every c*m integral (stepping by the largest
+        # denominator, 3, would start at m = 3 with c = 1/2)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
+                             "--c", "1/2,1/3", "--max-m", "60")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "P2 O(1) point 1/2 1/8 1/8 True True",
+            "P2 O(1) point 1/3 2/27 2/27 True True",
+        ]
 
     def test_point_budget_exits_2_quickly(self, capsys, tmp_path):
         rays = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
@@ -268,6 +297,12 @@ class TestLimit:
         analyze = run(capsys, "analyze", str(path))
         limit = run(capsys, "limit", str(path), "--c", "1/2", "--eps", "1/10")
         assert analyze == limit == (2, "", "error: not big: top self-intersection -1 <= 0\n")
+
+    def test_bad_eps_names_eps(self, capsys, models_dir):
+        code, out, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),
+                             "--c", "1/2", "--eps", "1/x")
+        assert code == 2 and out == ""
+        assert err == "error: bad --eps value '1/x': malformed rational literal '1/x'\n"
 
     def test_needs_single_c(self, capsys, models_dir):
         code, _, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),

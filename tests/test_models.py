@@ -38,6 +38,9 @@ class TestParseRational:
     def test_accepts(self, raw, expected):
         assert parse_rational(raw) == expected
 
+    def test_parts_at_digit_limit_accepted(self):
+        assert parse_rational("-" + "7" * 4300 + "/" + "3" * 4300) == F(-7, 3)
+
     @pytest.mark.parametrize("raw", ["1.5", "3/-4", "3/0", "a", 2.5, None, True])
     def test_rejects(self, raw):
         with pytest.raises(ModelError):
@@ -76,6 +79,19 @@ class TestParseTable:
     def test_malformed_json(self):
         with pytest.raises(ModelError, match="malformed JSON"):
             parse_model(b"{not json")
+
+    def test_overlong_epsilon_string_rejected(self):
+        doc = table_doc(epsilon="1/" + "1" * 5000)
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(json.dumps(doc))
+        assert str(excinfo.value) == "rational literal too long: a part of 5000 digits, limit 4300"
+
+    def test_overlong_epsilon_number_rejected(self):
+        # json.loads raises a plain ValueError here, not JSONDecodeError
+        text = json.dumps(table_doc(epsilon=0)).replace('"epsilon": 0', '"epsilon": ' + "1" * 5000)
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(text)
+        assert str(excinfo.value) == "malformed JSON: a number of more than 4300 digits"
 
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ModelError):
@@ -122,7 +138,7 @@ class TestRoundTrip:
         again = parse_model(json.dumps(serialize_model(mx)))
         assert isinstance(again, MixedTable)
         assert again.mixed == mx.mixed and again.kmixed == mx.kmixed
-        assert again.base_table() == mx.base_table()
+        assert again == mx
 
 
 class TestMixedTable:
@@ -140,7 +156,7 @@ class TestMixedTable:
         with pytest.raises(ModelError) as excinfo:
             MixedTable(
                 mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae[:1] + (mx.kae[1] - 1,),
-                mx.mixed, mx.kmixed, mx.epsilon,
+                mx.epsilon, mx.mixed, mx.kmixed,
             )
         assert str(excinfo.value) == (
             "MIX j=0 slice disagrees with AE at k=0; KMIX j=0 slice disagrees with KAE at k=1"
@@ -151,9 +167,9 @@ class TestMixedTable:
 
         mx = export_table(load_model("f1_bignef"))
         with pytest.raises(ModelError, match="^AE must have 3 entries, got 2$"):
-            MixedTable(mx.label, mx.n, mx.ae[:2], mx.kae, mx.mixed, mx.kmixed, mx.epsilon)
+            MixedTable(mx.label, mx.n, mx.ae[:2], mx.kae, mx.epsilon, mx.mixed, mx.kmixed)
 
     def test_index_simplex_enforced(self):
         with pytest.raises(ModelError, match="simplex"):
-            MixedTable("x", 2, (F(1), F(0), F(-1)), (F(-3), F(-1)),
-                       {(2, 0, 0): F(1)}, {}, F(1))
+            MixedTable("x", 2, (F(1), F(0), F(-1)), (F(-3), F(-1)), F(1),
+                       {(2, 0, 0): F(1)}, {})

@@ -218,5 +218,5 @@ class TestPerturbationLimit:
         with pytest.raises(ModelError, match="^MIX j=0 slice disagrees with AE at k=0$"):
             MixedTable(
                 mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae,
-                mx.mixed, mx.kmixed, mx.epsilon,
+                mx.epsilon, mx.mixed, mx.kmixed,
             )

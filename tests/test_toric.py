@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from slopestab import toric as toric_mod
 from slopestab.models import IntersectionTable, MixedTable
 from slopestab.polynomials import UniPoly
 from slopestab.slope import alpha_polys, slope_mu
@@ -322,10 +323,24 @@ class TestExportTable:
     def test_f1_big_nef_matches_p2_slope(self, load_model):
         mx = export_table(load_model("f1_bignef"))
         assert isinstance(mx, MixedTable)
-        base = mx.base_table()
         p2 = export_table(load_model("p2"))
-        assert base.ae == p2.ae and base.kae == p2.kae
-        assert slope_mu(alpha_polys(base)) == 3
+        assert mx.ae == p2.ae and mx.kae == p2.kae
+        assert slope_mu(alpha_polys(mx)) == 3
+
+    @pytest.mark.parametrize("name, calls", [("f1_bignef", 10), ("p2", 6)])
+    def test_each_intersection_number_computed_once(self, load_model, monkeypatch, name,
+                                                    calls):
+        # one for validation's (L^n) > 0 check, then one per MIX/KMIX entry
+        # with H (AE/KAE are their j = 0 slices), or one per AE/KAE entry
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return _intersect(*args)
+
+        monkeypatch.setattr(toric_mod, "_intersect", counting)
+        export_table(load_model(name))
+        assert len(counted) == calls
 
     def test_blown_up_p3_at_point_on_e(self, load_model):
         t = export_table(load_model("blp3_014"))
@@ -369,7 +384,7 @@ class TestScaling:
 
     def test_birational_invariance(self, load_model):
         # mu from the subdivided fan equals the value on the base variety
-        f1 = export_table(load_model("f1_bignef")).base_table()
+        f1 = export_table(load_model("f1_bignef"))
         p2 = export_table(load_model("p2"))
         assert slope_mu(alpha_polys(f1)) == slope_mu(alpha_polys(p2))
 
