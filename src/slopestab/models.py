@@ -17,6 +17,7 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
 # int() refuses a decimal string of more digits than this (Python's default
 # sys.get_int_max_str_digits()); longer literals are refused here by name
 MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS  # the least int of more digits
 
 
 class ModelError(ValueError):
@@ -48,7 +49,12 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
+    """The "p/q" text of x, or "p" when x is an integer; parse_rational
+    reads it back."""
     x = Fraction(x)
+    if not -_LITERAL_BOUND < x.numerator < _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
+        raise ModelError(f"rational too long to write: a part of more than "
+                         f"{MAX_LITERAL_DIGITS} digits")
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -170,6 +176,10 @@ def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
         parts = raw.split(",")
         if len(parts) != 3:
             raise ModelError(f"{key} key {raw!r} is not of the form 'i,j,k'")
+        longest = max(len(p.strip().lstrip("+-")) for p in parts)
+        if longest > MAX_LITERAL_DIGITS:  # too long for int(): refused without echoing it
+            raise ModelError(f"{key} key too long: an index of {longest} digits, "
+                             f"limit {MAX_LITERAL_DIGITS}")
         try:
             idx = tuple(int(p) for p in parts)
         except ValueError as exc:
@@ -191,7 +201,7 @@ def parse_model(data):
     if isinstance(data, str):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ModelError(f"malformed JSON: {exc}") from exc
         except ValueError as exc:  # only int() raises others: a number past its digit limit
             raise ModelError(f"malformed JSON: a number of more than {MAX_LITERAL_DIGITS} "

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .polynomials import fit_polynomial
@@ -64,7 +64,7 @@ def _sigma_form(model: ToricModel):
         sum(model.fan.rays[i][d] for i in model.sigma)
         for d in range(model.fan.dim)
     )
-    offset = sum(model.L.coeffs[i] for i in model.sigma)
+    offset = sum(model.L[i] for i in model.sigma)
     return u_sigma, offset
 
 
@@ -72,20 +72,18 @@ def _levels(model: ToricModel, ms):
     """Rows bounding each coordinate x_k, once for all m-samples of a count;
     None when m * P_L is empty for every m >= 1.
 
-    Each facet <x, u_rho> >= -m a_rho is an integer row in (x, m), L scaled
-    by the lcm of its denominators.  Fourier-Motzkin elimination of x_n, ...,
-    x_2 makes each derived row primitive, keeps it once, and drops one combined
-    from more than t + 1 facets after t eliminations (Chernikov's rule).
+    Each facet <x, u_rho> >= -m a_rho is an integer row (u_rho, a_rho) in
+    (x, m).  Fourier-Motzkin elimination of x_n, ..., x_2 makes each derived
+    row primitive, keeps it once, and drops one combined from more than t + 1
+    facets after t eliminations (Chernikov's rule).
     Level k holds the rows with x_k != 0, as lowers and uppers
     (r_1..r_{k-1}, |r_k|, r_m).  Before any slice is enumerated, a count is
     refused that would visit more than _PREFIX_BUDGET prefixes
     (x_1, ..., x_{n-1}): the range lengths of x_{n-1} summed over (x_1..x_{n-2}).
     """
     n = model.fan.dim
-    scale = lcm(*(a.denominator for a in model.L.coeffs))
     rows = {  # row -> bit set of the facets it is combined from
-        (*(scale * x for x in ray), int(scale * a)): 1 << i
-        for i, (ray, a) in enumerate(zip(model.fan.rays, model.L.coeffs))
+        (*ray, a): 1 << i for i, (ray, a) in enumerate(zip(model.fan.rays, model.L))
     }
     levels = []
     for k in reversed(range(n)):
@@ -151,8 +149,6 @@ def _slices(model: ToricModel, m: int, levels):
     """
     u_sigma, offset = _sigma_form(model)
     shift = m * offset
-    if shift.denominator == 1:  # int arithmetic per slice, not Fraction
-        shift = int(shift)
     step = u_sigma[-1]
     for prefix in _prefixes(levels[:-1], m) if levels else ():
         lo, hi = _bounds(levels[-1], prefix, m)
@@ -188,7 +184,7 @@ def _sample(model: ToricModel, m: int, levels, cap: int) -> WeightSample:
     for base, step, lo, hi in _slices(model, m, levels):
         h0 += hi - lo + 1
         w += _capped_sum(base, step, lo, hi, cap)
-    return WeightSample(m, h0, int(w))
+    return WeightSample(m, h0, w)
 
 
 def filtration_count(model: ToricModel, m: int, j: int) -> int:

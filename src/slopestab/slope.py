@@ -72,7 +72,6 @@ class SlopeReport:
     alpha0: UniPoly
     alpha1: UniPoly
     Q: UniPoly
-    df_norm: UniPoly
     destabilizing: tuple[SignInterval, ...]
     flat: bool
 
@@ -143,11 +142,11 @@ def stability_scan(
     alpha: AlphaPair, width: Fraction = DEFAULT_ISOLATION_WIDTH
 ) -> SlopeReport:
     """Full sign analysis of Q on (0, epsilon] with exact interval endpoints."""
-    q, df_norm = df_numerator(alpha)
+    q, _ = df_numerator(alpha)
     mu = slope_mu(alpha)
     eps = alpha.epsilon
     if q.is_zero:
-        return SlopeReport(eps, mu, alpha.alpha0, alpha.alpha1, q, df_norm, (), True)
+        return SlopeReport(eps, mu, alpha.alpha0, alpha.alpha1, q, (), True)
     roots = isolate_roots(q, 0, eps, width)
     # breakpoints bounding the sign-constant segments of (0, eps]
     points = [IsolatingInterval(Fraction(0), Fraction(0))]
@@ -166,9 +165,7 @@ def stability_scan(
         if q(sample) < 0:
             right_closed = right.is_exact and right.lo == eps and q(eps) < 0
             destabilizing.append(SignInterval(left, right, right_closed))
-    return SlopeReport(
-        eps, mu, alpha.alpha0, alpha.alpha1, q, df_norm, tuple(destabilizing), False
-    )
+    return SlopeReport(eps, mu, alpha.alpha0, alpha.alpha1, q, tuple(destabilizing), False)
 
 
 def perturbation_limit(

@@ -4,7 +4,9 @@ intersection tables.
 
 Smooth complete fans only.  Blowing up the orbit closure of a smooth cone
 is realized as the star subdivision inserting the barycentric ray; the
-divisorial case (a single ray) is the identity blow-up.
+divisorial case (a single ray) is the identity blow-up.  A torus-invariant
+divisor sum_rho a_rho D_rho is the tuple of its integer coefficients a_rho,
+one per ray; `ToricModel` checks that its L and H are.
 
 Intersection numbers come from fixed-point localization: one exact sum over
 the maximal cones (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
@@ -155,30 +157,6 @@ class Wall:
     relation: tuple[int | Fraction, ...]  # c_i per wall ray: u_a + u_b = sum_i c_i u_i
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @cached_property
-    def int_coeffs(self) -> tuple:
-        """The coefficients, each an int when it is integral: integer sums
-        skip the cost of Fraction arithmetic."""
-        return tuple(a.numerator if a.denominator == 1 else a for a in self.coeffs)
-
-    def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
-        return ToricDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
-        return ToricDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, scalar) -> "ToricDivisor":
-        r = Fraction(scalar)
-        return ToricDivisor(tuple(r * c for c in self.coeffs))
-
-
 def _facet_incidence(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
     inc: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, cone in enumerate(fan.max_cones):
@@ -237,14 +215,12 @@ def _localize(fan: Fan, divisors) -> tuple[int, list[tuple[int, tuple]]]:
     """Fixed-point data at the generic direction, in integers: a common
     denominator D, the lcm of |prod_i y_{sigma,i}| over the maximal cones,
     and per cone sigma the weight D / prod_i y_{sigma,i} with the value
-    sum_{i in sigma} a_i y_{sigma,i} of each divisor (a Fraction only when a
-    coefficient a_i is not integral)."""
+    sum_{i in sigma} a_i y_{sigma,i} of each divisor."""
     _, coords = fan.generic
     weights = [prod(ys) for ys in coords]
     denom = lcm(*weights)
-    coeffs = [d.int_coeffs for d in divisors]
     return denom, [
-        (denom // w, tuple(sum(a[i] * y for i, y in zip(cone, ys)) for a in coeffs))
+        (denom // w, tuple(sum(a[i] * y for i, y in zip(cone, ys)) for a in divisors))
         for cone, ys, w in zip(fan.max_cones, coords, weights)
     ]
 
@@ -287,23 +263,21 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
     return Fan(fan.rays + (new_ray,), tuple(cones)), new_idx
 
 
-def curve_degree(fan: Fan, wall: Wall, divisor: ToricDivisor) -> int | Fraction:
-    """Degree of a divisor on the invariant curve of a wall of the fan.
+def curve_degree(fan: Fan, wall: Wall, a: tuple[int, ...]) -> int:
+    """Degree of the divisor with coefficients a on the invariant curve of a
+    wall of the fan.
 
     With the wall relation u_a + u_b = sum_i c_i u_i over the wall's rays,
     the degree is a_a + a_b - sum_i c_i a_i for the support-function
-    convention <x, u_rho> >= -a_rho; an int when the coefficients are.
+    convention <x, u_rho> >= -a_rho.
     """
     ia, ib = wall.opposite
-    a = divisor.int_coeffs
     return a[ia] + a[ib] - sum(c * a[i] for c, i in zip(wall.relation, wall.rays))
 
 
-def nef_threshold(fan: Fan, pi_l: ToricDivisor, e_index: int) -> Fraction:
+def nef_threshold(fan: Fan, pi_l: tuple[int, ...], e_index: int) -> Fraction:
     """sup{ t >= 0 : pi*L - tE nef }, from per-wall affine bounds."""
-    e_div = ToricDivisor(
-        tuple(Fraction(int(i == e_index)) for i in range(len(fan.rays)))
-    )
+    e_div = tuple(int(i == e_index) for i in range(len(fan.rays)))
     bounds = []
     for wall in fan.walls:
         dl = curve_degree(fan, wall, pi_l)
@@ -464,15 +438,16 @@ class LatticePolytope:
         )
 
 
-def polytope_of(fan: Fan, divisor: ToricDivisor) -> LatticePolytope:
-    """Sections polytope {x : <x, u_rho> >= -a_rho for every ray}."""
-    if len(divisor.coeffs) != len(fan.rays):
+def polytope_of(fan: Fan, coefficients) -> LatticePolytope:
+    """Sections polytope {x : <x, u_rho> >= -a_rho for every ray}; the
+    offsets a_rho may be rational."""
+    if len(coefficients) != len(fan.rays):
         raise ToricError("divisor coefficient count does not match the fan")
     # a smooth complete fan makes the polytope bounded
     errors = check_fan(fan)
     if errors:
         raise ToricError(f"polytope of an invalid fan: {errors[0]}")
-    return LatticePolytope(list(zip(fan.rays, divisor.coeffs)))
+    return LatticePolytope(list(zip(fan.rays, coefficients)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +460,22 @@ class ToricModel:
 
     label: str
     fan: Fan
-    L: ToricDivisor
+    L: tuple[int, ...]
     sigma: tuple[int, ...]
-    H: ToricDivisor | None = None
+    H: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(sorted(set(self.sigma))))
-        if len(self.L.coeffs) != len(self.fan.rays):
-            raise ToricError("L coefficient count does not match the fan")
-        if self.H is not None and len(self.H.coeffs) != len(self.fan.rays):
-            raise ToricError("H coefficient count does not match the fan")
+        for name, divisor in (("L", self.L), ("H", self.H)):
+            if divisor is None:
+                continue
+            divisor = tuple(divisor)
+            object.__setattr__(self, name, divisor)
+            if len(divisor) != len(self.fan.rays):
+                raise ToricError(f"{name} coefficient count does not match the fan")
+            for i, a in enumerate(divisor):
+                if isinstance(a, bool) or not isinstance(a, int):
+                    raise ToricError(f"{name} coefficient {i} is {a}, not an integer")
         if not self.sigma:
             raise ToricError("sigma is empty")
         if not all(0 <= i < len(self.fan.rays) for i in self.sigma):
@@ -558,21 +539,13 @@ def parse_toric_model(doc: dict) -> ToricModel:
         model = ToricModel(
             label=str(doc["label"]),
             fan=fan,
-            L=ToricDivisor(int_list("L")),
+            L=int_list("L"),
             sigma=int_list("sigma"),
-            H=ToricDivisor(int_list("H")) if "H" in doc else None,
+            H=int_list("H") if "H" in doc else None,
         )
     except ToricError as exc:
         raise ModelError(str(exc)) from exc
     return model
-
-
-def _integral_coeffs(name: str, divisor: ToricDivisor) -> list[int]:
-    """The coefficients as ints; a toric document holds integers only."""
-    for i, c in enumerate(divisor.coeffs):
-        if c.denominator != 1:
-            raise ToricError(f"{name} coefficient {i} is {c}, not an integer")
-    return [c.numerator for c in divisor.coeffs]
 
 
 def serialize_toric_model(model: ToricModel) -> dict:
@@ -581,11 +554,11 @@ def serialize_toric_model(model: ToricModel) -> dict:
         "label": model.label,
         "rays": [list(r) for r in model.fan.rays],
         "max_cones": [list(c) for c in model.fan.max_cones],
-        "L": _integral_coeffs("L", model.L),
+        "L": list(model.L),
         "sigma": list(model.sigma),
     }
     if model.H is not None:
-        doc["H"] = _integral_coeffs("H", model.H)
+        doc["H"] = list(model.H)
     return doc
 
 
@@ -593,11 +566,10 @@ def _exceptional_setup(model: ToricModel):
     """Subdivided fan, exceptional ray index, and the pullback map."""
     fan1, e_idx = star_subdivide(model.fan, model.sigma)
 
-    def pullback(div: ToricDivisor) -> ToricDivisor:
+    def pullback(div: tuple) -> tuple:
         if fan1 is model.fan:
             return div
-        new_coeff = sum(div.coeffs[i] for i in model.sigma)
-        return ToricDivisor(div.coeffs + (new_coeff,))
+        return div + (sum(div[i] for i in model.sigma),)
 
     return fan1, e_idx, pullback
 
@@ -618,8 +590,8 @@ def export_table(model: ToricModel):
     pi_l = pullback(model.L)
     eps = nef_threshold(fan1, pi_l, e_idx)
     nrays = len(fan1.rays)
-    e_div = ToricDivisor(tuple(int(i == e_idx) for i in range(nrays)))
-    canonical = ToricDivisor((-1,) * nrays)
+    e_div = tuple(int(i == e_idx) for i in range(nrays))
+    canonical = (-1,) * nrays
     divisors = (pi_l, e_div, canonical)
     if model.H is not None:
         divisors += (pullback(model.H),)

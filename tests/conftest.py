@@ -11,7 +11,6 @@ from slopestab.models import MixedTable, parse_model
 from slopestab.slope import alpha_polys
 from slopestab.toric import (
     Fan,
-    ToricDivisor,
     ToricModel,
     _exceptional_setup,
     curve_degree,
@@ -47,7 +46,7 @@ EXTRA_TORIC = {
             + ((-1, -1, -1, -1),),
             tuple(combinations(range(5), 4)),
         ),
-        ToricDivisor((0, 0, 0, 0, 2)),
+        (0, 0, 0, 0, 2),
         (0, 1),
     ),
     "p1_cubed_point": ToricModel(
@@ -59,17 +58,17 @@ EXTRA_TORIC = {
                 for choice in product((True, False), repeat=3)
             ),
         ),
-        ToricDivisor((0, 0, 0, 1, 1, 1)),
+        (0, 0, 0, 1, 1, 1),
         (0, 1, 2),
     ),
     "blp3_014": ToricModel(
-        "Bl P3 2H-E sigma [0, 1, 4]", _P3_BLOWUP, ToricDivisor((0, 0, 0, 2, -1)), (0, 1, 4)
+        "Bl P3 2H-E sigma [0, 1, 4]", _P3_BLOWUP, (0, 0, 0, 2, -1), (0, 1, 4)
     ),
     # u_sigma = (0, -1): filtration levels fall along the last coordinate
     "p2_o2_point_02": ToricModel(
         "P2 O(2) point [0, 2]",
         Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
-        ToricDivisor((0, 0, 2)),
+        (0, 0, 2),
         (0, 2),
     ),
 }
@@ -93,14 +92,14 @@ def blown_up_projective_space():
             for _ in range(100):
                 sigma = rng.sample(rng.choice(fan.max_cones), rng.randint(2, n))
                 fan1, _ = star_subdivide(fan, sigma)
-                L = ToricDivisor(coeffs + (sum(coeffs[i] for i in sigma) - delta,))
+                L = coeffs + (sum(coeffs[i] for i in sigma) - delta,)
                 if all(curve_degree(fan1, wall, L) > 0 for wall in fan1.walls):
-                    fan, coeffs = fan1, L.coeffs
+                    fan, coeffs = fan1, L
                     break
             else:
                 raise RuntimeError(f"no ample subdivision of P{n} for delta {delta}")
         sigma = rng.choice(fan.max_cones)[:2]
-        return ToricModel(f"Bl P{n} seed {seed}", fan, ToricDivisor(coeffs), sigma)
+        return ToricModel(f"Bl P{n} seed {seed}", fan, coeffs, sigma)
 
     return build
 
@@ -135,12 +134,11 @@ def agrees_with_polytopes():
         fan1, e_idx, pullback = _exceptional_setup(model)
         divisor = pullback(model.L)
         if s:
-            divisor = divisor + s * pullback(model.H)
-        e_div = ToricDivisor(tuple(int(i == e_idx) for i in range(len(fan1.rays))))
+            divisor = tuple(a + s * h for a, h in zip(divisor, pullback(model.H)))
         n = model.fan.dim
         for i in range(n + 3):
             t = i * table.epsilon / (n + 2)
-            poly = polytope_of(fan1, divisor - t * e_div)
+            poly = polytope_of(fan1, tuple(a - t * (j == e_idx) for j, a in enumerate(divisor)))
             if poly.volume() != pair.alpha0(t):
                 return False
             if poly.boundary_lattice_volume() / 2 != pair.alpha1(t):

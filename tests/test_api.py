@@ -1,16 +1,21 @@
 """The names that code outside the package imports must keep resolving:
-the layers that bench/spans.py traces, and the README's Library example."""
+the layers that bench/spans.py traces, and the README's Library example.
+The traced path itself runs here too: installing and removing the tracer,
+and bench/run.py's box_points, which hands a model's L to the package."""
 
 import importlib
 import importlib.util
 import pathlib
 import re
+import sys
 
 import pytest
 
 import slopestab
+from slopestab.oracle import filtration_count
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TORIC_FIXTURES = ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef")
 
 
 def _load_spans():
@@ -21,6 +26,30 @@ def _load_spans():
 
 
 _SPANS = _load_spans()
+
+
+def _load_run():
+    """bench/run.py, which imports its sibling modules by name."""
+    bench = str(ROOT / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module("run")
+
+
+def _traced_bindings():
+    """(module, name) -> object, for every traced name in each slopestab
+    module (or class) that binds it."""
+    out = {}
+    for module, attr, _ in _SPANS.SPANS + _SPANS.COUNTED:
+        owner = importlib.import_module(module)
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            out[(module, attr)] = vars(getattr(owner, cls_name))[name]
+            continue
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "slopestab" and hasattr(mod, attr):
+                out[(key, attr)] = getattr(mod, attr)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -45,3 +74,31 @@ def test_readme_library_imports():
     assert names
     missing = [name for name in names if not hasattr(slopestab, name)]
     assert missing == []
+
+
+def test_tracer_uninstall_restores_every_traced_name():
+    before = _traced_bindings()
+    tracer = _SPANS.Tracer()
+    tracer.install()
+    try:
+        during = _traced_bindings()
+    finally:
+        tracer.uninstall()
+    wrapped = [(module, attr) for module, attr, _ in _SPANS.SPANS + _SPANS.COUNTED]
+    assert all(during[key] is not before[key] for key in wrapped)
+    after = _traced_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+
+
+@pytest.mark.parametrize("name", TORIC_FIXTURES)
+def test_box_points_on_toric_fixture(load_model, name):
+    model = load_model(name)
+    tracer = _SPANS.Tracer()
+    tracer.verified.append((model, (1, 2)))
+    points = _load_run().box_points(tracer)
+    # the bounding boxes of P_L and 2 P_L hold every lattice point of both
+    assert type(points) is int
+    assert points >= sum(filtration_count(model, m, 0) for m in (1, 2))
+    if name == "p2":  # the unit triangle: boxes of 2 x 2 and 3 x 3 points
+        assert points == 13

@@ -94,6 +94,20 @@ class TestAnalyze:
         assert err == (f"error: bad {flag} value {value!r}: rational literal too long: "
                        "a part of 5000 digits, limit 4300\n")
 
+    def test_overlong_output_rational_named(self, capsys, models_dir):
+        # c itself is at the digit limit; mu_c has parts past it
+        code, out, err = run(capsys, "analyze", str(models_dir / "t1.json"),
+                             "--c", "1/" + "1" * 4300)
+        assert code == 2 and out == ""
+        assert err == "error: rational too long to write: a part of more than 4300 digits\n"
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed JSON: maximum recursion depth exceeded")
+
     def test_unwritable_out_exits_2(self, capsys, models_dir, tmp_path):
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run(capsys, "scan", str(models_dir / "t1.json"), "--out", str(path))

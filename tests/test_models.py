@@ -8,6 +8,7 @@ from slopestab.models import (
     IntersectionTable,
     MixedTable,
     ModelError,
+    format_rational,
     parse_model,
     parse_rational,
     serialize_model,
@@ -45,6 +46,19 @@ class TestParseRational:
     def test_rejects(self, raw):
         with pytest.raises(ModelError):
             parse_rational(raw)
+
+
+class TestFormatRational:
+    def test_parts_at_digit_limit_written(self):
+        x = F(-(10**4300 - 1), 10**4300 - 3)
+        assert parse_rational(format_rational(x)) == x
+
+    @pytest.mark.parametrize("x", [F(10**4300), F(-(10**4300)), F(1, 10**4300)])
+    def test_overlong_part_refused(self, x):
+        # str() would raise Python's own digit-limit ValueError
+        with pytest.raises(ModelError) as excinfo:
+            format_rational(x)
+        assert str(excinfo.value) == "rational too long to write: a part of more than 4300 digits"
 
 
 class TestParseTable:
@@ -92,6 +106,21 @@ class TestParseTable:
         with pytest.raises(ModelError) as excinfo:
             parse_model(text)
         assert str(excinfo.value) == "malformed JSON: a number of more than 4300 digits"
+
+    def test_deeply_nested_json_rejected(self):
+        # json.loads raises RecursionError, a RuntimeError, here
+        with pytest.raises(ModelError) as excinfo:
+            parse_model("[" * 100000 + "]" * 100000)
+        assert str(excinfo.value).startswith("malformed JSON: maximum recursion depth exceeded")
+
+    def test_overlong_mix_key_rejected(self, load_model):
+        from slopestab.toric import export_table
+
+        doc = serialize_model(export_table(load_model("f1_bignef")))
+        doc["MIX"]["1" * 5000 + ",0,0"] = doc["MIX"].pop("2,0,0")
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(json.dumps(doc))
+        assert str(excinfo.value) == "MIX key too long: an index of 5000 digits, limit 4300"
 
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ModelError):

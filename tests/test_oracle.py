@@ -43,7 +43,7 @@ def box_levels(model, m):
         for pt in product(*ranges)
         if all(
             sum(x * u for x, u in zip(pt, ray)) >= -m * a
-            for ray, a in zip(model.fan.rays, model.L.coeffs)
+            for ray, a in zip(model.fan.rays, model.L)
         )
     ]
 
