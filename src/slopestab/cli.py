@@ -30,7 +30,6 @@ from .models import (
 )
 from .polynomials import DEFAULT_ISOLATION_WIDTH, UniPoly
 from .slope import (
-    PositivityError,
     alpha_polys,
     df_numerator,
     mu_c,
@@ -38,7 +37,7 @@ from .slope import (
     slope_mu,
     stability_scan,
 )
-from .toric import ToricError, ToricModel, export_table
+from .toric import ToricModel, export_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -158,7 +157,7 @@ def cmd_scan(args) -> int:
     table = _coerce_table(model)
     pair = alpha_polys(table)
     mu = slope_mu(pair)
-    q, _ = df_numerator(pair)
+    q = df_numerator(pair)
     rows = ["c,mu,mu_c,Q_sign"]
     for i in range(1, args.steps + 1):
         c = Fraction(i) * table.epsilon / args.steps
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
         if getattr(args, "eps", None) is not None:
             args.eps = _parse_rationals(args.eps, "--eps")
         return args.func(args)
-    except (ModelError, ToricError, PositivityError, CliError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as exc:

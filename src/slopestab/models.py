@@ -18,6 +18,8 @@ _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
 # sys.get_int_max_str_digits()); longer literals are refused here by name
 MAX_LITERAL_DIGITS = 4300
 _LITERAL_BOUND = 10**MAX_LITERAL_DIGITS  # the least int of more digits
+# a key longer than this is named in messages by its length, not echoed
+_MAX_ECHO = 64
 
 
 class ModelError(ValueError):
@@ -167,15 +169,31 @@ def _parse_rational_list(doc, key) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in v)
 
 
+def _show_key(raw: str) -> str:
+    return repr(raw) if len(raw) <= _MAX_ECHO else f"of {len(raw)} characters"
+
+
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook for json.loads: a repeated key is refused, not
+    overwritten by its last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ModelError(f"repeated key {_show_key(key)} in a JSON object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
     v = doc[key]
     if not isinstance(v, dict):
         raise ModelError(f"field {key!r} must be an object")
     out = {}
     for raw, val in v.items():
+        shown = _show_key(raw)
         parts = raw.split(",")
         if len(parts) != 3:
-            raise ModelError(f"{key} key {raw!r} is not of the form 'i,j,k'")
+            raise ModelError(f"{key} key {shown} is not of the form 'i,j,k'")
         longest = max(len(p.strip().lstrip("+-")) for p in parts)
         if longest > MAX_LITERAL_DIGITS:  # too long for int(): refused without echoing it
             raise ModelError(f"{key} key too long: an index of {longest} digits, "
@@ -183,9 +201,11 @@ def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
         try:
             idx = tuple(int(p) for p in parts)
         except ValueError as exc:
-            raise ModelError(f"{key} key {raw!r} is not integral") from exc
+            raise ModelError(f"{key} key {shown} is not integral") from exc
         if min(idx) < 0 or sum(idx) != degree:
-            raise ModelError(f"{key} key {raw!r} outside the degree-{degree} simplex")
+            raise ModelError(f"{key} key {shown} outside the degree-{degree} simplex")
+        if idx in out:
+            raise ModelError(f"{key} key {shown} repeats the index {','.join(map(str, idx))}")
         out[idx] = parse_rational(val)
     return out
 
@@ -200,7 +220,9 @@ def parse_model(data):
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
-            doc = json.loads(data)
+            doc = json.loads(data, object_pairs_hook=_unique_keys)
+        except ModelError:  # a repeated key, refused by _unique_keys
+            raise
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ModelError(f"malformed JSON: {exc}") from exc
         except ValueError as exc:  # only int() raises others: a number past its digit limit
@@ -227,26 +249,22 @@ def parse_model(data):
     raise ModelError(f"unknown model kind {kind!r}")
 
 
-def serialize_model(model) -> dict:
-    """Inverse of parse_model on table-like values (bit-exact rationals)."""
-    if isinstance(model, IntersectionTable):
-        doc = {
-            "kind": "mixed-table" if isinstance(model, MixedTable) else "table",
-            "label": model.label,
-            "n": model.n,
-            "AE": [format_rational(x) for x in model.ae],
-            "KAE": [format_rational(x) for x in model.kae],
-        }
-        if isinstance(model, MixedTable):
-            for key, entries in (("MIX", model.mixed), ("KMIX", model.kmixed)):
-                doc[key] = {
-                    ",".join(map(str, k)): format_rational(v) for k, v in sorted(entries.items())
-                }
-        doc["epsilon"] = format_rational(model.epsilon)
-        return doc
-    from .toric import serialize_toric_model
-
-    return serialize_toric_model(model)
+def serialize_model(table: IntersectionTable) -> dict:
+    """Inverse of parse_model on tables and mixed tables (bit-exact rationals)."""
+    doc = {
+        "kind": "mixed-table" if isinstance(table, MixedTable) else "table",
+        "label": table.label,
+        "n": table.n,
+        "AE": [format_rational(x) for x in table.ae],
+        "KAE": [format_rational(x) for x in table.kae],
+    }
+    if isinstance(table, MixedTable):
+        for key, entries in (("MIX", table.mixed), ("KMIX", table.kmixed)):
+            doc[key] = {
+                ",".join(map(str, k)): format_rational(v) for k, v in sorted(entries.items())
+            }
+    doc["epsilon"] = format_rational(table.epsilon)
+    return doc
 
 
 def validate(table) -> list[str]:

@@ -170,14 +170,6 @@ def _capped_sum(base, step, lo, hi, cap):
     return below * base + step * ((lo + k) * below // 2) + (hi - k) * cap
 
 
-def _count_at_least(base, step, lo, hi, j) -> int:
-    """Number of t = lo..hi with base + step * t >= j, step >= 0."""
-    if step == 0:
-        return hi - lo + 1 if base >= j else 0
-    first = max(lo, -((base - j) // step))
-    return max(0, hi - first + 1)
-
-
 def _sample(model: ToricModel, m: int, levels, cap: int) -> WeightSample:
     """h0(mL) and the weight total with levels capped at cap."""
     h0 = w = 0
@@ -185,28 +177,6 @@ def _sample(model: ToricModel, m: int, levels, cap: int) -> WeightSample:
         h0 += hi - lo + 1
         w += _capped_sum(base, step, lo, hi, cap)
     return WeightSample(m, h0, w)
-
-
-def filtration_count(model: ToricModel, m: int, j: int) -> int:
-    """h0 of sections vanishing to order >= j along Z: lattice points of
-    m*P_L at filtration level >= j."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return sum(_count_at_least(*s, j) for s in _slices(model, m, _levels(model, (m,))))
-
-
-def weight_total(model: ToricModel, c, m: int) -> int:
-    """Total weight sum over sections, each capped at level c*m."""
-    c = Fraction(c)
-    cm = c * m
-    if cm.denominator != 1:
-        raise ValueError(f"c*m = {cm} is not integral")
-    cm = int(cm)
-    if cm < 1:
-        raise ValueError("c*m must be at least 1")
-    return _sample(model, m, _levels(model, (m,)), cm).w
 
 
 def default_m_list(n: int, c) -> list[int]:
@@ -249,8 +219,7 @@ def verify_main_theorem(model: ToricModel, c, m_list=None) -> VerificationRecord
     if not 0 < c <= table.epsilon:
         raise ToricError(f"c={c} outside (0, {table.epsilon}]")
     pair = alpha_polys(table)
-    _, df_norm = df_numerator(pair)
-    predicted = df_norm(c)
+    predicted = df_numerator(pair)(c) / pair.alpha0(0)
     fit = fit_expansions(model, c, m_list)
 
     def sgn(x):

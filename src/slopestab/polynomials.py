@@ -1,8 +1,8 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Dense polynomials with Fraction coefficients (constant term first), exact
-interpolation and definite integration, and Sturm-sequence real-root
-isolation.  Everything here is pure and deterministic; no floats anywhere.
+interpolation and fitting, and Sturm-sequence real-root isolation.
+Everything here is pure and deterministic; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -123,12 +123,6 @@ class UniPoly:
 
     def antiderivative(self) -> "UniPoly":
         return UniPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-
-def integrate_definite(p: UniPoly, a, b) -> Fraction:
-    """Exact definite integral of p over [a, b]."""
-    f = p.antiderivative()
-    return f(b) - f(a)
 
 
 def interpolate(points: Sequence[tuple]) -> UniPoly:

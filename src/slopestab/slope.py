@@ -126,23 +126,20 @@ def mu_c(alpha: AlphaPair, c) -> Fraction:
     return alpha.numerator_integral(c) / alpha.alpha0_integral(c)
 
 
-def df_numerator(alpha: AlphaPair) -> tuple[UniPoly, UniPoly]:
-    """Q(c) = mu * int_0^c alpha0 - int_0^c (alpha1 + alpha0'/2), together
-    with the normalized invariant DF_norm(c) = Q(c) / alpha0(0).
+def df_numerator(alpha: AlphaPair) -> UniPoly:
+    """Q(c) = mu * int_0^c alpha0 - int_0^c (alpha1 + alpha0'/2).
 
     mu - mu_c equals Q(c) divided by the positive denominator int_0^c alpha0,
     so Q carries the full sign information.
     """
-    mu = slope_mu(alpha)
-    q = mu * alpha.alpha0_integral - alpha.numerator_integral
-    return q, q / alpha.alpha0(0)
+    return slope_mu(alpha) * alpha.alpha0_integral - alpha.numerator_integral
 
 
 def stability_scan(
     alpha: AlphaPair, width: Fraction = DEFAULT_ISOLATION_WIDTH
 ) -> SlopeReport:
     """Full sign analysis of Q on (0, epsilon] with exact interval endpoints."""
-    q, _ = df_numerator(alpha)
+    q = df_numerator(alpha)
     mu = slope_mu(alpha)
     eps = alpha.epsilon
     if q.is_zero:

@@ -263,7 +263,7 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
     return Fan(fan.rays + (new_ray,), tuple(cones)), new_idx
 
 
-def curve_degree(fan: Fan, wall: Wall, a: tuple[int, ...]) -> int:
+def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
     """Degree of the divisor with coefficients a on the invariant curve of a
     wall of the fan.
 
@@ -280,10 +280,10 @@ def nef_threshold(fan: Fan, pi_l: tuple[int, ...], e_index: int) -> Fraction:
     e_div = tuple(int(i == e_index) for i in range(len(fan.rays)))
     bounds = []
     for wall in fan.walls:
-        dl = curve_degree(fan, wall, pi_l)
+        dl = curve_degree(wall, pi_l)
         if dl < 0:
             raise ToricError(f"pi*L is not nef: degree {dl} on wall {wall.rays}")
-        de = curve_degree(fan, wall, e_div)
+        de = curve_degree(wall, e_div)
         if de > 0:
             bounds.append(Fraction(dl, de))
     if not bounds:
@@ -494,12 +494,12 @@ class ToricModel:
             return [str(exc)]
         l_nef = True
         for wall in walls:
-            deg = curve_degree(self.fan, wall, self.L)
+            deg = curve_degree(wall, self.L)
             if deg < 0:
                 l_nef = False
                 errors.append(f"L not nef: degree {deg} on wall {wall.rays}")
             if self.H is not None:
-                hdeg = curve_degree(self.fan, wall, self.H)
+                hdeg = curve_degree(wall, self.H)
                 if hdeg <= 0:
                     errors.append(f"H not ample: degree {hdeg} on wall {wall.rays}")
         # for nef L, L^n is n! times the volume of its sections polytope
@@ -546,20 +546,6 @@ def parse_toric_model(doc: dict) -> ToricModel:
     except ToricError as exc:
         raise ModelError(str(exc)) from exc
     return model
-
-
-def serialize_toric_model(model: ToricModel) -> dict:
-    doc = {
-        "kind": "toric",
-        "label": model.label,
-        "rays": [list(r) for r in model.fan.rays],
-        "max_cones": [list(c) for c in model.fan.max_cones],
-        "L": list(model.L),
-        "sigma": list(model.sigma),
-    }
-    if model.H is not None:
-        doc["H"] = list(model.H)
-    return doc
 
 
 def _exceptional_setup(model: ToricModel):

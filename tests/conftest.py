@@ -93,7 +93,7 @@ def blown_up_projective_space():
                 sigma = rng.sample(rng.choice(fan.max_cones), rng.randint(2, n))
                 fan1, _ = star_subdivide(fan, sigma)
                 L = coeffs + (sum(coeffs[i] for i in sigma) - delta,)
-                if all(curve_degree(fan1, wall, L) > 0 for wall in fan1.walls):
+                if all(curve_degree(wall, L) > 0 for wall in fan1.walls):
                     fan, coeffs = fan1, L
                     break
             else:

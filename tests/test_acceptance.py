@@ -12,7 +12,7 @@ import pytest
 
 from slopestab.models import IntersectionTable
 from slopestab.oracle import fit_expansions, verify_main_theorem
-from slopestab.polynomials import UniPoly, integrate_definite, isolate_roots
+from slopestab.polynomials import UniPoly, isolate_roots
 from slopestab.slope import alpha_polys, df_numerator, mu_c, slope_mu, stability_scan
 from slopestab.toric import export_table
 
@@ -66,8 +66,7 @@ def test_criterion_2_coefficient_identities(load_model, fits):
     ok = True
     for (name, c), fit in fits.items():
         pair = alpha_polys(export_table(load_model(name)))
-        b0 = integrate_definite(pair.alpha0, 0, c)
-        b1 = integrate_definite(pair.alpha1 + pair.alpha0.derivative() / 2, 0, c)
+        b0, b1 = pair.alpha0_integral(c), pair.numerator_integral(c)
         ok = ok and fit.b[0] == b0 and fit.b[1] == b1
     emit(2, ok, "b0 and b1 match the alpha integrals for every fixture/c pair")
 

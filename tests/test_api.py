@@ -1,8 +1,11 @@
 """The names that code outside the package imports must keep resolving:
 the layers that bench/spans.py traces, and the README's Library example.
 The traced path itself runs here too: installing and removing the tracer,
-and bench/run.py's box_points, which hands a model's L to the package."""
+and bench/run.py's box_points, which hands a model's L to the package.
+Conversely, every public function of the package has a caller outside the
+tests."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -12,7 +15,7 @@ import sys
 import pytest
 
 import slopestab
-from slopestab.oracle import filtration_count
+from slopestab import oracle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TORIC_FIXTURES = ("p2", "p2_o2", "p3", "f1_ample", "f1_bignef")
@@ -63,12 +66,54 @@ def test_traced_name_resolves(module, attr):
     assert callable(owner)
 
 
-def test_readme_library_imports():
+def _readme_library():
+    """The code block of the README's Library section."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    library = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    return readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def _referenced(tree):
+    """Every identifier a tree refers to: names, attributes, imported names,
+    and the dotted parts of string constants (bench/spans.py names its
+    targets as strings).  The name a def statement defines is not among them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that only the tests call is dead code: it is
+    # referenced elsewhere in the package, by the README's Library example,
+    # or by the benchmark (bench/spans.py traces it, bench/run.py imports it)
+    outside = set(_referenced(ast.parse(_readme_library())))
+    for name in ("spans.py", "run.py"):
+        outside.update(_referenced(ast.parse((ROOT / "bench" / name).read_text())))
+    statements = [
+        node
+        for path in sorted(pathlib.Path(slopestab.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    references = [(node, set(_referenced(node))) for node in statements]
+    unreferenced = [
+        node.name
+        for node in statements
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in names for other, names in references if other is not node)
+    ]
+    assert unreferenced == []
+
+
+def test_readme_library_imports():
     names = [
         name.strip()
-        for line in re.findall(r"^from slopestab import (.+)$", library, re.MULTILINE)
+        for line in re.findall(r"^from slopestab import (.+)$", _readme_library(), re.MULTILINE)
         for name in line.split(",")
     ]
     assert names
@@ -99,6 +144,7 @@ def test_box_points_on_toric_fixture(load_model, name):
     points = _load_run().box_points(tracer)
     # the bounding boxes of P_L and 2 P_L hold every lattice point of both
     assert type(points) is int
-    assert points >= sum(filtration_count(model, m, 0) for m in (1, 2))
+    assert points >= sum(oracle._sample(model, m, oracle._levels(model, (m,)), 0).h0
+                         for m in (1, 2))
     if name == "p2":  # the unit triangle: boxes of 2 x 2 and 3 x 3 points
         assert points == 13

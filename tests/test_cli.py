@@ -232,7 +232,9 @@ class TestVerify:
         # 15 rays in dimension 4, L = 2048 pi*O(1) - sum_j 2^(10-j) E_j
         model = blown_up_projective_space(4, 2**11, [2 ** (10 - j) for j in range(10)], 5)
         path = tmp_path / "large_fan.json"
-        path.write_text(json.dumps(toric.serialize_toric_model(model)))
+        doc = {"kind": "toric", "label": model.label, "rays": model.fan.rays,
+               "max_cones": model.fan.max_cones, "L": model.L, "sigma": model.sigma}
+        path.write_text(json.dumps(doc))
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", str(path), "--c", "1")
         assert time.perf_counter() - start < 2
@@ -311,6 +313,19 @@ class TestLimit:
         analyze = run(capsys, "analyze", str(path))
         limit = run(capsys, "limit", str(path), "--c", "1/2", "--eps", "1/10")
         assert analyze == limit == (2, "", "error: not big: top self-intersection -1 <= 0\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"1,1,0": "2"', '"1,1,0": "2", "+1,1,0": "999"', "MIX key '+1,1,0' repeats the index 1,1,0"),
+        ('"AE": [', '"AE": ["1", "0", "0"], "AE": [', "repeated key 'AE' in a JSON object"),
+    ], ids=["mix-index", "json-field"])
+    def test_repeated_key_exits_2(self, capsys, tmp_path, load_model, old, new, message):
+        # a repeated key used to be overwritten by its last value, silently
+        text = json.dumps(serialize_model(export_table(load_model("f1_bignef"))))
+        assert old in text
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(old, new, 1))
+        limit = run(capsys, "limit", str(path), "--c", "1/2", "--eps", "1/10")
+        assert limit == (2, "", f"error: {message}\n")
 
     def test_bad_eps_names_eps(self, capsys, models_dir):
         code, out, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),

@@ -15,7 +15,6 @@ from slopestab.models import (
     validate,
 )
 from slopestab.slope import PositivityError, alpha_polys
-from slopestab.toric import ToricModel
 
 
 def table_doc(**overrides):
@@ -122,6 +121,45 @@ class TestParseTable:
             parse_model(json.dumps(doc))
         assert str(excinfo.value) == "MIX key too long: an index of 5000 digits, limit 4300"
 
+    @pytest.mark.parametrize("key, message", [
+        ("9" * 64, f"MIX key {'9' * 64!r} is not of the form 'i,j,k'"),
+        ("9" * 65, "MIX key of 65 characters is not of the form 'i,j,k'"),
+        ("1" * 5000, "MIX key of 5000 characters is not of the form 'i,j,k'"),
+        ("1" * 4000 + ",0,0", "MIX key of 4004 characters outside the degree-2 simplex"),
+        ("x" * 100 + ",0,0", "MIX key of 104 characters is not integral"),
+    ], ids=["64-echoed", "65", "5000-no-commas", "4004-outside", "104-not-integral"])
+    def test_long_mix_key_named_by_length(self, load_model, key, message):
+        from slopestab.toric import export_table
+
+        doc = serialize_model(export_table(load_model("f1_bignef")))
+        doc["MIX"][key] = "1"
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(json.dumps(doc))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("key, shown", [
+        ("AE", "'AE'"), ("x" * 5000, "of 5000 characters"),
+    ], ids=["AE", "5000-chars"])
+    def test_repeated_json_key_rejected(self, key, shown):
+        text = json.dumps(table_doc())[:-1] + f', "{key}": [1, 0, -1], "{key}": 0}}'
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(text)
+        assert str(excinfo.value) == f"repeated key {shown} in a JSON object"
+
+    @pytest.mark.parametrize("name, key, index", [
+        ("MIX", "+1,1,0", "1,1,0"),
+        ("MIX", " 2, 0,0", "2,0,0"),
+        ("KMIX", "0,01,0", "0,1,0"),
+    ])
+    def test_keys_naming_one_index_rejected(self, load_model, name, key, index):
+        from slopestab.toric import export_table
+
+        doc = serialize_model(export_table(load_model("f1_bignef")))
+        doc[name][key] = "999"
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(json.dumps(doc))
+        assert str(excinfo.value) == f"{name} key {key!r} repeats the index {index}"
+
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ModelError):
             parse_model(json.dumps(table_doc(AE=[1, 0])))
@@ -153,12 +191,6 @@ class TestRoundTrip:
     def test_table(self):
         t = parse_model(json.dumps(table_doc(epsilon="7/3", AE=["1/2", 0, -1])))
         assert parse_model(serialize_model(t)) == t
-
-    def test_toric(self, load_model):
-        m = load_model("f1_bignef")
-        assert isinstance(m, ToricModel)
-        again = parse_model(serialize_model(m))
-        assert again == m
 
     def test_mixed(self, load_model):
         from slopestab.toric import export_table

@@ -11,12 +11,9 @@ from slopestab import oracle
 from slopestab.oracle import (
     _sigma_form,
     default_m_list,
-    filtration_count,
     fit_expansions,
     verify_main_theorem,
-    weight_total,
 )
-from slopestab.polynomials import integrate_definite
 from slopestab.slope import alpha_polys, slope_mu
 from slopestab.toric import ToricError, export_table, polytope_of
 
@@ -48,45 +45,46 @@ def box_levels(model, m):
     ]
 
 
+def sample(model, m, cap):
+    """The oracle's h0 and weight total of m * P_L with levels capped at cap."""
+    return oracle._sample(model, m, oracle._levels(model, (m,)), cap)
+
+
+def filtration_counts(model, m, top):
+    """Lattice points of m * P_L at level >= j, for j = 1..top: the steps
+    w(j) - w(j - 1) of the capped weight totals."""
+    w = [sample(model, m, cap).w for cap in range(top + 1)]
+    return [b - a for a, b in zip(w, w[1:])]
+
+
 def assert_counts_match(model):
-    """h0, every filtration count and the capped weights of the oracle's
-    nested ranges equal box_levels' at m = 1..4."""
+    """h0 and the weight totals of the oracle's nested ranges equal
+    box_levels' at m = 1..4 and at every cap 0..max + 1, so every filtration
+    count, a step between consecutive caps, does too."""
     ranges = oracle._levels(model, range(1, 5))
     for m in range(1, 5):
         levels = box_levels(model, m)
-        assert oracle._sample(model, m, ranges, 1).h0 == len(levels)
-        for j in range(int(max(levels)) + 2):
-            assert filtration_count(model, m, j) == sum(lv >= j for lv in levels)
-        for c in (F(1, 2), F(1)):
-            if (c * m).denominator == 1:
-                cap = int(c * m)
-                assert weight_total(model, c, m) == sum(min(lv, cap) for lv in levels)
+        for cap in range(max(levels) + 2):
+            s = oracle._sample(model, m, ranges, cap)
+            assert s.h0 == len(levels)
+            assert s.w == sum(min(lv, cap) for lv in levels)
 
 
 class TestFiltrationCount:
     def test_p2_counts(self, load_model):
         p2 = load_model("p2")
         # 2*P is the triangle with 6 lattice points, levels x + y
-        assert filtration_count(p2, 2, 0) == 6
-        assert filtration_count(p2, 2, 1) == 5
-        assert filtration_count(p2, 2, 5) == 0
+        assert sample(p2, 2, 0) == oracle.WeightSample(2, 6, 0)
+        assert filtration_counts(p2, 2, 5) == [5, 3, 0, 0, 0]
 
     def test_section_counts_are_ehrhart(self, load_model):
         p2 = load_model("p2")
         for m in range(1, 5):
-            assert filtration_count(p2, m, 0) == comb(m + 2, 2)
+            assert sample(p2, m, 1).h0 == comb(m + 2, 2)
 
     def test_monotone_in_j(self, load_model):
-        p2 = load_model("p2")
-        counts = [filtration_count(p2, 3, j) for j in range(5)]
+        counts = filtration_counts(load_model("p2"), 3, 5)
         assert counts == sorted(counts, reverse=True)
-
-    def test_bad_arguments(self, load_model):
-        p2 = load_model("p2")
-        with pytest.raises(ValueError):
-            filtration_count(p2, 0, 0)
-        with pytest.raises(ValueError):
-            filtration_count(p2, 1, -1)
 
 
 class TestAgainstBoxCounter:
@@ -116,23 +114,16 @@ class TestWeightTotal:
     def test_p2_values(self, load_model):
         p2 = load_model("p2")
         # levels on 2*P: 0, 1, 1, 2, 2, 2
-        assert weight_total(p2, 2, 2) == 8
-        assert weight_total(p2, F(1, 2), 2) == 5
-        assert weight_total(p2, 1, 1) == 2
+        assert sample(p2, 2, 4).w == 8
+        assert sample(p2, 2, 1).w == 5
+        assert sample(p2, 1, 1).w == 2
 
     def test_telescopes_filtration_counts(self, load_model):
+        # a cap far above the top level 3 of 3*P counts each level in full
         p2 = load_model("p2")
-        m, c = 3, 2
-        total = sum(filtration_count(p2, m, j) for j in range(1, c * m + 1))
-        assert weight_total(p2, c, m) == total
-
-    def test_non_integral_cap_rejected(self, load_model):
-        with pytest.raises(ValueError, match="not integral"):
-            weight_total(load_model("p2"), F(1, 2), 3)
-
-    def test_zero_cap_rejected(self, load_model):
-        with pytest.raises(ValueError, match="at least 1"):
-            weight_total(load_model("p2"), -1, 2)
+        levels = box_levels(p2, 3)
+        total = sum(sum(lv >= j for lv in levels) for j in range(1, 7))
+        assert sample(p2, 3, 6).w == total == sum(levels)
 
 
 class TestDefaultMList:
@@ -168,9 +159,8 @@ class TestFitExpansions:
             model = load_model(name)
             fit = fit_expansions(model, c)
             pair = alpha_polys(export_table(model))
-            assert fit.b[0] == integrate_definite(pair.alpha0, 0, c)
-            integrand = pair.alpha1 + pair.alpha0.derivative() / 2
-            assert fit.b[1] == integrate_definite(integrand, 0, c)
+            assert fit.b[0] == pair.alpha0_integral(c)
+            assert fit.b[1] == pair.numerator_integral(c)
             assert fit.a[0] == pair.alpha0(0) and fit.a[1] == pair.alpha1(0)
 
     def test_too_few_samples(self, load_model):

@@ -11,7 +11,6 @@ from slopestab.polynomials import (
     UniPoly,
     WitnessMismatch,
     fit_polynomial,
-    integrate_definite,
     interpolate,
     isolate_roots,
     rational_roots,
@@ -86,19 +85,25 @@ class TestArithmetic:
         assert p(F(1, 2)) == F(3, 4)
 
 
+def integrate(p, a, b):
+    f = p.antiderivative()
+    return f(b) - f(a)
+
+
 class TestIntegration:
     def test_monomial_antiderivatives(self):
-        assert integrate_definite(poly(1, 0, -1), 0, 1) == F(2, 3)
+        assert integrate(poly(1, 0, -1), 0, 1) == F(2, 3)
+        assert poly(1, 0, -1).antiderivative() == poly(0, 1, 0, F(-1, 3))
 
     def test_zero_polynomial(self):
-        assert integrate_definite(poly(), F(-3, 7), 5) == 0
+        assert integrate(poly(), F(-3, 7), 5) == 0
 
     def test_riemann_sum_oracle(self):
         # integrand (3 - 2t)/2 is decreasing on [0, 1/2]: lower/upper sums
         # bracket the exact value at every mesh refinement
         p = poly(F(3, 2), -1)
         a, b = F(0), F(1, 2)
-        exact = integrate_definite(p, a, b)
+        exact = integrate(p, a, b)
         for k in (4, 6, 8):
             n = 2**k
             h = (b - a) / n
@@ -112,8 +117,8 @@ class TestIntegration:
            pts=st.lists(small_fractions, min_size=3, max_size=3))
     def test_additivity(self, p, pts):
         a, b, c = sorted(pts)
-        total = integrate_definite(p, a, c)
-        assert total == integrate_definite(p, a, b) + integrate_definite(p, b, c)
+        total = integrate(p, a, c)
+        assert total == integrate(p, a, b) + integrate(p, b, c)
 
 
 def _truncated_simplex_volume(t):

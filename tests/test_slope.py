@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slopestab.models import IntersectionTable, MixedTable, ModelError
-from slopestab.polynomials import UniPoly, integrate_definite
+from slopestab.polynomials import UniPoly
 from slopestab.slope import (
     PositivityError,
     alpha_polys,
@@ -100,29 +100,30 @@ class TestMuC:
 
 class TestDfNumerator:
     def test_t1(self):
-        q, df_norm = df_numerator(alpha_polys(T1))
+        pair = alpha_polys(T1)
+        q = df_numerator(pair)
         assert q == UniPoly([0, 0, F(1, 2), F(-1, 2)])  # c^2 (1 - c)/2
-        assert df_norm == UniPoly([0, 0, 1, -1])
+        assert q / pair.alpha0(0) == UniPoly([0, 0, 1, -1])
 
     def test_t2(self):
-        q, _ = df_numerator(alpha_polys(T2))
+        q = df_numerator(alpha_polys(T2))
         assert q == UniPoly([0, 0, F(1, 2), F(-1, 4)])  # c^2 (2 - c)/4
 
     def test_t3(self):
-        q, _ = df_numerator(alpha_polys(T3))
+        q = df_numerator(alpha_polys(T3))
         assert q == UniPoly([0, F(1, 2), F(-1, 3), F(-5, 18)])
 
     def test_p3(self):
-        q, _ = df_numerator(alpha_polys(P3))
+        q = df_numerator(alpha_polys(P3))
         assert q == UniPoly([0, 0, 0, F(1, 4), F(-1, 4)])  # c^3 (1 - c)/4
 
     def test_sign_identity(self):
         # mu - mu_c = Q(c) / int_0^c alpha0, denominator positive
         for tab in (T1, T2, T3, P3):
             pair = alpha_polys(tab)
-            q, _ = df_numerator(pair)
+            q = df_numerator(pair)
             for c in (F(1, 3), F(1, 2), pair.epsilon):
-                den = integrate_definite(pair.alpha0, 0, c)
+                den = pair.alpha0.antiderivative()(c)
                 assert den > 0
                 assert slope_mu(pair) - mu_c(pair, c) == q(c) / den
 

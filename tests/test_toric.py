@@ -165,22 +165,22 @@ class TestCurveDegree:
         # O(1) as the single prime divisor of the ray (-1,-1)
         d = (0, 0, 1)
         for w in P2_FAN.walls:
-            assert curve_degree(P2_FAN, w, d) == 1
+            assert curve_degree(w, d) == 1
 
     def test_exceptional_self_intersection(self):
         e = (0, 0, 0, 1)
         w = wall_with_rays(F1_FAN, (3,))
-        assert curve_degree(F1_FAN, w, e) == -1
+        assert curve_degree(w, e) == -1
 
     def test_zero_divisor(self):
         z = (0, 0, 0, 0)
         for w in F1_FAN.walls:
-            assert curve_degree(F1_FAN, w, z) == 0
+            assert curve_degree(w, z) == 0
 
     def test_dimension_one(self):
         p1 = Fan(((1,), (-1,)), ((0,), (1,)))
         (wall,) = p1.walls
-        assert curve_degree(p1, wall, (2, 3)) == 5
+        assert curve_degree(wall, (2, 3)) == 5
         folded = Fan(((1,), (1,)), ((0,), (1,)))
         with pytest.raises(ToricError, match="^wall data inconsistent in dimension one$"):
             folded.walls
@@ -214,12 +214,12 @@ class TestNefThreshold:
         pi_l = (0, 0, 1, 0)
         eps = nef_threshold(fan, pi_l, e_idx)
         e = tuple(int(i == e_idx) for i in range(4))
-        at = [curve_degree(fan, w, pi_l) - eps * curve_degree(fan, w, e)
+        at = [curve_degree(w, pi_l) - eps * curve_degree(w, e)
               for w in fan.walls]
         assert min(at) == 0
         past = [
-            curve_degree(fan, w, pi_l)
-            - (eps + F(1, 1000)) * curve_degree(fan, w, e)
+            curve_degree(w, pi_l)
+            - (eps + F(1, 1000)) * curve_degree(w, e)
             for w in fan.walls
         ]
         assert min(past) < 0
@@ -469,7 +469,7 @@ class TestIntegerKernel:
                 assert list(ys) == gauss_jordan_solve(rows, c)
             for wall in fan.walls:
                 for d in divisors:
-                    assert curve_degree(fan, wall, d) == reference_curve_degree(fan, wall, d)
+                    assert curve_degree(wall, d) == reference_curve_degree(fan, wall, d)
         eps = export_table(model).epsilon
         for p in (
             polytope_of(model.fan, model.L),
