@@ -183,8 +183,7 @@ def cmd_verify(args) -> int:
         m_list = range(d, args.max_m + 1, d)
     lines = ["label c df_oracle df_predicted sign_match exact_match"]
     any_sign_fail = False
-    for c in args.c:
-        rec = oracle_mod.verify_main_theorem(model, c, m_list)
+    for rec in oracle_mod.verify(model, args.c, m_list):
         any_sign_fail = any_sign_fail or not rec.sign_match
         lines.append(
             f"{rec.label} {format_rational(rec.c)} "

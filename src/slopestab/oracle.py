@@ -2,21 +2,22 @@
 
 For a toric model, section counts h0(mL) and filtration weights w_m are
 counted slice by slice in nested integer ranges: Fourier-Motzkin
-elimination of the facet inequalities, once per count, bounds each
+elimination of the facet inequalities, once per verification, bounds each
 coordinate x_k by the ones before it, so a prefix outside the polytope's
 projection is never visited; the levels along each slice are summed in
-closed form.  The counts are fitted exactly to their asymptotic expansions,
-and the extracted invariant is compared against the slope engine's
-prediction.  Nothing here reuses the machinery of the table path.
-"""
+closed form.  Each m-sample is counted in one walk for every c that needs
+it, with one capped weight total per c.  The counts are fitted exactly to
+their asymptotic expansions, and the extracted invariant is compared against
+the slope engine's prediction.  Nothing here reuses the machinery of the
+table path."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd
-from operator import mul
+from operator import floordiv, mul
 
 from .polynomials import fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
@@ -68,18 +69,16 @@ def _sigma_form(model: ToricModel):
     return u_sigma, offset
 
 
-def _levels(model: ToricModel, ms):
-    """Rows bounding each coordinate x_k, once for all m-samples of a count;
-    None when m * P_L is empty for every m >= 1.
+def _levels(model: ToricModel):
+    """Rows bounding each coordinate x_k, for every m; None when m * P_L is
+    empty for every m >= 1.
 
     Each facet <x, u_rho> >= -m a_rho is an integer row (u_rho, a_rho) in
     (x, m).  Fourier-Motzkin elimination of x_n, ..., x_2 makes each derived
     row primitive, keeps it once, and drops one combined from more than t + 1
     facets after t eliminations (Chernikov's rule).
     Level k holds the rows with x_k != 0, as lowers and uppers
-    (r_1..r_{k-1}, |r_k|, r_m).  Before any slice is enumerated, a count is
-    refused that would visit more than _PREFIX_BUDGET prefixes
-    (x_1, ..., x_{n-1}): the range lengths of x_{n-1} summed over (x_1..x_{n-2}).
+    (r_1..r_{k-1}, |r_k|, r_m).
     """
     n = model.fan.dim
     rows = {  # row -> bit set of the facets it is combined from
@@ -110,15 +109,27 @@ def _levels(model: ToricModel, ms):
         if len(rows) > _ROW_LIMIT:
             raise ValueError(f"row limit exceeded eliminating x_{k + 1}: "
                              f"{len(rows)} rows, limit {_ROW_LIMIT}")
+    return levels
+
+
+def _check_budget(levels, ms, counts: dict) -> None:
+    """Refuse, before any slice is enumerated, a count that would visit more
+    than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over its m-samples ms.
+    counts keeps each m's prefix count for the next m-list; an m not in it
+    is counted only as far as the budget left."""
     total = 0
     for m in ms:
-        for prefix in _prefixes(levels[:-2], m):
-            lo, hi = _bounds(levels[-2], prefix, m) if n > 1 else (0, 0)
-            total += max(0, hi - lo + 1)
-            if total > _PREFIX_BUDGET:
-                raise ValueError(f"lattice-point budget exceeded at m={m}: more "
-                                 f"than {_PREFIX_BUDGET} prefixes to enumerate")
-    return levels
+        if m not in counts:
+            count = 0
+            for _, lo, hi in _walk(levels, m):
+                count += max(0, hi - lo + 1)
+                if total + count > _PREFIX_BUDGET:
+                    break
+            counts[m] = count
+        total += counts[m]
+        if total > _PREFIX_BUDGET:
+            raise ValueError(f"lattice-point budget exceeded at m={m}: more "
+                             f"than {_PREFIX_BUDGET} prefixes to enumerate")
 
 
 def _bounds(level, prefix, m: int) -> tuple[int, int]:
@@ -139,44 +150,81 @@ def _prefixes(levels, m: int, prefix=()):
         yield from _prefixes(levels[1:], m, prefix + (x,))
 
 
-def _slices(model: ToricModel, m: int, levels):
-    """Lattice points of m * P_L, one slice per integer prefix
-    (x_1, ..., x_{n-1}) of its projection.
+def _walk(levels, m: int):
+    """(prefix, lo, hi) for each integer prefix (x_1, ..., x_{n-2}) of
+    m * P_L's projection, with lo..hi the range of x_{n-1} after it; for
+    n = 1, the one range 0..0 of an absent x_0."""
+    if len(levels) == 1:
+        yield (), 0, 0
+        return
+    for prefix in _prefixes(levels[:-2], m):
+        yield prefix, *_bounds(levels[-2], prefix, m)
 
-    Yields (base, step, lo, hi) for each nonempty slice: its points have
-    filtration levels base + step * t for t = lo..hi, with step >= 0 (t is
-    x_n, or -x_n when u_sigma has a negative last coordinate).
+
+def _last_bounds(rows, prefix, m: int, x_lo: int, count: int, lower: bool):
+    """The bound on the last coordinate at x_{n-1} = x_lo, ..., x_lo + count - 1
+    after prefix (x_1, ..., x_{n-2}): the largest lower or the smallest upper
+    bound of rows, one per x_{n-1}.
+
+    A row's value is b + e * x_{n-1}, with b fixed by the prefix (e = 0 when
+    n = 1); its values step by e and are floor-divided by d in C.  A lower
+    bound -((b + e x) // d) is (d - 1 - b - e x) // d.
     """
-    u_sigma, offset = _sigma_form(model)
-    shift = m * offset
-    step = u_sigma[-1]
-    for prefix in _prefixes(levels[:-1], m) if levels else ():
-        lo, hi = _bounds(levels[-1], prefix, m)
-        if lo <= hi:
-            base = sum(map(mul, prefix, u_sigma)) + shift
-            if step < 0:
-                yield base, -step, -hi, -lo
-            else:
-                yield base, step, lo, hi
+    bounds = []
+    for r, d, c in rows:
+        b = sum(map(mul, prefix, r)) + c * m
+        e = r[-1] if len(r) > len(prefix) else 0
+        if lower:
+            b, e = d - 1 - b, -e
+        v = b + e * x_lo
+        bounds.append(map(floordiv, range(v, v + e * count, e), repeat(d)) if e
+                      else repeat(v // d, count))
+    if len(bounds) == 1:
+        return bounds[0]
+    return map(max if lower else min, *bounds)
 
 
-def _capped_sum(base, step, lo, hi, cap):
-    """Sum of min(base + step * t, cap) over t = lo..hi, step >= 0."""
-    if step == 0:
-        return (hi - lo + 1) * min(base, cap)
-    # levels at most cap are those with t <= k
-    k = min(hi, max(lo - 1, (cap - base) // step))
-    below = k - lo + 1
-    return below * base + step * ((lo + k) * below // 2) + (hi - k) * cap
+def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]:
+    """h0(mL) and the weight totals with levels capped at each of caps, one
+    WeightSample per cap, from one walk over the lattice points of m * P_L.
 
-
-def _sample(model: ToricModel, m: int, levels, cap: int) -> WeightSample:
-    """h0(mL) and the weight total with levels capped at cap."""
-    h0 = w = 0
-    for base, step, lo, hi in _slices(model, m, levels):
-        h0 += hi - lo + 1
-        w += _capped_sum(base, step, lo, hi, cap)
-    return WeightSample(m, h0, w)
+    The walk visits each prefix (x_1, ..., x_{n-2}) once, computes the
+    constant of every last-level row there, and steps x_{n-1} through its
+    range with no further dot product; the slice at x_{n-1} holds the points
+    t = lo..hi with filtration levels base + step * t, where t is x_n, or
+    -x_n when u_sigma has a negative last coordinate, so step >= 0.
+    """
+    h0, ws = 0, [0] * len(caps)
+    if levels is not None:
+        u_sigma, offset = _sigma_form(model)
+        lowers, uppers = levels[-1]
+        step = u_sigma[-1]
+        if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
+            step, lowers, uppers = -step, uppers, lowers
+        u_prev = u_sigma[-2] if len(levels) > 1 else 0
+        for p, x_lo, x_hi in _walk(levels, m):
+            count = x_hi - x_lo + 1
+            if count <= 0:
+                continue
+            base = sum(map(mul, p, u_sigma)) + m * offset + u_prev * x_lo
+            for lo, hi in zip(_last_bounds(lowers, p, m, x_lo, count, True),
+                              _last_bounds(uppers, p, m, x_lo, count, False)):
+                if lo <= hi:
+                    points = hi - lo + 1
+                    h0 += points
+                    for j, cap in enumerate(caps):
+                        # the levels at most cap are those with t <= k
+                        k = (cap - base) // step if step else hi if base <= cap else lo - 1
+                        if k >= hi:
+                            ws[j] += points * base + step * ((lo + hi) * points // 2)
+                        elif k < lo:
+                            ws[j] += points * cap
+                        else:
+                            below = k - lo + 1
+                            ws[j] += (below * base + step * ((lo + k) * below // 2)
+                                      + (hi - k) * cap)
+                base += u_prev
+    return tuple(WeightSample(m, h0, w) for w in ws)
 
 
 def default_m_list(n: int, c) -> list[int]:
@@ -185,55 +233,103 @@ def default_m_list(n: int, c) -> list[int]:
     return [d * i for i in range(1, n + 5)]
 
 
-def fit_expansions(model: ToricModel, c, m_list=None) -> ExpansionFit:
-    """Exact degree-n and degree-(n+1) fits of h0 and w with witness checks."""
-    c = Fraction(c)
-    n = model.fan.dim
-    if m_list is None:
-        m_list = default_m_list(n, c)
-    if len(m_list) < n + 4:
-        raise ValueError(f"need at least {n + 4} m-samples, got {len(m_list)}")
-    levels = _levels(model, m_list)
-    samples = []
-    for m in m_list:
-        cm = c * m
-        if cm.denominator != 1:
-            raise ValueError(f"m={m} does not make c*m integral")
-        samples.append(_sample(model, m, levels, int(cm)))
-    h_poly = fit_polynomial([(s.m, s.h0) for s in samples], n)
-    w_poly = fit_polynomial([(s.m, s.w) for s in samples], n + 1)
-    a = tuple(h_poly.coeff(n - i) for i in range(n + 1))
-    b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
-    df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
-    return ExpansionFit(a, b, df, tuple(samples))
+def fit_expansions(model: ToricModel, cs, m_list=None,
+                   check_c=None) -> tuple[ExpansionFit, ...]:
+    """Exact degree-n and degree-(n+1) fits of h0 and w with witness checks,
+    one per c of cs, in order.
 
-
-def verify_main_theorem(model: ToricModel, c, m_list=None) -> VerificationRecord:
-    """Compare the enumeration-based invariant against the slope engine.
-
-    sign_match is the literal content of the theorem; exact_match tracks the
-    fixed normalization Q(c) / alpha0(0).
+    Each c is checked in turn: check_c(c) first when given, then its sample
+    count, the elimination (once, at the first c), the prefix budget over its
+    own m-list and the integrality of c*m.  Only then is each distinct m of
+    the m-lists walked, once, with the caps c*m of every c whose list holds
+    it; h0 is fitted once per distinct m-list.
     """
-    c = Fraction(c)
+    n = model.fan.dim
+    plans, counts, levels = [], {}, None
+    by_m = {}  # m -> its distinct caps, as dict keys in order of first use
+    for c in map(Fraction, cs):
+        if check_c is not None:
+            check_c(c)
+        ms = default_m_list(n, c) if m_list is None else m_list
+        if len(ms) < n + 4:
+            raise ValueError(f"need at least {n + 4} m-samples, got {len(ms)}")
+        if not plans:
+            levels = _levels(model)
+        if levels is not None:
+            _check_budget(levels, ms, counts)
+        caps = []
+        for m in ms:
+            cap = c * m
+            if cap.denominator != 1:
+                raise ValueError(f"m={m} does not make c*m integral")
+            caps.append(cap.numerator)
+            by_m.setdefault(m, {})[cap.numerator] = None
+        plans.append((ms, caps))
+    samples = {  # m -> cap -> WeightSample
+        m: dict(zip(caps, _sample(model, m, levels, tuple(caps))))
+        for m, caps in by_m.items()
+    }
+    h_fits, fits = {}, []  # h_fits: m-list -> the coefficients a of its h0 fit
+    for ms, caps in plans:
+        own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
+        key = tuple(ms)
+        if key not in h_fits:
+            h_poly = fit_polynomial([(s.m, s.h0) for s in own], n)
+            h_fits[key] = tuple(h_poly.coeff(n - i) for i in range(n + 1))
+        a = h_fits[key]
+        w_poly = fit_polynomial([(s.m, s.w) for s in own], n + 1)
+        b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
+        df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
+        fits.append(ExpansionFit(a, b, df, own))
+    return tuple(fits)
+
+
+def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]:
+    """Compare the enumeration-based invariant against the slope engine, one
+    record per c of cs, in order.
+
+    The table, alpha polynomials, Q and the elimination are computed once,
+    and each m-sample is counted once for every c.  sign_match is the
+    literal content of the theorem; exact_match tracks the fixed
+    normalization Q(c) / alpha0(0).
+    """
+    cs = tuple(map(Fraction, cs))
     table = export_table(model)
-    if not 0 < c <= table.epsilon:
-        raise ToricError(f"c={c} outside (0, {table.epsilon}]")
-    pair = alpha_polys(table)
-    predicted = df_numerator(pair)(c) / pair.alpha0(0)
-    fit = fit_expansions(model, c, m_list)
+    pair = None
+
+    def check_c(c):  # range, then positivity (once), before c's own samples
+        nonlocal pair
+        if not 0 < c <= table.epsilon:
+            raise ToricError(f"c={c} outside (0, {table.epsilon}]")
+        if pair is None:
+            pair = alpha_polys(table)
+
+    fits = fit_expansions(model, cs, m_list, check_c)
+    if not fits:
+        return ()
+    q, mu = df_numerator(pair), slope_mu(pair)
 
     def sgn(x):
         return (x > 0) - (x < 0)
 
-    # cross-check the prediction path: Q/denominator must reproduce mu - mu_c
-    if sgn(predicted) != sgn(slope_mu(pair) - mu_c(pair, c)):
-        raise RuntimeError(f"sign of Q at c={c} disagrees with mu - mu_c")
-    return VerificationRecord(
-        label=model.label,
-        c=c,
-        df_oracle=fit.df,
-        df_predicted=predicted,
-        sign_match=sgn(fit.df) == sgn(predicted),
-        exact_match=fit.df == predicted,
-        samples=fit.samples,
-    )
+    records = []
+    for c, fit in zip(cs, fits):
+        predicted = q(c) / pair.alpha0(0)
+        # cross-check the prediction path: Q/denominator must reproduce mu - mu_c
+        if sgn(predicted) != sgn(mu - mu_c(pair, c)):
+            raise RuntimeError(f"sign of Q at c={c} disagrees with mu - mu_c")
+        records.append(VerificationRecord(
+            label=model.label,
+            c=c,
+            df_oracle=fit.df,
+            df_predicted=predicted,
+            sign_match=sgn(fit.df) == sgn(predicted),
+            exact_match=fit.df == predicted,
+            samples=fit.samples,
+        ))
+    return tuple(records)
+
+
+def verify_main_theorem(model: ToricModel, c, m_list=None) -> VerificationRecord:
+    """verify for the single value c."""
+    return verify(model, (c,), m_list)[0]

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -10,6 +11,16 @@ from slopestab import cli, oracle, toric
 from slopestab.models import parse_model, serialize_model
 from slopestab.oracle import VerificationRecord
 from slopestab.toric import export_table
+
+
+# P^1 with L = O(3), blown up at the point of ray 0
+P1_O3 = {"kind": "toric", "label": "P1 O(3) point", "rays": [[1], [-1]],
+         "max_cones": [[0], [1]], "L": [0, 3], "sigma": [0]}
+
+
+def toric_doc(model):
+    return {"kind": "toric", "label": model.label, "rays": model.fan.rays,
+            "max_cones": model.fan.max_cones, "L": model.L, "sigma": model.sigma}
 
 
 def run(capsys, *argv):
@@ -232,9 +243,7 @@ class TestVerify:
         # 15 rays in dimension 4, L = 2048 pi*O(1) - sum_j 2^(10-j) E_j
         model = blown_up_projective_space(4, 2**11, [2 ** (10 - j) for j in range(10)], 5)
         path = tmp_path / "large_fan.json"
-        doc = {"kind": "toric", "label": model.label, "rays": model.fan.rays,
-               "max_cones": model.fan.max_cones, "L": model.L, "sigma": model.sigma}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(toric_doc(model)))
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", str(path), "--c", "1")
         assert time.perf_counter() - start < 2
@@ -252,20 +261,132 @@ class TestVerify:
             label="fake", c=F(1, 2), df_oracle=F(-1), df_predicted=F(1),
             sign_match=False, exact_match=False, samples=(),
         )
-        monkeypatch.setattr(cli.oracle_mod, "verify_main_theorem",
-                            lambda model, c, m_list=None: fake)
+        monkeypatch.setattr(cli.oracle_mod, "verify",
+                            lambda model, cs, m_list=None: (fake,))
         code, out, _ = run(capsys, "verify", str(models_dir / "p2.json"),
                            "--c", "1/2")
         assert code == 3
         assert "False" in out
 
 
+class TestVerifyOneWalkPerOp:
+    """verify checks each c in turn, then counts each m-sample once for every c."""
+
+    @pytest.mark.parametrize("cs", ["1/2,2", "2,1/2"])
+    def test_out_of_range_c_named_in_either_order(self, capsys, models_dir, cs):
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", cs)
+        assert (code, out, err) == (2, "", "error: c=2 outside (0, 1]\n")
+
+    # p2 visits m + 1 prefixes at m: c = 1 takes m = 1..6 (27 prefixes in all),
+    # c = 1/2 takes m = 2, 4, ..., 12 (48), and both together 9 distinct m (60)
+    @pytest.mark.parametrize("budget, cs, m", [
+        (20, "1,1/2", 6), (20, "1/2,1", 8), (40, "1,1/2", 12), (40, "1/2,1", 12),
+    ])
+    def test_budget_refusal_names_the_failing_c_own_m(self, capsys, models_dir,
+                                                      monkeypatch, budget, cs, m):
+        monkeypatch.setattr(oracle, "_PREFIX_BUDGET", budget)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", cs)
+        assert (code, out) == (2, "")
+        assert err == (f"error: lattice-point budget exceeded at m={m}: more than "
+                       f"{budget} prefixes to enumerate\n")
+
+    def test_budget_is_per_c_not_per_op(self, capsys, models_dir, monkeypatch):
+        # each c's own m-list stays within 50 prefixes, their union does not
+        monkeypatch.setattr(oracle, "_PREFIX_BUDGET", 50)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1,1/2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "P2 O(1) point 1 0 0 True True",
+            "P2 O(1) point 1/2 1/8 1/8 True True",
+        ]
+
+    def count_work(self, monkeypatch):
+        calls = {"export_table": 0, "fit_polynomial": 0, "sample": []}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def sample(model, m, levels, caps):
+            calls["sample"].append((m, tuple(caps)))
+            return original_sample(model, m, levels, caps)
+
+        original_sample = oracle._sample
+        monkeypatch.setattr(oracle, "_sample", sample)
+        monkeypatch.setattr(oracle, "export_table", counted("export_table", oracle.export_table))
+        monkeypatch.setattr(oracle, "fit_polynomial",
+                            counted("fit_polynomial", oracle.fit_polynomial))
+        return calls
+
+    def test_shared_m_list_walked_once(self, capsys, models_dir, monkeypatch):
+        calls = self.count_work(monkeypatch)
+        code, _, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/3,2/3")
+        assert code == 0
+        # m = 3, 6, ..., 18 once each, with the caps m/3 and 2m/3
+        assert calls["sample"] == [(m, (m // 3, 2 * m // 3)) for m in range(3, 19, 3)]
+        # one table, one h0 fit for the shared m-list and one weight fit per c
+        assert (calls["export_table"], calls["fit_polynomial"]) == (1, 3)
+
+    def test_overlapping_m_lists_walk_each_m_once(self, capsys, models_dir, monkeypatch):
+        calls = self.count_work(monkeypatch)
+        code, _, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2,1")
+        assert code == 0
+        walked = dict(calls["sample"])
+        assert len(calls["sample"]) == len(walked) == 9
+        assert sorted(walked) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+        assert walked[4] == (2, 4) and walked[5] == (5,) and walked[8] == (4,)
+        assert (calls["export_table"], calls["fit_polynomial"]) == (1, 4)
+
+    def test_repeated_c_prints_two_lines(self, capsys, models_dir, monkeypatch):
+        calls = self.count_work(monkeypatch)
+        code, out, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2,1/2")
+        assert code == 0
+        assert out.splitlines()[1:] == ["P2 O(1) point 1/2 1/8 1/8 True True"] * 2
+        assert [caps for _, caps in calls["sample"]] == [(m // 2,) for m in range(2, 13, 2)]
+
+    @pytest.mark.parametrize("name", [
+        "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
+        "p4_o2_codim2", "p1_cubed_point", "blp3_014", "p2_o2_point_02",
+    ])
+    def test_many_c_is_the_single_c_runs_joined(self, capsys, tmp_path, models_dir,
+                                                load_model, name):
+        path = models_dir / f"{name}.json"
+        model = load_model(name)
+        if not path.exists():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(toric_doc(model)))
+        eps = export_table(model).epsilon
+        cs = [eps / 2, eps / 4, eps]
+        text = ",".join(str(c) for c in cs)
+        max_m = lcm(*(c.denominator for c in cs)) * (model.fan.dim + 5)
+        for extra in ([], ["--max-m", str(max_m)]):
+            code, out, err = run(capsys, "verify", str(path), "--c", text, *extra)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert len(lines) == 4
+            for c, line in zip(cs, lines[1:]):
+                assert run(capsys, "verify", str(path), "--c", str(c), *extra) == (
+                    0, f"{lines[0]}\n{line}\n", "")
+
+    def test_p1(self, capsys, tmp_path):
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps(P1_O3))
+        code, out, err = run(capsys, "verify", str(path), "--c", "1/2,1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "P1 O(3) point 1/2 5/72 5/72 True True",
+            "P1 O(3) point 1 1/9 1/9 True True",
+        ]
+
+
 class TestInternalFault:
     def test_runtime_error_exits_4(self, capsys, models_dir, monkeypatch):
-        def fail(model, c, m_list=None):
+        def fail(model, cs, m_list=None):
             raise RuntimeError("sign of Q at c=1/2 disagrees with mu - mu_c")
 
-        monkeypatch.setattr(cli.oracle_mod, "verify_main_theorem", fail)
+        monkeypatch.setattr(cli.oracle_mod, "verify", fail)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
                              "--c", "1/2")
         assert code == cli.EXIT_INTERNAL == 4 and out == ""

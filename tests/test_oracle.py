@@ -15,7 +15,7 @@ from slopestab.oracle import (
     verify_main_theorem,
 )
 from slopestab.slope import alpha_polys, slope_mu
-from slopestab.toric import ToricError, export_table, polytope_of
+from slopestab.toric import Fan, ToricError, ToricModel, export_table, polytope_of
 
 SRC = pathlib.Path(oracle.__file__).resolve().parent
 
@@ -24,6 +24,9 @@ REFERENCE_MODELS = (
     "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
     "p4_o2_codim2", "p1_cubed_point", "blp3_014", "p2_o2_point_02",
 )
+
+# P^1 with L = O(3), blown up at the point of ray 0
+P1_O3 = ToricModel("P1 O(3) point", Fan(((1,), (-1,)), ((0,), (1,))), (0, 3), (0,))
 
 
 def box_levels(model, m):
@@ -47,7 +50,13 @@ def box_levels(model, m):
 
 def sample(model, m, cap):
     """The oracle's h0 and weight total of m * P_L with levels capped at cap."""
-    return oracle._sample(model, m, oracle._levels(model, (m,)), cap)
+    return oracle._sample(model, m, oracle._levels(model), (cap,))[0]
+
+
+def fit_one(model, c, m_list=None):
+    """fit_expansions for the single value c."""
+    (fit,) = fit_expansions(model, [c], m_list)
+    return fit
 
 
 def filtration_counts(model, m, top):
@@ -60,14 +69,16 @@ def filtration_counts(model, m, top):
 def assert_counts_match(model):
     """h0 and the weight totals of the oracle's nested ranges equal
     box_levels' at m = 1..4 and at every cap 0..max + 1, so every filtration
-    count, a step between consecutive caps, does too."""
-    ranges = oracle._levels(model, range(1, 5))
+    count, a step between consecutive caps, does too.  The caps are counted
+    one per call, and all in one call, in descending order."""
+    ranges = oracle._levels(model)
     for m in range(1, 5):
         levels = box_levels(model, m)
-        for cap in range(max(levels) + 2):
-            s = oracle._sample(model, m, ranges, cap)
-            assert s.h0 == len(levels)
-            assert s.w == sum(min(lv, cap) for lv in levels)
+        caps = range(max(levels) + 1, -1, -1)
+        expected = [oracle.WeightSample(m, len(levels), sum(min(lv, cap) for lv in levels))
+                    for cap in caps]
+        assert list(oracle._sample(model, m, ranges, caps)) == expected
+        assert [oracle._sample(model, m, ranges, (cap,))[0] for cap in caps] == expected
 
 
 class TestFiltrationCount:
@@ -105,9 +116,13 @@ class TestAgainstBoxCounter:
         assert len(model.fan.rays) == n + 1 + len(deltas) and model.validate() == []
         assert_counts_match(model)
 
+    def test_p1_counts_match(self):
+        # n = 1: no prefix and no x_{n-1}, one slice per m
+        assert_counts_match(P1_O3)
+
     def test_point_budget(self, load_model):
         with pytest.raises(ValueError, match="budget exceeded at m="):
-            fit_expansions(load_model("p3"), 1, m_list=range(1, 10**6))
+            fit_one(load_model("p3"), 1, m_list=range(1, 10**6))
 
 
 class TestWeightTotal:
@@ -134,22 +149,22 @@ class TestDefaultMList:
 
 class TestFitExpansions:
     def test_p2_half(self, load_model):
-        fit = fit_expansions(load_model("p2"), F(1, 2))
+        fit = fit_one(load_model("p2"), F(1, 2))
         assert fit.a == (F(1, 2), F(3, 2), F(1))
         assert fit.b == (F(11, 48), F(5, 8), F(1, 3), F(0))
         assert fit.df == F(1, 8)
 
     def test_p2_o2_at_one(self, load_model):
-        fit = fit_expansions(load_model("p2_o2"), 1)
+        fit = fit_one(load_model("p2_o2"), 1)
         assert fit.a[0] == 2 and fit.a[1] == 3
         assert fit.b[0] == F(11, 6) and fit.b[1] == F(5, 2)
         assert fit.df == F(1, 8)
 
     def test_p2_at_threshold_is_critical(self, load_model):
-        assert fit_expansions(load_model("p2"), 1).df == 0
+        assert fit_one(load_model("p2"), 1).df == 0
 
     def test_p3_ehrhart_leading_terms(self, load_model):
-        fit = fit_expansions(load_model("p3"), 1)
+        fit = fit_one(load_model("p3"), 1)
         assert fit.a == (F(1, 6), F(1), F(11, 6), F(1))
 
     def test_leading_terms_integrate_alpha(self, load_model):
@@ -157,7 +172,7 @@ class TestFitExpansions:
         # over [0, c]; checked against the geometric path
         for name, c in (("p2", F(1, 2)), ("f1_ample", F(1, 2))):
             model = load_model(name)
-            fit = fit_expansions(model, c)
+            fit = fit_one(model, c)
             pair = alpha_polys(export_table(model))
             assert fit.b[0] == pair.alpha0_integral(c)
             assert fit.b[1] == pair.numerator_integral(c)
@@ -165,11 +180,11 @@ class TestFitExpansions:
 
     def test_too_few_samples(self, load_model):
         with pytest.raises(ValueError, match="at least"):
-            fit_expansions(load_model("p2"), 1, m_list=[1, 2, 3])
+            fit_one(load_model("p2"), 1, m_list=[1, 2, 3])
 
     def test_incompatible_m_list(self, load_model):
         with pytest.raises(ValueError, match="integral"):
-            fit_expansions(load_model("p2"), F(1, 2), m_list=[1, 2, 3, 4, 5, 6])
+            fit_one(load_model("p2"), F(1, 2), m_list=[1, 2, 3, 4, 5, 6])
 
 
 class TestVerifyMainTheorem:
@@ -207,6 +222,29 @@ class TestVerifyMainTheorem:
     def test_c_out_of_range(self, load_model):
         with pytest.raises(ToricError, match="outside"):
             verify_main_theorem(load_model("p2"), 2)
+
+
+class TestVerify:
+    def test_records_match_single_c_runs(self, load_model):
+        model = load_model("f1_ample")
+        cs = (F(1, 2), F(9, 10), F(1, 3), F(1, 2))
+        assert oracle.verify(model, cs) == tuple(verify_main_theorem(model, c) for c in cs)
+
+    def test_p1(self):
+        recs = oracle.verify(P1_O3, (F(1, 2), 1))
+        assert [(r.df_oracle, r.sign_match, r.exact_match) for r in recs] == [
+            (F(5, 72), True, True), (F(1, 9), True, True)]
+
+    # each c is checked in turn, range first: the first c to fail decides
+    @pytest.mark.parametrize("cs, m_list, error, message", [
+        ((F(1, 2), 2), range(1, 7), ValueError, "^m=1 does not make c\\*m integral$"),
+        ((2, F(1, 2)), range(1, 7), ToricError, "^c=2 outside"),
+        ((1, 2), (1, 2, 3), ValueError, "^need at least 6 m-samples, got 3$"),
+        ((2, 1), (1, 2, 3), ToricError, "^c=2 outside"),
+    ], ids=["integrality", "range-before-integrality", "count", "range-before-count"])
+    def test_first_failing_c_decides(self, load_model, cs, m_list, error, message):
+        with pytest.raises(error, match=message):
+            oracle.verify(load_model("p2"), cs, m_list)
 
 
 def test_no_assert_statements_in_package():
