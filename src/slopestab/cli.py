@@ -156,17 +156,15 @@ def cmd_scan(args) -> int:
     model = _load_model(args.model)
     table = _coerce_table(model)
     pair = alpha_polys(table)
-    mu = slope_mu(pair)
+    mu = format_rational(slope_mu(pair))
     q = df_numerator(pair)
+    eps = table.epsilon
     rows = ["c,mu,mu_c,Q_sign"]
     for i in range(1, args.steps + 1):
-        c = Fraction(i) * table.epsilon / args.steps
-        qc = q(c)
+        c = Fraction(i * eps.numerator, eps.denominator * args.steps)
+        qc, _ = q.at(c.numerator, c.denominator)  # over a positive denominator
         sign = "+" if qc > 0 else "-" if qc < 0 else "0"
-        rows.append(
-            f"{format_rational(c)},{format_rational(mu)},"
-            f"{format_rational(mu_c(pair, c))},{sign}"
-        )
+        rows.append(f"{format_rational(c)},{mu},{format_rational(mu_c(pair, c))},{sign}")
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

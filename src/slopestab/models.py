@@ -53,7 +53,8 @@ def parse_rational(value) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """The "p/q" text of x, or "p" when x is an integer; parse_rational
     reads it back."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if not -_LITERAL_BOUND < x.numerator < _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
         raise ModelError(f"rational too long to write: a part of more than "
                          f"{MAX_LITERAL_DIGITS} digits")

@@ -19,7 +19,7 @@ from itertools import product, repeat
 from math import gcd
 from operator import floordiv, mul
 
-from .polynomials import fit_polynomial
+from .polynomials import WitnessMismatch, fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
 from .toric import ToricError, ToricModel, export_table
 
@@ -242,7 +242,9 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     count, the elimination (once, at the first c), the prefix budget over its
     own m-list and the integrality of c*m.  Only then is each distinct m of
     the m-lists walked, once, with the caps c*m of every c whose list holds
-    it; h0 is fitted once per distinct m-list.
+    it; h0 is fitted once per distinct m-list.  A fit witness that
+    disagrees raises RuntimeError: the counts are polynomials in m, so it is
+    a fault of the oracle, not of the input.
     """
     n = model.fan.dim
     plans, counts, levels = [], {}, None
@@ -270,17 +272,20 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         for m, caps in by_m.items()
     }
     h_fits, fits = {}, []  # h_fits: m-list -> the coefficients a of its h0 fit
-    for ms, caps in plans:
-        own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
-        key = tuple(ms)
-        if key not in h_fits:
-            h_poly = fit_polynomial([(s.m, s.h0) for s in own], n)
-            h_fits[key] = tuple(h_poly.coeff(n - i) for i in range(n + 1))
-        a = h_fits[key]
-        w_poly = fit_polynomial([(s.m, s.w) for s in own], n + 1)
-        b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
-        df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
-        fits.append(ExpansionFit(a, b, df, own))
+    try:
+        for ms, caps in plans:
+            own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
+            key = tuple(ms)
+            if key not in h_fits:
+                h_poly = fit_polynomial([(s.m, s.h0) for s in own], n)
+                h_fits[key] = tuple(h_poly.coeff(n - i) for i in range(n + 1))
+            a = h_fits[key]
+            w_poly = fit_polynomial([(s.m, s.w) for s in own], n + 1)
+            b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
+            df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
+            fits.append(ExpansionFit(a, b, df, own))
+    except WitnessMismatch as exc:  # the counts are polynomials in m
+        raise RuntimeError(f"oracle counts are not polynomial in m: {exc}") from exc
     return tuple(fits)
 
 

@@ -1,13 +1,16 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Dense polynomials with Fraction coefficients (constant term first), exact
-interpolation and fitting, and Sturm-sequence real-root isolation.
-Everything here is pure and deterministic; no floats anywhere.
+interpolation and fitting, and Sturm-sequence real-root isolation.  Each
+polynomial keeps its integer form, integer coefficients over one common
+denominator, and evaluates by one integer Horner pass on it; Sturm counts
+and bisection run on integers too, over the dyadic grid
+lo + i (hi - lo) / 2^k of their window, and build a Fraction only for a
+result.  Everything here is pure and deterministic; no floats anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,15 +35,15 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _horner(coeffs, num: int, den: int) -> tuple[int, int]:
-    """(a, b) with a/b the polynomial with rational `coeffs` (constant term
-    first) at num/den, and b > 0 if den > 0.  Integer arithmetic with a
-    single reduction at the end is several times faster than Fractions."""
-    a, b = 0, 1
-    for c in reversed(coeffs):
-        d = c.denominator
-        a, b = a * num * d + c.numerator * b * den, b * den * d
-    return a, b
+def _horner(ints: Sequence[int], num: int, den: int) -> int:
+    """den^d * p(num/den) for the integer polynomial `ints` of degree d
+    (constant term first): for den > 0, an integer of the sign of
+    p(num/den)."""
+    acc, scale = 0, 1
+    for c in reversed(ints):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
 
 
 class UniPoly:
@@ -48,16 +51,28 @@ class UniPoly:
 
     Coefficients are stored constant-term first with trailing zeros trimmed;
     the zero polynomial has an empty coefficient tuple and degree -1.
+    Evaluation runs on the integer form, computed on first use and kept.
     Instances are immutable by convention and safe to share across threads.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_form")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._form = None
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(ints, den): den > 0 is the least common denominator of the
+        coefficients and coeffs[i] == ints[i] / den."""
+        if self._form is None:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            ints = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            self._form = ints, den
+        return self._form
 
     @property
     def degree(self) -> int:
@@ -70,9 +85,15 @@ class UniPoly:
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
+    def at(self, num: int, den: int) -> tuple[int, int]:
+        """(a, b) with a / b == self(num/den) and b > 0, for den > 0, unreduced."""
+        ints, d = self.integer_form
+        return _horner(ints, num, den), d * den ** max(len(ints) - 1, 0)
+
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        return Fraction(*_horner(self.coeffs, x.numerator, x.denominator))
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        return Fraction(*self.at(x.numerator, x.denominator))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
@@ -196,16 +217,9 @@ class IsolatingInterval:
         return f"({self.lo}, {self.hi}]"
 
 
-def _primitive(ints: list[int]) -> list[int]:
+def _primitive(ints: Sequence[int]) -> list[int]:
     g = gcd(*ints)
     return [c // g for c in ints]
-
-
-def _integer_form(p: UniPoly) -> list[int]:
-    """Coefficients of a positive integer multiple of p, so its signs are
-    those of p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -238,7 +252,7 @@ def sturm_sequence(ints: Sequence[int]) -> list[list[int]]:
     cost far less than remainders over Fractions.  The last entry is
     gcd(p, p') up to a factor.
     """
-    seq = [_primitive(list(ints))]
+    seq = [_primitive(ints)]
     nxt = _primitive([i * c for i, c in enumerate(seq[0])][1:])
     while nxt:
         seq.append(nxt)
@@ -246,18 +260,23 @@ def sturm_sequence(ints: Sequence[int]) -> list[list[int]]:
     return seq
 
 
-def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
-    """Sign changes of the Sturm sequence `seq` at x, zeros skipped."""
-    x = Fraction(x)
-    values = (_horner(q, x.numerator, x.denominator)[0] for q in seq)
-    signs = [s for s in map(_sign, values) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_variations(seq: Sequence[Sequence[int]], num: int, den: int) -> int:
+    """Sign changes of the Sturm sequence `seq` at num/den, for den > 0,
+    zeros skipped."""
+    changes, last = 0, 0
+    for q in seq:
+        s = _sign(_horner(q, num, den))
+        if s:
+            if s == -last:
+                changes += 1
+            last = s
+    return changes
 
 
 def _squarefree_sturm(p: UniPoly) -> list[list[int]]:
     """Sturm sequence of the square-free part p / gcd(p, p'), in integers;
     its first entry has the real roots of p, each once."""
-    seq = sturm_sequence(_integer_form(p))
+    seq = sturm_sequence(p.integer_form[0])
     if len(seq[-1]) > 1:
         q, r = _pseudo_divide(seq[0], seq[-1])
         if r:
@@ -266,29 +285,42 @@ def _squarefree_sturm(p: UniPoly) -> list[list[int]]:
     return seq
 
 
-def _bisect(count, lo: Fraction, hi: Fraction, width=None) -> list[tuple]:
+def _grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(base, step, den) such that the point lo + i (hi - lo) / 2^k of the
+    dyadic grid of (lo, hi] is ((base << k) + i step) / (den << k)."""
+    w = hi - lo
+    return (lo.numerator * w.denominator, w.numerator * lo.denominator,
+            lo.denominator * w.denominator)
+
+
+def _bisect(seq, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
+            width=None) -> list[tuple]:
     """Intervals (a, b] in (lo, hi], left to right, that each hold one root
-    and together hold every root in (lo, hi], split off at midpoints;
-    count(a) - count(b) is the number of roots in (a, b].  With a width, each
-    also has b - a <= width and lo < a < b < hi."""
+    and together hold every root in (lo, hi]; with a width, each also has
+    b - a <= width and lo < a < b < hi.
+
+    The count v(x) falls by one across each root to be isolated: it is
+    v_lo and v_hi at the ends and sign_variations(seq, x) inside.  Cells of
+    the dyadic grid of (lo, hi] are split at their midpoints and walked as
+    integer pairs (i, k); only a returned cell is made into Fractions.
+    """
+    base, step, den = _grid(lo, hi)
+    if width is not None:  # (hi - lo) / 2^k <= width, as need <= have << k
+        need, have = step * width.denominator, width.numerator * den
     out = []
-    stack = [(lo, hi, count(lo), count(hi))]
+    stack = [(0, 0, v_lo, v_hi)]  # cell i of level k, with its end counts
     while stack:
-        a, b, ca, cb = stack.pop()
-        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi)):
-            out.append((a, b))
-        elif ca > cb:
-            m = (a + b) / 2
-            cm = count(m)
-            stack.append((a, m, ca, cm))
-            stack.append((m, b, cm, cb))
+        i, k, va, vb = stack.pop()
+        if va - vb == 1 and (width is None or (need <= have << k and 0 < i < (1 << k) - 1)):
+            a = (base << k) + i * step
+            out.append((Fraction(a, den << k), Fraction(a + step, den << k)))
+        elif va > vb:
+            i, k = 2 * i + 1, k + 1
+            vm = sign_variations(seq, (base << k) + i * step, den << k)
+            stack.append((i - 1, k, va, vm))
+            stack.append((i, k, vm, vb))
     out.sort()
     return out
-
-
-def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
-    """Sign of the integer polynomial `ints` at num/den, for den > 0."""
-    return _sign(_horner(ints, num, den)[0])
 
 
 def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
@@ -301,20 +333,18 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
     below 1/(2 lead^2), so the closest rational with denominator <= lead to
     its midpoint is the root, if the root is rational.
     """
-    sign_b = _sign_at(ints, b.numerator, b.denominator)
+    sign_b = _sign(_horner(ints, b.numerator, b.denominator))
     if sign_b == 0:
         return b
     lead = abs(ints[-1])
-    w = b - a
-    # grid a + i*w/2^k, 0 <= i <= 2^k, with w/2^k < 1/(2 lead^2)
-    k = (2 * lead * lead * w.numerator // w.denominator).bit_length()
-    den = a.denominator * w.denominator << k
-    base = a.numerator * w.denominator << k
-    step = w.numerator * a.denominator
+    base, step, den = _grid(a, b)
+    # level k of the grid, with (b - a) / 2^k < 1/(2 lead^2)
+    k = (2 * lead * lead * step // den).bit_length()
+    base, den = base << k, den << k
     i, j = 0, 1 << k
     while j - i > 1:
         mid = (i + j) // 2
-        s = _sign_at(ints, base + mid * step, den)
+        s = _sign(_horner(ints, base + mid * step, den))
         if s == 0:
             return Fraction(base + mid * step, den)
         if s == sign_b:
@@ -323,7 +353,7 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
             i = mid
     left, right = Fraction(base + i * step, den), Fraction(base + j * step, den)
     r = ((left + right) / 2).limit_denominator(lead)
-    if left < r < right and _sign_at(ints, r.numerator, r.denominator) == 0:
+    if left < r < right and not _horner(ints, r.numerator, r.denominator):
         return r
     return None
 
@@ -331,10 +361,9 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
 def _exact_roots(seq: list[list[int]], lo: Fraction, hi: Fraction) -> list[Fraction]:
     """The rational roots in (lo, hi] of the first entry of the Sturm
     sequence `seq`, sorted."""
-    found = (
-        _root_in(seq[0], a, b)
-        for a, b in _bisect(lambda x: sign_variations(seq, x), lo, hi)
-    )
+    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
+    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
+    found = (_root_in(seq[0], a, b) for a, b in _bisect(seq, lo, hi, v_lo, v_hi))
     return [r for r in found if r is not None]
 
 
@@ -366,9 +395,11 @@ def isolate_roots(
     One Sturm sequence, of the square-free part of p, serves the whole
     call.  The rational roots are reported as degenerate intervals
     (lo == hi).  They cut the window into segments, and bisection of each
-    segment, counting only the roots strictly inside it, gives every other
-    root an interval (a, b] of width <= `width` whose ends are neither a
-    segment end nor a root.  Result is sorted left to right.
+    segment (a, b], counting only the roots strictly inside it, gives every
+    other root an interval of width <= `width` whose ends are neither a
+    segment end nor a root: the count is V(a) at a, V(b) plus 1 if b is an
+    exact root at b, and V(x) at each dyadic grid point in between, V being
+    the Sturm sign variations.  Result is sorted left to right.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -377,14 +408,12 @@ def isolate_roots(
         raise ValueError("empty interval")
     seq = _squarefree_sturm(p)
     exact = _exact_roots(seq, lo, hi)
-
-    def count(x):
-        # falls by one across each root that is not exact
-        return sign_variations(seq, x) + bisect_right(exact, x)
-
     out = [IsolatingInterval(r, r) for r in exact]
     ends = sorted({lo, hi, *exact})
     for a, b in zip(ends, ends[1:]):
-        out.extend(IsolatingInterval(x, y) for x, y in _bisect(count, a, b, width))
+        v_a = sign_variations(seq, a.numerator, a.denominator)
+        v_b = sign_variations(seq, b.numerator, b.denominator) + (b in exact)
+        cells = _bisect(seq, a, b, v_a, v_b, width)
+        out.extend(IsolatingInterval(x, y) for x, y in cells)
     out.sort(key=lambda iv: iv.lo)
     return out

@@ -119,11 +119,15 @@ def slope_mu(alpha: AlphaPair) -> Fraction:
 
 def mu_c(alpha: AlphaPair, c) -> Fraction:
     """The quotient slope: integral of (alpha1 + alpha0'/2) over [0, c]
-    divided by the integral of alpha0."""
-    c = Fraction(c)
+    divided by the integral of alpha0, as one quotient of integer Horner
+    values."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     if not 0 < c <= alpha.epsilon:
         raise ValueError(f"c={c} outside (0, {alpha.epsilon}]")
-    return alpha.numerator_integral(c) / alpha.alpha0_integral(c)
+    a, b = alpha.numerator_integral.at(c.numerator, c.denominator)
+    p, q = alpha.alpha0_integral.at(c.numerator, c.denominator)
+    return Fraction(a * q, b * p)
 
 
 def df_numerator(alpha: AlphaPair) -> UniPoly:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -391,6 +392,25 @@ class TestInternalFault:
                              "--c", "1/2")
         assert code == cli.EXIT_INTERNAL == 4 and out == ""
         assert err == "internal error: sign of Q at c=1/2 disagrees with mu - mu_c\n"
+
+    def test_forged_witness_exits_4(self, capsys, models_dir, load_model, monkeypatch):
+        # on a valid toric model the counts are polynomials in m, so a fit
+        # witness that disagrees is a fault of the oracle, not of the input
+        sample = oracle._sample
+
+        def forged(model, m, levels, caps):
+            out = sample(model, m, levels, caps)
+            return tuple(replace(s, h0=s.h0 + 1) for s in out) if m == 12 else out
+
+        monkeypatch.setattr(oracle, "_sample", forged)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
+                             "--c", "1/2")
+        p2 = load_model("p2")
+        h0 = sample(p2, 12, oracle._levels(p2), (0,))[0].h0
+        assert code == 4 and out == ""
+        assert err == ("internal error: oracle counts are not polynomial in m: "
+                       f"witness sample at x=12: fit predicts {h0}, "
+                       f"sample gives {h0 + 1}\n")
 
     def test_generic_direction_fault_exits_4(self, capsys, models_dir, monkeypatch):
         def fail(*args):

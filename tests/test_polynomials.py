@@ -1,13 +1,15 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from slopestab import polynomials
+from slopestab import cli, polynomials
 from slopestab.polynomials import (
     DEFAULT_ISOLATION_WIDTH,
+    IsolatingInterval,
     UniPoly,
     WitnessMismatch,
     fit_polynomial,
@@ -355,3 +357,164 @@ class TestIsolateRoots:
         for a, b in zip(grid, grid[1:]):
             if p(a) * p(b) < 0:
                 assert any(iv.lo <= b and a <= iv.hi for iv in ivs)
+
+
+# -- the Fraction kernel that the integer one replaced, kept as a reference --
+
+
+def fraction_horner(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ref_horner(coeffs, num, den):
+    a, b = 0, 1
+    for c in reversed(coeffs):
+        d = c.denominator
+        a, b = a * num * d + c.numerator * b * den, b * den * d
+    return a, b
+
+
+def ref_sign_variations(seq, x):
+    x = F(x)
+    values = (ref_horner(q, x.numerator, x.denominator)[0] for q in seq)
+    signs = [s for s in map(polynomials._sign, values) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def ref_bisect(count, lo, hi, width=None):
+    out = []
+    stack = [(lo, hi, count(lo), count(hi))]
+    while stack:
+        a, b, ca, cb = stack.pop()
+        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi)):
+            out.append((a, b))
+        elif ca > cb:
+            m = (a + b) / 2
+            cm = count(m)
+            stack.append((a, m, ca, cm))
+            stack.append((m, b, cm, cb))
+    out.sort()
+    return out
+
+
+def ref_isolate_roots(p, lo, hi, width):
+    lo, hi = F(lo), F(hi)
+    seq = polynomials._squarefree_sturm(p)
+    cells = ref_bisect(lambda x: ref_sign_variations(seq, x), lo, hi)
+    exact = [r for r in (polynomials._root_in(seq[0], a, b) for a, b in cells) if r is not None]
+
+    def count(x):
+        return ref_sign_variations(seq, x) + bisect_right(exact, x)
+
+    out = [IsolatingInterval(r, r) for r in exact]
+    ends = sorted({lo, hi, *exact})
+    for a, b in zip(ends, ends[1:]):
+        out.extend(IsolatingInterval(x, y) for x, y in ref_bisect(count, a, b, width))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+def random_case(rng):
+    """A polynomial with one or two planted rational roots (one in seven
+    with a denominator of 50-60 digits), sometimes repeated, sometimes an
+    irrational pair and sometimes a random quadratic factor, most roots in
+    (0, 3/2]; a window with a non-dyadic end, and a width 2^-1..2^-64."""
+    p = poly(rng.choice((1, -1, 2, -3, 7)))
+    for i in range(rng.randint(1, 2)):
+        if i == 0 and rng.random() < 1 / 7:
+            den = rng.randint(10**49, 10**60)
+        else:
+            den = rng.randint(1, 1000)
+        factor = poly(-rng.randint(-den // 2, 2 * den), den)
+        p = p * factor
+        if rng.random() < 0.25:
+            p = p * factor
+    if rng.random() < 0.6:  # a x^2 - b: irrational at +-sqrt(b/a) unless a square
+        p = p * poly(-rng.randint(1, 90), 0, rng.randint(1, 40))
+    if rng.random() < 0.2:
+        p = p * poly(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9))
+    lo, hi = rng.choice([
+        (0, F(2, 3)), (0, F(3, 2)), (F(-1, 3), F(5, 7)), (F(1, 7), F(4, 3)),
+        (F(-5, 2), F(10, 3)),
+    ])
+    return p, lo, hi, F(1, 2 ** rng.randint(1, 64))
+
+
+class TestIntegerKernel:
+    """The integer kernel against the Fraction kernel it replaced."""
+
+    def test_isolate_roots_matches_fraction_reference(self):
+        rng = random.Random(13)
+        for _ in range(2000):
+            p, lo, hi, width = random_case(rng)
+            assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
+
+    @pytest.mark.parametrize("p, lo, hi, width", [
+        (MIXED_REPEATED, 0, F(3, 2), F(1, 2**20)),
+        (MIXED_SQUARE_FREE, -1, 2, F(1, 64)),
+        (poly(-2, 0, 1) * poly(-577, 408) * poly(-99, 70), 1, 2, F(1, 2**40)),
+        (poly(-2, 0, 3) * poly(-2, 3), 0, F(2, 3), F(1, 2**64)),  # root at hi
+    ])
+    def test_pinned_cases_match_reference(self, p, lo, hi, width):
+        assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
+
+    def test_sign_variations_matches_reference(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            p, lo, hi, _ = random_case(rng)
+            if p.degree < 1:
+                continue
+            seq = polynomials._squarefree_sturm(p)
+            x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**rng.randint(1, 40)))
+            for num, den in ((x.numerator, x.denominator),
+                             (3 * x.numerator, 3 * x.denominator)):
+                assert polynomials.sign_variations(seq, num, den) == ref_sign_variations(seq, x)
+
+    def test_call_matches_fraction_horner(self):
+        rng = random.Random(15)
+        big = 10**55 + 9
+        points = [F(0), F(1), F(-1), F(7), F(-12), F(3, 4), F(-5, 9),
+                  F(1, big), F(-big + 2, big), F(big, 3)]
+        for _ in range(200):
+            p = UniPoly(
+                F(rng.randint(-10**rng.randint(1, 30), 10**20), rng.randint(1, 10**25))
+                for _ in range(rng.randint(0, 7))
+            )
+            for x in points:
+                assert p(x) == fraction_horner(p.coeffs, x)
+            ints, den = p.integer_form
+            assert den > 0 and [F(c, den) for c in ints] == list(p.coeffs)
+
+    def test_call_at_ints(self):
+        p = poly(F(1, 3), -2, F(5, 7))
+        for x in (0, 1, -1, 10**30, -(10**30)):
+            assert p(x) == fraction_horner(p.coeffs, F(x))
+        assert UniPoly()(F(2, 3)) == 0 and UniPoly().integer_form == ((), 1)
+
+    def test_fractions_passed_through(self):
+        c = F(2, 3)
+        assert UniPoly([c, 1]).coeffs[0] is c
+
+    @pytest.mark.parametrize("model, width, calls", [
+        ("t1", None, 8), ("t3", None, 28), ("t3", "2^-40", 48),
+    ])
+    def test_sign_variation_count_pinned(self, monkeypatch, capsys, models_dir,
+                                         model, width, calls):
+        # as many Sturm counts as the Fraction kernel made: same splits, same stops
+        seen = []
+        real = polynomials.sign_variations
+
+        def counted(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polynomials, "sign_variations", counted)
+        argv = ["analyze", str(models_dir / f"{model}.json")]
+        if width:
+            argv += ["--width", width]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(seen) == calls
