@@ -358,11 +358,11 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
     return None
 
 
-def _exact_roots(seq: list[list[int]], lo: Fraction, hi: Fraction) -> list[Fraction]:
+def _exact_roots(seq: list[list[int]], lo: Fraction, hi: Fraction,
+                 v_lo: int, v_hi: int) -> list[Fraction]:
     """The rational roots in (lo, hi] of the first entry of the Sturm
-    sequence `seq`, sorted."""
-    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
-    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
+    sequence `seq`, sorted; v_lo and v_hi are its sign variations at lo
+    and hi."""
     found = (_root_in(seq[0], a, b) for a, b in _bisect(seq, lo, hi, v_lo, v_hi))
     return [r for r in found if r is not None]
 
@@ -384,7 +384,9 @@ def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
         ints = seq[0]
         bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
         lo, hi = -bound, bound
-    return _exact_roots(seq, Fraction(lo), Fraction(hi))
+    lo, hi = Fraction(lo), Fraction(hi)
+    return _exact_roots(seq, lo, hi, sign_variations(seq, lo.numerator, lo.denominator),
+                        sign_variations(seq, hi.numerator, hi.denominator))
 
 
 def isolate_roots(
@@ -399,7 +401,9 @@ def isolate_roots(
     other root an interval of width <= `width` whose ends are neither a
     segment end nor a root: the count is V(a) at a, V(b) plus 1 if b is an
     exact root at b, and V(x) at each dyadic grid point in between, V being
-    the Sturm sign variations.  Result is sorted left to right.
+    the Sturm sign variations.  V is computed once per segment end: at lo
+    and hi for both the exact roots and the segments, and once at each
+    interior exact root.  Result is sorted left to right.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -407,13 +411,16 @@ def isolate_roots(
     if lo >= hi:
         raise ValueError("empty interval")
     seq = _squarefree_sturm(p)
-    exact = _exact_roots(seq, lo, hi)
+    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
+    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
+    exact = _exact_roots(seq, lo, hi, v_lo, v_hi)
     out = [IsolatingInterval(r, r) for r in exact]
-    ends = sorted({lo, hi, *exact})
-    for a, b in zip(ends, ends[1:]):
-        v_a = sign_variations(seq, a.numerator, a.denominator)
-        v_b = sign_variations(seq, b.numerator, b.denominator) + (b in exact)
-        cells = _bisect(seq, a, b, v_a, v_b, width)
-        out.extend(IsolatingInterval(x, y) for x, y in cells)
+    a, v_a = lo, v_lo
+    for b in exact:  # segments (a, b] ending at an exact root
+        v_b = v_hi if b == hi else sign_variations(seq, b.numerator, b.denominator)
+        out.extend(IsolatingInterval(x, y) for x, y in _bisect(seq, a, b, v_a, v_b + 1, width))
+        a, v_a = b, v_b
+    if a != hi:
+        out.extend(IsolatingInterval(x, y) for x, y in _bisect(seq, a, hi, v_a, v_hi, width))
     out.sort(key=lambda iv: iv.lo)
     return out

@@ -19,7 +19,9 @@ All linear algebra goes through one integer kernel, `_adjugate`
 of its maximal cones, so cone determinants, the cone coordinates of the
 generic direction and the wall relations behind curve degrees are integer
 matrix-vector products; polytope vertices take one adjugate per n-subset
-of facets.
+of facets.  A star subdivision inherits its (det, adj) from the parent fan:
+unchanged cones share the parent's, and each new cone's comes from its
+parent cone's by row operations, so Bareiss runs once per input cone.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import mul, sub
 
 from .models import IntersectionTable, MixedTable, ModelError
 
@@ -73,7 +76,7 @@ def _adjugate(rows) -> tuple[int, list[list[int]] | None]:
 def _apply(det: int, adj, v) -> list:
     """The solution x = adj v / det of A x = v for nonzero det: ints when
     |det| = 1 and v is integral, Fractions otherwise."""
-    xs = [sum(a * x for a, x in zip(row, v)) for row in adj]
+    xs = [sum(map(mul, row, v)) for row in adj]
     if det in (1, -1):
         return [det * x for x in xs]
     return [Fraction(x, det) for x in xs]
@@ -125,6 +128,17 @@ class Fan:
         return _generic_direction(self)
 
     @cached_property
+    def facets(self) -> tuple[tuple[tuple[int, ...], list[tuple[int, int]]], ...]:
+        """(facet, incidence) per codimension-one face of a maximal cone,
+        sorted: the face's ray indices, sorted, and one (cone index,
+        opposite ray) per maximal cone that has it."""
+        inc: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for ci, cone in enumerate(self.max_cones):
+            for i in cone:
+                inc.setdefault(tuple(sorted(set(cone) - {i})), []).append((ci, i))
+        return tuple(sorted(inc.items()))
+
+    @cached_property
     def walls(self) -> tuple[Wall, ...]:
         """The walls, each shared by exactly two maximal cones, with their
         relations.
@@ -134,7 +148,7 @@ class Fan:
         with c_i = x_i, exactly when x_a = -1.
         """
         out = []
-        for facet, inc in sorted(_facet_incidence(self).items()):
+        for facet, inc in self.facets:
             if len(inc) != 2:
                 raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
             (ca, ia), (_, ib) = inc
@@ -157,15 +171,6 @@ class Wall:
     relation: tuple[int | Fraction, ...]  # c_i per wall ray: u_a + u_b = sum_i c_i u_i
 
 
-def _facet_incidence(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-    inc: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for i in cone:
-            facet = tuple(sorted(set(cone) - {i}))
-            inc.setdefault(facet, []).append((ci, i))
-    return inc
-
-
 def check_fan(fan: Fan) -> list[str]:
     """Smoothness (unimodular cones), completeness (wall accounting) and,
     for smooth cones, covering: a generic direction lies in exactly one
@@ -176,7 +181,7 @@ def check_fan(fan: Fan) -> list[str]:
         if abs(det) != 1
     ]
     smooth = not errors
-    for facet, inc in sorted(_facet_incidence(fan).items()):
+    for facet, inc in fan.facets:
         if len(inc) != 2:
             errors.append(f"wall {facet} with {len(inc)} incident cone(s), expected 2")
     if smooth:
@@ -220,7 +225,7 @@ def _localize(fan: Fan, divisors) -> tuple[int, list[tuple[int, tuple]]]:
     weights = [prod(ys) for ys in coords]
     denom = lcm(*weights)
     return denom, [
-        (denom // w, tuple(sum(a[i] * y for i, y in zip(cone, ys)) for a in divisors))
+        (denom // w, tuple(sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors))
         for cone, ys, w in zip(fan.max_cones, coords, weights)
     ]
 
@@ -231,7 +236,7 @@ def _intersect(localized, exponents) -> Fraction:
     weight times the product of the divisor values, over the denominator."""
     denom, points = localized
     return Fraction(
-        sum(w * prod(v**e for v, e in zip(values, exponents)) for w, values in points),
+        sum(w * prod(map(pow, values, exponents)) for w, values in points),
         denom,
     )
 
@@ -242,25 +247,47 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
     Returns the refined fan and the index of the barycentric ray.  A single
     ray is the identity blow-up: the fan is returned unchanged and the ray
     itself plays the role of the exceptional divisor.
+
+    Each maximal cone tau containing sigma gives way to the cones tau_i,
+    i in sigma: tau in its order without i, then the new ray.  The new fan
+    inherits its (det, adj) from the parent's.  tau_i's matrix is M T P,
+    where T (det 1) adds the other rays of sigma to column i and P moves
+    that column, at position p, last.  So adj(tau_i) is adj(M) with row i
+    subtracted from the rows of the other rays of sigma and moved last, and
+    det and adj change sign when n - 1 - p is odd.  The other cones keep
+    the parent's objects.
     """
     sigma = tuple(sorted(set(sigma)))
     if not sigma:
         raise ToricError("sigma is empty")
-    containing = [c for c in fan.max_cones if set(sigma) <= set(c)]
-    if not containing:
+    if not any(set(sigma) <= set(c) for c in fan.max_cones):
         raise ToricError(f"sigma {sigma} is not a face of any maximal cone")
     if len(sigma) == 1:
         return fan, sigma[0]
     new_ray = tuple(sum(fan.rays[i][d] for i in sigma) for d in range(fan.dim))
     new_idx = len(fan.rays)
-    cones = []
-    for cone in fan.max_cones:
-        if set(sigma) <= set(cone):
-            for i in sigma:
-                cones.append(tuple(sorted((set(cone) - {i}) | {new_idx})))
-        else:
+    cones, adjugates = [], []
+    for cone, pair in zip(fan.max_cones, fan.adjugates):
+        if not set(sigma) <= set(cone):
             cones.append(cone)
-    return Fan(fan.rays + (new_ray,), tuple(cones)), new_idx
+            adjugates.append(pair)
+            continue
+        det, adj = pair
+        for i in sigma:
+            p = cone.index(i)
+            cones.append(cone[:p] + cone[p + 1:] + (new_idx,))
+            if adj is None:  # det 0, as is the new cone's
+                adjugates.append(pair)
+                continue
+            rows = [list(map(sub, row, adj[p])) if j in sigma else row
+                    for j, row in zip(cone, adj) if j != i] + [adj[p]]
+            if (fan.dim - 1 - p) % 2:
+                adjugates.append((-det, [[-x for x in row] for row in rows]))
+            else:
+                adjugates.append((det, rows))
+    fan1 = Fan(fan.rays + (new_ray,), tuple(cones))
+    fan1.__dict__["adjugates"] = tuple(adjugates)
+    return fan1, new_idx
 
 
 def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
@@ -272,7 +299,7 @@ def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
     convention <x, u_rho> >= -a_rho.
     """
     ia, ib = wall.opposite
-    return a[ia] + a[ib] - sum(c * a[i] for c, i in zip(wall.relation, wall.rays))
+    return a[ia] + a[ib] - sum(map(mul, wall.relation, map(a.__getitem__, wall.rays)))
 
 
 def nef_threshold(fan: Fan, pi_l: tuple[int, ...], e_index: int) -> Fraction:

@@ -499,11 +499,12 @@ class TestIntegerKernel:
         assert UniPoly([c, 1]).coeffs[0] is c
 
     @pytest.mark.parametrize("model, width, calls", [
-        ("t1", None, 8), ("t3", None, 28), ("t3", "2^-40", 48),
+        ("t1", None, 4), ("t3", None, 24), ("t3", "2^-40", 44),
     ])
     def test_sign_variation_count_pinned(self, monkeypatch, capsys, models_dir,
                                          model, width, calls):
-        # as many Sturm counts as the Fraction kernel made: same splits, same stops
+        # the Fraction kernel's splits and stops, with V computed once per
+        # segment end
         seen = []
         real = polynomials.sign_variations
 

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction as F
+from functools import cached_property
 from itertools import combinations, permutations
 from math import prod
 
 import pytest
 
+from slopestab import cli
 from slopestab import toric as toric_mod
 from slopestab.models import IntersectionTable, MixedTable
 from slopestab.polynomials import UniPoly
@@ -158,6 +161,65 @@ class TestStarSubdivide:
     def test_not_a_face(self):
         with pytest.raises(ToricError, match="not a face"):
             star_subdivide(F1_FAN, (2, 3))
+
+
+def assert_inherited_adjugates(fan, sigma):
+    """Subdivide fan at sigma: the derived (det, adj) of every cone must
+    equal Bareiss on its matrix, and the cones left alone must share the
+    parent's objects.  Returns the subdivided fan."""
+    fan1, new_idx = star_subdivide(fan, sigma)
+    if fan1 is fan:
+        return fan
+    bareiss = tuple(
+        _adjugate([[fan1.rays[i][d] for i in cone] for d in range(fan1.dim)])
+        for cone in fan1.max_cones
+    )
+    assert fan1.__dict__["adjugates"] == bareiss  # filled by star_subdivide
+    kept = [pair for cone, pair in zip(fan1.max_cones, fan1.adjugates) if new_idx not in cone]
+    parent = [pair for cone, pair in zip(fan.max_cones, fan.adjugates)
+              if not set(sigma) <= set(cone)]
+    assert len(kept) == len(parent) and all(a is b for a, b in zip(kept, parent))
+    return fan1
+
+
+class TestInheritedAdjugates:
+    """star_subdivide derives the new cones' (det, adj) from the parent's by
+    row operations; Bareiss on each new cone is the reference."""
+
+    def test_random_chains_on_projective_spaces(self):
+        rng = random.Random(14)
+        positions = set()
+        for chain in range(1000):
+            n = 2 + chain % 5
+            # each cone's rays in a random order, so that the replaced ray
+            # takes every position p of the sign rule
+            cones = [tuple(rng.sample(c, n)) for c in combinations(range(n + 1), n)]
+            fan = Fan(tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                      + ((-1,) * n,), tuple(cones))
+            for _ in range(rng.randint(1, 3)):
+                cone = rng.choice(fan.max_cones)
+                sigma = rng.sample(cone, rng.randint(1, n))
+                positions.update((n, cone.index(i)) for i in sigma)
+                fan = assert_inherited_adjugates(fan, sigma)
+        assert positions == {(n, p) for n in range(2, 7) for p in range(n)}
+
+    @pytest.mark.parametrize("sigma", [(0, 1), (1, 2), (0, 2)])
+    def test_weighted_projective_plane(self, sigma):
+        # P(1, 1, 2): u0 + u1 + 2 u2 = 0, and the cone (0, 1) has det 2
+        fan = Fan(((-1, -2), (1, 0), (0, 1)), ((0, 1), (1, 2), (2, 0)))
+        assert [det for det, _ in fan.adjugates] == [2, 1, 1]
+        fan1 = assert_inherited_adjugates(fan, sigma)
+        new_idx = len(fan1.rays) - 1
+        assert_inherited_adjugates(fan1, next(c for c in fan1.max_cones if new_idx in c))
+
+    def test_flat_cone(self):
+        # the cone (0, 1, 2) lies in a plane: det 0, and so do its subdivisions
+        rays = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (-1, -1, -1))
+        fan = Fan(rays, ((0, 1, 2), (1, 0, 3), (0, 3, 4)))
+        assert [det for det, _ in fan.adjugates] == [0, -1, 1]
+        fan1 = assert_inherited_adjugates(fan, (0, 1))
+        assert [adj for det, adj in fan1.adjugates if det == 0] == [None, None]
+        assert_inherited_adjugates(fan1, (0, 5))
 
 
 class TestCurveDegree:
@@ -338,6 +400,37 @@ class TestExportTable:
         export_table(load_model(name))
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("name, adjugates, fans", [
+        ("p2", 3, 2), ("p2_o2", 3, 2), ("p3", 4, 2), ("f1_ample", 4, 1), ("f1_bignef", 4, 1),
+        ("p4_o2_codim2", 5, 2), ("p1_cubed_point", 8, 2), ("blp3_014", 6, 2),
+        ("p2_o2_point_02", 3, 2),
+    ])
+    def test_bareiss_once_per_input_cone(self, load_model, monkeypatch, name, adjugates,
+                                         fans):
+        # Bareiss runs on the input fan's cones only, the subdivided fan
+        # inheriting them, and each fan builds its facet incidence once
+        m = load_model(name)
+        model = ToricModel(m.label, Fan(m.fan.rays, m.fan.max_cones), m.L, m.sigma, m.H)
+        bareiss, built = [], []
+
+        def counting_adjugate(rows):
+            bareiss.append(rows)
+            return _adjugate(rows)
+
+        facets = Fan.__dict__["facets"].func
+
+        def counting_facets(fan):
+            built.append(fan)
+            return facets(fan)
+
+        counted = cached_property(counting_facets)
+        counted.__set_name__(Fan, "facets")
+        monkeypatch.setattr(toric_mod, "_adjugate", counting_adjugate)
+        monkeypatch.setattr(Fan, "facets", counted)
+        export_table(model)
+        assert len(bareiss) == adjugates == len(model.fan.max_cones)
+        assert len(built) == len({id(fan) for fan in built}) == fans
+
     def test_blown_up_p3_at_point_on_e(self, load_model):
         t = export_table(load_model("blp3_014"))
         assert t.ae == (7, 0, 0, 1)
@@ -348,6 +441,79 @@ class TestExportTable:
         model = ToricModel("bad", P2_FAN, (0, 0, -1), (0, 1))
         with pytest.raises(ToricError, match="nef"):
             export_table(model)
+
+
+def relabel_rays(model, rng):
+    """The model with its rays renamed by a random permutation; cones keep
+    their ray order, so they are no longer sorted."""
+    perm = rng.sample(range(len(model.fan.rays)), len(model.fan.rays))
+
+    def move(a):
+        out = [None] * len(a)
+        for j, x in enumerate(a):
+            out[perm[j]] = x
+        return tuple(out)
+
+    fan = Fan(move(model.fan.rays), tuple(tuple(perm[j] for j in c) for c in model.fan.max_cones))
+    return ToricModel(model.label, fan, move(model.L), tuple(perm[j] for j in model.sigma),
+                      None if model.H is None else move(model.H))
+
+
+def reorder_cones(model, rng):
+    cones = rng.sample(model.fan.max_cones, len(model.fan.max_cones))
+    return ToricModel(model.label, Fan(model.fan.rays, tuple(cones)), model.L, model.sigma,
+                      model.H)
+
+
+def signed_permutation(model, rng):
+    """The model in coordinates changed by a signed permutation."""
+    n = model.fan.dim
+    perm, signs = rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)]
+    rays = tuple(tuple(signs[d] * ray[perm[d]] for d in range(n)) for ray in model.fan.rays)
+    return ToricModel(model.label, Fan(rays, model.fan.max_cones), model.L, model.sigma,
+                      model.H)
+
+
+class TestMetamorphic:
+    """Relabelling rays, reordering cones and changing coordinates by a
+    signed permutation describe the same variety, L, H and Z: the exported
+    table, as printed, must not change."""
+
+    @staticmethod
+    def export_stdout(capsys, tmp_path, model):
+        doc = {"kind": "toric", "label": model.label, "rays": model.fan.rays,
+               "max_cones": model.fan.max_cones, "L": model.L, "sigma": model.sigma}
+        if model.H is not None:
+            doc["H"] = model.H
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["export-table", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    def assert_invariant(self, capsys, tmp_path, model, seed):
+        rng = random.Random(seed)
+        expected = self.export_stdout(capsys, tmp_path, model)
+        for _ in range(3):
+            relabelled = relabel_rays(model, rng)
+            reordered = reorder_cones(model, rng)
+            moved = signed_permutation(model, rng)
+            combined = signed_permutation(reorder_cones(relabel_rays(model, rng), rng), rng)
+            for variant in (relabelled, reordered, moved, combined):
+                assert self.export_stdout(capsys, tmp_path, variant) == expected
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_reference_models(self, capsys, tmp_path, load_model, name):
+        self.assert_invariant(capsys, tmp_path, load_model(name), seed=name)
+
+    @pytest.mark.parametrize("n, d, deltas, seed", [
+        (3, 4, (1, 1, 1), 2), (4, 4, (2, 1, 1), 4), (5, 3, (1, 1), 6), (6, 3, (1,), 7),
+    ], ids=["P3-d4-3", "P4-d4-3", "P5-d3-2", "P6-d3-1"])
+    def test_blown_up_projective_spaces(self, capsys, tmp_path, blown_up_projective_space,
+                                        n, d, deltas, seed):
+        model = blown_up_projective_space(n, d, deltas, seed)
+        self.assert_invariant(capsys, tmp_path, model, seed)
 
 
 class TestTwoPathConsistency:
