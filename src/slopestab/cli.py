@@ -31,7 +31,6 @@ from .models import (
 from .polynomials import DEFAULT_ISOLATION_WIDTH, UniPoly
 from .slope import (
     alpha_polys,
-    df_numerator,
     mu_c,
     perturbation_limit,
     slope_mu,
@@ -90,16 +89,13 @@ def _load_model(path: str):
     return parse_model(data)
 
 
-def _validated(table):
+def _coerce_table(model) -> IntersectionTable:
+    """The validated table of any model kind; a toric model is exported first."""
+    table = export_table(model) if isinstance(model, ToricModel) else model
     errors = validate(table)
     if errors:
         raise ModelError("; ".join(errors))
     return table
-
-
-def _coerce_table(model) -> IntersectionTable:
-    """The validated table of any model kind; a toric model is exported first."""
-    return _validated(export_table(model) if isinstance(model, ToricModel) else model)
 
 
 def _poly_line(p: UniPoly) -> str:
@@ -156,15 +152,16 @@ def cmd_scan(args) -> int:
     model = _load_model(args.model)
     table = _coerce_table(model)
     pair = alpha_polys(table)
-    mu = format_rational(slope_mu(pair))
-    q = df_numerator(pair)
+    mu = slope_mu(pair)
+    mu_text = format_rational(mu)
     eps = table.epsilon
     rows = ["c,mu,mu_c,Q_sign"]
     for i in range(1, args.steps + 1):
         c = Fraction(i * eps.numerator, eps.denominator * args.steps)
-        qc, _ = q.at(c.numerator, c.denominator)  # over a positive denominator
-        sign = "+" if qc > 0 else "-" if qc < 0 else "0"
-        rows.append(f"{format_rational(c)},{mu},{format_rational(mu_c(pair, c))},{sign}")
+        # Q(c) = (mu - mu_c) * int_0^c alpha0, and the integral is positive
+        mc = mu_c(pair, c)
+        sign = "+" if mu > mc else "-" if mu < mc else "0"
+        rows.append(f"{format_rational(c)},{mu_text},{format_rational(mc)},{sign}")
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

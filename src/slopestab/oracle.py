@@ -19,7 +19,7 @@ from itertools import product, repeat
 from math import gcd
 from operator import floordiv, mul
 
-from .polynomials import WitnessMismatch, fit_polynomial
+from .polynomials import WitnessMismatch, _sign, fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
 from .toric import ToricError, ToricModel, export_table
 
@@ -70,8 +70,8 @@ def _sigma_form(model: ToricModel):
 
 
 def _levels(model: ToricModel):
-    """Rows bounding each coordinate x_k, for every m; None when m * P_L is
-    empty for every m >= 1.
+    """Rows bounding each coordinate x_k, for every m; ToricError when a
+    derived row shows m * P_L empty for every m >= 1.
 
     Each facet <x, u_rho> >= -m a_rho is an integer row (u_rho, a_rho) in
     (x, m).  Fourier-Motzkin elimination of x_n, ..., x_2 makes each derived
@@ -101,7 +101,7 @@ def _levels(model: ToricModel):
             g = gcd(*row[:-1])
             if not g:  # r_m m >= 0: for every m >= 1, or for none
                 if row[-1] < 0:
-                    return None
+                    raise ToricError("sections polytope is empty: L is not big")
                 continue
             row = tuple(x // gcd(g, row[-1]) for x in row)
             if row not in rows or h.bit_count() < rows[row].bit_count():
@@ -195,35 +195,34 @@ def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]
     -x_n when u_sigma has a negative last coordinate, so step >= 0.
     """
     h0, ws = 0, [0] * len(caps)
-    if levels is not None:
-        u_sigma, offset = _sigma_form(model)
-        lowers, uppers = levels[-1]
-        step = u_sigma[-1]
-        if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
-            step, lowers, uppers = -step, uppers, lowers
-        u_prev = u_sigma[-2] if len(levels) > 1 else 0
-        for p, x_lo, x_hi in _walk(levels, m):
-            count = x_hi - x_lo + 1
-            if count <= 0:
-                continue
-            base = sum(map(mul, p, u_sigma)) + m * offset + u_prev * x_lo
-            for lo, hi in zip(_last_bounds(lowers, p, m, x_lo, count, True),
-                              _last_bounds(uppers, p, m, x_lo, count, False)):
-                if lo <= hi:
-                    points = hi - lo + 1
-                    h0 += points
-                    for j, cap in enumerate(caps):
-                        # the levels at most cap are those with t <= k
-                        k = (cap - base) // step if step else hi if base <= cap else lo - 1
-                        if k >= hi:
-                            ws[j] += points * base + step * ((lo + hi) * points // 2)
-                        elif k < lo:
-                            ws[j] += points * cap
-                        else:
-                            below = k - lo + 1
-                            ws[j] += (below * base + step * ((lo + k) * below // 2)
-                                      + (hi - k) * cap)
-                base += u_prev
+    u_sigma, offset = _sigma_form(model)
+    lowers, uppers = levels[-1]
+    step = u_sigma[-1]
+    if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
+        step, lowers, uppers = -step, uppers, lowers
+    u_prev = u_sigma[-2] if len(levels) > 1 else 0
+    for p, x_lo, x_hi in _walk(levels, m):
+        count = x_hi - x_lo + 1
+        if count <= 0:
+            continue
+        base = sum(map(mul, p, u_sigma)) + m * offset + u_prev * x_lo
+        for lo, hi in zip(_last_bounds(lowers, p, m, x_lo, count, True),
+                          _last_bounds(uppers, p, m, x_lo, count, False)):
+            if lo <= hi:
+                points = hi - lo + 1
+                h0 += points
+                for j, cap in enumerate(caps):
+                    # the levels at most cap are those with t <= k
+                    k = (cap - base) // step if step else hi if base <= cap else lo - 1
+                    if k >= hi:
+                        ws[j] += points * base + step * ((lo + hi) * points // 2)
+                    elif k < lo:
+                        ws[j] += points * cap
+                    else:
+                        below = k - lo + 1
+                        ws[j] += (below * base + step * ((lo + k) * below // 2)
+                                  + (hi - k) * cap)
+            base += u_prev
     return tuple(WeightSample(m, h0, w) for w in ws)
 
 
@@ -244,7 +243,8 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     the m-lists walked, once, with the caps c*m of every c whose list holds
     it; h0 is fitted once per distinct m-list.  A fit witness that
     disagrees raises RuntimeError: the counts are polynomials in m, so it is
-    a fault of the oracle, not of the input.
+    a fault of the oracle, not of the input.  An L that is not big, so that
+    h0 has no m^n term, raises ToricError.
     """
     n = model.fan.dim
     plans, counts, levels = [], {}, None
@@ -257,8 +257,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
             raise ValueError(f"need at least {n + 4} m-samples, got {len(ms)}")
         if not plans:
             levels = _levels(model)
-        if levels is not None:
-            _check_budget(levels, ms, counts)
+        _check_budget(levels, ms, counts)
         caps = []
         for m in ms:
             cap = c * m
@@ -278,6 +277,8 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
             key = tuple(ms)
             if key not in h_fits:
                 h_poly = fit_polynomial([(s.m, s.h0) for s in own], n)
+                if h_poly.degree < n:  # a[0] = 0 would divide df by zero
+                    raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
                 h_fits[key] = tuple(h_poly.coeff(n - i) for i in range(n + 1))
             a = h_fits[key]
             w_poly = fit_polynomial([(s.m, s.w) for s in own], n + 1)
@@ -300,35 +301,26 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     """
     cs = tuple(map(Fraction, cs))
     table = export_table(model)
-    pair = None
+    pair = alpha_polys(table)
 
-    def check_c(c):  # range, then positivity (once), before c's own samples
-        nonlocal pair
+    def check_c(c):  # before c's own samples
         if not 0 < c <= table.epsilon:
             raise ToricError(f"c={c} outside (0, {table.epsilon}]")
-        if pair is None:
-            pair = alpha_polys(table)
 
     fits = fit_expansions(model, cs, m_list, check_c)
-    if not fits:
-        return ()
     q, mu = df_numerator(pair), slope_mu(pair)
-
-    def sgn(x):
-        return (x > 0) - (x < 0)
-
     records = []
     for c, fit in zip(cs, fits):
         predicted = q(c) / pair.alpha0(0)
         # cross-check the prediction path: Q/denominator must reproduce mu - mu_c
-        if sgn(predicted) != sgn(mu - mu_c(pair, c)):
+        if _sign(predicted) != _sign(mu - mu_c(pair, c)):
             raise RuntimeError(f"sign of Q at c={c} disagrees with mu - mu_c")
         records.append(VerificationRecord(
             label=model.label,
             c=c,
             df_oracle=fit.df,
             df_predicted=predicted,
-            sign_match=sgn(fit.df) == sgn(predicted),
+            sign_match=_sign(fit.df) == _sign(predicted),
             exact_match=fit.df == predicted,
             samples=fit.samples,
         ))

@@ -1,7 +1,7 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Dense polynomials with Fraction coefficients (constant term first), exact
-interpolation and fitting, and Sturm-sequence real-root isolation.  Each
+fits through sample points, and Sturm-sequence real-root isolation.  Each
 polynomial keeps its integer form, integer coefficients over one common
 denominator, and evaluates by one integer Horner pass on it; Sturm counts
 and bisection run on integers too, over the dyadic grid
@@ -16,19 +16,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .models import format_rational
+
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**20)
 
 
 class WitnessMismatch(ValueError):
     """Extra fit samples contradict the fitted polynomial (quasi-polynomial input)."""
-
-    def __init__(self, x, predicted, actual):
-        super().__init__(
-            f"witness sample at x={x}: fit predicts {predicted}, sample gives {actual}"
-        )
-        self.x = x
-        self.predicted = predicted
-        self.actual = actual
 
 
 def _sign(x) -> int:
@@ -146,52 +140,44 @@ class UniPoly:
         return UniPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
 
-def interpolate(points: Sequence[tuple]) -> UniPoly:
-    """Unique polynomial of degree < len(points) through all points.
-
-    Newton divided differences c_i over Fractions, then the Newton form
-    expanded by Horner, p <- p * (x - x_i) + c_i, in integers over one common
-    denominator.  Raises on duplicate abscissae.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissa in interpolation points")
-    # divided-difference table, in place
-    coef = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # p = sum_t acc[t] x^t / den, with x_i = num_i / xd
-    xd = lcm(*(x.denominator for x in xs))
-    den = lcm(*(c.denominator for c in coef))
-    acc = []
-    for x, c in zip(reversed(xs), reversed(coef)):
-        num = x.numerator * (xd // x.denominator)
-        acc = [xd * a - num * b for a, b in zip([0, *acc], [*acc, 0])]
-        den *= xd
-        acc[0] += c.numerator * (den // c.denominator)
-    return UniPoly(Fraction(a, den) for a in acc)
-
-
 def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
     """Exact degree-`degree` fit through the first degree+1 samples.
 
-    Remaining samples act as verification witnesses; any mismatch raises
-    WitnessMismatch (the signature of quasi-polynomial input data).
+    Newton divided differences c_i over Fractions, then the Newton form
+    expanded by Horner, p <- p * (x - x_i) + c_i, in integers over one common
+    denominator.  Remaining samples act as verification witnesses; any
+    mismatch raises WitnessMismatch (the signature of quasi-polynomial input
+    data).  Raises ValueError on duplicate abscissae.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if len(samples) < degree + 1:
         raise ValueError(f"need at least {degree + 1} samples, got {len(samples)}")
     xs = [Fraction(x) for x, _ in samples]
+    ys = [Fraction(y) for _, y in samples]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissa in samples")
-    poly = interpolate(samples[: degree + 1])
-    for x, y in samples[degree + 1 :]:
+    nodes = xs[: degree + 1]
+    # divided-difference table, in place
+    coef = ys[: degree + 1]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
+    # p = sum_t acc[t] x^t / den, with x_i = num_i / xd
+    xd = lcm(*(x.denominator for x in nodes))
+    den = lcm(*(c.denominator for c in coef))
+    acc = []
+    for x, c in zip(reversed(nodes), reversed(coef)):
+        num = x.numerator * (xd // x.denominator)
+        acc = [xd * a - num * b for a, b in zip([0, *acc], [*acc, 0])]
+        den *= xd
+        acc[0] += c.numerator * (den // c.denominator)
+    poly = UniPoly(Fraction(a, den) for a in acc)
+    for x, y in zip(xs[degree + 1 :], ys[degree + 1 :]):
         predicted = poly(x)
-        if predicted != Fraction(y):
-            raise WitnessMismatch(Fraction(x), predicted, Fraction(y))
+        if predicted != y:
+            raise WitnessMismatch(
+                f"witness sample at x={x}: fit predicts {predicted}, sample gives {y}")
     return poly
 
 
@@ -213,8 +199,8 @@ class IsolatingInterval:
 
     def __str__(self):
         if self.is_exact:
-            return str(self.lo)
-        return f"({self.lo}, {self.hi}]"
+            return format_rational(self.lo)
+        return f"({format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
 def _primitive(ints: Sequence[int]) -> list[int]:

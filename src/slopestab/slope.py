@@ -32,7 +32,6 @@ class AlphaPair:
 
     alpha0: UniPoly
     alpha1: UniPoly
-    n: int
     epsilon: Fraction
 
     # computed once per pair (a frozen dataclass may still fill its __dict__)
@@ -109,7 +108,7 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
             raise PositivityError(
                 f"alpha0 vanishes inside [0, {table.epsilon}): offending interval {iv}"
             )
-    return AlphaPair(alpha0, alpha1, n, table.epsilon)
+    return AlphaPair(alpha0, alpha1, table.epsilon)
 
 
 def slope_mu(alpha: AlphaPair) -> Fraction:
@@ -179,9 +178,7 @@ def perturbation_limit(
     """
     c = Fraction(c)
     values = []
-    for s in eps_list:
-        pair = alpha_polys(mixed.specialize(s))
+    for table in [*map(mixed.specialize, eps_list), mixed]:
+        pair = alpha_polys(table)
         values.append(slope_mu(pair) - mu_c(pair, c))
-    pair = alpha_polys(mixed)
-    limit = slope_mu(pair) - mu_c(pair, c)
-    return values, limit
+    return values[:-1], values[-1]

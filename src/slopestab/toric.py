@@ -33,7 +33,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-from .models import IntersectionTable, MixedTable, ModelError
+from .models import IntersectionTable, MixedTable, ModelError, _require_keys
 
 
 class ToricError(ValueError):
@@ -536,39 +536,28 @@ class ToricModel:
 
 
 def parse_toric_model(doc: dict) -> ToricModel:
-    from .models import _require_keys  # shared strict-schema helper
-
     _require_keys(doc, {"kind", "label", "rays", "max_cones", "L", "sigma"}, {"H"})
 
-    def int_vectors(key):
-        v = doc[key]
-        if not isinstance(v, list):
-            raise ModelError(f"field {key!r} must be a list")
-        out = []
-        for row in v:
-            if not isinstance(row, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in row
-            ):
-                raise ModelError(f"field {key!r} must hold integer vectors")
-            out.append(tuple(row))
-        return tuple(out)
-
-    def int_list(key):
-        v = doc[key]
+    def int_list(key, v, shape="be a list of integers"):
         if not isinstance(v, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in v
         ):
-            raise ModelError(f"field {key!r} must be a list of integers")
+            raise ModelError(f"field {key!r} must {shape}")
         return tuple(v)
+
+    def int_vectors(key):
+        if not isinstance(doc[key], list):
+            raise ModelError(f"field {key!r} must be a list")
+        return tuple(int_list(key, row, "hold integer vectors") for row in doc[key])
 
     try:
         fan = Fan(int_vectors("rays"), int_vectors("max_cones"))
         model = ToricModel(
             label=str(doc["label"]),
             fan=fan,
-            L=int_list("L"),
-            sigma=int_list("sigma"),
-            H=int_list("H") if "H" in doc else None,
+            L=int_list("L", doc["L"]),
+            sigma=int_list("sigma", doc["sigma"]),
+            H=int_list("H", doc["H"]) if "H" in doc else None,
         )
     except ToricError as exc:
         raise ModelError(str(exc)) from exc

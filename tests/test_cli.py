@@ -19,6 +19,16 @@ P1_O3 = {"kind": "toric", "label": "P1 O(3) point", "rays": [[1], [-1]],
          "max_cones": [[0], [1]], "L": [0, 3], "sigma": [0]}
 
 
+# n = 1 with Q identically zero
+TABLE_DOC = {"kind": "table", "label": "x", "n": 1, "AE": [1, 0], "KAE": [-2], "epsilon": 1}
+P2_DOC = {"kind": "toric", "label": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
+          "max_cones": [[0, 1], [1, 2], [0, 2]], "L": [0, 0, 1], "sigma": [0, 1]}
+
+
+def _doc(base, **fields):
+    return {**base, **fields}
+
+
 def toric_doc(model):
     return {"kind": "toric", "label": model.label, "rays": model.fan.rays,
             "max_cones": model.fan.max_cones, "L": model.L, "sigma": model.sigma}
@@ -112,6 +122,35 @@ class TestAnalyze:
                              "--c", "1/" + "1" * 4300)
         assert code == 2 and out == ""
         assert err == "error: rational too long to write: a part of more than 4300 digits\n"
+
+    def test_overlong_interval_end_named(self, capsys, tmp_path, models_dir):
+        # epsilon's parts are at the digit limit; the dyadic interval ends of
+        # (0, epsilon] have denominators past it
+        q = 10**4299 + 7
+        doc = json.loads((models_dir / "t3.json").read_text())
+        doc["epsilon"] = f"{q - 1}/{q}"
+        path = tmp_path / "t3_long_eps.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "analyze", str(path)) == (
+            2, "", "error: rational too long to write: a part of more than 4300 digits\n")
+
+    def test_flat_table(self, capsys, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(TABLE_DOC))
+        code, out, err = run(capsys, "analyze", str(path), "--c", "1/2")
+        assert (code, err) == (0, "")
+        assert out.endswith("Q: 0\ndestabilizing: flat (Q identically zero)\n"
+                            "c: 1/2\nmu_c: 1\nverdict: flat\n")
+
+    def test_adjacent_isolating_intervals(self, capsys, tmp_path):
+        # Q = t^2 ((t - 1/2)^2 - 1/1000) is negative between its two roots
+        # near 1/2, whose isolating intervals meet there
+        path = tmp_path / "adjacent.json"
+        path.write_text(json.dumps(_doc(TABLE_DOC, n=4, AE=[24, 0, 0, 0, 0],
+                                        KAE=[-12, "-249/125", -12, -48])))
+        code, out, err = run(capsys, "analyze", str(path), "--width", "1/16")
+        assert (code, err) == (0, "")
+        assert out.endswith("destabilizing: ((7/16, 1/2], (1/2, 9/16])\n")
 
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nested.json"
@@ -513,6 +552,50 @@ class TestExportTable:
         code, out, err = run(capsys, "export-table", str(path))
         assert code == 2 and out == ""
         assert "lies in 3 maximal cones" in err
+
+
+class TestRefusedDocuments:
+    # one document per input check of models and toric, each named on stderr
+    @pytest.mark.parametrize("doc, message", [
+        (_doc(TABLE_DOC, n=0, AE=[1], KAE=[]), "dimension must be positive, got 0"),
+        (_doc(TABLE_DOC, KAE=[]), "KAE must have 1 entries, got 0"),
+        (_doc(TABLE_DOC, n="1"), "field 'n' must be an integer"),
+        (_doc(TABLE_DOC, AE="1"), "field 'AE' must be a list"),
+        (_doc(TABLE_DOC, kind="mixed-table", MIX=[], KMIX={}), "field 'MIX' must be an object"),
+        ([], "model document must be a JSON object"),
+        (_doc(TABLE_DOC, kind="cubic"), "unknown model kind 'cubic'"),
+        (_doc(P2_DOC, rays="x"), "field 'rays' must be a list"),
+        (_doc(P2_DOC, rays=[[1, 0], [0, "1"], [-1, -1]]), "field 'rays' must hold integer vectors"),
+        (_doc(P2_DOC, max_cones=[[0, 1], 2, [0, 2]]),
+         "field 'max_cones' must hold integer vectors"),
+        (_doc(P2_DOC, L=[0, 0, True]), "field 'L' must be a list of integers"),
+        (_doc(P2_DOC, rays=[]), "fan has no rays"),
+        (_doc(P2_DOC, rays=[[1, 0], [0, 1], [-1]]), "rays of mixed dimension"),
+        (_doc(P2_DOC, rays=[[1, 0], [0, 0], [-1, -1]]), "zero ray"),
+        (_doc(P2_DOC, max_cones=[[0, 1], [1], [0, 2]]), "maximal cone (1,) does not have 2 rays"),
+        (_doc(P2_DOC, max_cones=[[0, 1], [1, 3], [0, 2]]), "cone (1, 3) references missing ray"),
+        (_doc(P2_DOC, L=[0, 1]), "L coefficient count does not match the fan"),
+        (_doc(P2_DOC, sigma=[]), "sigma is empty"),
+        (_doc(P2_DOC, sigma=[0, 3]), "sigma references a missing ray"),
+        (_doc(P2_DOC, sigma=[0, 1, 2]), "sigma (0, 1, 2) is not a face of any cone"),
+    ])
+    def test_exits_2_naming_the_check(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "analyze", str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["export-table"], ["verify", "--c", "1/2"]])
+    def test_zero_nef_threshold_exits_2(self, capsys, tmp_path, models_dir, argv):
+        # a torus-fixed point of E0 on F1, with L pulled back from P2: L has
+        # degree 0 on the strict transform of E0, which E meets, so pi*L - tE
+        # is nef for no t > 0
+        doc = json.loads((models_dir / "f1_bignef.json").read_text())
+        del doc["H"]
+        doc["sigma"] = [0, 3]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (
+            2, "", "error: nef threshold is zero: center not permissible\n")
 
 
 class TestDeterminism:

@@ -27,6 +27,8 @@ REFERENCE_MODELS = (
 
 # P^1 with L = O(3), blown up at the point of ray 0
 P1_O3 = ToricModel("P1 O(3) point", Fan(((1,), (-1,)), ((0,), (1,))), (0, 3), (0,))
+P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+P1_SQUARED_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
 def box_levels(model, m):
@@ -185,6 +187,17 @@ class TestFitExpansions:
     def test_incompatible_m_list(self, load_model):
         with pytest.raises(ValueError, match="integral"):
             fit_one(load_model("p2"), F(1, 2), m_list=[1, 2, 3, 4, 5, 6])
+
+    # L not big: m * P_L is a point or empty, so h0(mL) has no m^n term
+    @pytest.mark.parametrize("fan, L, message", [
+        (P2_FAN, (0, 0, 0), "^h0\\(mL\\) has no m\\^2 term: L is not big$"),
+        (P2_FAN, (0, 0, -1), "^h0\\(mL\\) has no m\\^2 term: L is not big$"),
+        # eliminating y leaves the row -m >= 0
+        (P1_SQUARED_FAN, (0, 0, 0, -1), "^sections polytope is empty: L is not big$"),
+    ], ids=["p2-point", "p2-empty", "p1xp1-empty"])
+    def test_not_big_l_refused(self, fan, L, message):
+        with pytest.raises(ToricError, match=message):
+            fit_one(ToricModel("not big", fan, L, (0, 1)), F(1, 2))
 
 
 class TestVerifyMainTheorem:

@@ -13,7 +13,6 @@ from slopestab.polynomials import (
     UniPoly,
     WitnessMismatch,
     fit_polynomial,
-    interpolate,
     isolate_roots,
     rational_roots,
     sturm_sequence,
@@ -156,19 +155,19 @@ def lagrange_coeffs(points):
 
 class TestInterpolation:
     def test_symmetric_quadratic(self):
-        assert interpolate([(0, 1), (1, 0), (-1, 0)]) == poly(1, 0, -1)
+        assert fit_polynomial([(0, 1), (1, 0), (-1, 0)], 2) == poly(1, 0, -1)
 
     def test_constant(self):
-        assert interpolate([(0, F(5, 7))]) == poly(F(5, 7))
+        assert fit_polynomial([(0, F(5, 7))], 0) == poly(F(5, 7))
 
     def test_truncated_simplex_volumes(self):
         nodes = [F(0), F(1, 2), F(1), F(1, 3)]
         pts = [(t, _truncated_simplex_volume(t)) for t in nodes]
-        assert interpolate(pts) == poly(F(1, 6), 0, 0, F(-1, 6))
+        assert fit_polynomial(pts, len(pts) - 1) == poly(F(1, 6), 0, 0, F(-1, 6))
 
     def test_duplicate_abscissa(self):
         with pytest.raises(ValueError):
-            interpolate([(1, 2), (1, 3)])
+            fit_polynomial([(1, 2), (1, 3)], 1)
 
     @given(
         xs=st.lists(small_fractions, min_size=1, max_size=5, unique=True),
@@ -176,7 +175,7 @@ class TestInterpolation:
     )
     def test_reproduces_points(self, xs, data):
         ys = [data.draw(small_fractions) for _ in xs]
-        p = interpolate(list(zip(xs, ys)))
+        p = fit_polynomial(list(zip(xs, ys)), len(xs) - 1)
         assert p.degree < len(xs)
         for x, y in zip(xs, ys):
             assert p(x) == y
@@ -195,7 +194,7 @@ class TestInterpolation:
                 (x, F(rng.randint(-10**rng.randint(1, 30), 10**30), rng.randint(1, 50)))
                 for x in sorted(xs, key=lambda _: rng.random())
             ]
-            assert interpolate(pts) == UniPoly(lagrange_coeffs(pts))
+            assert fit_polynomial(pts, len(pts) - 1) == UniPoly(lagrange_coeffs(pts))
 
 
 class TestFitPolynomial:
