@@ -126,24 +126,21 @@ class MixedTable(IntersectionTable):
             raise ModelError("; ".join(errors))
 
     def specialize(self, s) -> IntersectionTable:
-        """Single-polarization table of L + sH, exact in s."""
+        """Single-polarization table of L + sH, exact in s: entry k of a
+        degree-deg index map is sum_j C(deg-k, j) s^j index[(deg-k-j, j, k)],
+        summed by Horner in s."""
         s = Fraction(s)
-        ae = tuple(
-            sum(
-                comb(self.n - k, j) * s**j * self.mixed[(self.n - k - j, j, k)]
-                for j in range(self.n - k + 1)
-            )
-            for k in range(self.n + 1)
-        )
-        kae = tuple(
-            sum(
-                comb(self.n - 1 - k, j) * s**j * self.kmixed[(self.n - 1 - k - j, j, k)]
-                for j in range(self.n - k)
-            )
-            for k in range(self.n)
-        )
+
+        def entries(index, deg):
+            for k in range(deg + 1):
+                acc = 0
+                for j in range(deg - k, -1, -1):
+                    acc = acc * s + comb(deg - k, j) * index[(deg - k - j, j, k)]
+                yield acc
+
         label = self.label if s == 0 else f"{self.label} [s={format_rational(s)}]"
-        return IntersectionTable(label, self.n, ae, kae, self.epsilon)
+        return IntersectionTable(label, self.n, tuple(entries(self.mixed, self.n)),
+                                 tuple(entries(self.kmixed, self.n - 1)), self.epsilon)
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset()):

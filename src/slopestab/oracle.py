@@ -5,11 +5,13 @@ counted slice by slice in nested integer ranges: Fourier-Motzkin
 elimination of the facet inequalities, once per verification, bounds each
 coordinate x_k by the ones before it, so a prefix outside the polytope's
 projection is never visited; the levels along each slice are summed in
-closed form.  Each m-sample is counted in one walk for every c that needs
-it, with one capped weight total per c.  The counts are fitted exactly to
-their asymptotic expansions, and the extracted invariant is compared against
-the slope engine's prediction.  Nothing here reuses the machinery of the
-table path."""
+closed form.  One kernel steps every level: a bounding row's value is kept
+as b + e * x along the coordinate x before it, so its dot product is taken
+once per prefix.  Each m-sample is counted in one walk for every c that
+needs it, with one capped weight total per c.  The counts are fitted
+exactly to their asymptotic expansions, h0 once for all c, and the
+extracted invariant is compared against the slope engine's prediction.
+Nothing here reuses the machinery of the table path."""
 
 from __future__ import annotations
 
@@ -121,8 +123,8 @@ def _check_budget(levels, ms, counts: dict) -> None:
     for m in ms:
         if m not in counts:
             count = 0
-            for _, lo, hi in _walk(levels, m):
-                count += max(0, hi - lo + 1)
+            for _, _, x_count in _walk(levels, m):
+                count += x_count
                 if total + count > _PREFIX_BUDGET:
                     break
             counts[m] = count
@@ -132,82 +134,67 @@ def _check_budget(levels, ms, counts: dict) -> None:
                              f"than {_PREFIX_BUDGET} prefixes to enumerate")
 
 
-def _bounds(level, prefix, m: int) -> tuple[int, int]:
-    """Integer range lo..hi of the coordinate after prefix."""
-    lowers, uppers = level
-    lo = max(-((sum(map(mul, prefix, r)) + c * m) // d) for r, d, c in lowers)
-    hi = min((sum(map(mul, prefix, r)) + c * m) // d for r, d, c in uppers)
-    return lo, hi
+def _ranges(level, prefix, m: int, x_lo: int, count: int):
+    """(lo, hi), the integer range of the coordinate that level bounds, at
+    each x = x_lo, ..., x_lo + count - 1 of the coordinate before it, after
+    prefix, the coordinates before x.
 
-
-def _prefixes(levels, m: int, prefix=()):
-    """Integer points of m * P_L's projection onto levels, after prefix."""
-    if not levels:
-        yield prefix
-        return
-    lo, hi = _bounds(levels[0], prefix, m)
-    for x in range(lo, hi + 1):
-        yield from _prefixes(levels[1:], m, prefix + (x,))
-
-
-def _walk(levels, m: int):
-    """(prefix, lo, hi) for each integer prefix (x_1, ..., x_{n-2}) of
-    m * P_L's projection, with lo..hi the range of x_{n-1} after it; for
-    n = 1, the one range 0..0 of an absent x_0."""
-    if len(levels) == 1:
-        yield (), 0, 0
-        return
-    for prefix in _prefixes(levels[:-2], m):
-        yield prefix, *_bounds(levels[-2], prefix, m)
-
-
-def _last_bounds(rows, prefix, m: int, x_lo: int, count: int, lower: bool):
-    """The bound on the last coordinate at x_{n-1} = x_lo, ..., x_lo + count - 1
-    after prefix (x_1, ..., x_{n-2}): the largest lower or the smallest upper
-    bound of rows, one per x_{n-1}.
-
-    A row's value is b + e * x_{n-1}, with b fixed by the prefix (e = 0 when
-    n = 1); its values step by e and are floor-divided by d in C.  A lower
-    bound -((b + e x) // d) is (d - 1 - b - e x) // d.
+    A row's value is b + e * x, with b fixed by the prefix (e = 0 on the
+    first level, where x is an absent x_0 = 0); its values step by e and are
+    floor-divided by d in C.  A lower bound -((b + e x) // d) is
+    (d - 1 - b - e x) // d.
     """
-    bounds = []
-    for r, d, c in rows:
-        b = sum(map(mul, prefix, r)) + c * m
-        e = r[-1] if len(r) > len(prefix) else 0
-        if lower:
-            b, e = d - 1 - b, -e
-        v = b + e * x_lo
-        bounds.append(map(floordiv, range(v, v + e * count, e), repeat(d)) if e
-                      else repeat(v // d, count))
-    if len(bounds) == 1:
-        return bounds[0]
-    return map(max if lower else min, *bounds)
+    ends = []
+    for rows, lower in zip(level, (True, False)):
+        bounds = []
+        for r, d, c in rows:
+            b = sum(map(mul, prefix, r)) + c * m
+            e = r[-1] if len(r) > len(prefix) else 0
+            if lower:
+                b, e = d - 1 - b, -e
+            v = b + e * x_lo
+            bounds.append(map(floordiv, range(v, v + e * count, e), repeat(d)) if e
+                          else repeat(v // d, count))
+        ends.append(bounds[0] if len(bounds) == 1 else map(max if lower else min, *bounds))
+    return zip(*ends)
+
+
+def _walk(levels, m: int, xs=(), x_lo=0, count=1):
+    """(prefix, x_lo, count) for each integer prefix (x_1, ..., x_{n-2}) of
+    m * P_L's projection, with x_lo..x_lo + count - 1 the range of x_{n-1}
+    after it; for n = 1, the one value 0 of an absent x_0.
+
+    Every level but the last steps through _ranges: after
+    xs = (x_0, ..., x_{k-1}), where x_0 = 0 stands for no coordinate, x_k
+    runs over x_lo..x_lo + count - 1, and levels[0] bounds x_{k+1}.
+    """
+    if len(levels) == 1:
+        yield xs[1:], x_lo, count
+        return
+    for x, (lo, hi) in enumerate(_ranges(levels[0], xs[1:], m, x_lo, count), x_lo):
+        if lo <= hi:
+            yield from _walk(levels[1:], m, (*xs, x), lo, hi - lo + 1)
 
 
 def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]:
     """h0(mL) and the weight totals with levels capped at each of caps, one
     WeightSample per cap, from one walk over the lattice points of m * P_L.
 
-    The walk visits each prefix (x_1, ..., x_{n-2}) once, computes the
-    constant of every last-level row there, and steps x_{n-1} through its
-    range with no further dot product; the slice at x_{n-1} holds the points
-    t = lo..hi with filtration levels base + step * t, where t is x_n, or
-    -x_n when u_sigma has a negative last coordinate, so step >= 0.
+    At each prefix (x_1, ..., x_{n-2}) that _walk yields, the same kernel,
+    _ranges, steps the last level through the range of x_{n-1}; the slice at
+    x_{n-1} holds the points t = lo..hi with filtration levels
+    base + step * t, where t is x_n, or -x_n when u_sigma has a negative
+    last coordinate, so step >= 0.
     """
     h0, ws = 0, [0] * len(caps)
     u_sigma, offset = _sigma_form(model)
-    lowers, uppers = levels[-1]
-    step = u_sigma[-1]
+    level, step = levels[-1], u_sigma[-1]
     if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
-        step, lowers, uppers = -step, uppers, lowers
+        level, step = level[::-1], -step
     u_prev = u_sigma[-2] if len(levels) > 1 else 0
-    for p, x_lo, x_hi in _walk(levels, m):
-        count = x_hi - x_lo + 1
-        if count <= 0:
-            continue
+    for p, x_lo, count in _walk(levels, m):
         base = sum(map(mul, p, u_sigma)) + m * offset + u_prev * x_lo
-        for lo, hi in zip(_last_bounds(lowers, p, m, x_lo, count, True),
-                          _last_bounds(uppers, p, m, x_lo, count, False)):
+        for lo, hi in _ranges(level, p, m, x_lo, count):
             if lo <= hi:
                 points = hi - lo + 1
                 h0 += points
@@ -241,10 +228,11 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     count, the elimination (once, at the first c), the prefix budget over its
     own m-list and the integrality of c*m.  Only then is each distinct m of
     the m-lists walked, once, with the caps c*m of every c whose list holds
-    it; h0 is fitted once per distinct m-list.  A fit witness that
-    disagrees raises RuntimeError: the counts are polynomials in m, so it is
-    a fault of the oracle, not of the input.  An L that is not big, so that
-    h0 has no m^n term, raises ToricError.
+    it.  h0 does not depend on c: it is fitted once, over every m walked in
+    increasing order, the m values past the first n + 1 as witnesses.  A fit
+    witness that disagrees raises RuntimeError: the counts are polynomials
+    in m, so it is a fault of the oracle, not of the input.  An L that is
+    not big, so that h0 has no m^n term, raises ToricError.
     """
     n = model.fan.dim
     plans, counts, levels = [], {}, None
@@ -270,17 +258,16 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         m: dict(zip(caps, _sample(model, m, levels, tuple(caps))))
         for m, caps in by_m.items()
     }
-    h_fits, fits = {}, []  # h_fits: m-list -> the coefficients a of its h0 fit
+    fits = []
     try:
+        # every cap's sample of an m holds the same h0
+        h_poly = fit_polynomial(
+            [(m, next(iter(by_cap.values())).h0) for m, by_cap in sorted(samples.items())], n)
+        if h_poly.degree < n:  # a[0] = 0 would divide df by zero
+            raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
+        a = tuple(h_poly.coeff(n - i) for i in range(n + 1))
         for ms, caps in plans:
             own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
-            key = tuple(ms)
-            if key not in h_fits:
-                h_poly = fit_polynomial([(s.m, s.h0) for s in own], n)
-                if h_poly.degree < n:  # a[0] = 0 would divide df by zero
-                    raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
-                h_fits[key] = tuple(h_poly.coeff(n - i) for i in range(n + 1))
-            a = h_fits[key]
             w_poly = fit_polynomial([(s.m, s.w) for s in own], n + 1)
             b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
             df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2

@@ -344,13 +344,15 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
     return None
 
 
-def _exact_roots(seq: list[list[int]], lo: Fraction, hi: Fraction,
-                 v_lo: int, v_hi: int) -> list[Fraction]:
-    """The rational roots in (lo, hi] of the first entry of the Sturm
-    sequence `seq`, sorted; v_lo and v_hi are its sign variations at lo
-    and hi."""
+def _sturm_window(p: UniPoly, lo: Fraction, hi: Fraction):
+    """(seq, v_lo, v_hi, exact): the Sturm sequence of p's square-free part,
+    its sign variations at lo and hi, and the rational roots of p in
+    (lo, hi], sorted."""
+    seq = _squarefree_sturm(p)
+    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
+    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
     found = (_root_in(seq[0], a, b) for a, b in _bisect(seq, lo, hi, v_lo, v_hi))
-    return [r for r in found if r is not None]
+    return seq, v_lo, v_hi, [r for r in found if r is not None]
 
 
 def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
@@ -365,14 +367,11 @@ def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
-    seq = _squarefree_sturm(p)
     if lo is None:
-        ints = seq[0]
+        ints, _ = p.integer_form
         bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
         lo, hi = -bound, bound
-    lo, hi = Fraction(lo), Fraction(hi)
-    return _exact_roots(seq, lo, hi, sign_variations(seq, lo.numerator, lo.denominator),
-                        sign_variations(seq, hi.numerator, hi.denominator))
+    return _sturm_window(p, Fraction(lo), Fraction(hi))[3]
 
 
 def isolate_roots(
@@ -396,10 +395,7 @@ def isolate_roots(
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    seq = _squarefree_sturm(p)
-    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
-    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
-    exact = _exact_roots(seq, lo, hi, v_lo, v_hi)
+    seq, v_lo, v_hi, exact = _sturm_window(p, lo, hi)
     out = [IsolatingInterval(r, r) for r in exact]
     a, v_a = lo, v_lo
     for b in exact:  # segments (a, b] ending at an exact root

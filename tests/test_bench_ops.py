@@ -52,8 +52,8 @@ def _digests(workload, seed, workdir: pathlib.Path) -> dict:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main([op["cmd"], str(workdir / op["doc"]), *op["args"]])
-        run = [code, stdout.getvalue(), stderr.getvalue()]
-        text = json.dumps(run).replace(json.dumps(str(workdir))[1:-1], WORKDIR)
+        text = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+        text = text.replace(str(workdir), WORKDIR)
         out[f"{workload}/{seed}/{i}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 

@@ -377,6 +377,14 @@ class TestVerifyOneWalkPerOp:
         assert len(calls["sample"]) == len(walked) == 9
         assert sorted(walked) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
         assert walked[4] == (2, 4) and walked[5] == (5,) and walked[8] == (4,)
+        # one table, one h0 fit over all nine m and one weight fit per c
+        assert (calls["export_table"], calls["fit_polynomial"]) == (1, 3)
+
+    def test_h0_fitted_once_per_op(self, capsys, models_dir, monkeypatch):
+        calls = self.count_work(monkeypatch)
+        code, _, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/4,1/2,3/4")
+        assert code == 0
+        # two distinct m-lists, one h0 fit, and one weight fit per c
         assert (calls["export_table"], calls["fit_polynomial"]) == (1, 4)
 
     def test_repeated_c_prints_two_lines(self, capsys, models_dir, monkeypatch):

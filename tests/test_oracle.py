@@ -112,7 +112,8 @@ class TestAgainstBoxCounter:
     # P^n with L = d O(1), blown up once per delta_j: ids give n, d and the count
     @pytest.mark.parametrize("n, d, deltas, seed", [
         (3, 3, (1, 1), 1), (3, 4, (1, 1, 1), 2), (4, 3, (1, 1), 3), (4, 4, (2, 1, 1), 4),
-    ], ids=["P3-d3-2", "P3-d4-3", "P4-d3-2", "P4-d4-3"])
+        (5, 2, (1,), 5), (6, 1, (), 7),
+    ], ids=["P3-d3-2", "P3-d4-3", "P4-d3-2", "P4-d4-3", "P5-d2-1", "P6-d1-0"])
     def test_generated_counts_match(self, blown_up_projective_space, n, d, deltas, seed):
         model = blown_up_projective_space(n, d, deltas, seed)
         assert len(model.fan.rays) == n + 1 + len(deltas) and model.validate() == []
