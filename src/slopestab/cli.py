@@ -1,9 +1,9 @@
 """Command-line surface: analyze models, scan c-grids to CSV, run oracle
 verification, perturbation-limit studies, and toric table export.
 
-Exit codes: 0 success, 2 parse/validation error, 3 theorem-verification
-failure, 4 internal fault (a failed internal consistency check).  All
-machine-readable output is exact-rational text, no floats.
+Exit codes: 0 success, 2 refused input (a ModelError), 3 theorem-verification
+failure, 4 internal fault (any other exception).  All machine-readable
+output is exact-rational text, no floats.
 """
 
 from __future__ import annotations
@@ -49,28 +49,24 @@ MAX_WIDTH_BITS = 4096
 MAX_STEPS = 10000
 
 
-class CliError(Exception):
-    pass
-
-
 def _parse_width(text: str) -> Fraction:
     m = re.fullmatch(r"2\^-(\d+)", text.strip())
     if m:
         digits = m.group(1).lstrip("0")
         if len(digits) > MAX_WIDTH_BITS:  # past the limit, and too long for int()
-            raise CliError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, "
-                           f"got an exponent of {len(digits)} digits")
+            raise ModelError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, "
+                             f"got an exponent of {len(digits)} digits")
         # an exponent past the limit is refused below: cap it before 2^N is built
         w = Fraction(1, 2 ** min(int(digits or 0), MAX_WIDTH_BITS + 1))
     else:
         try:
             w = parse_rational(text)
         except ModelError as exc:
-            raise CliError(f"bad --width value {text!r}: {exc}") from exc
+            raise ModelError(f"bad --width value {text!r}: {exc}") from exc
     if w <= 0:
-        raise CliError("--width must be positive")
+        raise ModelError("--width must be positive")
     if w < Fraction(1, 2**MAX_WIDTH_BITS):
-        raise CliError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, got {text}")
+        raise ModelError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, got {text}")
     return w
 
 
@@ -78,14 +74,16 @@ def _parse_rationals(text: str, flag: str) -> list[Fraction]:
     try:
         return [parse_rational(part) for part in text.split(",") if part]
     except ModelError as exc:
-        raise CliError(f"bad {flag} value {text!r}: {exc}") from exc
+        raise ModelError(f"bad {flag} value {text!r}: {exc}") from exc
 
 
 def _load_model(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(f"cannot read model file: {exc}") from exc
+        raise ModelError(f"cannot read model file: {exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise ModelError(str(exc)) from exc
     return parse_model(data)
 
 
@@ -105,13 +103,15 @@ def _poly_line(p: UniPoly) -> str:
 
 
 def _emit(text: str, out_path):
-    if out_path:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot write output file: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:  # encode first, so an unencodable label leaves the file as it was
+            Path(out_path).write_bytes(text.encode("utf-8"))
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise ModelError(f"cannot write output file: {exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path, or a label the output cannot encode
+        raise ModelError(str(exc)) from exc
 
 
 def cmd_analyze(args) -> int:
@@ -146,9 +146,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.steps < 1:
-        raise CliError(f"--steps must be at least 1, got {args.steps}")
+        raise ModelError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > MAX_STEPS:
-        raise CliError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
+        raise ModelError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     model = _load_model(args.model)
     table = _coerce_table(model)
     pair = alpha_polys(table)
@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
     if not isinstance(model, ToricModel):
         raise ModelError("oracle requires toric realization")
     if not args.c:
-        raise CliError("verify needs at least one --c value")
+        raise ModelError("verify needs at least one --c value")
     m_list = None
     if args.max_m is not None:
         d = lcm(*(c.denominator for c in args.c))
@@ -194,7 +194,7 @@ def cmd_limit(args) -> int:
     if not isinstance(mixed, MixedTable):
         raise ModelError("limit needs a mixed table or a toric model with H")
     if len(args.c or []) != 1:
-        raise CliError("limit needs exactly one --c value")
+        raise ModelError("limit needs exactly one --c value")
     eps_list = args.eps or []
     values, limit = perturbation_limit(mixed, args.c[0], eps_list)
     lines = []
@@ -264,10 +264,10 @@ def main(argv=None) -> int:
         if getattr(args, "eps", None) is not None:
             args.eps = _parse_rationals(args.eps, "--eps")
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RuntimeError as exc:
+    except Exception as exc:  # a fault of slopestab, not of its input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

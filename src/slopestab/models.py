@@ -23,7 +23,8 @@ _MAX_ECHO = 64
 
 
 class ModelError(ValueError):
-    """Malformed or invariant-violating model document."""
+    """Refused input, the one refusal type: a malformed or invalid model, a bad
+    flag value, or a resource limit.  The CLI exits 2 on it, 4 on any other."""
 
 
 def parse_rational(value) -> Fraction:
@@ -215,7 +216,10 @@ def parse_model(data):
     document's "kind"; every rational is parsed exactly.
     """
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelError(str(exc)) from exc
     if isinstance(data, str):
         try:
             doc = json.loads(data, object_pairs_hook=_unique_keys)

@@ -109,7 +109,7 @@ def _levels(model: ToricModel):
             if row not in rows or h.bit_count() < rows[row].bit_count():
                 rows[row] = h
         if len(rows) > _ROW_LIMIT:
-            raise ValueError(f"row limit exceeded eliminating x_{k + 1}: "
+            raise ToricError(f"row limit exceeded eliminating x_{k + 1}: "
                              f"{len(rows)} rows, limit {_ROW_LIMIT}")
     return levels
 
@@ -130,7 +130,7 @@ def _check_budget(levels, ms, counts: dict) -> None:
             counts[m] = count
         total += counts[m]
         if total > _PREFIX_BUDGET:
-            raise ValueError(f"lattice-point budget exceeded at m={m}: more "
+            raise ToricError(f"lattice-point budget exceeded at m={m}: more "
                              f"than {_PREFIX_BUDGET} prefixes to enumerate")
 
 
@@ -241,8 +241,8 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         if check_c is not None:
             check_c(c)
         ms = default_m_list(n, c) if m_list is None else m_list
-        if len(ms) < n + 4:
-            raise ValueError(f"need at least {n + 4} m-samples, got {len(ms)}")
+        if len(ms[:n + 4]) < n + 4:  # a range's len() fails past sys.maxsize
+            raise ToricError(f"need at least {n + 4} m-samples, got {len(ms)}")
         if not plans:
             levels = _levels(model)
         _check_budget(levels, ms, counts)
@@ -250,7 +250,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         for m in ms:
             cap = c * m
             if cap.denominator != 1:
-                raise ValueError(f"m={m} does not make c*m integral")
+                raise ToricError(f"m={m} does not make c*m integral")
             caps.append(cap.numerator)
             by_m.setdefault(m, {})[cap.numerator] = None
         plans.append((ms, caps))

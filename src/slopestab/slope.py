@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 
-from .models import IntersectionTable, MixedTable
+from .models import IntersectionTable, MixedTable, ModelError
 from .polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
@@ -21,7 +21,7 @@ from .polynomials import (
 )
 
 
-class PositivityError(ValueError):
+class PositivityError(ModelError):
     """alpha0 fails to be positive on [0, epsilon)."""
 
 
@@ -77,7 +77,7 @@ class SlopeReport:
     def verdict(self, c) -> str:
         c = Fraction(c)
         if not 0 < c <= self.epsilon:
-            raise ValueError(f"c={c} outside (0, {self.epsilon}]")
+            raise ModelError(f"c={c} outside (0, {self.epsilon}]")
         if self.flat:
             return "flat"
         v = self.Q(c)
@@ -123,7 +123,7 @@ def mu_c(alpha: AlphaPair, c) -> Fraction:
     if not isinstance(c, Fraction):
         c = Fraction(c)
     if not 0 < c <= alpha.epsilon:
-        raise ValueError(f"c={c} outside (0, {alpha.epsilon}]")
+        raise ModelError(f"c={c} outside (0, {alpha.epsilon}]")
     a, b = alpha.numerator_integral.at(c.numerator, c.denominator)
     p, q = alpha.alpha0_integral.at(c.numerator, c.denominator)
     return Fraction(a * q, b * p)

@@ -36,8 +36,8 @@ from operator import mul, sub
 from .models import IntersectionTable, MixedTable, ModelError, _require_keys
 
 
-class ToricError(ValueError):
-    """Inconsistent fan, divisor or model data."""
+class ToricError(ModelError):
+    """Inconsistent fan, divisor or model data, or an oracle count past a limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +550,13 @@ def parse_toric_model(doc: dict) -> ToricModel:
             raise ModelError(f"field {key!r} must be a list")
         return tuple(int_list(key, row, "hold integer vectors") for row in doc[key])
 
-    try:
-        fan = Fan(int_vectors("rays"), int_vectors("max_cones"))
-        model = ToricModel(
-            label=str(doc["label"]),
-            fan=fan,
-            L=int_list("L", doc["L"]),
-            sigma=int_list("sigma", doc["sigma"]),
-            H=int_list("H", doc["H"]) if "H" in doc else None,
-        )
-    except ToricError as exc:
-        raise ModelError(str(exc)) from exc
-    return model
+    return ToricModel(
+        label=str(doc["label"]),
+        fan=Fan(int_vectors("rays"), int_vectors("max_cones")),
+        L=int_list("L", doc["L"]),
+        sigma=int_list("sigma", doc["sigma"]),
+        H=int_list("H", doc["H"]) if "H" in doc else None,
+    )
 
 
 def _exceptional_setup(model: ToricModel):

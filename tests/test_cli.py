@@ -1,4 +1,8 @@
+import contextlib
+import copy
+import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -7,8 +11,9 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
-from slopestab import cli, oracle, toric
+from slopestab import cli, oracle, slope, toric
 from slopestab.models import parse_model, serialize_model
 from slopestab.oracle import VerificationRecord
 from slopestab.toric import export_table
@@ -290,6 +295,19 @@ class TestVerify:
         assert len(model.fan.rays) == 15 and code == 2 and out == ""
         assert "budget exceeded at m=" in err
 
+    def test_max_m_past_sys_maxsize_exits_2(self, models_dir):
+        # the m-range has more samples than len() can count: the prefix
+        # budget refuses it, with no traceback
+        result = subprocess.run(
+            [sys.executable, "-m", "slopestab.cli", "verify", "models/p2.json",
+             "--c", "1/2", "--max-m", "9" * 20],
+            capture_output=True, text=True, cwd=str(models_dir.parent),
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "Traceback" not in result.stderr
+        assert result.stderr == ("error: lattice-point budget exceeded at m=2828: "
+                                 "more than 2000000 prefixes to enumerate\n")
+
     def test_row_limit_exits_2(self, capsys, models_dir, monkeypatch):
         monkeypatch.setattr(oracle, "_ROW_LIMIT", 1)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2")
@@ -468,6 +486,23 @@ class TestInternalFault:
         assert code == 4 and out == ""
         assert err.startswith("internal error: no generic direction")
 
+    # only a ModelError is refused input: an exception of any other type,
+    # ValueError included, is a fault of slopestab
+    @pytest.mark.parametrize("argv, module, name, exc", [
+        (["analyze", "t3.json"], slope, "isolate_roots", ValueError("empty interval")),
+        (["export-table", "p2.json"], toric, "_generic_direction", KeyError("x")),
+        (["verify", "p2.json", "--c", "1/2"], oracle, "_sample",
+         ZeroDivisionError("division by zero")),
+    ], ids=["ValueError", "KeyError", "ZeroDivisionError"])
+    def test_stray_exception_exits_4(self, capsys, models_dir, monkeypatch,
+                                     argv, module, name, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(module, name, fail)
+        code, out, err = run(capsys, argv[0], str(models_dir / argv[1]), *argv[2:])
+        assert (code, out, err) == (4, "", f"internal error: {exc}\n")
+
 
 class TestLimit:
     def test_f1_bignef(self, capsys, models_dir):
@@ -604,6 +639,110 @@ class TestRefusedDocuments:
         path.write_text(json.dumps(doc))
         assert run(capsys, argv[0], str(path), *argv[1:]) == (
             2, "", "error: nef threshold is zero: center not permissible\n")
+
+    def test_non_utf8_model_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"kind": "table", "label": "\xff"}')
+        assert run(capsys, "analyze", str(path)) == (
+            2, "", "error: 'utf-8' codec can't decode byte 0xff in position 28: "
+                   "invalid start byte\n")
+
+    @pytest.mark.parametrize("model, out", [("t1.json\0", None), ("t1.json", "out\0.txt")],
+                             ids=["model", "out"])
+    def test_nul_byte_in_path_exits_2(self, capsys, models_dir, model, out):
+        argv = ["--out", out] if out else []
+        assert run(capsys, "analyze", str(models_dir) + "/" + model, *argv) == (
+            2, "", "error: embedded null byte\n")
+
+    @pytest.mark.parametrize("out", [None, "out.txt"])
+    def test_unencodable_label_exits_2(self, capsys, tmp_path, monkeypatch, out):
+        # JSON carries a lone surrogate, which UTF-8 cannot encode
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_doc(TABLE_DOC, label="\ud800")))
+        # strict UTF-8, whatever the encoding of the captured stdout
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="utf-8"))
+        argv = ["--out", str(tmp_path / out)] if out else []
+        if out:
+            (tmp_path / out).write_text("kept\n")
+        code, _, err = run(capsys, "analyze", str(path), *argv)
+        assert (code, err) == (2, "error: 'utf-8' codec can't encode character '\\ud800' "
+                                  "in position 7: surrogates not allowed\n")
+        # a refused run leaves an existing output file as it was
+        assert not out or (tmp_path / out).read_text() == "kept\n"
+
+
+MODEL_DOCS = [json.loads(path.read_text()) for path in
+              sorted((pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json"))]
+LEAVES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-2/3", "0", "1/0", "x", "", "\ud800", "1/" + "1" * 5000]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=4),
+)
+C_VALUES = st.sampled_from(["1/2", "1", "1/3,1/2", "2", "0", "-1/2", "1/0", "x", ""])
+FLAGS = {
+    "analyze": {"--c": C_VALUES,
+                "--width": st.sampled_from(["2^-5", "2^-64", "1/1000", "0", "-1", "2^-5000", "x"])},
+    "scan": {"--steps": st.integers(-2, 12) | st.just(10001)},
+    "verify": {"--c": C_VALUES, "--max-m": st.sampled_from([-4, 0, 12, 30, 10**20])},
+    "limit": {"--c": C_VALUES,
+              "--eps": st.sampled_from(["1/10", "1/10,1/100", "0", "-1", "x", ""])},
+    "export-table": {},
+}
+
+
+@st.composite
+def mutated_docs(draw):
+    """A bundled model with one to three edits, each at a random node, most
+    often below the top level: the node's value replaced or, below the top
+    level, the node removed or repeated (a repeated key under a new name)."""
+    doc = copy.deepcopy(draw(st.sampled_from(MODEL_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        key = draw(st.sampled_from(list(node)))
+        while isinstance(node[key], (dict, list)) and node[key] and draw(st.integers(0, 3)):
+            node = node[key]
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        edit = "replace" if node is doc else draw(st.sampled_from(["replace", "remove", "repeat"]))
+        if edit == "replace":
+            node[key] = draw(LEAVES)
+        elif edit == "remove":
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, node[key])
+        else:
+            node[f"{key}0"] = node[key]
+    return doc
+
+
+@st.composite
+def command_lines(draw, path):
+    command = draw(st.sampled_from(list(FLAGS)))
+    argv = [command, path]
+    for flag, values in FLAGS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+class TestMutatedInput:
+    """Every run on an edited model, with any value of each flag, is an
+    answer or a refusal: never exit 3 or 4, and never an escaped exception."""
+
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated") / "model.json"
+
+    @given(doc=mutated_docs(), data=st.data())
+    def test_answered_or_refused(self, model_path, doc, data):
+        model_path.write_text(json.dumps(doc))
+        argv = data.draw(command_lines(str(model_path)))
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, like a UTF-8 pipe
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in (0, 2), stderr.getvalue()
 
 
 class TestDeterminism:

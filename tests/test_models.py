@@ -93,6 +93,10 @@ class TestParseTable:
         with pytest.raises(ModelError, match="malformed JSON"):
             parse_model(b"{not json")
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(ModelError, match="can't decode byte 0xff in position 1"):
+            parse_model(b'"\xff"')
+
     def test_overlong_epsilon_string_rejected(self):
         doc = table_doc(epsilon="1/" + "1" * 5000)
         with pytest.raises(ModelError) as excinfo:

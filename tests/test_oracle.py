@@ -1,4 +1,6 @@
 import ast
+import builtins
+import importlib
 import pathlib
 import sys
 from fractions import Fraction as F
@@ -14,6 +16,7 @@ from slopestab.oracle import (
     fit_expansions,
     verify_main_theorem,
 )
+from slopestab.models import ModelError
 from slopestab.slope import alpha_polys, slope_mu
 from slopestab.toric import Fan, ToricError, ToricModel, export_table, polytope_of
 
@@ -124,7 +127,7 @@ class TestAgainstBoxCounter:
         assert_counts_match(P1_O3)
 
     def test_point_budget(self, load_model):
-        with pytest.raises(ValueError, match="budget exceeded at m="):
+        with pytest.raises(ToricError, match="budget exceeded at m="):
             fit_one(load_model("p3"), 1, m_list=range(1, 10**6))
 
 
@@ -182,11 +185,11 @@ class TestFitExpansions:
             assert fit.a[0] == pair.alpha0(0) and fit.a[1] == pair.alpha1(0)
 
     def test_too_few_samples(self, load_model):
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(ToricError, match="at least"):
             fit_one(load_model("p2"), 1, m_list=[1, 2, 3])
 
     def test_incompatible_m_list(self, load_model):
-        with pytest.raises(ValueError, match="integral"):
+        with pytest.raises(ToricError, match="integral"):
             fit_one(load_model("p2"), F(1, 2), m_list=[1, 2, 3, 4, 5, 6])
 
     # L not big: m * P_L is a point or empty, so h0(mL) has no m^n term
@@ -251,9 +254,9 @@ class TestVerify:
 
     # each c is checked in turn, range first: the first c to fail decides
     @pytest.mark.parametrize("cs, m_list, error, message", [
-        ((F(1, 2), 2), range(1, 7), ValueError, "^m=1 does not make c\\*m integral$"),
+        ((F(1, 2), 2), range(1, 7), ToricError, "^m=1 does not make c\\*m integral$"),
         ((2, F(1, 2)), range(1, 7), ToricError, "^c=2 outside"),
-        ((1, 2), (1, 2, 3), ValueError, "^need at least 6 m-samples, got 3$"),
+        ((1, 2), (1, 2, 3), ToricError, "^need at least 6 m-samples, got 3$"),
         ((2, 1), (1, 2, 3), ToricError, "^c=2 outside"),
     ], ids=["integrality", "range-before-integrality", "count", "range-before-count"])
     def test_first_failing_c_decides(self, load_model, cs, m_list, error, message):
@@ -269,6 +272,25 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_refusals_raise_model_error():
+    # the CLI exits 2 on a ModelError and 4 on anything else, so outside
+    # polynomials (whose bare ValueErrors are API misuse) a raise is a
+    # ModelError subclass, an internal RuntimeError, or a re-raise
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "polynomials":
+            continue
+        module = importlib.import_module(f"slopestab.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            name = getattr(getattr(node.exc, "func", None), "id", "")
+            cls = getattr(module, name, getattr(builtins, name, None))
+            if not (isinstance(cls, type) and issubclass(cls, (ModelError, RuntimeError))):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

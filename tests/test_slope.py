@@ -94,7 +94,7 @@ class TestMuC:
     def test_out_of_range(self):
         pair = alpha_polys(T1)
         for c in (0, -1, 2):
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ModelError, match="outside"):
                 mu_c(pair, c)
 
 
@@ -164,7 +164,7 @@ class TestStabilityScan:
 
     def test_verdict_out_of_range(self):
         report = stability_scan(alpha_polys(T1))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ModelError, match="outside"):
             report.verdict(0)
 
     @given(c=st.fractions(min_value=F(1, 64), max_value=1, max_denominator=64))
