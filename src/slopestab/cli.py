@@ -123,8 +123,8 @@ def cmd_analyze(args) -> int:
         f"label: {table.label}",
         f"n: {table.n}",
         f"epsilon: {format_rational(report.epsilon)}",
-        f"alpha0: {_poly_line(report.alpha0)}",
-        f"alpha1: {_poly_line(report.alpha1)}",
+        f"alpha0: {_poly_line(pair.alpha0)}",
+        f"alpha1: {_poly_line(pair.alpha1)}",
         f"mu: {format_rational(report.mu)}",
         f"Q: {_poly_line(report.Q)}",
     ]
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # a fault of slopestab, not of its input
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

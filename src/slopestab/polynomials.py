@@ -344,58 +344,34 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
     return None
 
 
-def _sturm_window(p: UniPoly, lo: Fraction, hi: Fraction):
-    """(seq, v_lo, v_hi, exact): the Sturm sequence of p's square-free part,
-    its sign variations at lo and hi, and the rational roots of p in
-    (lo, hi], sorted."""
-    seq = _squarefree_sturm(p)
-    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
-    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
-    found = (_root_in(seq[0], a, b) for a, b in _bisect(seq, lo, hi, v_lo, v_hi))
-    return seq, v_lo, v_hi, [r for r in found if r is not None]
-
-
-def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
-    """The rational roots of p in (lo, hi], each listed once, sorted.
-
-    Without a window, all of them: the window is then (-B, B] for the
-    Cauchy bound B.  The Sturm sequence of the square-free part isolates
-    every real root in the window; each is then tested by `_root_in`, at a
-    cost polynomial in the bit size of the coefficients.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
-        return []
-    if lo is None:
-        ints, _ = p.integer_form
-        bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
-        lo, hi = -bound, bound
-    return _sturm_window(p, Fraction(lo), Fraction(hi))[3]
-
-
 def isolate_roots(
     p: UniPoly, lo, hi, width: Fraction = DEFAULT_ISOLATION_WIDTH
 ) -> list[IsolatingInterval]:
     """Isolate the distinct real roots of p in the window (lo, hi].
 
     One Sturm sequence, of the square-free part of p, serves the whole
-    call.  The rational roots are reported as degenerate intervals
-    (lo == hi).  They cut the window into segments, and bisection of each
-    segment (a, b], counting only the roots strictly inside it, gives every
-    other root an interval of width <= `width` whose ends are neither a
-    segment end nor a root: the count is V(a) at a, V(b) plus 1 if b is an
-    exact root at b, and V(x) at each dyadic grid point in between, V being
-    the Sturm sign variations.  V is computed once per segment end: at lo
-    and hi for both the exact roots and the segments, and once at each
-    interior exact root.  Result is sorted left to right.
+    call.  `_root_in` tests each cell of a first bisection, one real root a
+    cell, for a rational root, in time polynomial in the bit size.  These are
+    reported as degenerate intervals (lo == hi); they cut the window into
+    segments, and bisection of each segment (a, b], counting only the roots
+    strictly inside it, gives every other root an interval of width <=
+    `width` whose ends are neither a segment end nor a root: the count is
+    V(a) at a, V(b) plus 1 if b is an exact root at b, and V(x) at each
+    dyadic grid point in between, V being the Sturm sign variations.  V is
+    computed once per segment end: at lo and hi for both the exact roots and
+    the segments, and once at each interior exact root.  Result is sorted
+    left to right.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    seq, v_lo, v_hi, exact = _sturm_window(p, lo, hi)
+    seq = _squarefree_sturm(p)
+    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
+    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
+    found = (_root_in(seq[0], a, b) for a, b in _bisect(seq, lo, hi, v_lo, v_hi))
+    exact = [r for r in found if r is not None]
     out = [IsolatingInterval(r, r) for r in exact]
     a, v_a = lo, v_lo
     for b in exact:  # segments (a, b] ending at an exact root
@@ -406,3 +382,22 @@ def isolate_roots(
         out.extend(IsolatingInterval(x, y) for x, y in _bisect(seq, a, hi, v_a, v_hi, width))
     out.sort(key=lambda iv: iv.lo)
     return out
+
+
+def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
+    """The rational roots of p in (lo, hi], each listed once, sorted: the
+    exact intervals of `isolate_roots` on that window.
+
+    Without a window, all of them: the window is then (-B, B] for the
+    Cauchy bound B.  Like `isolate_roots`, raises ValueError for the zero
+    polynomial and for an empty window (lo >= hi).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if p.degree < 1:
+        return []
+    if lo is None:
+        ints, _ = p.integer_form
+        bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
+        lo, hi = -bound, bound
+    return [iv.lo for iv in isolate_roots(p, lo, hi) if iv.is_exact]

@@ -68,8 +68,6 @@ class SignInterval:
 class SlopeReport:
     epsilon: Fraction
     mu: Fraction
-    alpha0: UniPoly
-    alpha1: UniPoly
     Q: UniPoly
     destabilizing: tuple[SignInterval, ...]
     flat: bool
@@ -146,7 +144,7 @@ def stability_scan(
     mu = slope_mu(alpha)
     eps = alpha.epsilon
     if q.is_zero:
-        return SlopeReport(eps, mu, alpha.alpha0, alpha.alpha1, q, (), True)
+        return SlopeReport(eps, mu, q, (), True)
     roots = isolate_roots(q, 0, eps, width)
     # breakpoints bounding the sign-constant segments of (0, eps]
     points = [IsolatingInterval(Fraction(0), Fraction(0))]
@@ -165,7 +163,7 @@ def stability_scan(
         if q(sample) < 0:
             right_closed = right.is_exact and right.lo == eps and q(eps) < 0
             destabilizing.append(SignInterval(left, right, right_closed))
-    return SlopeReport(eps, mu, alpha.alpha0, alpha.alpha1, q, tuple(destabilizing), False)
+    return SlopeReport(eps, mu, q, tuple(destabilizing), False)
 
 
 def perturbation_limit(

@@ -368,27 +368,32 @@ def _interval_volume(ineqs) -> Fraction:
     return max(hi - lo, Fraction(0))
 
 
+def _facet_volume(ineqs, facet, dim) -> Fraction:
+    """Volume of the facet (u, a) of {x : <x,v> >= -b}: the (dim-1)-volume
+    of its projection along the coordinate j of largest |u_j|, over |u_j|,
+    which is its lattice volume for a primitive u.  Zero when u is zero or
+    the slice is plainly empty."""
+    u = facet[0]
+    drop = max(range(dim), key=lambda l: abs(u[l]))
+    if u[drop] == 0:
+        return Fraction(0)
+    reduced = _restrict(ineqs, facet, drop)
+    if reduced is None:
+        return Fraction(0)
+    return _volume_hrep(reduced, dim - 1) / abs(u[drop])
+
+
 def _volume_hrep(ineqs, dim) -> Fraction:
     """Euclidean volume of {x : <x,u> >= -a} by the divergence-theorem
-    recursion over facets; exact throughout."""
+    recursion, the sum of a * `_facet_volume` over distinct facets divided
+    by dim; exact throughout."""
     if dim == 0:
         return Fraction(1) if all(a >= 0 for _, a in ineqs) else Fraction(0)
     if dim == 1:
         return _interval_volume(ineqs)
-    seen = set()
     total = Fraction(0)
-    for u, a in ineqs:
-        if (u, a) in seen:
-            continue
-        seen.add((u, a))
-        drop = max(range(dim), key=lambda l: abs(u[l]))
-        if u[drop] == 0:
-            continue
-        reduced = _restrict(ineqs, (u, a), drop)
-        if reduced is None:
-            continue
-        facet_vol = _volume_hrep(reduced, dim - 1)
-        total += a * facet_vol / abs(u[drop])
+    for u, a in set(ineqs):  # a repeated inequality is one facet
+        total += a * _facet_volume(ineqs, (u, a), dim)
     return total / dim
 
 
@@ -429,35 +434,16 @@ class LatticePolytope:
                 out.append(pt)
         return tuple(sorted(out))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def volume(self) -> Fraction:
         return _volume_hrep(self.inequalities, self.dim)
 
     def facet_lattice_volume(self, facet_index: int) -> Fraction:
-        """Facet volume in unimodular coordinates of its hyperplane lattice.
-
-        Projecting out a coordinate where the primitive normal is nonzero is
-        a lattice-volume-preserving chart up to the factor |u_j|.
-        """
-        u, a = self.inequalities[facet_index]
-        g = 0
-        for x in u:
-            g = gcd(g, abs(x))
-        if g != 1:
-            raise ToricError(f"non-primitive facet normal {u}")
-        if self.dim == 1:
-            reduced = _restrict(self.inequalities, (u, a), 0)
-            if reduced is None:
-                return Fraction(0)
-            return _volume_hrep(reduced, 0)
-        drop = max(range(self.dim), key=lambda l: abs(u[l]))
-        reduced = _restrict(self.inequalities, (u, a), drop)
-        if reduced is None:
-            return Fraction(0)
-        return _volume_hrep(reduced, self.dim - 1) / abs(u[drop])
+        """Facet volume in unimodular coordinates of its hyperplane lattice:
+        `_facet_volume` of the facet, whose normal must be primitive."""
+        facet = self.inequalities[facet_index]
+        if gcd(*facet[0]) != 1:
+            raise ToricError(f"non-primitive facet normal {facet[0]}")
+        return _facet_volume(self.inequalities, facet, self.dim)
 
     def boundary_lattice_volume(self) -> Fraction:
         return sum(

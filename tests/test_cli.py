@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -28,6 +29,12 @@ P1_O3 = {"kind": "toric", "label": "P1 O(3) point", "rays": [[1], [-1]],
 TABLE_DOC = {"kind": "table", "label": "x", "n": 1, "AE": [1, 0], "KAE": [-2], "epsilon": 1}
 P2_DOC = {"kind": "toric", "label": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
           "max_cones": [[0, 1], [1, 2], [0, 2]], "L": [0, 0, 1], "sigma": [0, 1]}
+
+
+def child_env(root):
+    """The environment of a child `python -m slopestab.cli`, with root/src on
+    its path, whatever the parent's PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": str(root / "src")}
 
 
 def _doc(base, **fields):
@@ -302,6 +309,7 @@ class TestVerify:
             [sys.executable, "-m", "slopestab.cli", "verify", "models/p2.json",
              "--c", "1/2", "--max-m", "9" * 20],
             capture_output=True, text=True, cwd=str(models_dir.parent),
+            env=child_env(models_dir.parent),
         )
         assert (result.returncode, result.stdout) == (2, "")
         assert "Traceback" not in result.stderr
@@ -456,7 +464,8 @@ class TestInternalFault:
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
                              "--c", "1/2")
         assert code == cli.EXIT_INTERNAL == 4 and out == ""
-        assert err == "internal error: sign of Q at c=1/2 disagrees with mu - mu_c\n"
+        assert err == ("internal error: RuntimeError: "
+                       "sign of Q at c=1/2 disagrees with mu - mu_c\n")
 
     def test_forged_witness_exits_4(self, capsys, models_dir, load_model, monkeypatch):
         # on a valid toric model the counts are polynomials in m, so a fit
@@ -473,7 +482,8 @@ class TestInternalFault:
         p2 = load_model("p2")
         h0 = sample(p2, 12, oracle._levels(p2), (0,))[0].h0
         assert code == 4 and out == ""
-        assert err == ("internal error: oracle counts are not polynomial in m: "
+        assert err == ("internal error: RuntimeError: "
+                       "oracle counts are not polynomial in m: "
                        f"witness sample at x=12: fit predicts {h0}, "
                        f"sample gives {h0 + 1}\n")
 
@@ -484,24 +494,27 @@ class TestInternalFault:
         monkeypatch.setattr(toric, "_generic_direction", fail)
         code, out, err = run(capsys, "export-table", str(models_dir / "p2.json"))
         assert code == 4 and out == ""
-        assert err.startswith("internal error: no generic direction")
+        assert err.startswith("internal error: RuntimeError: no generic direction")
 
     # only a ModelError is refused input: an exception of any other type,
     # ValueError included, is a fault of slopestab
-    @pytest.mark.parametrize("argv, module, name, exc", [
-        (["analyze", "t3.json"], slope, "isolate_roots", ValueError("empty interval")),
-        (["export-table", "p2.json"], toric, "_generic_direction", KeyError("x")),
+    # the message names the type: a bare KeyError would print only 'x'
+    @pytest.mark.parametrize("argv, module, name, exc, message", [
+        (["analyze", "t3.json"], slope, "isolate_roots", ValueError("empty interval"),
+         "ValueError: empty interval"),
+        (["export-table", "p2.json"], toric, "_generic_direction", KeyError("x"),
+         "KeyError: 'x'"),
         (["verify", "p2.json", "--c", "1/2"], oracle, "_sample",
-         ZeroDivisionError("division by zero")),
+         ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
     ], ids=["ValueError", "KeyError", "ZeroDivisionError"])
     def test_stray_exception_exits_4(self, capsys, models_dir, monkeypatch,
-                                     argv, module, name, exc):
+                                     argv, module, name, exc, message):
         def fail(*args):
             raise exc
 
         monkeypatch.setattr(module, name, fail)
         code, out, err = run(capsys, argv[0], str(models_dir / argv[1]), *argv[2:])
-        assert (code, out, err) == (4, "", f"internal error: {exc}\n")
+        assert (code, out, err) == (4, "", f"internal error: {message}\n")
 
 
 class TestLimit:
@@ -751,6 +764,7 @@ class TestDeterminism:
             return subprocess.run(
                 [sys.executable, "-m", "slopestab.cli", *args],
                 capture_output=True, text=True, cwd=str(models_dir.parent),
+                env=child_env(models_dir.parent),
             )
 
         for args in (

@@ -272,6 +272,11 @@ class TestRationalRoots:
         assert rational_roots(poly(1, 0, 1)) == []
         assert rational_roots(poly(7)) == []
 
+    def test_empty_window_rejected(self):
+        # the window is isolate_roots' window, and so are its refusals
+        with pytest.raises(ValueError, match="empty interval"):
+            rational_roots(poly(-1, 1), 1, 1)
+
 
 class TestIsolateRoots:
     def test_quadratic_with_irrational_root(self):

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
 from itertools import combinations, permutations
@@ -305,7 +306,7 @@ class TestPolytopes:
     def test_empty_beyond_threshold(self):
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
         p = polytope_of(fan, (0, 0, 1, -2))
-        assert p.is_empty
+        assert not p.vertices
         assert p.volume() == 0
 
     def test_incomplete_fan_rejected(self):
@@ -530,6 +531,15 @@ class TestTwoPathConsistency:
     def test_mixed_s_direction(self, load_model, agrees_with_polytopes, s):
         assert agrees_with_polytopes(load_model("f1_bignef"), s)
 
+    # n = 1: every facet of the polytope is a point, of lattice volume 1
+    @pytest.mark.parametrize("L", [(0, 3), (1, 2), (2, 5)])
+    def test_p1_point(self, agrees_with_polytopes, L):
+        model = ToricModel("P1 point", Fan(((1,), (-1,)), ((0,), (1,))), L, (0,))
+        assert agrees_with_polytopes(model)
+        fan1, e_idx, pullback = _exceptional_setup(model)
+        poly = polytope_of(fan1, pullback(model.L))
+        assert [poly.facet_lattice_volume(i) for i in range(2)] == [1, 1]
+
 
 class TestScaling:
     def test_alpha0_covariance(self, load_model):
@@ -541,6 +551,24 @@ class TestScaling:
             # base.alpha0 at t/d: the coefficient of t^k divided by d^k
             at_t_over_d = UniPoly(c / d**k for k, c in enumerate(base.alpha0.coeffs))
             assert scaled.alpha0 == d**2 * at_t_over_d
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_dilation(self, load_model, name, d):
+        # L -> dL: epsilon scales by d, and an entry of degree i in L by d^i
+        model = load_model(name)
+        base = export_table(model)
+        scaled = export_table(replace(model, L=tuple(d * a for a in model.L)))
+        n = base.n
+        assert scaled.epsilon == d * base.epsilon
+        assert list(scaled.ae) == [d ** (n - k) * a for k, a in enumerate(base.ae)]
+        assert list(scaled.kae) == [d ** (n - 1 - k) * a for k, a in enumerate(base.kae)]
+        assert isinstance(scaled, MixedTable) == isinstance(base, MixedTable)
+        if isinstance(base, MixedTable):
+            for attr in ("mixed", "kmixed"):
+                entries = getattr(base, attr)
+                assert getattr(scaled, attr) == {
+                    (i, j, k): d**i * v for (i, j, k), v in entries.items()}
 
     def test_birational_invariance(self, load_model):
         # mu from the subdivided fan equals the value on the base variety
