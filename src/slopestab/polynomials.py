@@ -314,18 +314,17 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
     exactly one root of the square-free integer polynomial `ints`.
 
     A rational root of `ints` has a denominator dividing its leading
-    coefficient `lead`, and two such rationals lie at least 1/lead^2 apart.
-    Bisection on the sign alone narrows the open interval around the root
-    below 1/(2 lead^2), so the closest rational with denominator <= lead to
-    its midpoint is the root, if the root is rational.
+    coefficient `lead`, so it is a multiple of 1/lead.  Bisection on the
+    sign alone narrows the open interval around the root below 1/lead,
+    where at most one multiple of 1/lead lies: the root, if it is rational.
     """
     sign_b = _sign(_horner(ints, b.numerator, b.denominator))
     if sign_b == 0:
         return b
     lead = abs(ints[-1])
     base, step, den = _grid(a, b)
-    # level k of the grid, with (b - a) / 2^k < 1/(2 lead^2)
-    k = (2 * lead * lead * step // den).bit_length()
+    # level k of the grid, with (b - a) / 2^k < 1/lead
+    k = (lead * step // den).bit_length()
     base, den = base << k, den << k
     i, j = 0, 1 << k
     while j - i > 1:
@@ -337,10 +336,9 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
             j = mid
         else:
             i = mid
-    left, right = Fraction(base + i * step, den), Fraction(base + j * step, den)
-    r = ((left + right) / 2).limit_denominator(lead)
-    if left < r < right and not _horner(ints, r.numerator, r.denominator):
-        return r
+    y = (base + j * step) * lead // den  # the last multiple of 1/lead <= right
+    if y * den > (base + i * step) * lead and not _horner(ints, y, lead):
+        return Fraction(y, lead)
     return None
 
 
@@ -351,16 +349,17 @@ def isolate_roots(
 
     One Sturm sequence, of the square-free part of p, serves the whole
     call.  `_root_in` tests each cell of a first bisection, one real root a
-    cell, for a rational root, in time polynomial in the bit size.  These are
-    reported as degenerate intervals (lo == hi); they cut the window into
-    segments, and bisection of each segment (a, b], counting only the roots
-    strictly inside it, gives every other root an interval of width <=
-    `width` whose ends are neither a segment end nor a root: the count is
-    V(a) at a, V(b) plus 1 if b is an exact root at b, and V(x) at each
-    dyadic grid point in between, V being the Sturm sign variations.  V is
-    computed once per segment end: at lo and hi for both the exact roots and
-    the segments, and once at each interior exact root.  Result is sorted
-    left to right.
+    cell, for a rational root: it narrows the cell below 1/lead, lead the
+    leading coefficient of the square-free part, and tests the one multiple
+    of 1/lead left, with about bits(lead) evaluations.  These are reported
+    as degenerate intervals (lo == hi); they cut the window into segments,
+    and bisection of each segment (a, b], counting only the roots strictly
+    inside it, gives every other root an interval of width <= `width` whose
+    ends are neither a segment end nor a root: the count is V(a) at a, V(b)
+    plus 1 if b is an exact root at b, and V(x) at each dyadic grid point in
+    between, V being the Sturm sign variations.  V is computed once per
+    segment end: at lo and hi for both the exact roots and the segments, and
+    once at each interior exact root.  Result is sorted left to right.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")

@@ -597,6 +597,38 @@ class TestExportTable:
         code, _, err = run(capsys, "export-table", str(models_dir / "t1.json"))
         assert code == 2 and "toric" in err
 
+    @staticmethod
+    def analyze_bytes(capsys, tmp_path, model_path, eps):
+        """`analyze` of the file at model_path with --c eps/2,eps, as bytes."""
+        out = tmp_path / "analyze.txt"
+        code, _, err = run(capsys, "analyze", str(model_path), "--c", f"{eps / 2},{eps}",
+                           "--out", str(out))
+        assert code == 0 and err == ""
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("name", ["p2", "p2_o2", "p3", "f1_ample", "f1_bignef"])
+    def test_analyze_of_export_is_analyze(self, capsys, tmp_path, models_dir, load_model,
+                                          name):
+        model_path, table_path = models_dir / f"{name}.json", tmp_path / "table.json"
+        code, _, _ = run(capsys, "export-table", str(model_path), "--out", str(table_path))
+        assert code == 0
+        eps = export_table(load_model(name)).epsilon
+        assert (self.analyze_bytes(capsys, tmp_path, table_path, eps)
+                == self.analyze_bytes(capsys, tmp_path, model_path, eps))
+
+    @pytest.mark.parametrize("name", [
+        "p4_o2_codim2", "p1_cubed_point", "blp3_014", "p2_o2_point_02"])
+    def test_analyze_of_serialized_table_is_analyze(self, capsys, tmp_path, load_model, name):
+        # the models of EXTRA_TORIC in conftest, which have no file
+        model = load_model(name)
+        table = export_table(model)
+        model_path, table_path = tmp_path / "model.json", tmp_path / "table.json"
+        model_path.write_text(json.dumps(toric_doc(model)))
+        table_path.write_text(json.dumps(serialize_model(table)))
+        assert parse_model(table_path.read_bytes()) == table
+        assert (self.analyze_bytes(capsys, tmp_path, table_path, table.epsilon)
+                == self.analyze_bytes(capsys, tmp_path, model_path, table.epsilon))
+
     def test_winding_cones_rejected(self, capsys, tmp_path):
         # eight smooth cones that wind three times around the plane
         rays = [[1, 0], [-1, 1], [0, -1], [1, 1], [-1, 0], [1, -1], [0, 1], [-1, -1]]

@@ -247,6 +247,19 @@ class TestVerify:
         cs = (F(1, 2), F(9, 10), F(1, 3), F(1, 2))
         assert oracle.verify(model, cs) == tuple(verify_main_theorem(model, c) for c in cs)
 
+    # P^n with L = d O(1), blown up once per delta_j, at c = eps/2 and eps:
+    # their denominators are at most 2, so m stays small
+    @pytest.mark.parametrize("n, d, deltas, seed", [
+        (2, 3, (1,), 1), (2, 5, (2, 1), 3), (2, 4, (1, 1), 2),
+        (3, 3, (1,), 1), (3, 3, (1, 1), 1), (3, 4, (1, 1, 1), 2),
+    ], ids=["P2-d3-1", "P2-d5-2", "P2-d4-2", "P3-d3-1", "P3-d3-2", "P3-d4-3"])
+    def test_generated_blow_ups(self, blown_up_projective_space, n, d, deltas, seed):
+        model = blown_up_projective_space(n, d, deltas, seed)
+        eps = export_table(model).epsilon
+        assert eps.denominator == 1
+        recs = oracle.verify(model, (eps / 2, eps))
+        assert [(r.sign_match, r.exact_match) for r in recs] == [(True, True)] * 2
+
     def test_p1(self):
         recs = oracle.verify(P1_O3, (F(1, 2), 1))
         assert [(r.df_oracle, r.sign_match, r.exact_match) for r in recs] == [

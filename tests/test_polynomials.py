@@ -278,6 +278,93 @@ class TestRationalRoots:
             rational_roots(poly(-1, 1), 1, 1)
 
 
+def first_cells(p, lo, hi):
+    """The square-free integer polynomial that `_root_in` searches, and the
+    cells (a, b] of the first bisection of `isolate_roots` on (lo, hi]."""
+    seq = polynomials._squarefree_sturm(p)
+    v_lo, v_hi = (polynomials.sign_variations(seq, x.numerator, x.denominator)
+                  for x in (F(lo), F(hi)))
+    return seq[0], polynomials._bisect(seq, F(lo), F(hi), v_lo, v_hi)
+
+
+class TestRootIn:
+    """`_root_in` bisects until its cell is narrower than 1/lead, then tests
+    the one multiple of 1/lead left in it: at most bits(lead (b - a)) + 2
+    evaluations, one at b, one per level and one for that multiple."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = polynomials._horner
+
+        def counted(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polynomials, "_horner", counted)
+        return seen
+
+    @staticmethod
+    def root_in(calls, ints, a, b):
+        calls.clear()
+        r = polynomials._root_in(ints, a, b)
+        assert len(calls) <= int(abs(ints[-1]) * (b - a)).bit_length() + 2
+        return r
+
+    def test_evaluations_bounded_on_planted_roots(self, calls):
+        # (den x - num)(m x^2 - k)(x^2 + x + 1) with den of 1 to 79 digits,
+        # so leads of up to 80 digits; m x^2 = k has rational roots when km
+        # is a square, irrational ones otherwise
+        rng = random.Random(19)
+        leads = set()
+        for digits in range(1, 80):
+            for _ in range(2):
+                den = rng.randint(10 ** (digits - 1), 10**digits - 1)
+                root = F(rng.randint(1, 2 * den), den)
+                m, k = rng.randint(2, 9), rng.randint(1, 30)
+                p = poly(-root.numerator, root.denominator) * poly(-k, 0, m) * poly(1, 1, 1)
+                planted = {root}
+                if isqrt(k * m) ** 2 == k * m and k <= 4 * m:
+                    planted.add(F(isqrt(k * m), m))
+                ints, cells = first_cells(p, 0, 2)
+                leads.add(len(str(abs(ints[-1]))))
+                found = set()
+                for a, b in cells:
+                    r = self.root_in(calls, ints, a, b)
+                    if r is not None:
+                        assert a < r <= b and p(r) == 0
+                        found.add(r)
+                assert found == planted
+        assert min(leads) <= 2 and max(leads) == 80
+
+    def test_multiple_of_one_over_lead_that_is_not_a_root(self, calls):
+        # (x^2 - 2)(3x - 1) on (1, 3/2]: one step leaves (5/4, 3/2), whose one
+        # multiple of 1/3, 4/3, is tested and refused
+        ints = polynomials._squarefree_sturm(poly(-2, 0, 1) * poly(-1, 3))[0]
+        assert self.root_in(calls, ints, F(1), F(3, 2)) is None
+        assert [F(*c[1:]) for c in calls] == [F(3, 2), F(5, 4), F(4, 3)]
+
+    def test_midpoint_hits_the_root(self, calls):
+        # the root 3/8 is the third midpoint of (0, 1]; no multiple of 1/lead
+        # is tested after it
+        ints = polynomials._squarefree_sturm(poly(-3, 8) * poly(-7 * 10**30 - 1, 0, 10**30))[0]
+        assert self.root_in(calls, ints, F(0), F(1)) == F(3, 8)
+        assert [F(*c[1:]) for c in calls] == [1, F(1, 2), F(1, 4), F(3, 8)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_denominators_of_hundreds_of_digits(self, seed):
+        # compared with the planted root, not with ref_isolate_roots, which
+        # calls _root_in itself
+        rng = random.Random(seed)
+        den = rng.randint(10**99, 10**200 - 1)
+        root = F(rng.randint(1, 2 * den), den)
+        p = poly(-root.numerator, root.denominator) * poly(-3, 0, 1) * poly(1, 1, 1)
+        ivs = isolate_roots(p, 0, 2)
+        assert [iv.lo for iv in ivs if iv.is_exact] == [root]
+        (irr,) = [iv for iv in ivs if not iv.is_exact]
+        assert irr.lo**2 < 3 < irr.hi**2
+
+
 class TestIsolateRoots:
     def test_quadratic_with_irrational_root(self):
         # 9 - 6c - 5c^2 has its positive root at 3(sqrt(6) - 1)/5
