@@ -271,73 +271,58 @@ def _squarefree_sturm(p: UniPoly) -> list[list[int]]:
     return seq
 
 
-def _grid(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(base, step, den) such that the point lo + i (hi - lo) / 2^k of the
-    dyadic grid of (lo, hi] is ((base << k) + i step) / (den << k)."""
-    w = hi - lo
-    return (lo.numerator * w.denominator, w.numerator * lo.denominator,
-            lo.denominator * w.denominator)
+def _bisect(seq, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int, width=None):
+    """Cells that each hold one root and together hold every root in
+    (lo, hi], yielded left to right; with a width, each also has
+    width >= step/den and lo < a/den < (a + step)/den < hi.
 
-
-def _bisect(seq, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int,
-            width=None) -> list[tuple]:
-    """Intervals (a, b] in (lo, hi], left to right, that each hold one root
-    and together hold every root in (lo, hi]; with a width, each also has
-    b - a <= width and lo < a < b < hi.
-
-    The count v(x) falls by one across each root to be isolated: it is
-    v_lo and v_hi at the ends and sign_variations(seq, x) inside.  Cells of
-    the dyadic grid of (lo, hi] are split at their midpoints and walked as
-    integer pairs (i, k); only a returned cell is made into Fractions.
+    A cell is the integer triple (a, step, den), the interval
+    (a/den, (a + step)/den] of the dyadic grid lo + i (hi - lo) / 2^k of
+    (lo, hi]; its halves are (2a, step, 2den) and (2a + step, step, 2den).
+    The count v(x) falls by one across each root to be isolated: it is v_lo
+    and v_hi at the ends and sign_variations(seq, x) inside.
     """
-    base, step, den = _grid(lo, hi)
-    if width is not None:  # (hi - lo) / 2^k <= width, as need <= have << k
+    w = hi - lo
+    base, step = lo.numerator * w.denominator, w.numerator * lo.denominator
+    den = lo.denominator * w.denominator
+    if width is not None:  # step / (den << k) <= width, as need <= have << k
         need, have = step * width.denominator, width.numerator * den
-    out = []
     stack = [(0, 0, v_lo, v_hi)]  # cell i of level k, with its end counts
     while stack:
         i, k, va, vb = stack.pop()
         if va - vb == 1 and (width is None or (need <= have << k and 0 < i < (1 << k) - 1)):
-            a = (base << k) + i * step
-            out.append((Fraction(a, den << k), Fraction(a + step, den << k)))
+            yield (base << k) + i * step, step, den << k
         elif va > vb:
             i, k = 2 * i + 1, k + 1
             vm = sign_variations(seq, (base << k) + i * step, den << k)
+            stack.append((i, k, vm, vb))  # the right half waits for the left
             stack.append((i - 1, k, va, vm))
-            stack.append((i, k, vm, vb))
-    out.sort()
-    return out
 
 
-def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
-    """The root in (a, b] if it is rational, else None; (a, b] must hold
-    exactly one root of the square-free integer polynomial `ints`.
+def _root_in(ints: Sequence[int], a: int, step: int, den: int):
+    """The root in the cell (a/den, (a + step)/den] if it is rational, else
+    None; the cell must hold exactly one root of the square-free integer
+    polynomial `ints`.
 
     A rational root of `ints` has a denominator dividing its leading
-    coefficient `lead`, so it is a multiple of 1/lead.  Bisection on the
-    sign alone narrows the open interval around the root below 1/lead,
-    where at most one multiple of 1/lead lies: the root, if it is rational.
+    coefficient `lead`, so it is a multiple of 1/lead.  Halving the cell on
+    the sign alone, on the same grid, narrows it below 1/lead, where at most
+    one multiple of 1/lead lies: the root, if it is rational.
     """
-    sign_b = _sign(_horner(ints, b.numerator, b.denominator))
+    sign_b = _sign(_horner(ints, a + step, den))
     if sign_b == 0:
-        return b
+        return Fraction(a + step, den)
     lead = abs(ints[-1])
-    base, step, den = _grid(a, b)
-    # level k of the grid, with (b - a) / 2^k < 1/lead
-    k = (lead * step // den).bit_length()
-    base, den = base << k, den << k
-    i, j = 0, 1 << k
-    while j - i > 1:
-        mid = (i + j) // 2
-        s = _sign(_horner(ints, base + mid * step, den))
+    span = lead * step
+    while span >= den:  # the cell is at least 1/lead wide
+        a, den = 2 * a, 2 * den
+        s = _sign(_horner(ints, a + step, den))
         if s == 0:
-            return Fraction(base + mid * step, den)
-        if s == sign_b:
-            j = mid
-        else:
-            i = mid
-    y = (base + j * step) * lead // den  # the last multiple of 1/lead <= right
-    if y * den > (base + i * step) * lead and not _horner(ints, y, lead):
+            return Fraction(a + step, den)
+        if s != sign_b:
+            a += step
+    y = (a + step) * lead // den  # the last multiple of 1/lead <= the right end
+    if y * den > a * lead and not _horner(ints, y, lead):
         return Fraction(y, lead)
     return None
 
@@ -345,21 +330,20 @@ def _root_in(ints: Sequence[int], a: Fraction, b: Fraction):
 def isolate_roots(
     p: UniPoly, lo, hi, width: Fraction = DEFAULT_ISOLATION_WIDTH
 ) -> list[IsolatingInterval]:
-    """Isolate the distinct real roots of p in the window (lo, hi].
+    """Isolate the distinct real roots of p in the window (lo, hi], left to
+    right.
 
     One Sturm sequence, of the square-free part of p, serves the whole
     call.  `_root_in` tests each cell of a first bisection, one real root a
-    cell, for a rational root: it narrows the cell below 1/lead, lead the
-    leading coefficient of the square-free part, and tests the one multiple
-    of 1/lead left, with about bits(lead) evaluations.  These are reported
-    as degenerate intervals (lo == hi); they cut the window into segments,
-    and bisection of each segment (a, b], counting only the roots strictly
+    cell, for a rational root, with about bits(lead) evaluations, lead the
+    leading coefficient of the square-free part.  These are reported as
+    degenerate intervals (lo == hi); they cut the window into segments, and
+    bisection of each segment (a, b], counting only the roots strictly
     inside it, gives every other root an interval of width <= `width` whose
-    ends are neither a segment end nor a root: the count is V(a) at a, V(b)
-    plus 1 if b is an exact root at b, and V(x) at each dyadic grid point in
-    between, V being the Sturm sign variations.  V is computed once per
-    segment end: at lo and hi for both the exact roots and the segments, and
-    once at each interior exact root.  Result is sorted left to right.
+    ends are neither a segment end nor a root.  Of the segment ends, the
+    Sturm sign variations V are evaluated at lo and hi only: at an exact
+    root b, V(b) is V(hi) plus the number of first cells to the right of
+    b's, one root each.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -369,17 +353,19 @@ def isolate_roots(
     seq = _squarefree_sturm(p)
     v_lo = sign_variations(seq, lo.numerator, lo.denominator)
     v_hi = sign_variations(seq, hi.numerator, hi.denominator)
-    found = (_root_in(seq[0], a, b) for a, b in _bisect(seq, lo, hi, v_lo, v_hi))
-    exact = [r for r in found if r is not None]
-    out = [IsolatingInterval(r, r) for r in exact]
-    a, v_a = lo, v_lo
-    for b in exact:  # segments (a, b] ending at an exact root
-        v_b = v_hi if b == hi else sign_variations(seq, b.numerator, b.denominator)
-        out.extend(IsolatingInterval(x, y) for x, y in _bisect(seq, a, b, v_a, v_b + 1, width))
-        a, v_a = b, v_b
-    if a != hi:
-        out.extend(IsolatingInterval(x, y) for x, y in _bisect(seq, a, hi, v_a, v_hi, width))
-    out.sort(key=lambda iv: iv.lo)
+    cells = list(_bisect(seq, lo, hi, v_lo, v_hi))
+    out, a, v_a = [], lo, v_lo
+    for n, cell in enumerate(cells, 1):
+        b = _root_in(seq[0], *cell)
+        if b is not None:  # the segment (a, b], then b
+            v_b = v_hi + len(cells) - n
+            out.extend(IsolatingInterval(Fraction(x, d), Fraction(x + s, d))
+                       for x, s, d in _bisect(seq, a, b, v_a, v_b + 1, width))
+            out.append(IsolatingInterval(b, b))
+            a, v_a = b, v_b
+    # the last segment; empty, with no evaluation, when hi is an exact root
+    out.extend(IsolatingInterval(Fraction(x, d), Fraction(x + s, d))
+               for x, s, d in _bisect(seq, a, hi, v_a, v_hi, width))
     return out
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 
-from .models import IntersectionTable, MixedTable, ModelError
+from .models import IntersectionTable, MixedTable, ModelError, format_rational
 from .polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
@@ -173,7 +173,11 @@ def perturbation_limit(
 
     The limit is the s = 0 specialization, which is the mixed table's own
     AE/KAE (MixedTable checks that its j = 0 slice agrees with them).
+    Each eps must be positive: L + eps*H perturbs L towards the ample side.
     """
+    for eps in eps_list:
+        if eps <= 0:
+            raise ModelError(f"eps must be positive, got {format_rational(Fraction(eps))}")
     c = Fraction(c)
     values = []
     for table in [*map(mixed.specialize, eps_list), mixed]:

@@ -569,6 +569,14 @@ class TestLimit:
         assert code == 2 and out == ""
         assert err == "error: bad --eps value '1/x': malformed rational literal '1/x'\n"
 
+    @pytest.mark.parametrize("eps", ["-3", "0", "1/10,0"])
+    def test_non_positive_eps_exits_2(self, capsys, models_dir, eps):
+        # -3 used to print a row for L - 3H, and 0 the eps 0 row twice
+        code, out, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),
+                             "--c", "1/2", f"--eps={eps}")
+        assert (code, out) == (2, "")
+        assert err == f"error: eps must be positive, got {eps.split(',')[-1]}\n"
+
     def test_needs_single_c(self, capsys, models_dir):
         code, _, err = run(capsys, "limit", str(models_dir / "f1_bignef.json"),
                            "--c", "1/4,1/2")

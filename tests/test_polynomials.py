@@ -1,7 +1,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -280,17 +280,19 @@ class TestRationalRoots:
 
 def first_cells(p, lo, hi):
     """The square-free integer polynomial that `_root_in` searches, and the
-    cells (a, b] of the first bisection of `isolate_roots` on (lo, hi]."""
+    integer cells (a, step, den) of the first bisection of `isolate_roots` on
+    (lo, hi]."""
     seq = polynomials._squarefree_sturm(p)
     v_lo, v_hi = (polynomials.sign_variations(seq, x.numerator, x.denominator)
                   for x in (F(lo), F(hi)))
-    return seq[0], polynomials._bisect(seq, F(lo), F(hi), v_lo, v_hi)
+    return seq[0], list(polynomials._bisect(seq, F(lo), F(hi), v_lo, v_hi))
 
 
 class TestRootIn:
     """`_root_in` bisects until its cell is narrower than 1/lead, then tests
-    the one multiple of 1/lead left in it: at most bits(lead (b - a)) + 2
-    evaluations, one at b, one per level and one for that multiple."""
+    the one multiple of 1/lead left in it: at most bits(lead step / den) + 2
+    evaluations on the cell (a/den, (a + step)/den], one at its right end,
+    one per level and one for that multiple."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -305,10 +307,10 @@ class TestRootIn:
         return seen
 
     @staticmethod
-    def root_in(calls, ints, a, b):
+    def root_in(calls, ints, a, step, den):
         calls.clear()
-        r = polynomials._root_in(ints, a, b)
-        assert len(calls) <= int(abs(ints[-1]) * (b - a)).bit_length() + 2
+        r = polynomials._root_in(ints, a, step, den)
+        assert len(calls) <= (abs(ints[-1]) * step // den).bit_length() + 2
         return r
 
     def test_evaluations_bounded_on_planted_roots(self, calls):
@@ -329,10 +331,10 @@ class TestRootIn:
                 ints, cells = first_cells(p, 0, 2)
                 leads.add(len(str(abs(ints[-1]))))
                 found = set()
-                for a, b in cells:
-                    r = self.root_in(calls, ints, a, b)
+                for a, step, den in cells:
+                    r = self.root_in(calls, ints, a, step, den)
                     if r is not None:
-                        assert a < r <= b and p(r) == 0
+                        assert F(a, den) < r <= F(a + step, den) and p(r) == 0
                         found.add(r)
                 assert found == planted
         assert min(leads) <= 2 and max(leads) == 80
@@ -341,14 +343,14 @@ class TestRootIn:
         # (x^2 - 2)(3x - 1) on (1, 3/2]: one step leaves (5/4, 3/2), whose one
         # multiple of 1/3, 4/3, is tested and refused
         ints = polynomials._squarefree_sturm(poly(-2, 0, 1) * poly(-1, 3))[0]
-        assert self.root_in(calls, ints, F(1), F(3, 2)) is None
+        assert self.root_in(calls, ints, 2, 1, 2) is None
         assert [F(*c[1:]) for c in calls] == [F(3, 2), F(5, 4), F(4, 3)]
 
     def test_midpoint_hits_the_root(self, calls):
         # the root 3/8 is the third midpoint of (0, 1]; no multiple of 1/lead
         # is tested after it
         ints = polynomials._squarefree_sturm(poly(-3, 8) * poly(-7 * 10**30 - 1, 0, 10**30))[0]
-        assert self.root_in(calls, ints, F(0), F(1)) == F(3, 8)
+        assert self.root_in(calls, ints, 0, 1, 1) == F(3, 8)
         assert [F(*c[1:]) for c in calls] == [1, F(1, 2), F(1, 4), F(3, 8)]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -436,6 +438,23 @@ class TestIsolateRoots:
         isolate_roots(p, lo, hi)
         assert len(built) == builds
 
+    def test_no_sturm_count_at_an_exact_root(self, monkeypatch):
+        # (3x - 1)(3x - 2)(x^2 - 2) on (0, 2]: no bisection midpoint is 1/3 or
+        # 2/3, and the count at each comes from the first pass's cells
+        points = []
+        real = polynomials.sign_variations
+
+        def recorded(seq, num, den):
+            points.append(F(num, den))
+            return real(seq, num, den)
+
+        monkeypatch.setattr(polynomials, "sign_variations", recorded)
+        p = poly(-1, 3) * poly(-2, 3) * poly(-2, 0, 1)
+        exact_1, exact_2, irr = isolate_roots(p, 0, 2)
+        assert F(1, 3) not in points and F(2, 3) not in points
+        assert [exact_1, exact_2] == [IsolatingInterval(r, r) for r in (F(1, 3), F(2, 3))]
+        assert not irr.is_exact and irr.lo**2 < 2 < irr.hi**2
+
     @given(
         coeffs=st.lists(small_fractions, min_size=2, max_size=5),
     )
@@ -495,7 +514,12 @@ def ref_isolate_roots(p, lo, hi, width):
     lo, hi = F(lo), F(hi)
     seq = polynomials._squarefree_sturm(p)
     cells = ref_bisect(lambda x: ref_sign_variations(seq, x), lo, hi)
-    exact = [r for r in (polynomials._root_in(seq[0], a, b) for a, b in cells) if r is not None]
+    exact = []
+    for a, b in cells:
+        den = lcm(a.denominator, b.denominator)
+        r = polynomials._root_in(seq[0], int(a * den), int((b - a) * den), den)
+        if r is not None:
+            exact.append(r)
 
     def count(x):
         return ref_sign_variations(seq, x) + bisect_right(exact, x)

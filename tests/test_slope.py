@@ -214,6 +214,14 @@ class TestPerturbationLimit:
         values, limit = perturbation_limit(mx, F(1, 2), [])
         assert values == [] and limit == F(3, 11)
 
+    @pytest.mark.parametrize("eps, shown", [(F(-3), "-3"), (F(0), "0"), (F(-1, 10), "-1/10")])
+    def test_non_positive_eps_rejected(self, load_model, eps, shown):
+        # L + eps H with eps <= 0 is no perturbation towards the ample side,
+        # although alpha0(0) of L - 3H may still be positive
+        mx = export_table(load_model("f1_bignef"))
+        with pytest.raises(ModelError, match=f"^eps must be positive, got {shown}$"):
+            perturbation_limit(mx, F(1, 2), [F(1, 10), eps])
+
     def test_inconsistent_slice_rejected(self, load_model):
         mx = export_table(load_model("f1_bignef"))
         with pytest.raises(ModelError, match="^MIX j=0 slice disagrees with AE at k=0$"):

@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from slopestab import cli
+from slopestab import cli, oracle
 from slopestab import toric as toric_mod
 from slopestab.models import IntersectionTable, MixedTable
 from slopestab.polynomials import UniPoly
@@ -41,7 +41,7 @@ WINDING_FAN = Fan(
 )
 
 
-# every toric fixture and every model of EXTRA_TORIC in conftest
+# every toric fixture, then every model of EXTRA_TORIC in conftest
 REFERENCE_MODELS = (
     "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
     "p4_o2_codim2", "p1_cubed_point", "blp3_014", "p2_o2_point_02",
@@ -475,9 +475,24 @@ def signed_permutation(model, rng):
                       model.H)
 
 
+def unimodular(model, rng):
+    """The model in coordinates changed by a random element of GL_n(Z): a
+    product of elementary row additions with multipliers in -2..2, applied
+    to every ray, then a signed permutation."""
+    n = model.fan.dim
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        g[i] = [a + k * b for a, b in zip(g[i], g[j])]
+    rays = tuple(tuple(sum(a * x for a, x in zip(row, ray)) for row in g)
+                 for ray in model.fan.rays)
+    return signed_permutation(replace(model, fan=Fan(rays, model.fan.max_cones)), rng)
+
+
 class TestMetamorphic:
-    """Relabelling rays, reordering cones and changing coordinates by a
-    signed permutation describe the same variety, L, H and Z: the exported
+    """Relabelling rays, reordering cones and changing coordinates by an
+    element of GL_n(Z) describe the same variety, L, H and Z: the exported
     table, as printed, must not change."""
 
     @staticmethod
@@ -500,8 +515,9 @@ class TestMetamorphic:
             relabelled = relabel_rays(model, rng)
             reordered = reorder_cones(model, rng)
             moved = signed_permutation(model, rng)
-            combined = signed_permutation(reorder_cones(relabel_rays(model, rng), rng), rng)
-            for variant in (relabelled, reordered, moved, combined):
+            sheared = unimodular(model, rng)
+            combined = unimodular(reorder_cones(relabel_rays(model, rng), rng), rng)
+            for variant in (relabelled, reordered, moved, sheared, combined):
                 assert self.export_stdout(capsys, tmp_path, variant) == expected
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
@@ -515,6 +531,16 @@ class TestMetamorphic:
                                         n, d, deltas, seed):
         model = blown_up_projective_space(n, d, deltas, seed)
         self.assert_invariant(capsys, tmp_path, model, seed)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS[:5])
+    def test_verify_records(self, load_model, name):
+        # the oracle counts lattice points, which GL_n(Z) maps one to one
+        model = load_model(name)
+        cs = (export_table(model).epsilon / 2,)
+        expected = oracle.verify(model, cs)
+        rng = random.Random(name)
+        for _ in range(3):
+            assert oracle.verify(unimodular(model, rng), cs) == expected
 
 
 class TestTwoPathConsistency:
@@ -555,8 +581,19 @@ class TestScaling:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_dilation(self, load_model, name, d):
+        self.assert_dilation(load_model(name), d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n, deg, deltas, seed", [
+        (2, 5, (2, 1), 3), (3, 4, (1, 1, 1), 2), (4, 4, (2, 1, 1), 4),
+    ], ids=["P2-d5-2", "P3-d4-3", "P4-d4-3"])
+    def test_dilation_of_blown_up_projective_spaces(self, blown_up_projective_space,
+                                                    n, deg, deltas, seed, d):
+        self.assert_dilation(blown_up_projective_space(n, deg, deltas, seed), d)
+
+    @staticmethod
+    def assert_dilation(model, d):
         # L -> dL: epsilon scales by d, and an entry of degree i in L by d^i
-        model = load_model(name)
         base = export_table(model)
         scaled = export_table(replace(model, L=tuple(d * a for a in model.L)))
         n = base.n
