@@ -115,12 +115,19 @@ def _levels(model: ToricModel):
 
 
 def _check_budget(levels, ms, counts: dict) -> None:
-    """Refuse, before any slice is enumerated, a count that would visit more
-    than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over its m-samples ms.
+    """Refuse, before any slice is enumerated, an m-list ms with an m that is
+    not positive or that repeats, and a count that would visit more than
+    _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over its m-samples.
     counts keeps each m's prefix count for the next m-list; an m not in it
-    is counted only as far as the budget left."""
-    total = 0
+    is counted only as far as the budget left.  Each m is checked as it is
+    reached, so the budget stops a long list before it is read to the end."""
+    total, seen = 0, set()
     for m in ms:
+        if m <= 0:
+            raise ToricError(f"m={m} is not a positive m-sample")
+        if m in seen:
+            raise ToricError(f"m={m} is repeated in the m-list")
+        seen.add(m)
         if m not in counts:
             count = 0
             for _, _, x_count in _walk(levels, m):
@@ -214,9 +221,10 @@ def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]
 
 
 def default_m_list(n: int, c) -> list[int]:
-    """Consecutive multiples of c's denominator, enough for fits plus witnesses."""
+    """The first n + 3 multiples of c's denominator: with the known sample at
+    m = 0, enough for the degree-(n+1) weight fit plus two witnesses."""
     d = Fraction(c).denominator
-    return [d * i for i in range(1, n + 5)]
+    return [d * i for i in range(1, n + 4)]
 
 
 def fit_expansions(model: ToricModel, cs, m_list=None,
@@ -224,15 +232,21 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     """Exact degree-n and degree-(n+1) fits of h0 and w with witness checks,
     one per c of cs, in order.
 
-    Each c is checked in turn: check_c(c) first when given, then its sample
-    count, the elimination (once, at the first c), the prefix budget over its
-    own m-list and the integrality of c*m.  Only then is each distinct m of
-    the m-lists walked, once, with the caps c*m of every c whose list holds
-    it.  h0 does not depend on c: it is fitted once, over every m walked in
-    increasing order, the m values past the first n + 1 as witnesses.  A fit
-    witness that disagrees raises RuntimeError: the counts are polynomials
-    in m, so it is a fault of the oracle, not of the input.  An L that is
-    not big, so that h0 has no m^n term, raises ToricError.
+    Each c is checked in turn: check_c(c) first when given, then the sample
+    count of an explicit m_list (at least n + 4), the elimination (once, at
+    the first c), its own m-list (every m positive and distinct) and the
+    prefix budget over it, and the integrality of c*m.  Only then is each
+    distinct m of the m-lists walked, once, with the caps c*m of every c
+    whose list holds it.  m = 0 is never walked: by Ehrhart's theorem
+    h0(0L) = 1 and w_0 = 0, so (0, 1) comes first in the h0 fit and (0, 0)
+    first in each weight fit, and the default m-list walks n + 3 samples for
+    fits of n + 4 points.  h0 does not depend on c: it is fitted once, over
+    m = 0 and every m walked in increasing order, the points past the first
+    n + 1 as witnesses.  A fit witness that disagrees raises RuntimeError:
+    the counts are polynomials in m, so it is a fault of the oracle, not of
+    the input.  An L that is not big, so that h0 has no m^n term, raises
+    ToricError; that is checked before the m = 0 point is added, which an
+    empty m * P_L would contradict.
     """
     n = model.fan.dim
     plans, counts, levels = [], {}, None
@@ -241,18 +255,18 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         if check_c is not None:
             check_c(c)
         ms = default_m_list(n, c) if m_list is None else m_list
-        if len(ms[:n + 4]) < n + 4:  # a range's len() fails past sys.maxsize
+        if m_list is not None and len(ms[:n + 4]) < n + 4:  # a range's len() fails past sys.maxsize
             raise ToricError(f"need at least {n + 4} m-samples, got {len(ms)}")
         if not plans:
             levels = _levels(model)
         _check_budget(levels, ms, counts)
         caps = []
         for m in ms:
-            cap = c * m
-            if cap.denominator != 1:
+            cap, rest = divmod(c.numerator * m, c.denominator)
+            if rest:
                 raise ToricError(f"m={m} does not make c*m integral")
-            caps.append(cap.numerator)
-            by_m.setdefault(m, {})[cap.numerator] = None
+            caps.append(cap)
+            by_m.setdefault(m, {})[cap] = None
         plans.append((ms, caps))
     samples = {  # m -> cap -> WeightSample
         m: dict(zip(caps, _sample(model, m, levels, tuple(caps))))
@@ -261,14 +275,16 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     fits = []
     try:
         # every cap's sample of an m holds the same h0
-        h_poly = fit_polynomial(
-            [(m, next(iter(by_cap.values())).h0) for m, by_cap in sorted(samples.items())], n)
-        if h_poly.degree < n:  # a[0] = 0 would divide df by zero
+        h0 = [(m, next(iter(by_cap.values())).h0) for m, by_cap in sorted(samples.items())]
+        # an empty m * P_L (h0 == 0 at every m) has no m^n term either, and
+        # would contradict h0(0L) = 1; a[0] = 0 would divide df by zero
+        h_poly = fit_polynomial([(0, 1), *h0], n) if any(h for _, h in h0) else None
+        if h_poly is None or h_poly.degree < n:
             raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
         a = tuple(h_poly.coeff(n - i) for i in range(n + 1))
         for ms, caps in plans:
             own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
-            w_poly = fit_polynomial([(s.m, s.w) for s in own], n + 1)
+            w_poly = fit_polynomial([(0, 0), *((s.m, s.w) for s in own)], n + 1)
             b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
             df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
             fits.append(ExpansionFit(a, b, df, own))

@@ -1,9 +1,10 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Dense polynomials with Fraction coefficients (constant term first), exact
-fits through sample points, and Sturm-sequence real-root isolation.  Each
-polynomial keeps its integer form, integer coefficients over one common
-denominator, and evaluates by one integer Horner pass on it; Sturm counts
+Dense polynomials over Q (constant term first), exact fits through sample
+points, and Sturm-sequence real-root isolation.  Each polynomial is held in
+its integer form, integer coefficients over one common denominator: it is
+combined and fitted in integers, evaluates by one integer Horner pass, and
+builds its Fraction coefficients only when they are read; Sturm counts
 and bisection run on integers too, over the dyadic grid
 lo + i (hi - lo) / 2^k of their window, and build a Fraction only for a
 result.  Everything here is pure and deterministic; no floats anywhere.
@@ -41,43 +42,60 @@ def _horner(ints: Sequence[int], num: int, den: int) -> int:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q.
+    """Dense univariate polynomial over Q, held in integer form.
 
-    Coefficients are stored constant-term first with trailing zeros trimmed;
-    the zero polynomial has an empty coefficient tuple and degree -1.
-    Evaluation runs on the integer form, computed on first use and kept.
-    Instances are immutable by convention and safe to share across threads.
+    The form (ints, den) is canonical: integer coefficients, constant term
+    first, with trailing zeros trimmed, over one denominator den > 0 with
+    gcd(den, *ints) == 1; the zero polynomial is ((), 1) and has degree -1.
+    Arithmetic, evaluation and equality run on it.  The Fraction
+    coefficients are built on first use of `coeffs` and kept; coefficients
+    passed in as Fractions are kept as given.  Instances are immutable by
+    convention and safe to share across threads.
     """
 
-    __slots__ = ("coeffs", "_form")
+    __slots__ = ("integer_form", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        ints_only = all(type(c) is int for c in cs)
+        if not ints_only:
+            cs = [c if isinstance(c, Fraction) else Fraction(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self._form = None
+        den = lcm(*(c.denominator for c in cs))
+        self.integer_form = tuple(c.numerator * (den // c.denominator) for c in cs), den
+        self._coeffs = None if ints_only else tuple(cs)
+
+    @classmethod
+    def _of(cls, ints, den: int) -> "UniPoly":
+        """The polynomial sum_k ints[k] x^k / den, for den != 0, in canonical
+        form."""
+        ints = list(ints)
+        while ints and ints[-1] == 0:
+            ints.pop()
+        g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+        p = object.__new__(cls)
+        p.integer_form = tuple(c // g for c in ints), den // g
+        p._coeffs = None
+        return p
 
     @property
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(ints, den): den > 0 is the least common denominator of the
-        coefficients and coeffs[i] == ints[i] / den."""
-        if self._form is None:
-            den = lcm(*(c.denominator for c in self.coeffs))
-            ints = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-            self._form = ints, den
-        return self._form
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            ints, den = self.integer_form
+            self._coeffs = tuple(Fraction(c, den) for c in ints)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.integer_form[0]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.integer_form[0]
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
 
     def at(self, num: int, den: int) -> tuple[int, int]:
         """(a, b) with a / b == self(num/den) and b > 0, for den > 0, unreduced."""
@@ -91,93 +109,119 @@ class UniPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.integer_form == other.integer_form
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.integer_form)
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        (a, da), (b, db) = self.integer_form, other.integer_form
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, sa, sb = b, a, sb, sa
+        out = [c * sa for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+            out[i] += c * sb
+        return UniPoly._of(out, den)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        ints, den = self.integer_form
+        return UniPoly._of([-c for c in ints], den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other):
+        a, da = self.integer_form
         if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
+            b, db = other.integer_form
+            if not (a and b):
                 return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        r = Fraction(other)
-        return UniPoly([c * r for c in self.coeffs])
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return UniPoly._of(out, da * db)
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        return UniPoly._of([c * other.numerator for c in a], da * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "UniPoly":
-        r = Fraction(scalar)
-        return UniPoly([c / r for c in self.coeffs])
+        if not isinstance(scalar, (int, Fraction)):
+            scalar = Fraction(scalar)
+        if not scalar:
+            raise ZeroDivisionError("polynomial division by zero")
+        ints, den = self.integer_form
+        return UniPoly._of([c * scalar.denominator for c in ints], den * scalar.numerator)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        ints, den = self.integer_form
+        return UniPoly._of([i * c for i, c in enumerate(ints)][1:], den)
 
     def antiderivative(self) -> "UniPoly":
-        return UniPoly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        ints, den = self.integer_form
+        scale = lcm(*range(1, len(ints) + 1))
+        return UniPoly._of([0, *(c * (scale // (i + 1)) for i, c in enumerate(ints))],
+                           den * scale)
 
 
 def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
-    """Exact degree-`degree` fit through the first degree+1 samples.
+    """Exact degree-`degree` fit through the first degree+1 samples, in
+    integers; every x and y is an int or a Fraction.
 
-    Newton divided differences c_i over Fractions, then the Newton form
-    expanded by Horner, p <- p * (x - x_i) + c_i, in integers over one common
-    denominator.  Remaining samples act as verification witnesses; any
-    mismatch raises WitnessMismatch (the signature of quasi-polynomial input
-    data).  Raises ValueError on duplicate abscissae.
+    With the nodes x_i = u_i / xd and values y_i = v_i / yd over common
+    denominators, the fit is Lagrange's in u = xd x: sum_i y_i N_i(u) / w_i,
+    where N_i = N / (u - u_i) comes from N(u) = prod_j (u - u_j) by one
+    synthetic division and w_i = N_i(u_i).  Its integer coefficients over
+    yd lcm(w_i) give the result's integer form directly, the coefficient of
+    x^k scaled by xd^k.  Remaining samples act as verification witnesses,
+    checked by integer cross-multiplication; any mismatch raises
+    WitnessMismatch (the signature of quasi-polynomial input data).  No
+    Fraction is built when every x and y is an int.  Raises ValueError on
+    duplicate abscissae.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if len(samples) < degree + 1:
         raise ValueError(f"need at least {degree + 1} samples, got {len(samples)}")
-    xs = [Fraction(x) for x, _ in samples]
-    ys = [Fraction(y) for _, y in samples]
-    if len(set(xs)) != len(xs):
+    if len({x for x, _ in samples}) != len(samples):
         raise ValueError("duplicate abscissa in samples")
-    nodes = xs[: degree + 1]
-    # divided-difference table, in place
-    coef = ys[: degree + 1]
-    for j in range(1, degree + 1):
-        for i in range(degree, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    # p = sum_t acc[t] x^t / den, with x_i = num_i / xd
-    xd = lcm(*(x.denominator for x in nodes))
-    den = lcm(*(c.denominator for c in coef))
-    acc = []
-    for x, c in zip(reversed(nodes), reversed(coef)):
-        num = x.numerator * (xd // x.denominator)
-        acc = [xd * a - num * b for a, b in zip([0, *acc], [*acc, 0])]
-        den *= xd
-        acc[0] += c.numerator * (den // c.denominator)
-    poly = UniPoly(Fraction(a, den) for a in acc)
-    for x, y in zip(xs[degree + 1 :], ys[degree + 1 :]):
-        predicted = poly(x)
-        if predicted != y:
-            raise WitnessMismatch(
-                f"witness sample at x={x}: fit predicts {predicted}, sample gives {y}")
+    nodes = samples[: degree + 1]
+    xd = lcm(*(x.denominator for x, _ in nodes))
+    yd = lcm(*(y.denominator for _, y in nodes))
+    us = [x.numerator * (xd // x.denominator) for x, _ in nodes]
+    full = [1]  # N(u), constant term first
+    for u in us:
+        full = [b - u * a for a, b in zip([*full, 0], [0, *full])]
+    terms = []
+    for u, (_, y) in zip(us, nodes):
+        if y:
+            quotient, q = [], 0  # N(u) / (u - u_i), top coefficient first
+            for c in reversed(full[1:]):
+                q = q * u + c
+                quotient.append(q)
+            quotient.reverse()
+            terms.append((y.numerator * (yd // y.denominator), quotient,
+                          _horner(quotient, u, 1)))
+    w = lcm(*(wi for _, _, wi in terms))
+    acc = [0] * (degree + 1)
+    for v, quotient, wi in terms:
+        scale = v * (w // wi)
+        for k, c in enumerate(quotient):
+            acc[k] += scale * c
+    poly = UniPoly._of([c * xd**k for k, c in enumerate(acc)], yd * w)
+    for x, y in samples[degree + 1 :]:
+        value, scale = poly.at(x.numerator, x.denominator)
+        if value * y.denominator != y.numerator * scale:
+            raise WitnessMismatch(f"witness sample at x={x}: fit predicts "
+                                  f"{Fraction(value, scale)}, sample gives {y}")
     return poly
 
 

@@ -147,19 +147,20 @@ class Fan:
         from the coordinates x of u_b in the ray basis of cone a: it holds,
         with c_i = x_i, exactly when x_a = -1.
         """
-        out = []
-        for facet, inc in self.facets:
-            if len(inc) != 2:
-                raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
-            (ca, ia), (_, ib) = inc
-            det, adj = self.adjugates[ca]
-            x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
-            if x.get(ia) != -1:
-                if not facet:
-                    raise ToricError("wall data inconsistent in dimension one")
-                raise ToricError(f"wall data inconsistent at {facet}")
-            out.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
-        return tuple(out)
+        return tuple(self._wall(facet, inc) for facet, inc in self.facets)
+
+    def _wall(self, facet, inc) -> Wall:
+        """The wall of one entry of `facets`; see `walls`."""
+        if len(inc) != 2:
+            raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
+        (ca, ia), (_, ib) = inc
+        det, adj = self.adjugates[ca]
+        x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
+        if x.get(ia) != -1:
+            if not facet:
+                raise ToricError("wall data inconsistent in dimension one")
+            raise ToricError(f"wall data inconsistent at {facet}")
+        return Wall(facet, (ia, ib), tuple(x[i] for i in facet))
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,9 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
     that column, at position p, last.  So adj(tau_i) is adj(M) with row i
     subtracted from the rows of the other rays of sigma and moved last, and
     det and adj change sign when n - 1 - p is odd.  The other cones keep
-    the parent's objects.
+    the parent's objects, and when the parent's walls have been computed,
+    each wall between two such cones keeps the parent's Wall: only the walls
+    that touch a new cone are computed.
     """
     sigma = tuple(sorted(set(sigma)))
     if not sigma:
@@ -266,9 +269,10 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
         return fan, sigma[0]
     new_ray = tuple(sum(fan.rays[i][d] for i in sigma) for d in range(fan.dim))
     new_idx = len(fan.rays)
-    cones, adjugates = [], []
+    cones, adjugates, kept = [], [], set()
     for cone, pair in zip(fan.max_cones, fan.adjugates):
         if not set(sigma) <= set(cone):
+            kept.add(len(cones))
             cones.append(cone)
             adjugates.append(pair)
             continue
@@ -287,6 +291,14 @@ def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
                 adjugates.append((det, rows))
     fan1 = Fan(fan.rays + (new_ray,), tuple(cones))
     fan1.__dict__["adjugates"] = tuple(adjugates)
+    if "walls" in fan.__dict__:
+        # two kept cones meet in fan1 as they met in fan, in the same order
+        old = {wall.rays: wall for wall in fan.walls}
+        fan1.__dict__["walls"] = tuple(
+            old[facet] if len(inc) == 2 and all(ci in kept for ci, _ in inc)
+            else fan1._wall(facet, inc)
+            for facet, inc in fan1.facets
+        )
     return fan1, new_idx
 
 

@@ -343,10 +343,11 @@ class TestVerifyOneWalkPerOp:
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", cs)
         assert (code, out, err) == (2, "", "error: c=2 outside (0, 1]\n")
 
-    # p2 visits m + 1 prefixes at m: c = 1 takes m = 1..6 (27 prefixes in all),
-    # c = 1/2 takes m = 2, 4, ..., 12 (48), and both together 9 distinct m (60)
+    # p2 visits m + 1 prefixes at m: c = 1 takes m = 1..5 (20 prefixes in all),
+    # c = 1/2 takes m = 2, 4, ..., 10 (35), and both together 8 distinct m (50);
+    # at 19 and 20 the first c to go over decides, at 30 only c = 1/2 does
     @pytest.mark.parametrize("budget, cs, m", [
-        (20, "1,1/2", 6), (20, "1/2,1", 8), (40, "1,1/2", 12), (40, "1/2,1", 12),
+        (19, "1,1/2", 5), (20, "1/2,1", 8), (30, "1,1/2", 10), (30, "1/2,1", 10),
     ])
     def test_budget_refusal_names_the_failing_c_own_m(self, capsys, models_dir,
                                                       monkeypatch, budget, cs, m):
@@ -390,8 +391,8 @@ class TestVerifyOneWalkPerOp:
         calls = self.count_work(monkeypatch)
         code, _, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/3,2/3")
         assert code == 0
-        # m = 3, 6, ..., 18 once each, with the caps m/3 and 2m/3
-        assert calls["sample"] == [(m, (m // 3, 2 * m // 3)) for m in range(3, 19, 3)]
+        # m = 3, 6, ..., 15 once each, with the caps m/3 and 2m/3
+        assert calls["sample"] == [(m, (m // 3, 2 * m // 3)) for m in range(3, 16, 3)]
         # one table, one h0 fit for the shared m-list and one weight fit per c
         assert (calls["export_table"], calls["fit_polynomial"]) == (1, 3)
 
@@ -400,10 +401,10 @@ class TestVerifyOneWalkPerOp:
         code, _, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2,1")
         assert code == 0
         walked = dict(calls["sample"])
-        assert len(calls["sample"]) == len(walked) == 9
-        assert sorted(walked) == [1, 2, 3, 4, 5, 6, 8, 10, 12]
+        assert len(calls["sample"]) == len(walked) == 8
+        assert sorted(walked) == [1, 2, 3, 4, 5, 6, 8, 10]
         assert walked[4] == (2, 4) and walked[5] == (5,) and walked[8] == (4,)
-        # one table, one h0 fit over all nine m and one weight fit per c
+        # one table, one h0 fit over all eight m and one weight fit per c
         assert (calls["export_table"], calls["fit_polynomial"]) == (1, 3)
 
     def test_h0_fitted_once_per_op(self, capsys, models_dir, monkeypatch):
@@ -418,7 +419,7 @@ class TestVerifyOneWalkPerOp:
         code, out, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2,1/2")
         assert code == 0
         assert out.splitlines()[1:] == ["P2 O(1) point 1/2 1/8 1/8 True True"] * 2
-        assert [caps for _, caps in calls["sample"]] == [(m // 2,) for m in range(2, 13, 2)]
+        assert [caps for _, caps in calls["sample"]] == [(m // 2,) for m in range(2, 11, 2)]
 
     @pytest.mark.parametrize("name", [
         "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
@@ -474,17 +475,17 @@ class TestInternalFault:
 
         def forged(model, m, levels, caps):
             out = sample(model, m, levels, caps)
-            return tuple(replace(s, h0=s.h0 + 1) for s in out) if m == 12 else out
+            return tuple(replace(s, h0=s.h0 + 1) for s in out) if m == 10 else out
 
         monkeypatch.setattr(oracle, "_sample", forged)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
                              "--c", "1/2")
         p2 = load_model("p2")
-        h0 = sample(p2, 12, oracle._levels(p2), (0,))[0].h0
+        h0 = sample(p2, 10, oracle._levels(p2), (0,))[0].h0
         assert code == 4 and out == ""
         assert err == ("internal error: RuntimeError: "
                        "oracle counts are not polynomial in m: "
-                       f"witness sample at x=12: fit predicts {h0}, "
+                       f"witness sample at x=10: fit predicts {h0}, "
                        f"sample gives {h0 + 1}\n")
 
     def test_generic_direction_fault_exits_4(self, capsys, models_dir, monkeypatch):

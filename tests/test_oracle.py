@@ -4,11 +4,12 @@ import importlib
 import pathlib
 import sys
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import ceil, comb, floor
 
 import pytest
 
+from reference import newton_fit
 from slopestab import oracle
 from slopestab.oracle import (
     _sigma_form,
@@ -32,6 +33,17 @@ REFERENCE_MODELS = (
 P1_O3 = ToricModel("P1 O(3) point", Fan(((1,), (-1,)), ((0,), (1,))), (0, 3), (0,))
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 P1_SQUARED_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+P6_O2 = ToricModel(
+    "P6 O(2)",
+    Fan(tuple(tuple(int(i == j) for j in range(6)) for i in range(6)) + ((-1,) * 6,),
+        tuple(combinations(range(7), 6))),
+    (0,) * 6 + (2,),
+    (0, 1),
+)
+# P^n with L = d O(1), blown up once per delta_j (n, d, deltas, seed), and their ids
+BLOW_UPS = [(2, 3, (1,), 1), (2, 5, (2, 1), 3), (2, 4, (1, 1), 2),
+            (3, 3, (1,), 1), (3, 3, (1, 1), 1), (3, 4, (1, 1, 1), 2)]
+BLOW_UP_IDS = ["P2-d3-1", "P2-d5-2", "P2-d4-2", "P3-d3-1", "P3-d3-2", "P3-d4-3"]
 
 
 def box_levels(model, m):
@@ -149,8 +161,53 @@ class TestWeightTotal:
 
 class TestDefaultMList:
     def test_denominator_multiples(self):
-        assert default_m_list(2, F(1, 3)) == [3, 6, 9, 12, 15, 18]
-        assert default_m_list(3, 1) == [1, 2, 3, 4, 5, 6, 7]
+        assert default_m_list(2, F(1, 3)) == [3, 6, 9, 12, 15]
+        assert default_m_list(3, 1) == [1, 2, 3, 4, 5, 6]
+
+    def test_budget_reaches_p6_o2_at_one_half(self):
+        # m = 2, ..., 18 visit 1622466 prefixes; n + 4 walked samples would
+        # end at m = 20, past the budget.  Only the budget is counted here.
+        levels, counts = oracle._levels(P6_O2), {}
+        ms = default_m_list(6, F(1, 2))
+        assert ms == list(range(2, 19, 2))
+        oracle._check_budget(levels, ms, counts)
+        assert sum(counts.values()) == 1622466
+        with pytest.raises(ToricError, match="^lattice-point budget exceeded at m=20: "):
+            oracle._check_budget(levels, [*ms, 20], counts)
+
+    @pytest.mark.parametrize("m_list, message", [
+        ((0, 1, 2, 3, 4, 5), "m=0 is not a positive m-sample"),
+        ((1, 2, 3, -1, 4, 5), "m=-1 is not a positive m-sample"),
+        ((1, 2, 3, 3, 4, 5), "m=3 is repeated in the m-list"),
+    ], ids=["zero", "negative", "repeated"])
+    def test_m_list_refused(self, load_model, m_list, message):
+        with pytest.raises(ToricError, match=f"^{message}$"):
+            oracle.verify(load_model("p2"), (1,), m_list)
+
+
+class TestKnownSampleAtZero:
+    """Counting confirms the values the fits take at m = 0 without a walk,
+    h0(0L) = 1 and w_0 = 0: h0 and w fitted by the reference from n + 4
+    positive multiples of c's denominator have these constant terms."""
+
+    @staticmethod
+    def assert_constant_terms(model):
+        n, levels = model.fan.dim, oracle._levels(model)
+        eps = export_table(model).epsilon
+        for c in (eps / 2, eps):
+            ms = [c.denominator * i for i in range(1, n + 5)]
+            own = [oracle._sample(model, m, levels, ((c * m).numerator,))[0] for m in ms]
+            a = newton_fit([(s.m, s.h0) for s in own], n)
+            b = newton_fit([(s.m, s.w) for s in own], n + 1)
+            assert (a.degree, a.coeff(0), b.coeff(0)) == (n, 1, 0)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_reference_models(self, load_model, name):
+        self.assert_constant_terms(load_model(name))
+
+    @pytest.mark.parametrize("n, d, deltas, seed", BLOW_UPS, ids=BLOW_UP_IDS)
+    def test_generated_blow_ups(self, blown_up_projective_space, n, d, deltas, seed):
+        self.assert_constant_terms(blown_up_projective_space(n, d, deltas, seed))
 
 
 class TestFitExpansions:
@@ -209,7 +266,7 @@ class TestVerifyMainTheorem:
         rec = verify_main_theorem(load_model("p2"), F(1, 2))
         assert rec.sign_match and rec.exact_match
         assert rec.df_oracle == rec.df_predicted == F(1, 8)
-        assert len(rec.samples) >= 6
+        assert [s.m for s in rec.samples] == [2, 4, 6, 8, 10]
 
     def test_p2_boundary_zero(self, load_model):
         rec = verify_main_theorem(load_model("p2"), 1)
@@ -247,12 +304,8 @@ class TestVerify:
         cs = (F(1, 2), F(9, 10), F(1, 3), F(1, 2))
         assert oracle.verify(model, cs) == tuple(verify_main_theorem(model, c) for c in cs)
 
-    # P^n with L = d O(1), blown up once per delta_j, at c = eps/2 and eps:
-    # their denominators are at most 2, so m stays small
-    @pytest.mark.parametrize("n, d, deltas, seed", [
-        (2, 3, (1,), 1), (2, 5, (2, 1), 3), (2, 4, (1, 1), 2),
-        (3, 3, (1,), 1), (3, 3, (1, 1), 1), (3, 4, (1, 1, 1), 2),
-    ], ids=["P2-d3-1", "P2-d5-2", "P2-d4-2", "P3-d3-1", "P3-d3-2", "P3-d4-3"])
+    # at c = eps/2 and eps: their denominators are at most 2, so m stays small
+    @pytest.mark.parametrize("n, d, deltas, seed", BLOW_UPS, ids=BLOW_UP_IDS)
     def test_generated_blow_ups(self, blown_up_projective_space, n, d, deltas, seed):
         model = blown_up_projective_space(n, d, deltas, seed)
         eps = export_table(model).epsilon

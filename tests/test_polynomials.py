@@ -6,6 +6,7 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import newton_fit
 from slopestab import cli, polynomials
 from slopestab.polynomials import (
     DEFAULT_ISOLATION_WIDTH,
@@ -209,6 +210,71 @@ class TestFitPolynomial:
         samples = [(m, -(-m // 2)) for m in range(1, 7)]  # ceil(m/2)
         with pytest.raises(WitnessMismatch):
             fit_polynomial(samples, 1)
+
+
+def fit_case(rng):
+    """Samples and a degree 0..8 for fit_polynomial: distinct, unequally
+    spaced nodes, all ints, all Fractions or mixed, and values of a random
+    polynomial of that degree, plus 0..3 witnesses, one of them off the
+    polynomial in two cases of five; one case in twenty has a repeated
+    abscissa, too few samples or a negative degree."""
+    degree, kind = rng.randint(0, 8), rng.choice(("int", "fraction", "mixed"))
+    xs = set()
+    while len(xs) < degree + 1 + rng.randint(0, 3):
+        x = F(rng.randint(-60, 60), 1 if kind == "int" else rng.choice((1, 2, 3, 7, 12)))
+        xs.add(int(x) if x.denominator == 1 and (kind == "int" or rng.random() < 0.5) else x)
+    xs = sorted(xs, key=lambda _: rng.random())
+    if kind == "int":
+        coeffs = [rng.randint(-10**rng.randint(1, 20), 10**20) for _ in range(degree + 1)]
+    else:
+        coeffs = [F(rng.randint(-10**rng.randint(1, 20), 10**20), rng.randint(1, 99))
+                  for _ in range(degree + 1)]
+    samples = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs]
+    if len(samples) > degree + 1 and rng.random() < 0.4:
+        i = rng.randrange(degree + 1, len(samples))
+        samples[i] = (samples[i][0], samples[i][1] + rng.choice((1, -1, F(1, 3))))
+    trap = rng.random()
+    if trap < 0.02:
+        samples.append((samples[rng.randrange(len(samples))][0], 0))
+    elif trap < 0.035:
+        samples = samples[:degree]
+    elif trap < 0.05:
+        degree = -1
+    return samples, degree
+
+
+def outcome(fit, samples, degree):
+    try:
+        return fit(samples, degree)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestFitAgainstReference:
+    """The integer fit against the Newton-over-Fraction fit it replaced."""
+
+    def test_random_cases(self):
+        rng = random.Random(2026)
+        kinds = set()
+        for _ in range(2400):
+            samples, degree = fit_case(rng)
+            expected = outcome(newton_fit, samples, degree)
+            assert outcome(fit_polynomial, samples, degree) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else UniPoly)
+        assert kinds == {UniPoly, WitnessMismatch, ValueError}
+
+    def test_int_samples_build_no_fraction(self, monkeypatch):
+        # as the oracle calls it: m = 0, 2, ..., 10 and a degree-2 count
+        class NoFraction(F):
+            def __new__(cls, *args):
+                raise AssertionError(f"Fraction{args} built")
+
+        monkeypatch.setattr(polynomials, "Fraction", NoFraction)
+        p = fit_polynomial([(m, (m + 1) * (m + 2) // 2) for m in range(0, 11, 2)], 2)
+        q = (p * p - p.derivative() + p / 2) * 3
+        same = q.antiderivative().derivative() == q and hash(q) == hash(q * 1)
+        monkeypatch.undo()
+        assert same and p == poly(1, F(3, 2), F(1, 2))
 
 
 class TestRationalRoots:

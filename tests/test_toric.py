@@ -223,6 +223,36 @@ class TestInheritedAdjugates:
         assert_inherited_adjugates(fan1, (0, 5))
 
 
+class TestInheritedWalls:
+    """star_subdivide keeps the parent's Wall between two cones it leaves
+    alone, once the parent's walls are computed; the walls of the same fan
+    built afresh are the reference."""
+
+    @staticmethod
+    def assert_inherited_walls(model):
+        # a center of one ray leaves the fan as it is: take a 2-face then
+        sigma = model.sigma if len(model.sigma) > 1 else model.fan.max_cones[0][:2]
+        fresh, _ = star_subdivide(Fan(model.fan.rays, model.fan.max_cones), sigma)
+        assert "walls" not in fresh.__dict__  # nothing to carry over
+        parent = {id(wall) for wall in model.fan.walls}
+        fan1, new_idx = star_subdivide(model.fan, sigma)
+        reference = Fan(fan1.rays, fan1.max_cones).walls
+        assert fan1.__dict__["walls"] == reference == fresh.walls
+        # a wall between two kept cones has the new ray neither in it nor opposite
+        kept = [new_idx not in (*wall.rays, *wall.opposite) for wall in fan1.walls]
+        assert [id(wall) in parent for wall in fan1.walls] == kept and any(kept)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_reference_models(self, load_model, name):
+        self.assert_inherited_walls(load_model(name))
+
+    @pytest.mark.parametrize("n, d, deltas, seed", [
+        (2, 4, (1, 1), 2), (3, 4, (1, 1, 1), 2), (4, 4, (2, 1, 1), 4), (5, 2, (1,), 5),
+    ], ids=["P2-d4-2", "P3-d4-3", "P4-d4-3", "P5-d2-1"])
+    def test_generated_blow_ups(self, blown_up_projective_space, n, d, deltas, seed):
+        self.assert_inherited_walls(blown_up_projective_space(n, d, deltas, seed))
+
+
 class TestCurveDegree:
     def test_p2_lines(self):
         # O(1) as the single prime divisor of the ray (-1,-1)
