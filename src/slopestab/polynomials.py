@@ -1,12 +1,12 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Dense polynomials over Q (constant term first), exact fits through sample
-points, and Sturm-sequence real-root isolation.  Each polynomial is held in
-its integer form, integer coefficients over one common denominator: it is
-combined and fitted in integers, evaluates by one integer Horner pass, and
-builds its Fraction coefficients only when they are read; Sturm counts
-and bisection run on integers too, over the dyadic grid
-lo + i (hi - lo) / 2^k of their window, and build a Fraction only for a
+points, and real-root isolation by Descartes' rule of signs.  Each
+polynomial is held in its integer form, integer coefficients over one
+common denominator: it is combined and fitted in integers, evaluates by one
+integer Horner pass, and builds its Fraction coefficients only when they
+are read; isolation runs on integers too, over the dyadic grid
+lo + i (hi - lo) / 2^k of its window, and builds a Fraction only for a
 result.  Everything here is pure and deterministic; no floats anywhere.
 """
 
@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .models import format_rational
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**20)
+_PRIME = 2**31 - 1  # the modulus of the square-free test
 
 
 class WitnessMismatch(ValueError):
@@ -252,95 +253,128 @@ def _primitive(ints: Sequence[int]) -> list[int]:
     return [c // g for c in ints]
 
 
-def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with k*a = q*b + r for a positive integer k and deg r < deg b."""
-    lead, scale = b[-1], abs(b[-1])
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    shift = len(r) - len(b)
-    while shift >= 0 and r:
-        f = r[-1] if lead > 0 else -r[-1]
-        q = [c * scale for c in q]
-        q[shift] += f
-        r = [c * scale for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
+def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with b[-1]^(deg a - deg b + 1) a = q b + r and deg r < deg b."""
+    q, r = [], list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = r.pop()
+        q = [b[-1] * c for c in q] + [f]
+        r = [b[-1] * c for c in r]
+        for i, c in enumerate(b[:-1], shift):
+            r[i] -= f * c
+    while r and not r[-1]:
         r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        shift = len(r) - len(b)
-    return q, r
+    return q[::-1], r
 
 
-def sturm_sequence(ints: Sequence[int]) -> list[list[int]]:
-    """Sturm sequence of the integer polynomial `ints` (constant term first)
-    as integer coefficient lists.
-
-    Every entry is the classical one (p, p', minus the remainders) times a
-    positive factor that makes it a primitive integer polynomial: the signs,
-    and so the sign variations, are unchanged, and integer pseudo-remainders
-    cost far less than remainders over Fractions.  The last entry is
-    gcd(p, p') up to a factor.
-    """
-    seq = [_primitive(ints)]
-    nxt = _primitive([i * c for i, c in enumerate(seq[0])][1:])
-    while nxt:
-        seq.append(nxt)
-        nxt = _primitive([-c for c in _pseudo_divide(seq[-2], seq[-1])[1]])
-    return seq
+def _coprime_mod(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether gcd(a, b) is a constant modulo _PRIME, which must not divide
+    a's leading coefficient: Euclid's algorithm over GF(_PRIME)."""
+    while True:
+        a, b = [c % _PRIME for c in a], [c % _PRIME for c in b]
+        while b and not b[-1]:
+            b.pop()
+        if len(b) < 2:
+            return bool(b)
+        a, b = b, _pseudo_divide(a, b)[1]
 
 
-def sign_variations(seq: Sequence[Sequence[int]], num: int, den: int) -> int:
-    """Sign changes of the Sturm sequence `seq` at num/den, for den > 0,
-    zeros skipped."""
-    changes, last = 0, 0
-    for q in seq:
-        s = _sign(_horner(q, num, den))
-        if s:
-            if s == -last:
-                changes += 1
-            last = s
-    return changes
-
-
-def _squarefree_sturm(p: UniPoly) -> list[list[int]]:
-    """Sturm sequence of the square-free part p / gcd(p, p'), in integers;
-    its first entry has the real roots of p, each once."""
-    seq = sturm_sequence(p.integer_form[0])
-    if len(seq[-1]) > 1:
-        q, r = _pseudo_divide(seq[0], seq[-1])
+def _squarefree(ints: Sequence[int]) -> list[int]:
+    """The primitive square-free part of the nonzero integer polynomial
+    `ints`.  x^k is divided out first (Q(0) = 0 always), then put back once;
+    the rest, q, is square-free when gcd(q, q') is constant modulo _PRIME,
+    and only otherwise is that gcd taken exactly (primitive PRS)."""
+    k = next(i for i, c in enumerate(ints) if c)
+    q = _primitive(ints[k:])
+    dq = [i * c for i, c in enumerate(q)][1:]
+    if len(q) > 2 and not (q[-1] % _PRIME and _coprime_mod(q, dq)):
+        a, b = q, dq
+        while b:
+            a, b = b, _primitive(_pseudo_divide(a, b)[1])
+        q, r = _pseudo_divide(q, a)
         if r:
             raise RuntimeError(f"gcd(p, p') does not divide p: remainder {r}")
-        seq = sturm_sequence(q)
-    return seq
+        q = _primitive(q)
+    return [0, *q] if k else q
 
 
-def _bisect(seq, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int, width=None):
-    """Cells that each hold one root and together hold every root in
-    (lo, hi], yielded left to right; with a width, each also has
-    width >= step/den and lo < a/den < (a + step)/den < hi.
+def sign_variations(coeffs: Sequence[int]) -> int:
+    """Sign changes of the integer sequence `coeffs`, zeros skipped: for a
+    polynomial's coefficients, Descartes' bound on its positive roots."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    A cell is the integer triple (a, step, den), the interval
-    (a/den, (a + step)/den] of the dyadic grid lo + i (hi - lo) / 2^k of
-    (lo, hi]; its halves are (2a, step, 2den) and (2a + step, step, 2den).
-    The count v(x) falls by one across each root to be isolated: it is v_lo
-    and v_hi at the ends and sign_variations(seq, x) inside.
-    """
+
+def _shift(c: list[int], s: int = 1) -> list[int]:
+    """c(x + s), in place: the Taylor shift."""
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _window(ints: Sequence[int], lo: Fraction, hi: Fraction):
+    """(c, base, step, den): the dyadic grid lo + i (hi - lo) / 2^k of (lo, hi],
+    whose cell i of level k is ((base << k) + i step, step, den << k) as
+    (a, step, den), and c(u) = den^d ints((base + step u) / den) on it."""
     w = hi - lo
-    base, step = lo.numerator * w.denominator, w.numerator * lo.denominator
-    den = lo.denominator * w.denominator
-    if width is not None:  # step / (den << k) <= width, as need <= have << k
-        need, have = step * width.denominator, width.numerator * den
-    stack = [(0, 0, v_lo, v_hi)]  # cell i of level k, with its end counts
+    base, step, den = (lo.numerator * w.denominator, w.numerator * lo.denominator,
+                       lo.denominator * w.denominator)
+    c = _shift([x * den ** (len(ints) - 1 - j) for j, x in enumerate(ints)], base)
+    return [x * step**j for j, x in enumerate(c)], base, step, den
+
+
+def descartes_bound(p: UniPoly, lo, hi) -> int:
+    """A bound on the roots of the nonzero p in the open interval (lo, hi),
+    counted with multiplicity, of their parity and exact when 0 or 1:
+    Descartes' rule after the map u = 1/(1 + t) of (0, inf) onto its (0, 1)."""
+    c = _window(p.integer_form[0], Fraction(lo), Fraction(hi))[0]
+    return sign_variations(_shift(c[::-1]))
+
+
+def _isolate(c: list[int]):
+    """Cells (i, k, s), left to right, each holding one root of the
+    square-free c(u) in (i/2^k, (i + 1)/2^k] and together all: its right
+    end if s == 0, else one inside, c having the sign s at the right end.
+
+    Vincent-Collins-Akritas bisection: c(u) of a cell, reversed and shifted,
+    has its Descartes count and, as constant term, its right-end value."""
+    stack = [(0, 0, c)]  # cell i of level k, with its polynomial
     while stack:
-        i, k, va, vb = stack.pop()
-        if va - vb == 1 and (width is None or (need <= have << k and 0 < i < (1 << k) - 1)):
-            yield (base << k) + i * step, step, den << k
-        elif va > vb:
-            i, k = 2 * i + 1, k + 1
-            vm = sign_variations(seq, (base << k) + i * step, den << k)
-            stack.append((i, k, vm, vb))  # the right half waits for the left
-            stack.append((i - 1, k, va, vm))
+        i, k, c = stack.pop()
+        t = _shift(c[::-1])
+        count = sign_variations(t) + (not t[0])
+        if count == 1:
+            yield i, k, _sign(t[0])
+        elif count:
+            left = [x << (len(c) - 1 - j) for j, x in enumerate(c)]
+            stack.append((2 * i + 1, k + 1, _shift(left[:])))
+            stack.append((2 * i, k + 1, left))
+
+
+def _refine(ints: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction):
+    """For each root in (lo, hi] of `ints`, square-free with no rational root,
+    its cell of the grid of (lo, hi] at the first level where the cell is
+    at most `width` wide, lies strictly inside and holds no other: by the
+    exact cells (i, k) of `_isolate` (level j <= k holds the root in cell
+    i >> (k - j)), then by halving on the sign alone."""
+    c, base, step, den = _window(ints, lo, hi)
+    need, have = step * width.denominator, width.numerator * den  # width <= need/have
+    cells = list(_isolate(c))
+    for n, (i, k, s) in enumerate(cells):
+        near = cells[max(n - 1, 0):n] + cells[n + 1:n + 2]
+        j = 0
+        while True:
+            if j > k:  # the half of the root's cell where the sign changes
+                i, k = 2 * i + 1, j
+                i -= _sign(_horner(ints, (base << k) + i * step, den << k)) == s
+            x = i >> (k - j)  # the cell of level j that holds the root
+            if (need <= have << j and 0 < x < (1 << j) - 1
+                    and all(j > k2 or i2 >> (k2 - j) != x for i2, k2, _ in near)):
+                break
+            j += 1
+        a = (base << j) + x * step
+        yield IsolatingInterval(Fraction(a, den << j), Fraction(a + step, den << j))
 
 
 def _root_in(ints: Sequence[int], a: int, step: int, den: int):
@@ -377,39 +411,33 @@ def isolate_roots(
     """Isolate the distinct real roots of p in the window (lo, hi], left to
     right.
 
-    One Sturm sequence, of the square-free part of p, serves the whole
-    call.  `_root_in` tests each cell of a first bisection, one real root a
-    cell, for a rational root, with about bits(lead) evaluations, lead the
-    leading coefficient of the square-free part.  These are reported as
-    degenerate intervals (lo == hi); they cut the window into segments, and
-    bisection of each segment (a, b], counting only the roots strictly
-    inside it, gives every other root an interval of width <= `width` whose
-    ends are neither a segment end nor a root.  Of the segment ends, the
-    Sturm sign variations V are evaluated at lo and hi only: at an exact
-    root b, V(b) is V(hi) plus the number of first cells to the right of
-    b's, one root each.
-    """
+    `_root_in` tests each cell of `_isolate`, one root of the square-free
+    part of p a cell, for a rational root: a degenerate interval (lo == hi),
+    then divided out.  These cut the window into segments, and `_refine`
+    gives every other root an interval of width <= `width` on the grid of
+    its segment, whose ends are neither a segment end nor a root."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
-    seq = _squarefree_sturm(p)
-    v_lo = sign_variations(seq, lo.numerator, lo.denominator)
-    v_hi = sign_variations(seq, hi.numerator, hi.denominator)
-    cells = list(_bisect(seq, lo, hi, v_lo, v_hi))
-    out, a, v_a = [], lo, v_lo
-    for n, cell in enumerate(cells, 1):
-        b = _root_in(seq[0], *cell)
-        if b is not None:  # the segment (a, b], then b
-            v_b = v_hi + len(cells) - n
-            out.extend(IsolatingInterval(Fraction(x, d), Fraction(x + s, d))
-                       for x, s, d in _bisect(seq, a, b, v_a, v_b + 1, width))
-            out.append(IsolatingInterval(b, b))
-            a, v_a = b, v_b
-    # the last segment; empty, with no evaluation, when hi is an exact root
-    out.extend(IsolatingInterval(Fraction(x, d), Fraction(x + s, d))
-               for x, s, d in _bisect(seq, a, hi, v_a, v_hi, width))
+    ints = _squarefree(p.integer_form[0])
+    c, base, step, den = _window(ints, lo, hi)
+    out, a, irrational = [], lo, False
+    for i, k, s in _isolate(c):
+        x, d = (base << k) + i * step, den << k
+        b = _root_in(ints, x, step, d) if s else Fraction(x + step, d)
+        if b is None:
+            irrational = True
+            continue
+        # the segment (a, b], then b, which leaves the polynomial
+        ints = _primitive(_pseudo_divide(ints, [-b.numerator, b.denominator])[0])
+        if irrational:
+            out.extend(_refine(ints, a, b, width))
+        out.append(IsolatingInterval(b, b))
+        a, irrational = b, False
+    if irrational:
+        out.extend(_refine(ints, a, hi, width))
     return out
 
 

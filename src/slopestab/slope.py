@@ -17,6 +17,7 @@ from .polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
     UniPoly,
+    descartes_bound,
     isolate_roots,
 )
 
@@ -89,8 +90,8 @@ class SlopeReport:
 def alpha_polys(table: IntersectionTable) -> AlphaPair:
     """alpha0 and alpha1 by binomial expansion of the table entries.
 
-    Positivity of alpha0 on [0, epsilon) is verified by exact root
-    isolation, not assumed.
+    Positivity of alpha0 on [0, epsilon) is verified by one Descartes test,
+    and by exact root isolation when that test allows a root, not assumed.
     """
     n = table.n
     alpha0 = UniPoly((-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae))
@@ -99,7 +100,8 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
     alpha1 = alpha1 / (-2 * factorial(n - 1))
     if alpha0(0) <= 0:
         raise PositivityError(f"alpha0(0) = {alpha0(0)} is not positive")
-    for iv in isolate_roots(alpha0, 0, table.epsilon):
+    bound = descartes_bound(alpha0, 0, table.epsilon)  # 0: no root in (0, epsilon)
+    for iv in isolate_roots(alpha0, 0, table.epsilon) if bound else ():
         # an exact root at epsilon itself is allowed (half-open positivity);
         # any non-exact interval holds an irrational root strictly below it
         if not (iv.is_exact and iv.lo == table.epsilon):

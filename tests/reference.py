@@ -1,10 +1,11 @@
 """Independent reference implementations that tests compare the package
 against.  Nothing here is imported by the package."""
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from slopestab.polynomials import UniPoly, WitnessMismatch
+from slopestab.polynomials import IsolatingInterval, UniPoly, WitnessMismatch
 
 
 def newton_fit(samples, degree):
@@ -46,3 +47,144 @@ def newton_fit(samples, degree):
             raise WitnessMismatch(
                 f"witness sample at x={x}: fit predicts {predicted}, sample gives {y}")
     return poly
+
+
+# -- Sturm-sequence root isolation: the counter that the Descartes one in
+# `polynomials` replaced, over Fractions --
+
+
+def _primitive(ints):
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _pseudo_divide(a, b):
+    """(q, r) with k*a = q*b + r for a positive integer k and deg r < deg b."""
+    lead, scale = b[-1], abs(b[-1])
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    shift = len(r) - len(b)
+    while shift >= 0 and r:
+        f = r[-1] if lead > 0 else -r[-1]
+        q = [c * scale for c in q]
+        q[shift] += f
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+        shift = len(r) - len(b)
+    return q, r
+
+
+def sturm_sequence(ints):
+    """Sturm sequence of the integer polynomial `ints` (constant term first)
+    as integer coefficient lists, each entry the classical one times a
+    positive factor that makes it primitive.  The last entry is gcd(p, p')
+    up to a factor."""
+    seq = [_primitive(ints)]
+    nxt = _primitive([i * c for i, c in enumerate(seq[0])][1:])
+    while nxt:
+        seq.append(nxt)
+        nxt = _primitive([-c for c in _pseudo_divide(seq[-2], seq[-1])[1]])
+    return seq
+
+
+def squarefree_sturm(p):
+    """Sturm sequence of the square-free part p / gcd(p, p') of the UniPoly
+    p; its first entry has the real roots of p, each once."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    seq = sturm_sequence([int(c * den) for c in p.coeffs])
+    if len(seq[-1]) > 1:
+        q, r = _pseudo_divide(seq[0], seq[-1])
+        if r:
+            raise AssertionError(f"gcd(p, p') does not divide p: remainder {r}")
+        seq = sturm_sequence(q)
+    return seq
+
+
+def sign_at(ints, num, den):
+    """The sign of the integer polynomial `ints` at num/den, for den > 0:
+    the sign of sum_j ints[j] num^j den^(d - j)."""
+    v, scale = 0, 1
+    for c in reversed(ints):
+        v, scale = v * num + c * scale, scale * den
+    return (v > 0) - (v < 0)
+
+
+def sturm_count(seq, x):
+    """Sign variations of the Sturm sequence `seq` at x, zeros skipped: the
+    distinct roots in (x, y] are sturm_count(x) - sturm_count(y)."""
+    x = Fraction(x)
+    signs = [s for s in (sign_at(q, x.numerator, x.denominator) for q in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_bisect(count, lo, hi, width=None):
+    """Cells (a, b] of the dyadic grid of (lo, hi] where `count` falls by
+    exactly one, sorted: for each root counted, the first level's cell that
+    holds no other, and with a width, is at most that wide and lies strictly
+    inside (lo, hi)."""
+    out = []
+    stack = [(lo, hi, count(lo), count(hi))]
+    while stack:
+        a, b, ca, cb = stack.pop()
+        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi)):
+            out.append((a, b))
+        elif ca > cb:
+            m = (a + b) / 2
+            cm = count(m)
+            stack.append((a, m, ca, cm))
+            stack.append((m, b, cm, cb))
+    out.sort()
+    return out
+
+
+def rational_root_in(ints, a, b):
+    """The root of the primitive integer polynomial `ints` in (a, b], which
+    must hold exactly one, if it is rational, else None.
+
+    A rational root has a denominator at most lead = |ints[-1]|, and two such
+    fractions lie at least 1/lead^2 apart: halving on the sign to a width
+    below 1/lead^2 leaves the root as the fraction of denominator at most
+    lead nearest the midpoint, if it is rational.  The halving runs on
+    integers x/den < y/den.
+    """
+    s_b = sign_at(ints, b.numerator, b.denominator)
+    if s_b == 0:
+        return b
+    lead = abs(ints[-1])
+    den = lcm(a.denominator, b.denominator)
+    x, y = int(a * den), int(b * den)
+    while (y - x) * lead * lead >= den:
+        x, y, den = 2 * x, 2 * y, 2 * den
+        m = (x + y) // 2
+        s = sign_at(ints, m, den)
+        if s == 0:
+            return Fraction(m, den)
+        x, y = (x, m) if s == s_b else (m, y)
+    r = Fraction(x + y, 2 * den).limit_denominator(lead)
+    inside = Fraction(x, den) < r < Fraction(y, den)
+    return r if inside and sign_at(ints, r.numerator, r.denominator) == 0 else None
+
+
+def ref_isolate_roots(p, lo, hi, width):
+    """The contract of `polynomials.isolate_roots`, by Sturm counts over
+    Fractions: each rational root in (lo, hi] exactly, and each irrational
+    one in the cell `sturm_bisect` gives it on the segment between the
+    rational roots (or window ends) around it."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    seq = squarefree_sturm(p)
+    cells = sturm_bisect(lambda x: sturm_count(seq, x), lo, hi)
+    exact = [r for r in (rational_root_in(seq[0], a, b) for a, b in cells) if r is not None]
+
+    def count(x):  # falls across the irrational roots only
+        return sturm_count(seq, x) + bisect_right(exact, x)
+
+    out = [IsolatingInterval(r, r) for r in exact]
+    ends = sorted({lo, hi, *exact})
+    for a, b in zip(ends, ends[1:]):
+        out.extend(IsolatingInterval(x, y) for x, y in sturm_bisect(count, a, b, width))
+    out.sort(key=lambda iv: iv.lo)
+    return out

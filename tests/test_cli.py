@@ -4,12 +4,13 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -154,6 +155,24 @@ class TestAnalyze:
         assert out.endswith("Q: 0\ndestabilizing: flat (Q identically zero)\n"
                             "c: 1/2\nmu_c: 1\nverdict: flat\n")
 
+    @pytest.mark.parametrize("width, interval", [
+        (None, "(430645/1048576, 215323/524288]"),
+        ("2^-40", "(451564637891/1099511627776, 112891159473/274877906944]"),
+    ])
+    def test_q_with_a_c_squared_factor(self, capsys, tmp_path, width, interval):
+        # AE_1 = 0 (a center of codimension 2 or more) makes Q'(0) = 0 as well
+        # as Q(0), so c^2 divides Q; its other factor has one root in (0, 1/2)
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps({"kind": "table", "label": "c2", "n": 3,
+                                    "AE": [8, 0, -7, 2], "KAE": [-7, 4, -5],
+                                    "epsilon": "1/2"}))
+        argv = ["analyze", str(path)] + (["--width", width] if width else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == ("label: c2\nn: 3\nepsilon: 1/2\nalpha0: 4/3 0 -7/2 -1/3\n"
+                       "alpha1: 7/4 2 5/4\nmu: 21/16\nQ: 0 0 3/4 -57/32 -7/64\n"
+                       f"destabilizing: ({interval}, 1/2]\n")
+
     def test_adjacent_isolating_intervals(self, capsys, tmp_path):
         # Q = t^2 ((t - 1/2)^2 - 1/1000) is negative between its two roots
         # near 1/2, whose isolating intervals meet there
@@ -223,6 +242,32 @@ class TestScan:
         code, out, _ = run(capsys, "scan", str(path))
         assert time.perf_counter() - start < 2
         assert code == 0 and len(out.splitlines()) == 21
+
+    def test_dimension_96_table_within_a_second(self, capsys, tmp_path):
+        # the n = 96 table of the benchmark's table recipe (3-digit entries,
+        # AE[0] above the dominance bound that keeps alpha0 positive on
+        # [0, eps]); its two square-free parts took over 10 s to isolate by
+        # Sturm sequences
+        n, eps, rng = 96, F(1, 2), random.Random(7)
+
+        def signed():
+            v = rng.randrange(100, 1000)
+            return v if rng.random() < 0.5 else -v
+
+        ae_tail = [signed() for _ in range(n)]
+        bound = sum(comb(n, k) * eps**k * abs(a) for k, a in enumerate(ae_tail, 1))
+        doc = {"kind": "table", "label": "n96", "n": n,
+               "AE": [int(bound) + rng.randrange(1, 1000), *ae_tail],
+               "KAE": [signed() for _ in range(n)], "epsilon": "1/2"}
+        path = tmp_path / "n96.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(path), "--c", "1/4")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert ("destabilizing: (0, (19717/1048576, 9859/524288]); "
+                "((116391/1048576, 14549/131072], (317005/1048576, 158503/524288])\n") in out
+        assert out.endswith("verdict: negative\n")
 
 
 class TestVerify:

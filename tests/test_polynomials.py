@@ -1,22 +1,27 @@
 import random
-from bisect import bisect_right
 from fractions import Fraction as F
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import newton_fit
+from reference import (
+    newton_fit,
+    ref_isolate_roots,
+    sign_at,
+    squarefree_sturm,
+    sturm_count,
+)
 from slopestab import cli, polynomials
 from slopestab.polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
     UniPoly,
     WitnessMismatch,
+    descartes_bound,
     fit_polynomial,
     isolate_roots,
     rational_roots,
-    sturm_sequence,
 )
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -344,14 +349,18 @@ class TestRationalRoots:
             rational_roots(poly(-1, 1), 1, 1)
 
 
+def squarefree(p):
+    return polynomials._squarefree(p.integer_form[0])
+
+
 def first_cells(p, lo, hi):
     """The square-free integer polynomial that `_root_in` searches, and the
     integer cells (a, step, den) of the first bisection of `isolate_roots` on
     (lo, hi]."""
-    seq = polynomials._squarefree_sturm(p)
-    v_lo, v_hi = (polynomials.sign_variations(seq, x.numerator, x.denominator)
-                  for x in (F(lo), F(hi)))
-    return seq[0], list(polynomials._bisect(seq, F(lo), F(hi), v_lo, v_hi))
+    ints = squarefree(p)
+    c, base, step, den = polynomials._window(ints, F(lo), F(hi))
+    return ints, [((base << k) + i * step, step, den << k)
+                  for i, k, _ in polynomials._isolate(c)]
 
 
 class TestRootIn:
@@ -408,21 +417,21 @@ class TestRootIn:
     def test_multiple_of_one_over_lead_that_is_not_a_root(self, calls):
         # (x^2 - 2)(3x - 1) on (1, 3/2]: one step leaves (5/4, 3/2), whose one
         # multiple of 1/3, 4/3, is tested and refused
-        ints = polynomials._squarefree_sturm(poly(-2, 0, 1) * poly(-1, 3))[0]
+        ints = squarefree(poly(-2, 0, 1) * poly(-1, 3))
         assert self.root_in(calls, ints, 2, 1, 2) is None
         assert [F(*c[1:]) for c in calls] == [F(3, 2), F(5, 4), F(4, 3)]
 
     def test_midpoint_hits_the_root(self, calls):
         # the root 3/8 is the third midpoint of (0, 1]; no multiple of 1/lead
         # is tested after it
-        ints = polynomials._squarefree_sturm(poly(-3, 8) * poly(-7 * 10**30 - 1, 0, 10**30))[0]
+        ints = squarefree(poly(-3, 8) * poly(-7 * 10**30 - 1, 0, 10**30))
         assert self.root_in(calls, ints, 0, 1, 1) == F(3, 8)
         assert [F(*c[1:]) for c in calls] == [1, F(1, 2), F(1, 4), F(3, 8)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_denominators_of_hundreds_of_digits(self, seed):
-        # compared with the planted root, not with ref_isolate_roots, which
-        # calls _root_in itself
+        # compared with the planted root: ref_isolate_roots would halve to
+        # width 1/lead^2 here, thousands of steps
         rng = random.Random(seed)
         den = rng.randint(10**99, 10**200 - 1)
         root = F(rng.randint(1, 2 * den), den)
@@ -488,36 +497,42 @@ class TestIsolateRoots:
     def test_exact_and_irrational_roots_pinned(self, p, lo, hi, width, expected):
         assert [str(iv) for iv in isolate_roots(p, lo, hi, width)] == expected
 
-    @pytest.mark.parametrize("p, lo, hi, builds", [
-        (MIXED_SQUARE_FREE, -1, 2, 1),
-        (MIXED_REPEATED, 0, F(3, 2), 2),
+    @pytest.mark.parametrize("p, lo, hi, square_free", [
+        (MIXED_SQUARE_FREE, -1, 2, True),
+        # x^2 (x^3 - 3x + 1), as c^2 divides Q for a center of codimension 2:
+        # x^k is divided out before the modular test
+        (poly(0, 0, 1, -3, 0, 1), 0, 2, True),
+        (MIXED_REPEATED, 0, F(3, 2), False),
     ])
-    def test_one_sturm_sequence_per_call(self, monkeypatch, p, lo, hi, builds):
-        # one for p, and one more for p / gcd(p, p') when p has a repeated root
-        built = []
+    def test_exact_gcd_only_for_a_repeated_root(self, monkeypatch, p, lo, hi, square_free):
+        # gcd(p, p') modulo 2^31 - 1 shows a square-free p square-free; only
+        # a repeated root takes the exact pseudo-remainder sequence
+        results = []
+        real = polynomials._coprime_mod
 
-        def counted(ints):
-            built.append(ints)
-            return sturm_sequence(ints)
+        def recorded(a, b):
+            results.append(real(a, b))
+            return results[-1]
 
-        monkeypatch.setattr(polynomials, "sturm_sequence", counted)
+        monkeypatch.setattr(polynomials, "_coprime_mod", recorded)
         isolate_roots(p, lo, hi)
-        assert len(built) == builds
+        assert results == [square_free]
 
-    def test_no_sturm_count_at_an_exact_root(self, monkeypatch):
-        # (3x - 1)(3x - 2)(x^2 - 2) on (0, 2]: no bisection midpoint is 1/3 or
-        # 2/3, and the count at each comes from the first pass's cells
+    def test_exact_roots_evaluated_once(self, monkeypatch):
+        # (3x - 1)(3x - 2)(x^2 - 2) on (0, 2]: no grid point is 1/3 or 2/3;
+        # `_root_in` evaluates each once, to find it, and the refinement of
+        # the segments it cuts off never evaluates their ends
         points = []
-        real = polynomials.sign_variations
+        real = polynomials._horner
 
-        def recorded(seq, num, den):
+        def recorded(ints, num, den):
             points.append(F(num, den))
-            return real(seq, num, den)
+            return real(ints, num, den)
 
-        monkeypatch.setattr(polynomials, "sign_variations", recorded)
+        monkeypatch.setattr(polynomials, "_horner", recorded)
         p = poly(-1, 3) * poly(-2, 3) * poly(-2, 0, 1)
-        exact_1, exact_2, irr = isolate_roots(p, 0, 2)
-        assert F(1, 3) not in points and F(2, 3) not in points
+        exact_1, exact_2, irr = isolate_roots(p, 0, 2, F(1, 2**30))
+        assert points.count(F(1, 3)) == points.count(F(2, 3)) == 1
         assert [exact_1, exact_2] == [IsolatingInterval(r, r) for r in (F(1, 3), F(2, 3))]
         assert not irr.is_exact and irr.lo**2 < 2 < irr.hi**2
 
@@ -545,64 +560,17 @@ def fraction_horner(coeffs, x):
     return acc
 
 
-def ref_horner(coeffs, num, den):
-    a, b = 0, 1
-    for c in reversed(coeffs):
-        d = c.denominator
-        a, b = a * num * d + c.numerator * b * den, b * den * d
-    return a, b
-
-
-def ref_sign_variations(seq, x):
-    x = F(x)
-    values = (ref_horner(q, x.numerator, x.denominator)[0] for q in seq)
-    signs = [s for s in map(polynomials._sign, values) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def ref_bisect(count, lo, hi, width=None):
-    out = []
-    stack = [(lo, hi, count(lo), count(hi))]
-    while stack:
-        a, b, ca, cb = stack.pop()
-        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi)):
-            out.append((a, b))
-        elif ca > cb:
-            m = (a + b) / 2
-            cm = count(m)
-            stack.append((a, m, ca, cm))
-            stack.append((m, b, cm, cb))
-    out.sort()
-    return out
-
-
-def ref_isolate_roots(p, lo, hi, width):
-    lo, hi = F(lo), F(hi)
-    seq = polynomials._squarefree_sturm(p)
-    cells = ref_bisect(lambda x: ref_sign_variations(seq, x), lo, hi)
-    exact = []
-    for a, b in cells:
-        den = lcm(a.denominator, b.denominator)
-        r = polynomials._root_in(seq[0], int(a * den), int((b - a) * den), den)
-        if r is not None:
-            exact.append(r)
-
-    def count(x):
-        return ref_sign_variations(seq, x) + bisect_right(exact, x)
-
-    out = [IsolatingInterval(r, r) for r in exact]
-    ends = sorted({lo, hi, *exact})
-    for a, b in zip(ends, ends[1:]):
-        out.extend(IsolatingInterval(x, y) for x, y in ref_bisect(count, a, b, width))
-    out.sort(key=lambda iv: iv.lo)
-    return out
-
-
 def random_case(rng):
     """A polynomial with one or two planted rational roots (one in seven
     with a denominator of 50-60 digits), sometimes repeated, sometimes an
     irrational pair and sometimes a random quadratic factor, most roots in
-    (0, 3/2]; a window with a non-dyadic end, and a width 2^-1..2^-64."""
+    (0, 3/2]; a window with a non-dyadic end, and a width 2^-1..2^-64.
+
+    Two in five cases get a factor (x - r)^2 -+ e as well, e = 10^-2..10^-14
+    times 1..9: a cluster of two real roots r +- sqrt(e), rational when e is
+    a square, or a complex pair r +- i sqrt(e) near the real axis.  Both push
+    the Descartes count of the cells around r above 1.
+    """
     p = poly(rng.choice((1, -1, 2, -3, 7)))
     for i in range(rng.randint(1, 2)):
         if i == 0 and rng.random() < 1 / 7:
@@ -621,17 +589,28 @@ def random_case(rng):
         (0, F(2, 3)), (0, F(3, 2)), (F(-1, 3), F(5, 7)), (F(1, 7), F(4, 3)),
         (F(-5, 2), F(10, 3)),
     ])
-    return p, lo, hi, F(1, 2 ** rng.randint(1, 64))
+    width = F(1, 2 ** rng.randint(1, 64))
+    kind = rng.random()
+    if kind < 0.4:
+        r = F(rng.randint(-10, 45), 30)
+        e = F(rng.randint(1, 9), 10 ** rng.randint(2, 14))
+        square = poly(-r, 1) * poly(-r, 1)
+        p = p * (square + poly(e) if kind < 0.2 else square - poly(e))
+    return p, lo, hi, width
 
 
 class TestIntegerKernel:
-    """The integer kernel against the Fraction kernel it replaced."""
+    """The integer Descartes kernel against the Sturm counter over Fractions
+    of `reference`."""
 
     def test_isolate_roots_matches_fraction_reference(self):
         rng = random.Random(13)
-        for _ in range(2000):
+        deep = 0
+        for _ in range(3000):
             p, lo, hi, width = random_case(rng)
             assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
+            deep += descartes_bound(p, lo, hi) >= 2
+        assert deep >= 600
 
     @pytest.mark.parametrize("p, lo, hi, width", [
         (MIXED_REPEATED, 0, F(3, 2), F(1, 2**20)),
@@ -643,16 +622,22 @@ class TestIntegerKernel:
         assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
 
     def test_sign_variations_matches_reference(self):
+        # the Descartes count on an open interval bounds the Sturm count of
+        # the square-free part, has its parity, and equals it when 0 or 1
         rng = random.Random(14)
-        for _ in range(300):
+        counts = set()
+        for _ in range(600):
             p, lo, hi, _ = random_case(rng)
-            if p.degree < 1:
-                continue
-            seq = polynomials._squarefree_sturm(p)
-            x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**rng.randint(1, 40)))
-            for num, den in ((x.numerator, x.denominator),
-                             (3 * x.numerator, 3 * x.denominator)):
-                assert polynomials.sign_variations(seq, num, den) == ref_sign_variations(seq, x)
+            seq = squarefree_sturm(p)
+            for x, y in ((lo, hi), (lo, F(lo + hi) / 2), (F(lo + 2 * hi) / 3, hi)):
+                y = F(y)
+                at_y = sign_at(seq[0], y.numerator, y.denominator) == 0
+                roots = sturm_count(seq, x) - sturm_count(seq, y) - at_y
+                bound = descartes_bound(UniPoly(seq[0]), x, y)
+                assert bound >= roots and (bound - roots) % 2 == 0
+                assert bound == roots or bound >= 2
+                counts.add(min(bound, 3))
+        assert counts == {0, 1, 2, 3}
 
     def test_call_matches_fraction_horner(self):
         rng = random.Random(15)
@@ -680,12 +665,13 @@ class TestIntegerKernel:
         assert UniPoly([c, 1]).coeffs[0] is c
 
     @pytest.mark.parametrize("model, width, calls", [
-        ("t1", None, 4), ("t3", None, 24), ("t3", "2^-40", 44),
+        ("t1", None, 2), ("t3", None, 3), ("t3", "2^-40", 3),
     ])
-    def test_sign_variation_count_pinned(self, monkeypatch, capsys, models_dir,
+    def test_descartes_test_count_pinned(self, monkeypatch, capsys, models_dir,
                                          model, width, calls):
-        # the Fraction kernel's splits and stops, with V computed once per
-        # segment end
+        # one test on alpha0's (0, eps), then one a cell: Q of t1 has only
+        # its rational root at eps, and Q of t3 one irrational root, whose
+        # segment is isolated again; halving to --width takes no test
         seen = []
         real = polynomials.sign_variations
 

@@ -53,6 +53,21 @@ class TestAlphaPolys:
         with pytest.raises(PositivityError, match="vanishes"):
             alpha_polys(table([1, 0, -1], [-3, -1], 2))
 
+    @pytest.mark.parametrize("ae, epsilon, message", [
+        # alpha0 = (2 - t^2)/2: the irrational root sqrt(2), at the default width
+        ([2, 0, -1], 2, "alpha0 vanishes inside [0, 2): offending interval "
+                        "(741455/524288, 1482911/1048576]"),
+        # alpha0 = (1 - t)^2/2: a double root at 1
+        ([1, 1, 1], 2, "alpha0 vanishes inside [0, 2): offending interval 1"),
+    ])
+    def test_interior_zero_message_pinned(self, ae, epsilon, message):
+        with pytest.raises(PositivityError) as excinfo:
+            alpha_polys(table(ae, [-3, -1], epsilon))
+        assert str(excinfo.value) == message
+
+    def test_double_root_at_epsilon_allowed(self):
+        assert alpha_polys(table([1, 1, 1], [-3, -1], 1)).alpha0(1) == 0
+
     def test_zero_at_origin_rejected(self):
         with pytest.raises(PositivityError, match="not positive"):
             alpha_polys(table([0, 0, -1], [-3, -1], 1))
