@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
 # int() refuses a decimal string of more digits than this (Python's default
@@ -129,15 +129,21 @@ class MixedTable(IntersectionTable):
     def specialize(self, s) -> IntersectionTable:
         """Single-polarization table of L + sH, exact in s: entry k of a
         degree-deg index map is sum_j C(deg-k, j) s^j index[(deg-k-j, j, k)],
-        summed by Horner in s."""
+        summed by Horner in integers: for s = p/q and the entries' numerators
+        over their common denominator d, q^(deg-k) d times entry k is
+        sum_j C(deg-k, j) p^j q^(deg-k-j) (d index[(deg-k-j, j, k)])."""
         s = Fraction(s)
+        p, q = s.numerator, s.denominator
+        d = lcm(*(x.denominator for x in (*self.mixed.values(), *self.kmixed.values())))
 
         def entries(index, deg):
             for k in range(deg + 1):
-                acc = 0
+                acc, scale = 0, 1
                 for j in range(deg - k, -1, -1):
-                    acc = acc * s + comb(deg - k, j) * index[(deg - k - j, j, k)]
-                yield acc
+                    x = index[(deg - k - j, j, k)]
+                    acc = acc * p + comb(deg - k, j) * x.numerator * (d // x.denominator) * scale
+                    scale *= q
+                yield Fraction(acc, q ** (deg - k) * d)
 
         label = self.label if s == 0 else f"{self.label} [s={format_rational(s)}]"
         return IntersectionTable(label, self.n, tuple(entries(self.mixed, self.n)),

@@ -317,9 +317,8 @@ def _window(ints: Sequence[int], lo: Fraction, hi: Fraction):
     """(c, base, step, den): the dyadic grid lo + i (hi - lo) / 2^k of (lo, hi],
     whose cell i of level k is ((base << k) + i step, step, den << k) as
     (a, step, den), and c(u) = den^d ints((base + step u) / den) on it."""
-    w = hi - lo
-    base, step, den = (lo.numerator * w.denominator, w.numerator * lo.denominator,
-                       lo.denominator * w.denominator)
+    base, den = lo.numerator * hi.denominator, lo.denominator * hi.denominator
+    step = hi.numerator * lo.denominator - base
     c = _shift([x * den ** (len(ints) - 1 - j) for j, x in enumerate(ints)], base)
     return [x * step**j for j, x in enumerate(c)], base, step, den
 
@@ -352,15 +351,22 @@ def _isolate(c: list[int]):
             stack.append((2 * i, k + 1, left))
 
 
-def _refine(ints: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction):
+def _cells(ints: Sequence[int], lo: Fraction, hi: Fraction):
+    """(base, step, den, cells): the grid of (lo, hi] from `_window`, and
+    the cells of `_isolate` on it, left to right."""
+    c, base, step, den = _window(ints, lo, hi)
+    return base, step, den, list(_isolate(c))
+
+
+def _refine(ints: Sequence[int], grid, width: Fraction):
     """For each root in (lo, hi] of `ints`, square-free with no rational root,
     its cell of the grid of (lo, hi] at the first level where the cell is
     at most `width` wide, lies strictly inside and holds no other: by the
-    exact cells (i, k) of `_isolate` (level j <= k holds the root in cell
-    i >> (k - j)), then by halving on the sign alone."""
-    c, base, step, den = _window(ints, lo, hi)
+    exact cells (i, k) of `_isolate` in `grid` = `_cells(ints, lo, hi)`
+    (level j <= k holds the root in cell i >> (k - j)), then by halving on
+    the sign alone."""
+    base, step, den, cells = grid
     need, have = step * width.denominator, width.numerator * den  # width <= need/have
-    cells = list(_isolate(c))
     for n, (i, k, s) in enumerate(cells):
         near = cells[max(n - 1, 0):n] + cells[n + 1:n + 2]
         j = 0
@@ -415,16 +421,18 @@ def isolate_roots(
     part of p a cell, for a rational root: a degenerate interval (lo == hi),
     then divided out.  These cut the window into segments, and `_refine`
     gives every other root an interval of width <= `width` on the grid of
-    its segment, whose ends are neither a segment end nor a root."""
+    its segment, whose ends are neither a segment end nor a root; a window
+    with no exact root is one segment, refined from its first cells."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("empty interval")
     ints = _squarefree(p.integer_form[0])
-    c, base, step, den = _window(ints, lo, hi)
+    grid = _cells(ints, lo, hi)
+    base, step, den, cells = grid
     out, a, irrational = [], lo, False
-    for i, k, s in _isolate(c):
+    for i, k, s in cells:
         x, d = (base << k) + i * step, den << k
         b = _root_in(ints, x, step, d) if s else Fraction(x + step, d)
         if b is None:
@@ -433,11 +441,11 @@ def isolate_roots(
         # the segment (a, b], then b, which leaves the polynomial
         ints = _primitive(_pseudo_divide(ints, [-b.numerator, b.denominator])[0])
         if irrational:
-            out.extend(_refine(ints, a, b, width))
+            out.extend(_refine(ints, _cells(ints, a, b), width))
         out.append(IsolatingInterval(b, b))
         a, irrational = b, False
-    if irrational:
-        out.extend(_refine(ints, a, hi, width))
+    if irrational:  # with no exact root in the window, its cells are the segment's
+        out.extend(_refine(ints, grid if a == lo else _cells(ints, a, hi), width))
     return out
 
 

@@ -2,21 +2,24 @@
 numerator Q(c), exact destabilizing intervals, and ample-perturbation limits.
 
 All quantities are exact rationals or rational polynomials; verdicts are
-signs of exact evaluations, never approximations.
+signs of exact evaluations, never approximations.  Every invariant is a
+polynomial in the table entries AE and KAE, built in closed form from their
+integer numerators over one common denominator: no Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, lcm
 
 from .models import IntersectionTable, MixedTable, ModelError, format_rational
 from .polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
     UniPoly,
+    _sign,
     descartes_bound,
     isolate_roots,
 )
@@ -29,23 +32,17 @@ class PositivityError(ModelError):
 @dataclass(frozen=True)
 class AlphaPair:
     """The volume-type polynomial alpha0(t) and canonical-pairing polynomial
-    alpha1(t) of a table, valid for t in [0, epsilon]."""
+    alpha1(t) of a table, valid for t in [0, epsilon], with what mu, mu_c and
+    Q are made of: mu = alpha1(0) / alpha0(0), alpha0_integral =
+    int_0^t alpha0 (the denominator of mu_c) and numerator_integral =
+    int_0^t (alpha1 + alpha0'/2) (its numerator)."""
 
     alpha0: UniPoly
     alpha1: UniPoly
     epsilon: Fraction
-
-    # computed once per pair (a frozen dataclass may still fill its __dict__)
-
-    @cached_property
-    def alpha0_integral(self) -> UniPoly:
-        """int_0^t alpha0, the denominator of mu_c."""
-        return self.alpha0.antiderivative()
-
-    @cached_property
-    def numerator_integral(self) -> UniPoly:
-        """int_0^t (alpha1 + alpha0'/2), the numerator of mu_c."""
-        return (self.alpha1 + self.alpha0.derivative() / 2).antiderivative()
+    alpha0_integral: UniPoly
+    numerator_integral: UniPoly
+    mu: Fraction
 
 
 @dataclass(frozen=True)
@@ -65,6 +62,9 @@ class SignInterval:
         return f"({self.left}, {right}"
 
 
+_VERDICTS = {1: "positive", -1: "negative", 0: "zero"}
+
+
 @dataclass(frozen=True)
 class SlopeReport:
     epsilon: Fraction
@@ -79,26 +79,31 @@ class SlopeReport:
             raise ModelError(f"c={c} outside (0, {self.epsilon}]")
         if self.flat:
             return "flat"
-        v = self.Q(c)
-        if v > 0:
-            return "positive"
-        if v < 0:
-            return "negative"
-        return "zero"
+        return _VERDICTS[_sign(self.Q.at(c.numerator, c.denominator)[0])]
 
 
 def alpha_polys(table: IntersectionTable) -> AlphaPair:
-    """alpha0 and alpha1 by binomial expansion of the table entries.
+    """The AlphaPair of a table, each polynomial in closed form in the entries:
 
-    Positivity of alpha0 on [0, epsilon) is verified by one Descartes test,
-    and by exact root isolation when that test allows a root, not assumed.
+        alpha0 = sum_{k=0}^{n} (-1)^k C(n,k) AE[k] t^k / n!
+        alpha1 = sum_{k=0}^{n-1} (-1)^(k+1) C(n-1,k) KAE[k] t^k / (2 (n-1)!)
+        int_0^t alpha0 = sum_{j=1}^{n+1} (-1)^(j-1) C(n+1,j) AE[j-1] t^j / (n+1)!
+        int_0^t (alpha1 + alpha0'/2)
+            = sum_{j=1}^{n} (-1)^j C(n,j) (AE[j] + KAE[j-1]) t^j / (2 n!)
+        mu = -n KAE[0] / (2 AE[0])
+
+    each built in integer form from the entries' numerators over their
+    common denominator.  Positivity of alpha0 on [0, epsilon) is verified
+    by one Descartes test, and by exact root isolation when that test
+    allows a root, not assumed.
     """
     n = table.n
-    alpha0 = UniPoly((-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae))
-    alpha0 = alpha0 / factorial(n)
-    alpha1 = UniPoly((-1) ** k * comb(n - 1, k) * a for k, a in enumerate(table.kae))
-    alpha1 = alpha1 / (-2 * factorial(n - 1))
-    if alpha0(0) <= 0:
+    d = lcm(*(x.denominator for x in (*table.ae, *table.kae)))
+    ae = [x.numerator * (d // x.denominator) for x in table.ae]
+    kae = [x.numerator * (d // x.denominator) for x in table.kae]
+    alpha0 = UniPoly._of([(-1) ** k * comb(n, k) * a for k, a in enumerate(ae)],
+                         factorial(n) * d)
+    if ae[0] <= 0:
         raise PositivityError(f"alpha0(0) = {alpha0(0)} is not positive")
     bound = descartes_bound(alpha0, 0, table.epsilon)  # 0: no root in (0, epsilon)
     for iv in isolate_roots(alpha0, 0, table.epsilon) if bound else ():
@@ -108,12 +113,21 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
             raise PositivityError(
                 f"alpha0 vanishes inside [0, {table.epsilon}): offending interval {iv}"
             )
-    return AlphaPair(alpha0, alpha1, table.epsilon)
+    alpha1 = UniPoly._of([(-1) ** (k + 1) * comb(n - 1, k) * a for k, a in enumerate(kae)],
+                         2 * factorial(n - 1) * d)
+    alpha0_integral = UniPoly._of(
+        [0, *((-1) ** j * comb(n + 1, j + 1) * a for j, a in enumerate(ae))],
+        factorial(n + 1) * d)
+    numerator_integral = UniPoly._of(
+        [0, *((-1) ** j * comb(n, j) * (ae[j] + kae[j - 1]) for j in range(1, n + 1))],
+        2 * factorial(n) * d)
+    return AlphaPair(alpha0, alpha1, table.epsilon, alpha0_integral, numerator_integral,
+                     Fraction(-n * kae[0], 2 * ae[0]))
 
 
 def slope_mu(alpha: AlphaPair) -> Fraction:
     """mu = alpha1(0) / alpha0(0)."""
-    return alpha.alpha1(0) / alpha.alpha0(0)
+    return alpha.mu
 
 
 def mu_c(alpha: AlphaPair, c) -> Fraction:
@@ -133,9 +147,14 @@ def df_numerator(alpha: AlphaPair) -> UniPoly:
     """Q(c) = mu * int_0^c alpha0 - int_0^c (alpha1 + alpha0'/2).
 
     mu - mu_c equals Q(c) divided by the positive denominator int_0^c alpha0,
-    so Q carries the full sign information.
+    so Q carries the full sign information.  One integer pass over the two
+    integrals' integer forms, over their common denominator with mu's.
     """
-    return slope_mu(alpha) * alpha.alpha0_integral - alpha.numerator_integral
+    (a, da), (b, db) = alpha.alpha0_integral.integer_form, alpha.numerator_integral.integer_form
+    da *= alpha.mu.denominator
+    den = lcm(da, db)
+    sa, sb = alpha.mu.numerator * (den // da), den // db
+    return UniPoly._of([sa * x - sb * y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
 
 def stability_scan(
@@ -155,15 +174,15 @@ def stability_scan(
         points.append(IsolatingInterval(eps, eps))
     destabilizing = []
     for left, right in zip(points, points[1:]):
-        lo_bound, hi_bound = left.hi, right.lo
-        if lo_bound < hi_bound:
-            sample = (lo_bound + hi_bound) / 2
-        else:
-            # adjacent brackets share a bisection endpoint, which is never a
-            # root by the isolation contract, so sampling there is safe
-            sample = lo_bound
-        if q(sample) < 0:
-            right_closed = right.is_exact and right.lo == eps and q(eps) < 0
+        # Q's sign at the midpoint of the gap between the brackets, read off
+        # its integer Horner value; adjacent brackets share a bisection
+        # endpoint, which is never a root by the isolation contract, so
+        # sampling there (a zero gap) is safe
+        x, y = left.hi, right.lo
+        if q.at(x.numerator * y.denominator + y.numerator * x.denominator,
+                2 * x.denominator * y.denominator)[0] < 0:
+            right_closed = (right.is_exact and right.lo == eps
+                            and q.at(eps.numerator, eps.denominator)[0] < 0)
             destabilizing.append(SignInterval(left, right, right_closed))
     return SlopeReport(eps, mu, q, tuple(destabilizing), False)
 

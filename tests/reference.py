@@ -3,7 +3,7 @@ against.  Nothing here is imported by the package."""
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from slopestab.polynomials import IsolatingInterval, UniPoly, WitnessMismatch
 
@@ -188,3 +188,41 @@ def ref_isolate_roots(p, lo, hi, width):
         out.extend(IsolatingInterval(x, y) for x, y in sturm_bisect(count, a, b, width))
     out.sort(key=lambda iv: iv.lo)
     return out
+
+
+# -- slope invariants by their definitions: the binomial expansion, then
+# UniPoly derivative, antiderivative, + and *, and a Fraction Horner in s
+# for L + sH; the package builds each in closed integer form instead --
+
+
+def ref_alpha(table):
+    """(alpha0, alpha1, int_0^t alpha0, int_0^t (alpha1 + alpha0'/2), mu, Q)
+    with Q = mu int_0^t alpha0 - int_0^t (alpha1 + alpha0'/2)."""
+    n = table.n
+    alpha0 = UniPoly((-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae))
+    alpha0 = alpha0 / factorial(n)
+    alpha1 = UniPoly((-1) ** k * comb(n - 1, k) * a for k, a in enumerate(table.kae))
+    alpha1 = alpha1 / (-2 * factorial(n - 1))
+    i0 = alpha0.antiderivative()
+    i1 = (alpha1 + alpha0.derivative() / 2).antiderivative()
+    mu = alpha1(0) / alpha0(0)
+    return alpha0, alpha1, i0, i1, mu, mu * i0 - i1
+
+
+def fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ref_specialize(mixed, s):
+    """(AE, KAE) of L + sH: entry k of a degree-deg index map is
+    sum_j C(deg-k, j) s^j index[(deg-k-j, j, k)], by Fraction Horner in s."""
+
+    def entries(index, deg):
+        return tuple(fraction_horner([comb(deg - k, j) * index[(deg - k - j, j, k)]
+                                      for j in range(deg - k + 1)], Fraction(s))
+                     for k in range(deg + 1))
+
+    return entries(mixed.mixed, mixed.n), entries(mixed.kmixed, mixed.n - 1)

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import ref_alpha, ref_specialize
 from slopestab.models import IntersectionTable, MixedTable, ModelError
 from slopestab.polynomials import UniPoly
 from slopestab.slope import (
@@ -71,6 +74,74 @@ class TestAlphaPolys:
     def test_zero_at_origin_rejected(self):
         with pytest.raises(PositivityError, match="not positive"):
             alpha_polys(table([0, 0, -1], [-3, -1], 1))
+
+
+def random_entry(rng, fractional):
+    """An entry of up to 40 digits, over a denominator of up to 40 digits
+    when `fractional`."""
+    num = rng.randint(-10 ** rng.randint(0, 40), 10 ** rng.randint(0, 40))
+    return F(num, rng.randint(1, 10 ** rng.randint(0, 40))) if fractional else F(num)
+
+
+def random_mixed(rng, n, fractional):
+    mix = {(i, j, n - i - j): random_entry(rng, fractional)
+           for i in range(n + 1) for j in range(n + 1 - i)}
+    kmix = {(i, j, n - 1 - i - j): random_entry(rng, fractional)
+            for i in range(n) for j in range(n - i)}
+    return MixedTable("m", n, tuple(mix[(n - k, 0, k)] for k in range(n + 1)),
+                      tuple(kmix[(n - 1 - k, 0, k)] for k in range(n)), F(1), mix, kmix)
+
+
+def cauchy_epsilon(alpha0):
+    """1/m for the least integer m >= 1 + max_k |a_k| / a0, for alpha0 =
+    sum_k a_k t^k with a0 > 0: below every root of alpha0 by Cauchy's bound
+    a0 / (a0 + max_k |a_k|), so alpha0 is positive on [0, 1/m]."""
+    a = alpha0.coeffs
+    return F(1, 1 + ceil(max(map(abs, a[1:]), default=0) / a[0]))
+
+
+class TestClosedForms:
+    """The closed integer forms of `alpha_polys`, `df_numerator` and
+    `MixedTable.specialize` against their definitions in `reference`."""
+
+    def test_match_definitions(self):
+        rng = random.Random(23)
+        for case in range(2000):
+            n, fractional = case % 8 + 1, case % 3 == 0
+            if case % 4:
+                ae = tuple(random_entry(rng, fractional) for _ in range(n + 1))
+                kae = tuple(random_entry(rng, fractional) for _ in range(n))
+            else:  # the entries of a specialization L + sH, s = p/q
+                mixed = random_mixed(rng, n, fractional)
+                s = F(rng.randint(-10**rng.randint(0, 35), 10**rng.randint(0, 35)),
+                      rng.randint(1, 10 ** rng.choice((1, 10, 35))))
+                spec = mixed.specialize(s)
+                ae, kae = spec.ae, spec.kae
+                assert (ae, kae) == ref_specialize(mixed, s)
+            ae = (abs(ae[0]) or F(1), *ae[1:])  # alpha0(0) > 0
+            alpha0, alpha1, i0, i1, mu, q = ref_alpha(IntersectionTable("t", n, ae, kae, F(1)))
+            eps = cauchy_epsilon(alpha0)
+            pair = alpha_polys(IntersectionTable("t", n, ae, kae, eps))
+            assert (pair.alpha0, pair.alpha1) == (alpha0, alpha1)
+            assert (pair.alpha0_integral, pair.numerator_integral) == (i0, i1)
+            assert slope_mu(pair) == mu and df_numerator(pair) == q
+            for c in (eps, eps / 2, eps * F(rng.randint(1, 10**12), 10**12 + 1)):
+                assert mu_c(pair, c) == i1(c) / i0(c)
+
+    def test_integer_table_builds_with_no_fraction_arithmetic(self, monkeypatch):
+        # the AlphaPair and Q of an integer table come from the entries'
+        # numerators alone: no Fraction operator runs while they are built
+        def fail(*args):
+            raise AssertionError(f"Fraction arithmetic on {args}")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+                     "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(F, name, fail)
+        pair = alpha_polys(P3)
+        q = df_numerator(pair)
+        monkeypatch.undo()
+        assert slope_mu(pair) == 6 and q == ref_alpha(P3)[5]
 
 
 class TestMu:
