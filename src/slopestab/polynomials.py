@@ -1,11 +1,11 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the rationals.
 
 Dense polynomials over Q (constant term first), exact fits through sample
 points, and real-root isolation by Descartes' rule of signs.  Each
 polynomial is held in its integer form, integer coefficients over one
-common denominator: it is combined and fitted in integers, evaluates by one
-integer Horner pass, and builds its Fraction coefficients only when they
-are read; isolation runs on integers too, over the dyadic grid
+common denominator: it is fitted in integers, evaluates by one integer
+Horner pass, and builds its Fraction coefficients only when they are
+read; isolation runs on integers too, over the dyadic grid
 lo + i (hi - lo) / 2^k of its window, and builds a Fraction only for a
 result.  Everything here is pure and deterministic; no floats anywhere.
 """
@@ -48,24 +48,20 @@ class UniPoly:
     The form (ints, den) is canonical: integer coefficients, constant term
     first, with trailing zeros trimmed, over one denominator den > 0 with
     gcd(den, *ints) == 1; the zero polynomial is ((), 1) and has degree -1.
-    Arithmetic, evaluation and equality run on it.  The Fraction
-    coefficients are built on first use of `coeffs` and kept; coefficients
-    passed in as Fractions are kept as given.  Instances are immutable by
-    convention and safe to share across threads.
+    `UniPoly(coeffs)` scales rational coefficients to integers over their
+    lcm, and the package builds the form directly with `_of`.  Evaluation
+    and equality run on it; `coeffs` and `coeff` build Fractions when read.
+    The type has no arithmetic: the package builds each polynomial in
+    closed integer form.  Instances are immutable by convention and safe to
+    share across threads.
     """
 
-    __slots__ = ("integer_form", "_coeffs")
+    __slots__ = ("integer_form",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
-        ints_only = all(type(c) is int for c in cs)
-        if not ints_only:
-            cs = [c if isinstance(c, Fraction) else Fraction(c) for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+    def __new__(cls, coeffs: Iterable = ()):
+        cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        self.integer_form = tuple(c.numerator * (den // c.denominator) for c in cs), den
-        self._coeffs = None if ints_only else tuple(cs)
+        return cls._of([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def _of(cls, ints, den: int) -> "UniPoly":
@@ -77,15 +73,12 @@ class UniPoly:
         g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
         p = object.__new__(cls)
         p.integer_form = tuple(c // g for c in ints), den // g
-        p._coeffs = None
         return p
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            ints, den = self.integer_form
-            self._coeffs = tuple(Fraction(c, den) for c in ints)
-        return self._coeffs
+        ints, den = self.integer_form
+        return tuple(Fraction(c, den) for c in ints)
 
     @property
     def degree(self) -> int:
@@ -96,7 +89,8 @@ class UniPoly:
         return not self.integer_form[0]
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
+        ints, den = self.integer_form
+        return Fraction(ints[k], den) if 0 <= k < len(ints) else Fraction(0)
 
     def at(self, num: int, den: int) -> tuple[int, int]:
         """(a, b) with a / b == self(num/den) and b > 0, for den > 0, unreduced."""
@@ -118,59 +112,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        (a, da), (b, db) = self.integer_form, other.integer_form
-        den = lcm(da, db)
-        sa, sb = den // da, den // db
-        if len(a) < len(b):
-            a, b, sa, sb = b, a, sb, sa
-        out = [c * sa for c in a]
-        for i, c in enumerate(b):
-            out[i] += c * sb
-        return UniPoly._of(out, den)
-
-    def __neg__(self) -> "UniPoly":
-        ints, den = self.integer_form
-        return UniPoly._of([-c for c in ints], den)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, da = self.integer_form
-        if isinstance(other, UniPoly):
-            b, db = other.integer_form
-            if not (a and b):
-                return UniPoly()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return UniPoly._of(out, da * db)
-        if not isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-        return UniPoly._of([c * other.numerator for c in a], da * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "UniPoly":
-        if not isinstance(scalar, (int, Fraction)):
-            scalar = Fraction(scalar)
-        if not scalar:
-            raise ZeroDivisionError("polynomial division by zero")
-        ints, den = self.integer_form
-        return UniPoly._of([c * scalar.denominator for c in ints], den * scalar.numerator)
-
-    def derivative(self) -> "UniPoly":
-        ints, den = self.integer_form
-        return UniPoly._of([i * c for i, c in enumerate(ints)][1:], den)
-
-    def antiderivative(self) -> "UniPoly":
-        ints, den = self.integer_form
-        scale = lcm(*range(1, len(ints) + 1))
-        return UniPoly._of([0, *(c * (scale // (i + 1)) for i, c in enumerate(ints))],
-                           den * scale)
 
 
 def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
@@ -323,11 +264,23 @@ def _window(ints: Sequence[int], lo: Fraction, hi: Fraction):
     return [x * step**j for j, x in enumerate(c)], base, step, den
 
 
+def _checked_window(p: UniPoly, lo, hi) -> tuple[Fraction, Fraction]:
+    """(lo, hi) as Fractions; ValueError for the zero p or for lo >= hi."""
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:  # no Fraction op
+        raise ValueError("empty interval")
+    return lo, hi
+
+
 def descartes_bound(p: UniPoly, lo, hi) -> int:
     """A bound on the roots of the nonzero p in the open interval (lo, hi),
     counted with multiplicity, of their parity and exact when 0 or 1:
-    Descartes' rule after the map u = 1/(1 + t) of (0, inf) onto its (0, 1)."""
-    c = _window(p.integer_form[0], Fraction(lo), Fraction(hi))[0]
+    Descartes' rule after the map u = 1/(1 + t) of (0, inf) onto its (0, 1).
+    Like `isolate_roots`, raises ValueError for the zero polynomial and for
+    an empty window (lo >= hi)."""
+    c = _window(p.integer_form[0], *_checked_window(p, lo, hi))[0]
     return sign_variations(_shift(c[::-1]))
 
 
@@ -423,11 +376,7 @@ def isolate_roots(
     gives every other root an interval of width <= `width` on the grid of
     its segment, whose ends are neither a segment end nor a root; a window
     with no exact root is one segment, refined from its first cells."""
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo >= hi:
-        raise ValueError("empty interval")
+    lo, hi = _checked_window(p, lo, hi)
     ints = _squarefree(p.integer_form[0])
     grid = _cells(ints, lo, hi)
     base, step, den, cells = grid

@@ -3,9 +3,45 @@ against.  Nothing here is imported by the package."""
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 
 from slopestab.polynomials import IsolatingInterval, UniPoly, WitnessMismatch
+
+
+# -- polynomial arithmetic on coefficient lists (constant term first, ints
+# or Fractions): `UniPoly` has none, and the references build with these --
+
+
+def poly_mul(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def poly_add(*terms):
+    out = []
+    for t in terms:
+        out = [a + b for a, b in zip_longest(out, t, fillvalue=0)]
+    return out
+
+
+def poly_scale(p, s):
+    return [s * c for c in p]
+
+
+def poly_derivative(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def poly_antiderivative(p):
+    """The antiderivative that vanishes at 0."""
+    return [0, *(Fraction(c) / (k + 1) for k, c in enumerate(p))]
 
 
 def newton_fit(samples, degree):
@@ -191,22 +227,24 @@ def ref_isolate_roots(p, lo, hi, width):
 
 
 # -- slope invariants by their definitions: the binomial expansion, then
-# UniPoly derivative, antiderivative, + and *, and a Fraction Horner in s
-# for L + sH; the package builds each in closed integer form instead --
+# derivative, antiderivative, sum and product of coefficient lists, and a
+# Fraction Horner in s for L + sH; the package builds each in closed integer
+# form instead --
 
 
 def ref_alpha(table):
     """(alpha0, alpha1, int_0^t alpha0, int_0^t (alpha1 + alpha0'/2), mu, Q)
     with Q = mu int_0^t alpha0 - int_0^t (alpha1 + alpha0'/2)."""
     n = table.n
-    alpha0 = UniPoly((-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae))
-    alpha0 = alpha0 / factorial(n)
-    alpha1 = UniPoly((-1) ** k * comb(n - 1, k) * a for k, a in enumerate(table.kae))
-    alpha1 = alpha1 / (-2 * factorial(n - 1))
-    i0 = alpha0.antiderivative()
-    i1 = (alpha1 + alpha0.derivative() / 2).antiderivative()
-    mu = alpha1(0) / alpha0(0)
-    return alpha0, alpha1, i0, i1, mu, mu * i0 - i1
+    alpha0 = poly_scale([(-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae)],
+                        Fraction(1, factorial(n)))
+    alpha1 = poly_scale([(-1) ** k * comb(n - 1, k) * a for k, a in enumerate(table.kae)],
+                        Fraction(-1, 2 * factorial(n - 1)))
+    i0 = poly_antiderivative(alpha0)
+    i1 = poly_antiderivative(poly_add(alpha1, poly_scale(poly_derivative(alpha0), Fraction(1, 2))))
+    mu = alpha1[0] / alpha0[0]
+    q = poly_add(poly_scale(i0, mu), poly_scale(i1, -1))
+    return (*map(UniPoly, (alpha0, alpha1, i0, i1)), mu, UniPoly(q))
 
 
 def fraction_horner(coeffs, x):

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference import poly_mul
 from slopestab.models import IntersectionTable
 from slopestab.oracle import fit_expansions, verify_main_theorem
 from slopestab.polynomials import UniPoly, isolate_roots
@@ -156,17 +157,17 @@ def test_criterion_9_root_isolation_soundness():
     ok = True
     for _ in range(100):
         roots = set()
-        factors = UniPoly([F(rng.randint(1, 4))])
+        factors = [F(rng.randint(1, 4))]
         for _ in range(rng.randint(1, 3)):
             r = F(rng.randint(-28, 28), 4)
             if r not in roots:
                 roots.add(r)
-                factors = factors * UniPoly([-r, F(1)])
-        if factors.degree <= 2 and rng.random() < 0.5:
+                factors = poly_mul(factors, [-r, F(1)])
+        if len(factors) <= 3 and rng.random() < 0.5:
             m = rng.choice(primes)  # x^2 - m has the irrational roots +-sqrt(m)
-            factors = factors * UniPoly([F(-m), 0, F(1)])
+            factors = poly_mul(factors, [F(-m), 0, F(1)])
             roots.update({("sqrt", m), ("-sqrt", m)})
-        found = isolate_roots(factors, -8, 8, WIDTH)
+        found = isolate_roots(UniPoly(factors), -8, 8, WIDTH)
         expected = [
             r for r in roots
             if isinstance(r, F) and -8 < r <= 8 or isinstance(r, tuple)

@@ -2,8 +2,8 @@
 the layers that bench/spans.py traces, and the README's Library example.
 The traced path itself runs here too: installing and removing the tracer,
 and bench/run.py's box_points, which hands a model's L to the package.
-Conversely, every public function of the package has a caller outside the
-tests."""
+Conversely, every public function, method and property of the package has
+a caller outside the tests."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import importlib.util
 import pathlib
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -88,9 +89,10 @@ def _referenced(tree):
 
 
 def test_every_public_function_has_a_caller():
-    # a public function that only the tests call is dead code: it is
-    # referenced elsewhere in the package, by the README's Library example,
-    # or by the benchmark (bench/spans.py traces it, bench/run.py imports it)
+    # a public function, method or property that only the tests call is dead
+    # code: it is referenced elsewhere in the package (outside its own body),
+    # by the README's Library example, or by the benchmark (bench/spans.py
+    # traces it, bench/run.py imports it); dunders are exempt
     outside = set(_referenced(ast.parse(_readme_library())))
     for name in ("spans.py", "run.py"):
         outside.update(_referenced(ast.parse((ROOT / "bench" / name).read_text())))
@@ -99,13 +101,17 @@ def test_every_public_function_has_a_caller():
         for path in sorted(pathlib.Path(slopestab.__file__).parent.glob("*.py"))
         for node in ast.parse(path.read_text()).body
     ]
-    references = [(node, set(_referenced(node))) for node in statements]
+    defs = [
+        node
+        for statement in statements
+        for node in (statement.body if isinstance(statement, ast.ClassDef) else [statement])
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    package = Counter(name for node in statements for name in _referenced(node))
     unreferenced = [
         node.name
-        for node in statements
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and node.name not in outside
-        and not any(node.name in names for other, names in references if other is not node)
+        for node in defs
+        if node.name not in outside and package[node.name] == Counter(_referenced(node))[node.name]
     ]
     assert unreferenced == []
 

@@ -5,7 +5,7 @@ from math import ceil
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import ref_alpha, ref_specialize
+from reference import poly_antiderivative, poly_scale, ref_alpha, ref_specialize
 from slopestab.models import IntersectionTable, MixedTable, ModelError
 from slopestab.polynomials import UniPoly
 from slopestab.slope import (
@@ -166,16 +166,18 @@ class TestMuC:
         assert mu_c(alpha_polys(T2), 1) == F(15, 11)
 
     def test_integrals_built_once(self, monkeypatch):
+        # once alpha_polys has run, mu_c reads its integrals and builds no
+        # polynomial; df_numerator builds Q, so it runs after the patch
         pair = alpha_polys(T1)
-        first = mu_c(pair, F(1, 2))
 
-        def fail(self):
-            raise AssertionError("antiderivative rebuilt")
+        def fail(*args):
+            raise AssertionError(f"polynomial built from {args}")
 
-        monkeypatch.setattr(UniPoly, "antiderivative", fail)
-        assert mu_c(pair, F(1, 2)) == first
-        assert mu_c(pair, F(1, 4)) == 3 * (3 - F(1, 4)) / (3 - F(1, 16))
-        df_numerator(pair)
+        monkeypatch.setattr(UniPoly, "_of", fail)
+        values = mu_c(pair, F(1, 2)), mu_c(pair, F(1, 4))
+        monkeypatch.undo()
+        assert values == (F(30, 11), 3 * (3 - F(1, 4)) / (3 - F(1, 16)))
+        assert df_numerator(pair) == ref_alpha(T1)[5]
 
     def test_out_of_range(self):
         pair = alpha_polys(T1)
@@ -189,7 +191,7 @@ class TestDfNumerator:
         pair = alpha_polys(T1)
         q = df_numerator(pair)
         assert q == UniPoly([0, 0, F(1, 2), F(-1, 2)])  # c^2 (1 - c)/2
-        assert q / pair.alpha0(0) == UniPoly([0, 0, 1, -1])
+        assert UniPoly(poly_scale(q.coeffs, 1 / pair.alpha0(0))) == UniPoly([0, 0, 1, -1])
 
     def test_t2(self):
         q = df_numerator(alpha_polys(T2))
@@ -209,7 +211,7 @@ class TestDfNumerator:
             pair = alpha_polys(tab)
             q = df_numerator(pair)
             for c in (F(1, 3), F(1, 2), pair.epsilon):
-                den = pair.alpha0.antiderivative()(c)
+                den = UniPoly(poly_antiderivative(pair.alpha0.coeffs))(c)
                 assert den > 0
                 assert slope_mu(pair) - mu_c(pair, c) == q(c) / den
 

@@ -604,9 +604,9 @@ class TestScaling:
         for d, name in ((2, "p2_o2"),):
             scaled = alpha_polys(export_table(load_model(name)))
             assert scaled.epsilon == d * base.epsilon
-            # base.alpha0 at t/d: the coefficient of t^k divided by d^k
-            at_t_over_d = UniPoly(c / d**k for k, c in enumerate(base.alpha0.coeffs))
-            assert scaled.alpha0 == d**2 * at_t_over_d
+            # d^2 base.alpha0 at t/d: the coefficient of t^k times d^2 / d^k
+            expected = UniPoly(d**2 * c / d**k for k, c in enumerate(base.alpha0.coeffs))
+            assert scaled.alpha0 == expected
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
