@@ -403,15 +403,12 @@ def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:
     exact intervals of `isolate_roots` on that window.
 
     Without a window, all of them: the window is then (-B, B] for the
-    Cauchy bound B.  Like `isolate_roots`, raises ValueError for the zero
-    polynomial and for an empty window (lo >= hi).
+    Cauchy bound B.  Like `isolate_roots`, whose `_checked_window` it
+    goes through, raises ValueError for the zero polynomial and for an
+    empty window (lo >= hi).
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree < 1:
-        return []
-    if lo is None:
+    if lo is None and not p.is_zero:
         ints, _ = p.integer_form
-        bound = 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
+        bound = 1 + Fraction(max(map(abs, ints[:-1]), default=0), abs(ints[-1]))
         lo, hi = -bound, bound
     return [iv.lo for iv in isolate_roots(p, lo, hi) if iv.is_exact]

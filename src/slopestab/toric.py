@@ -1,15 +1,18 @@
-"""Combinatorial toric backend: fans, star subdivisions, nef thresholds,
-intersection numbers, lattice polytopes with exact volumes, and export of
+"""Combinatorial toric backend: fans, nef thresholds, intersection numbers
+on a blow-up, lattice polytopes with exact volumes, and export of
 intersection tables.
 
-Smooth complete fans only.  Blowing up the orbit closure of a smooth cone
-is realized as the star subdivision inserting the barycentric ray; the
-divisorial case (a single ray) is the identity blow-up.  A torus-invariant
-divisor sum_rho a_rho D_rho is the tuple of its integer coefficients a_rho,
-one per ray; `ToricModel` checks that its L and H are.
+Smooth complete fans only.  The blow-up of the orbit closure of a smooth
+cone sigma is the star subdivision inserting the ray sum_{i in sigma} u_i
+(Cox-Little-Schenck, Toric Varieties, 3.3); the divisorial case (a single
+ray) is the identity blow-up.  It is never built: its fixed points, walls
+and intersection numbers are read off the parent fan (see `export_table`
+and `nef_threshold`).  A torus-invariant divisor sum_rho a_rho D_rho is the
+tuple of its integer coefficients a_rho, one per ray; `ToricModel` checks
+that its L and H are.
 
 Intersection numbers come from fixed-point localization: one exact sum over
-the maximal cones (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
+the torus-fixed points (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
 form), summed in integers over one common denominator.  The polytopes,
 their volumes and vertices are only a reference, for the tests and the
 benchmark: the oracle enumerates lattice points without them.
@@ -18,10 +21,8 @@ All linear algebra goes through one integer kernel, `_adjugate`
 (fraction-free Gauss-Jordan, Bareiss 1968).  Each fan keeps the (det, adj)
 of its maximal cones, so cone determinants, the cone coordinates of the
 generic direction and the wall relations behind curve degrees are integer
-matrix-vector products; polytope vertices take one adjugate per n-subset
-of facets.  A star subdivision inherits its (det, adj) from the parent fan:
-unchanged cones share the parent's, and each new cone's comes from its
-parent cone's by row operations, so Bareiss runs once per input cone.
+matrix-vector products, and Bareiss runs once per input cone; polytope
+vertices take one adjugate per n-subset of facets.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
-from operator import mul, sub
+from operator import mul
 
 from .models import IntersectionTable, MixedTable, ModelError, _require_keys
 
@@ -147,20 +148,19 @@ class Fan:
         from the coordinates x of u_b in the ray basis of cone a: it holds,
         with c_i = x_i, exactly when x_a = -1.
         """
-        return tuple(self._wall(facet, inc) for facet, inc in self.facets)
-
-    def _wall(self, facet, inc) -> Wall:
-        """The wall of one entry of `facets`; see `walls`."""
-        if len(inc) != 2:
-            raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
-        (ca, ia), (_, ib) = inc
-        det, adj = self.adjugates[ca]
-        x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
-        if x.get(ia) != -1:
-            if not facet:
-                raise ToricError("wall data inconsistent in dimension one")
-            raise ToricError(f"wall data inconsistent at {facet}")
-        return Wall(facet, (ia, ib), tuple(x[i] for i in facet))
+        walls = []
+        for facet, inc in self.facets:
+            if len(inc) != 2:
+                raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
+            (ca, ia), (_, ib) = inc
+            det, adj = self.adjugates[ca]
+            x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
+            if x.get(ia) != -1:
+                if not facet:
+                    raise ToricError("wall data inconsistent in dimension one")
+                raise ToricError(f"wall data inconsistent at {facet}")
+            walls.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
+        return tuple(walls)
 
 
 @dataclass(frozen=True)
@@ -193,17 +193,32 @@ def check_fan(fan: Fan) -> list[str]:
     return errors
 
 
-def _generic_direction(fan: Fan):
-    """A direction c with nonzero coordinates y_sigma in every maximal cone's
-    ray basis, c = sum_{i in sigma} y_{sigma,i} u_i; returns c and the y_sigma,
+def _generic_direction(fan: Fan, sigma=()):
+    """A direction c with nonzero coordinates y_tau in every maximal cone's
+    ray basis, c = sum_{i in tau} y_{tau,i} u_i; returns c and the y_tau,
     ints on unimodular cones.
 
     c = (1, k, ..., k^(n-1)) for the first k >= 2 that works.  On smooth
     cones each coordinate is a nonzero polynomial of degree <= n-1 in k, so
     at most n(n-1) values of k fail per cone.
+
+    With a center sigma, the coordinates must moreover be pairwise distinct
+    on sigma in each cone that contains it.  They are then the coordinates
+    of a generic direction of the star subdivision at sigma (see
+    `_blow_up`), and c is the one `_generic_direction` picks on the
+    subdivided fan, under that fan's bound.  No k below the parent's own
+    (`Fan.generic`) qualifies, so that one is taken when it does.
     """
     n = fan.dim
-    bound = n * (n - 1) * len(fan.max_cones)
+    star = {ci: [cone.index(i) for i in sigma]
+            for ci, cone in enumerate(fan.max_cones) if sigma and set(sigma) <= set(cone)}
+
+    def distinct(coords):
+        return all(len({coords[ci][p] for p in ps}) == len(ps) for ci, ps in star.items())
+
+    if sigma and distinct(fan.generic[1]):
+        return fan.generic
+    bound = n * (n - 1) * (len(fan.max_cones) + sum(len(ps) - 1 for ps in star.values()))
     for k in range(2, bound + 3):
         c = tuple(k**d for d in range(n))
         coords = []
@@ -213,7 +228,8 @@ def _generic_direction(fan: Fan):
                 break
             coords.append(ys)
         else:
-            return c, coords
+            if distinct(coords):
+                return c, coords
     raise RuntimeError(f"no generic direction among {bound + 1} candidates")
 
 
@@ -231,75 +247,49 @@ def _localize(fan: Fan, divisors) -> tuple[int, list[tuple[int, tuple]]]:
     ]
 
 
+def _blow_up(model: ToricModel) -> tuple[int, list[tuple[int, tuple]]]:
+    """The fixed-point data of the blow-up of X along Z, in the form of
+    `_localize`, with the values of (pi*L, E, K) and then pi*H, if any, read
+    off the parent fan in one integer pass.
+
+    The blow-up's fan is the star subdivision at sigma: each parent cone
+    tau that contains sigma gives way to the cones tau_i, i in sigma, that
+    trade u_i for the new ray u_E = sum_{j in sigma} u_j (Cox-Little-Schenck,
+    Toric Varieties, 3.3).  With c = sum_{j in tau} y_j u_j, the coordinates
+    of c in tau_i are y_j - y_i for j in sigma - i, y_j for j not in sigma,
+    and y_i on u_E.  So the fixed point tau_i has the weight
+    y_i prod_{j != i} (y_j - [j in sigma] y_i), and the values
+    pi*D = D(tau), E = y_i and K = -sum_tau y + (|sigma| - 1) y_i, the last
+    from K = -sum_rho D_rho (8.2).  Every other cone stays, with E = 0 and
+    K = -sum y.  For a single ray tau_i is tau, and E = D_sigma.
+    """
+    sigma = set(model.sigma)
+    _, coords = _generic_direction(model.fan, model.sigma)
+    divisors = (model.L,) if model.H is None else (model.L, model.H)
+    points = []
+    for cone, ys in zip(model.fan.max_cones, coords):
+        pi_l, *pi_h = (sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors)
+        canonical = -sum(ys)
+        if not sigma <= set(cone):
+            points.append((prod(ys), (pi_l, 0, canonical, *pi_h)))
+            continue
+        for i in model.sigma:
+            y = ys[cone.index(i)]
+            weight = y * prod(x - y if j in sigma else x for j, x in zip(cone, ys) if j != i)
+            points.append((weight, (pi_l, y, canonical + (len(sigma) - 1) * y, *pi_h)))
+    denom = lcm(*(w for w, _ in points))
+    return denom, [(denom // w, values) for w, values in points]
+
+
 def _intersect(localized, exponents) -> Fraction:
     """D_1^e_1 ... D_m^e_m with sum e = n over the localized divisors, by
-    fixed-point localization (Brion 1988): sum over maximal cones of the
+    fixed-point localization (Brion 1988): sum over the fixed points of the
     weight times the product of the divisor values, over the denominator."""
     denom, points = localized
     return Fraction(
         sum(w * prod(map(pow, values, exponents)) for w, values in points),
         denom,
     )
-
-
-def star_subdivide(fan: Fan, sigma) -> tuple[Fan, int]:
-    """Star subdivision at the smooth cone spanned by the rays in sigma.
-
-    Returns the refined fan and the index of the barycentric ray.  A single
-    ray is the identity blow-up: the fan is returned unchanged and the ray
-    itself plays the role of the exceptional divisor.
-
-    Each maximal cone tau containing sigma gives way to the cones tau_i,
-    i in sigma: tau in its order without i, then the new ray.  The new fan
-    inherits its (det, adj) from the parent's.  tau_i's matrix is M T P,
-    where T (det 1) adds the other rays of sigma to column i and P moves
-    that column, at position p, last.  So adj(tau_i) is adj(M) with row i
-    subtracted from the rows of the other rays of sigma and moved last, and
-    det and adj change sign when n - 1 - p is odd.  The other cones keep
-    the parent's objects, and when the parent's walls have been computed,
-    each wall between two such cones keeps the parent's Wall: only the walls
-    that touch a new cone are computed.
-    """
-    sigma = tuple(sorted(set(sigma)))
-    if not sigma:
-        raise ToricError("sigma is empty")
-    if not any(set(sigma) <= set(c) for c in fan.max_cones):
-        raise ToricError(f"sigma {sigma} is not a face of any maximal cone")
-    if len(sigma) == 1:
-        return fan, sigma[0]
-    new_ray = tuple(sum(fan.rays[i][d] for i in sigma) for d in range(fan.dim))
-    new_idx = len(fan.rays)
-    cones, adjugates, kept = [], [], set()
-    for cone, pair in zip(fan.max_cones, fan.adjugates):
-        if not set(sigma) <= set(cone):
-            kept.add(len(cones))
-            cones.append(cone)
-            adjugates.append(pair)
-            continue
-        det, adj = pair
-        for i in sigma:
-            p = cone.index(i)
-            cones.append(cone[:p] + cone[p + 1:] + (new_idx,))
-            if adj is None:  # det 0, as is the new cone's
-                adjugates.append(pair)
-                continue
-            rows = [list(map(sub, row, adj[p])) if j in sigma else row
-                    for j, row in zip(cone, adj) if j != i] + [adj[p]]
-            if (fan.dim - 1 - p) % 2:
-                adjugates.append((-det, [[-x for x in row] for row in rows]))
-            else:
-                adjugates.append((det, rows))
-    fan1 = Fan(fan.rays + (new_ray,), tuple(cones))
-    fan1.__dict__["adjugates"] = tuple(adjugates)
-    if "walls" in fan.__dict__:
-        # two kept cones meet in fan1 as they met in fan, in the same order
-        old = {wall.rays: wall for wall in fan.walls}
-        fan1.__dict__["walls"] = tuple(
-            old[facet] if len(inc) == 2 and all(ci in kept for ci, _ in inc)
-            else fan1._wall(facet, inc)
-            for facet, inc in fan1.facets
-        )
-    return fan1, new_idx
 
 
 def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
@@ -314,17 +304,36 @@ def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
     return a[ia] + a[ib] - sum(map(mul, wall.relation, map(a.__getitem__, wall.rays)))
 
 
-def nef_threshold(fan: Fan, pi_l: tuple[int, ...], e_index: int) -> Fraction:
-    """sup{ t >= 0 : pi*L - tE nef }, from per-wall affine bounds."""
-    e_div = tuple(int(i == e_index) for i in range(len(fan.rays)))
+def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
+    """sup{t >= 0 : pi*L - tE nef} on the blow-up along the orbit closure of
+    sigma, from per-wall affine bounds read off the parent fan's walls.
+
+    A divisor is nef when its degree on every wall's curve is >= 0
+    (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton, Introduction to
+    Toric Varieties, 5.1).  With L.C = `curve_degree` of L on a parent wall
+    and c_i the wall's relation coefficients, the blow-up's walls come in
+    three kinds (see `_blow_up` for its cones):
+    - sigma among the wall's rays: for each i in sigma, a wall between
+      tau_i and tau'_i, with pi*L.C = L.C and E.C = -c_i, so the bound is
+      L.C / max_{i in sigma}(-c_i) when that max is positive;
+    - an opposite ray u_i completing sigma: the wall tau - i between tau_i
+      and a kept cone, with pi*L.C = L.C and E.C = 1: the bound L.C;
+    - any other: a kept wall, with E.C = 0, or a wall inside E, between
+      tau_i and tau_j, with pi*L.C = 0 and E.C = -1: no bound.
+    So pi*L is nef when L is, which `ToricModel.validate` checks.
+    """
+    sigma = set(sigma)
     bounds = []
     for wall in fan.walls:
-        dl = curve_degree(wall, pi_l)
-        if dl < 0:
-            raise ToricError(f"pi*L is not nef: degree {dl} on wall {wall.rays}")
-        de = curve_degree(wall, e_div)
+        inside = [-c for i, c in zip(wall.rays, wall.relation) if i in sigma]
+        if len(inside) == len(sigma):
+            de = max(inside)
+        elif len(inside) + 1 == len(sigma) and sigma.intersection(wall.opposite):
+            de = 1
+        else:
+            continue
         if de > 0:
-            bounds.append(Fraction(dl, de))
+            bounds.append(Fraction(curve_degree(wall, L), de))
     if not bounds:
         raise ToricError("no wall constrains t: nef threshold unbounded")
     eps = min(bounds)
@@ -557,40 +566,24 @@ def parse_toric_model(doc: dict) -> ToricModel:
     )
 
 
-def _exceptional_setup(model: ToricModel):
-    """Subdivided fan, exceptional ray index, and the pullback map."""
-    fan1, e_idx = star_subdivide(model.fan, model.sigma)
-
-    def pullback(div: tuple) -> tuple:
-        if fan1 is model.fan:
-            return div
-        return div + (sum(div[i] for i in model.sigma),)
-
-    return fan1, e_idx, pullback
-
-
 def export_table(model: ToricModel):
     """IntersectionTable of (X, L, Z); a MixedTable when H is present.
 
-    Every entry is an intersection number on the subdivided fan, by
-    fixed-point localization: AE[k] = (pi*L)^(n-k).E^k,
-    KAE[k] = K.(pi*L)^(n-1-k).E^k with K = -sum D_rho, and
-    MIX[(i, j, k)] = (pi*L)^i.(pi*H)^j.E^k, KMIX likewise with K.
+    Every entry is an intersection number on the blow-up Bl_Z X, by
+    fixed-point localization over the fixed points that `_blow_up` reads
+    off the parent fan: AE[k] = (pi*L)^(n-k).E^k,
+    KAE[k] = K.(pi*L)^(n-1-k).E^k with K = -sum D_rho over the blow-up's
+    rays, and MIX[(i, j, k)] = (pi*L)^i.(pi*H)^j.E^k, KMIX likewise with K
+    (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton, Introduction to
+    Toric Varieties, 5.1).  epsilon is `nef_threshold`.  No fan is built
+    for the blow-up.
     """
     errors = model.validate()
     if errors:
         raise ToricError("; ".join(errors))
     n = model.fan.dim
-    fan1, e_idx, pullback = _exceptional_setup(model)
-    pi_l = pullback(model.L)
-    eps = nef_threshold(fan1, pi_l, e_idx)
-    nrays = len(fan1.rays)
-    e_div = tuple(int(i == e_idx) for i in range(nrays))
-    canonical = (-1,) * nrays
-    divisors = (pi_l, e_div, canonical)
-    if model.H is not None:
-        divisors += (pullback(model.H),)
-    points = _localize(fan1, divisors)
+    eps = nef_threshold(model.fan, model.L, model.sigma)
+    points = _blow_up(model)
 
     def number(i, j, k, kappa):
         # (pi*L)^i . (pi*H)^j . E^k . K^kappa

@@ -7,17 +7,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from reference import exceptional_setup, star_subdivide
 from slopestab.models import MixedTable, parse_model
 from slopestab.slope import alpha_polys
-from slopestab.toric import (
-    Fan,
-    ToricModel,
-    _exceptional_setup,
-    curve_degree,
-    export_table,
-    polytope_of,
-    star_subdivide,
-)
+from slopestab.toric import Fan, ToricModel, curve_degree, export_table, polytope_of
 
 # the same examples on every run (100, the default count), and no example
 # database written to disk
@@ -131,7 +124,7 @@ def agrees_with_polytopes():
         if isinstance(table, MixedTable):
             table = table.specialize(s)
         pair = alpha_polys(table)
-        fan1, e_idx, pullback = _exceptional_setup(model)
+        fan1, e_idx, pullback = exceptional_setup(model)
         divisor = pullback(model.L)
         if s:
             divisor = tuple(a + s * h for a, h in zip(divisor, pullback(model.H)))

@@ -5,8 +5,11 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
+from operator import sub
 
+from slopestab.models import IntersectionTable, MixedTable
 from slopestab.polynomials import IsolatingInterval, UniPoly, WitnessMismatch
+from slopestab.toric import Fan, ToricError, _intersect, _localize, curve_degree
 
 
 # -- polynomial arithmetic on coefficient lists (constant term first, ints
@@ -264,3 +267,135 @@ def ref_specialize(mixed, s):
                      for k in range(deg + 1))
 
     return entries(mixed.mixed, mixed.n), entries(mixed.kmixed, mixed.n - 1)
+
+
+# -- the blow-up as a fan: the star subdivision, its walls and its
+# localization, which `toric.export_table` reads off the parent fan instead --
+
+
+def star_subdivide(fan, sigma):
+    """Star subdivision at the smooth cone spanned by the rays in sigma.
+
+    Returns the refined fan and the index of the barycentric ray.  A single
+    ray is the identity blow-up: the fan is returned unchanged and the ray
+    itself plays the role of the exceptional divisor.
+
+    Each maximal cone tau containing sigma gives way to the cones tau_i,
+    i in sigma: tau in its order without i, then the new ray.  The new fan
+    inherits its (det, adj) from the parent's.  tau_i's matrix is M T P,
+    where T (det 1) adds the other rays of sigma to column i and P moves
+    that column, at position p, last.  So adj(tau_i) is adj(M) with row i
+    subtracted from the rows of the other rays of sigma and moved last, and
+    det and adj change sign when n - 1 - p is odd.  The other cones keep
+    the parent's objects, and when the parent's walls have been computed,
+    each wall between two such cones is the parent's Wall.
+    """
+    sigma = tuple(sorted(set(sigma)))
+    if not sigma:
+        raise ToricError("sigma is empty")
+    if not any(set(sigma) <= set(c) for c in fan.max_cones):
+        raise ToricError(f"sigma {sigma} is not a face of any maximal cone")
+    if len(sigma) == 1:
+        return fan, sigma[0]
+    new_ray = tuple(sum(fan.rays[i][d] for i in sigma) for d in range(fan.dim))
+    new_idx = len(fan.rays)
+    cones, adjugates, kept = [], [], set()
+    for cone, pair in zip(fan.max_cones, fan.adjugates):
+        if not set(sigma) <= set(cone):
+            kept.add(len(cones))
+            cones.append(cone)
+            adjugates.append(pair)
+            continue
+        det, adj = pair
+        for i in sigma:
+            p = cone.index(i)
+            cones.append(cone[:p] + cone[p + 1:] + (new_idx,))
+            if adj is None:  # det 0, as is the new cone's
+                adjugates.append(pair)
+                continue
+            rows = [list(map(sub, row, adj[p])) if j in sigma else row
+                    for j, row in zip(cone, adj) if j != i] + [adj[p]]
+            if (fan.dim - 1 - p) % 2:
+                adjugates.append((-det, [[-x for x in row] for row in rows]))
+            else:
+                adjugates.append((det, rows))
+    fan1 = Fan(fan.rays + (new_ray,), tuple(cones))
+    fan1.__dict__["adjugates"] = tuple(adjugates)
+    if "walls" in fan.__dict__:
+        # two kept cones meet in fan1 as they met in fan, in the same order
+        old = {wall.rays: wall for wall in fan.walls}
+        fan1.__dict__["walls"] = tuple(
+            old[wall.rays] if all(ci in kept for ci, _ in inc) else wall
+            for wall, (_, inc) in zip(Fan.walls.func(fan1), fan1.facets)
+        )
+    return fan1, new_idx
+
+
+def exceptional_setup(model):
+    """Subdivided fan, exceptional ray index, and the pullback map."""
+    fan1, e_idx = star_subdivide(model.fan, model.sigma)
+
+    def pullback(div):
+        if fan1 is model.fan:
+            return div
+        return div + (sum(div[i] for i in model.sigma),)
+
+    return fan1, e_idx, pullback
+
+
+def wall_nef_threshold(fan, pi_l, e_index):
+    """sup{t >= 0 : pi*L - tE nef} on the subdivided fan, from the affine
+    bound that each of its walls puts on t."""
+    e_div = tuple(int(i == e_index) for i in range(len(fan.rays)))
+    bounds = []
+    for wall in fan.walls:
+        dl = curve_degree(wall, pi_l)
+        if dl < 0:
+            raise ToricError(f"pi*L is not nef: degree {dl} on wall {wall.rays}")
+        de = curve_degree(wall, e_div)
+        if de > 0:
+            bounds.append(Fraction(dl, de))
+    if not bounds:
+        raise ToricError("no wall constrains t: nef threshold unbounded")
+    eps = min(bounds)
+    if eps <= 0:
+        raise ToricError("nef threshold is zero: center not permissible")
+    return eps
+
+
+def subdivided_localization(model):
+    """(fan1, e_idx, pi*L, the localized (pi*L, E, K[, pi*H])) on the star
+    subdivision fan1 built afresh, Bareiss on each of its cones."""
+    fan1, e_idx, pullback = exceptional_setup(model)
+    fan1 = Fan(fan1.rays, fan1.max_cones)
+    pi_l = pullback(model.L)
+    nrays = len(fan1.rays)
+    divisors = [pi_l, tuple(int(i == e_idx) for i in range(nrays)), (-1,) * nrays]
+    if model.H is not None:
+        divisors.append(pullback(model.H))
+    return fan1, e_idx, pi_l, _localize(fan1, divisors)
+
+
+def ref_export_table(model):
+    """The contract of `toric.export_table`, on the subdivided fan: the
+    parent's validation, then `wall_nef_threshold` and localization on the
+    star subdivision."""
+    errors = model.validate()
+    if errors:
+        raise ToricError("; ".join(errors))
+    fan1, e_idx, pi_l, points = subdivided_localization(model)
+    eps = wall_nef_threshold(fan1, pi_l, e_idx)
+    n = model.fan.dim
+
+    def number(i, j, k, kappa):
+        return _intersect(points, (i, k, kappa, j))
+
+    ae = tuple(number(n - k, 0, k, 0) for k in range(n + 1))
+    kae = tuple(number(n - 1 - k, 0, k, 1) for k in range(n))
+    if model.H is None:
+        return IntersectionTable(model.label, n, ae, kae, eps)
+    mixed = {(i, j, n - i - j): number(i, j, n - i - j, 0)
+             for i in range(n + 1) for j in range(n + 1 - i)}
+    kmixed = {(i, j, n - 1 - i - j): number(i, j, n - 1 - i - j, 1)
+              for i in range(n) for j in range(n - i)}
+    return MixedTable(model.label, n, ae, kae, eps, mixed, kmixed)

@@ -407,6 +407,16 @@ class TestRationalRoots:
         with pytest.raises(ValueError, match="empty interval"):
             rational_roots(poly(-1, 1), 1, 1)
 
+    @pytest.mark.parametrize("window", [(), (0, 1)], ids=["no window", "window"])
+    def test_zero_polynomial_rejected(self, window):
+        with pytest.raises(ValueError, match="^cannot isolate roots of the zero polynomial$"):
+            rational_roots(UniPoly(), *window)
+
+    def test_constant_with_empty_window_rejected(self):
+        # no root to list does not make the window valid
+        with pytest.raises(ValueError, match="^empty interval$"):
+            rational_roots(UniPoly([7]), 2, 0)
+
 
 def squarefree(p):
     return polynomials._squarefree(p.integer_form[0])

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
@@ -8,9 +9,16 @@ from math import prod
 
 import pytest
 
+from reference import (
+    exceptional_setup,
+    ref_export_table,
+    star_subdivide,
+    subdivided_localization,
+    wall_nef_threshold,
+)
 from slopestab import cli, oracle
 from slopestab import toric as toric_mod
-from slopestab.models import IntersectionTable, MixedTable
+from slopestab.models import IntersectionTable, MixedTable, parse_model
 from slopestab.polynomials import UniPoly
 from slopestab.slope import alpha_polys, slope_mu
 from slopestab.toric import (
@@ -20,7 +28,8 @@ from slopestab.toric import (
     ToricModel,
     Wall,
     _adjugate,
-    _exceptional_setup,
+    _blow_up,
+    _generic_direction,
     _intersect,
     _localize,
     check_fan,
@@ -28,7 +37,6 @@ from slopestab.toric import (
     export_table,
     nef_threshold,
     polytope_of,
-    star_subdivide,
 )
 
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
@@ -184,8 +192,9 @@ def assert_inherited_adjugates(fan, sigma):
 
 
 class TestInheritedAdjugates:
-    """star_subdivide derives the new cones' (det, adj) from the parent's by
-    row operations; Bareiss on each new cone is the reference."""
+    """The reference star_subdivide derives the new cones' (det, adj) from
+    the parent's by row operations; Bareiss on each new cone is the
+    reference."""
 
     def test_random_chains_on_projective_spaces(self):
         rng = random.Random(14)
@@ -224,9 +233,9 @@ class TestInheritedAdjugates:
 
 
 class TestInheritedWalls:
-    """star_subdivide keeps the parent's Wall between two cones it leaves
-    alone, once the parent's walls are computed; the walls of the same fan
-    built afresh are the reference."""
+    """The reference star_subdivide keeps the parent's Wall between two
+    cones it leaves alone, once the parent's walls are computed; the walls
+    of the same fan built afresh are the reference."""
 
     @staticmethod
     def assert_inherited_walls(model):
@@ -280,32 +289,39 @@ class TestCurveDegree:
 
 
 class TestNefThreshold:
+    """nef_threshold reads the bound off the parent's walls; the bound from
+    every wall of the subdivided fan, wall_nef_threshold, is the reference."""
+
     def test_p2_blowup(self):
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
-        pi_l = (0, 0, 1, 0)
-        assert nef_threshold(fan, pi_l, e_idx) == 1
+        assert nef_threshold(P2_FAN, (0, 0, 1), (0, 1)) == 1
+        assert wall_nef_threshold(fan, (0, 0, 1, 0), e_idx) == 1
 
     def test_threshold_is_a_fraction(self):
         # curve degrees of integral divisors are ints; their quotient must not
         # become a float
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
-        eps = nef_threshold(fan, (0, 0, 3, 0), e_idx)
-        assert type(eps) is F and eps == 3
+        for eps in (nef_threshold(P2_FAN, (0, 0, 3), (0, 1)),
+                    wall_nef_threshold(fan, (0, 0, 3, 0), e_idx)):
+            assert type(eps) is F and eps == 3
 
     def test_scales_with_l(self):
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
         for d in (2, 3, 5):
-            pi_l = (0, 0, d, 0)
-            assert nef_threshold(fan, pi_l, e_idx) == d
+            assert nef_threshold(P2_FAN, (0, 0, d), (0, 1)) == d
+            assert wall_nef_threshold(fan, (0, 0, d, 0), e_idx) == d
 
     def test_f1_divisor_case(self):
         # L = 2H - E0 with E = the (1,1) ray's divisor
-        assert nef_threshold(F1_FAN, (0, 0, 2, -1), 3) == 1
+        assert nef_threshold(F1_FAN, (0, 0, 2, -1), (3,)) == 1
+        assert wall_nef_threshold(F1_FAN, (0, 0, 2, -1), 3) == 1
 
     def test_threshold_boundary_is_sharp(self):
+        # on the walls of the subdivided fan, pi*L - eps E has degree >= 0
+        # with a 0, and pi*L - (eps + 1/1000) E a negative one
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
         pi_l = (0, 0, 1, 0)
-        eps = nef_threshold(fan, pi_l, e_idx)
+        eps = nef_threshold(P2_FAN, pi_l[:3], (0, 1))
         e = tuple(int(i == e_idx) for i in range(4))
         at = [curve_degree(w, pi_l) - eps * curve_degree(w, e)
               for w in fan.walls]
@@ -382,7 +398,7 @@ class TestFacetLatticeVolume:
         # at t = eps = 1 two inequalities restrict to proportional ones on the
         # z = 0 facet; each facet of the slice must be counted once
         model = load_model("blp3_014")
-        fan1, e_idx, pullback = _exceptional_setup(model)
+        fan1, e_idx, pullback = exceptional_setup(model)
         p = polytope_of(fan1, tuple(a - (i == e_idx) for i, a in enumerate(pullback(model.L))))
         assert p.inequalities[2][0] == (0, 0, 1)
         assert p.facet_lattice_volume(2) == F(3, 2)
@@ -432,14 +448,14 @@ class TestExportTable:
         assert len(counted) == calls
 
     @pytest.mark.parametrize("name, adjugates, fans", [
-        ("p2", 3, 2), ("p2_o2", 3, 2), ("p3", 4, 2), ("f1_ample", 4, 1), ("f1_bignef", 4, 1),
-        ("p4_o2_codim2", 5, 2), ("p1_cubed_point", 8, 2), ("blp3_014", 6, 2),
-        ("p2_o2_point_02", 3, 2),
+        ("p2", 3, 1), ("p2_o2", 3, 1), ("p3", 4, 1), ("f1_ample", 4, 1), ("f1_bignef", 4, 1),
+        ("p4_o2_codim2", 5, 1), ("p1_cubed_point", 8, 1), ("blp3_014", 6, 1),
+        ("p2_o2_point_02", 3, 1),
     ])
     def test_bareiss_once_per_input_cone(self, load_model, monkeypatch, name, adjugates,
                                          fans):
-        # Bareiss runs on the input fan's cones only, the subdivided fan
-        # inheriting them, and each fan builds its facet incidence once
+        # Bareiss runs on the input fan's cones only, and the input fan, the
+        # only one, builds its facet incidence once
         m = load_model(name)
         model = ToricModel(m.label, Fan(m.fan.rays, m.fan.max_cones), m.L, m.sigma, m.H)
         bareiss, built = [], []
@@ -462,6 +478,22 @@ class TestExportTable:
         assert len(bareiss) == adjugates == len(model.fan.max_cones)
         assert len(built) == len({id(fan) for fan in built}) == fans
 
+    @pytest.mark.parametrize("name", REFERENCE_MODELS[:5])
+    def test_builds_no_fan(self, models_dir, monkeypatch, name):
+        # the blow-up is read off the parent fan: no Fan is built for it
+        built = []
+        post_init = Fan.__post_init__
+
+        def counting(fan):
+            built.append(fan)
+            post_init(fan)
+
+        monkeypatch.setattr(Fan, "__post_init__", counting)
+        model = parse_model((models_dir / f"{name}.json").read_bytes())
+        assert built == [model.fan]
+        export_table(model)
+        assert built == [model.fan]
+
     def test_blown_up_p3_at_point_on_e(self, load_model):
         t = export_table(load_model("blp3_014"))
         assert t.ae == (7, 0, 0, 1)
@@ -472,6 +504,81 @@ class TestExportTable:
         model = ToricModel("bad", P2_FAN, (0, 0, -1), (0, 1))
         with pytest.raises(ToricError, match="nef"):
             export_table(model)
+
+
+def generated_blow_ups(count, seed):
+    """Models on P^2, P^3 and P^4 after up to two star subdivisions at random
+    faces, with the cones in random order and their rays too, blown up at a
+    random face of a random size 1..n.  L = d pi*O(1) - sum_j delta_j E_j,
+    d in 0..3, delta_j in {0, 1}: delta_j = 0 pulls L back unchanged, which
+    makes for zero nef thresholds, and d = 0 for an L that is not big; H,
+    on about a third of them, takes delta_j = 1 and may fail to be ample."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n = 2 + index % 3
+        fan = Fan(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) + ((-1,) * n,),
+                  tuple(tuple(rng.sample(c, n)) for c in combinations(range(n + 1), n)))
+        L = (0,) * n + (rng.randint(0, 3),)
+        H = (0,) * n + (rng.randint(2, 4),)
+        for _ in range(rng.randint(0, 2)):
+            sigma = rng.sample(rng.choice(fan.max_cones), rng.randint(2, n))
+            fan, _ = star_subdivide(fan, sigma)
+            L += (sum(L[i] for i in sigma) - rng.randint(0, 1),)
+            H += (sum(H[i] for i in sigma) - 1,)
+        cones = rng.sample(fan.max_cones, len(fan.max_cones))
+        sigma = rng.sample(rng.choice(cones), rng.randint(1, n))
+        yield ToricModel(f"generated {index}", Fan(fan.rays, tuple(cones)), L, sigma,
+                         H if rng.random() < 1 / 3 else None)
+
+
+class TestBlowUpFromParent:
+    """export_table reads the blow-up off the parent fan; the star
+    subdivision of tests/reference.py, built afresh, with the bound from
+    each of its walls and localization over its cones, is the reference."""
+
+    def test_direction_fallback(self):
+        # c = (1, 2) = u_1 + u_3 has equal coordinates on sigma = (1, 3) in
+        # the cone (1, 3), and so a zero coordinate in both cones that
+        # replace it; the blow-up needs k = 3
+        model = ToricModel("F1 point (1, 3)", F1_FAN, (0, 0, 2, -1), (1, 3))
+        fan1, _, _, points = subdivided_localization(model)
+        assert F1_FAN.generic[0] == (1, 2)
+        assert _generic_direction(F1_FAN, model.sigma)[0] == _generic_direction(fan1)[0] == (1, 3)
+        assert _blow_up(model) == points
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_direction_and_fixed_points(self, load_model, name):
+        # the same c, and the same fixed points in the same order, with the
+        # same weights and divisor values
+        model = load_model(name)
+        fan1, _, _, points = subdivided_localization(model)
+        assert _generic_direction(model.fan, model.sigma)[0] == _generic_direction(fan1)[0]
+        assert _blow_up(model) == points
+
+    def test_matches_subdivided_fan(self, load_model):
+        # the same table, or the same refusal, on 1009 models
+        models = [load_model(name) for name in REFERENCE_MODELS]
+        models += generated_blow_ups(1000, seed=25)
+        outcomes, centers, fallbacks = Counter(), set(), 0
+        for model in models:
+            results = []
+            for export in (export_table, ref_export_table):
+                try:
+                    results.append(export(model))
+                except ToricError as exc:
+                    results.append(str(exc))
+            table, expected = results
+            assert type(table) is type(expected) and table == expected, model
+            if isinstance(table, str):
+                outcomes[table.split(":")[0]] += 1
+                continue
+            outcomes[type(table).__name__] += 1
+            centers.add((model.fan.dim, len(model.sigma)))
+            fallbacks += _generic_direction(model.fan, model.sigma) != model.fan.generic
+        assert set(outcomes) == {"IntersectionTable", "MixedTable", "nef threshold is zero",
+                                 "L not nef", "L not big", "H not ample"}
+        assert centers == {(n, k) for n in (2, 3, 4) for k in range(1, n + 1)}
+        assert fallbacks > 0
 
 
 def relabel_rays(model, rng):
@@ -592,7 +699,7 @@ class TestTwoPathConsistency:
     def test_p1_point(self, agrees_with_polytopes, L):
         model = ToricModel("P1 point", Fan(((1,), (-1,)), ((0,), (1,))), L, (0,))
         assert agrees_with_polytopes(model)
-        fan1, e_idx, pullback = _exceptional_setup(model)
+        fan1, e_idx, pullback = exceptional_setup(model)
         poly = polytope_of(fan1, pullback(model.L))
         assert [poly.facet_lattice_volume(i) for i in range(2)] == [1, 1]
 
@@ -717,7 +824,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_toric_data_match_reference(self, load_model, name):
         model = load_model(name)
-        fan1, e_idx, pullback = _exceptional_setup(model)
+        fan1, e_idx, pullback = exceptional_setup(model)
         e_div = tuple(int(i == e_idx) for i in range(len(fan1.rays)))
         hs = [] if model.H is None else [model.H]
         for fan, divisors in (
@@ -761,10 +868,10 @@ class TestNoFloats:
         if isinstance(table, MixedTable):
             entries += [*table.mixed.values(), *table.kmixed.values()]
         assert all(type(x) in (int, F) for x in entries)
-        fan1, e_idx, pullback = _exceptional_setup(model)
-        denom, points = _localize(fan1, (pullback(model.L),))
+        denom, points = _blow_up(model)
         assert type(denom) is int
-        assert all(type(w) is int and type(v) is int for w, (v,) in points)
+        assert all(type(w) is int and all(type(v) is int for v in values)
+                   for w, values in points)
 
     def test_fractional_coefficient(self):
         fan, _ = star_subdivide(P2_FAN, (0, 1))
