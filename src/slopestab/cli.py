@@ -172,8 +172,8 @@ def cmd_verify(args) -> int:
         raise ModelError("oracle requires toric realization")
     if not args.c:
         raise ModelError("verify needs at least one --c value")
-    m_list = None
-    if args.max_m is not None:
+    m_list = None  # the oracle's default: m = q, -q, 2q, -2q, ..., by reciprocity
+    if args.max_m is not None:  # positive multiples only
         d = lcm(*(c.denominator for c in args.c))
         m_list = range(d, args.max_m + 1, d)
     lines = ["label c df_oracle df_predicted sign_match exact_match"]

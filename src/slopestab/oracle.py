@@ -8,10 +8,14 @@ projection is never visited; the levels along each slice are summed in
 closed form.  One kernel steps every level: a bounding row's value is kept
 as b + e * x along the coordinate x before it, so its dot product is taken
 once per prefix.  Each m-sample is counted in one walk for every c that
-needs it, with one capped weight total per c.  The counts are fitted
-exactly to their asymptotic expansions, h0 once for all c, and the
-extracted invariant is compared against the slope engine's prediction.
-Nothing here reuses the machinery of the table path."""
+needs it, with one capped weight total per c.  The default m-samples come in
+pairs m and -m: by Ehrhart-Macdonald reciprocity, the value at -m of each
+count's polynomial is read off the interior of m * P_L, which the same
+elimination bounds, so the largest dilation walked is about half the sample
+count times c's denominator.  The counts are fitted exactly to their
+asymptotic expansions, h0 once for all c, and the extracted invariant is
+compared against the slope engine's prediction.  Nothing here reuses the
+machinery of the table path."""
 
 from __future__ import annotations
 
@@ -33,6 +37,11 @@ _ROW_LIMIT = 1_000
 
 @dataclass(frozen=True)
 class WeightSample:
+    """The values at m of the h0 polynomial and of one capped weight
+    polynomial.  m is negative for an interior sample: h0 and w are then
+    read off the interior of |m| * P_L by reciprocity (see _sample), and
+    are not counts."""
+
     m: int
     h0: int
     w: int
@@ -72,19 +81,29 @@ def _sigma_form(model: ToricModel):
 
 
 def _levels(model: ToricModel):
-    """Rows bounding each coordinate x_k, for every m; ToricError when a
-    derived row shows m * P_L empty for every m >= 1.
+    """Rows bounding each coordinate x_k, for every m, of m * P_L and of its
+    interior; ToricError when a derived row shows m * P_L, or its interior,
+    empty for every m >= 1.
 
-    Each facet <x, u_rho> >= -m a_rho is an integer row (u_rho, a_rho) in
-    (x, m).  Fourier-Motzkin elimination of x_n, ..., x_2 makes each derived
-    row primitive, keeps it once, and drops one combined from more than t + 1
-    facets after t eliminations (Chernikov's rule).
+    Each facet <x, u_rho> >= -m a_rho is an integer row (u_rho, a_rho, -1) in
+    (x, m, s): at s = 0 it bounds m * P_L, and at s = 1 its interior, whose
+    lattice points are those with <x, u_rho> >= -m a_rho + 1.  Fourier-Motzkin
+    elimination of x_n, ..., x_1 keeps m and s as parameters, so one
+    elimination serves both walks.  It makes each derived row primitive, keeps
+    it once, and drops one combined from more than t + 1 facets after t
+    eliminations (Chernikov's rule).  A derived row r_m m + r_s s >= 0 with no
+    x part decides, before any walk, that L is not big: r_m < 0 leaves
+    m * P_L empty for every m >= 1, and r_m = 0 > r_s leaves its interior
+    empty, so P_L is lower-dimensional.  Only the first, found before x_1 is
+    eliminated, is refused as an empty sections polytope.
     Level k holds the rows with x_k != 0, as lowers and uppers
-    (r_1..r_{k-1}, |r_k|, r_m).
+    ((r_m, r_s, 0, r_1, ..., r_{k-1}), |r_k|): the 0 is the coefficient of an
+    absent x_0, so a walk's prefix (m, s, x_0, ..., x_{k-2}) gives a row's
+    value at x_{k-1} = 0 in one dot product (see _walk).
     """
     n = model.fan.dim
     rows = {  # row -> bit set of the facets it is combined from
-        (*ray, a): 1 << i for i, (ray, a) in enumerate(zip(model.fan.rays, model.L))
+        (*ray, a, -1): 1 << i for i, (ray, a) in enumerate(zip(model.fan.rays, model.L))
     }
     levels = []
     for k in reversed(range(n)):
@@ -92,20 +111,23 @@ def _levels(model: ToricModel):
         neg = [(r, h) for r, h in rows.items() if r[k] < 0]
         if not (pos and neg):
             raise ToricError(f"sections polytope is unbounded along x_{k + 1}")
-        levels.insert(0, ([(r[:k], r[k], r[-1]) for r, _ in pos],
-                          [(r[:k], -r[k], r[-1]) for r, _ in neg]))
+        levels.insert(0, ([((*r[-2:], 0, *r[:k]), r[k]) for r, _ in pos],
+                          [((*r[-2:], 0, *r[:k]), -r[k]) for r, _ in neg]))
         rows = {r: h for r, h in rows.items() if not r[k]}
-        for (p, hp), (q, hq) in product(pos, neg) if k else ():
+        for (p, hp), (q, hq) in product(pos, neg):
             h = hp | hq
             if h.bit_count() > n - k + 1:
                 continue
             row = tuple(p[k] * b - q[k] * a for a, b in zip(p, q))
-            g = gcd(*row[:-1])
-            if not g:  # r_m m >= 0: for every m >= 1, or for none
-                if row[-1] < 0:
+            g = gcd(*row[:-2])
+            if not g:  # r_m m + r_s s >= 0
+                if row[-2] < 0 and k:
                     raise ToricError("sections polytope is empty: L is not big")
+                if row[-2:] < (0, 0):  # false at s = 1 for every large m
+                    raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
                 continue
-            row = tuple(x // gcd(g, row[-1]) for x in row)
+            g = gcd(g, row[-2], row[-1])
+            row = tuple([x // g for x in row])
             if row not in rows or h.bit_count() < rows[row].bit_count():
                 rows[row] = h
         if len(rows) > _ROW_LIMIT:
@@ -114,23 +136,24 @@ def _levels(model: ToricModel):
     return levels
 
 
-def _check_budget(levels, ms, counts: dict) -> None:
-    """Refuse, before any slice is enumerated, an m-list ms with an m that is
-    not positive or that repeats, and a count that would visit more than
-    _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over its m-samples.
+def _check_budget(levels, ms, counts: dict, explicit: bool) -> None:
+    """Refuse, before any slice is enumerated, an m-list ms with an m that
+    repeats or, when the list is explicit, is not positive, and a count that
+    would visit more than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over
+    its m-samples, the interior walks of negative m included.
     counts keeps each m's prefix count for the next m-list; an m not in it
     is counted only as far as the budget left.  Each m is checked as it is
     reached, so the budget stops a long list before it is read to the end."""
     total, seen = 0, set()
     for m in ms:
-        if m <= 0:
+        if explicit and m <= 0:
             raise ToricError(f"m={m} is not a positive m-sample")
         if m in seen:
             raise ToricError(f"m={m} is repeated in the m-list")
         seen.add(m)
         if m not in counts:
             count = 0
-            for _, _, x_count in _walk(levels, m):
+            for _, _, x_count in _walk(levels, _walk_of(m)):
                 count += x_count
                 if total + count > _PREFIX_BUDGET:
                     break
@@ -141,21 +164,20 @@ def _check_budget(levels, ms, counts: dict) -> None:
                              f"than {_PREFIX_BUDGET} prefixes to enumerate")
 
 
-def _ranges(level, prefix, m: int, x_lo: int, count: int):
+def _ranges(level, prefix, x_lo: int, count: int):
     """(lo, hi), the integer range of the coordinate that level bounds, at
     each x = x_lo, ..., x_lo + count - 1 of the coordinate before it, after
-    prefix, the coordinates before x.
+    prefix: the walk's (m, s) and the coordinates before x.
 
-    A row's value is b + e * x, with b fixed by the prefix (e = 0 on the
-    first level, where x is an absent x_0 = 0); its values step by e and are
-    floor-divided by d in C.  A lower bound -((b + e x) // d) is
-    (d - 1 - b - e x) // d.
+    A row's value is b + e * x, with b fixed by the prefix; its values step
+    by e and are floor-divided by d in C.  A lower bound -((b + e x) // d)
+    is (d - 1 - b - e x) // d.
     """
     ends = []
     for rows, lower in zip(level, (True, False)):
         bounds = []
-        for r, d, c in rows:
-            b = sum(map(mul, prefix, r)) + c * m
+        for r, d in rows:
+            b = sum(map(mul, prefix, r))
             e = r[-1] if len(r) > len(prefix) else 0
             if lower:
                 b, e = d - 1 - b, -e
@@ -166,42 +188,83 @@ def _ranges(level, prefix, m: int, x_lo: int, count: int):
     return zip(*ends)
 
 
-def _walk(levels, m: int, xs=(), x_lo=0, count=1):
+def _walk_of(m: int) -> tuple[int, int]:
+    """(|m|, s), the walk of the m-sample m: over m * P_L when m > 0 (s = 0),
+    over the interior of |m| * P_L when m < 0 (s = 1)."""
+    return abs(m), int(m < 0)
+
+
+def _walk(levels, xs, x_lo=0, count=1):
     """(prefix, x_lo, count) for each integer prefix (x_1, ..., x_{n-2}) of
-    m * P_L's projection, with x_lo..x_lo + count - 1 the range of x_{n-1}
-    after it; for n = 1, the one value 0 of an absent x_0.
+    the projection of the polytope that levels bound at the walk xs = (m, s)
+    of _walk_of, with x_lo..x_lo + count - 1 the range of x_{n-1} after it;
+    for n = 1, the one value 0 of an absent x_0.  Each prefix is yielded as
+    (m, s, x_0, x_1, ..., x_{n-2}), the form that _levels' rows take.
 
     Every level but the last steps through _ranges: after
-    xs = (x_0, ..., x_{k-1}), where x_0 = 0 stands for no coordinate, x_k
-    runs over x_lo..x_lo + count - 1, and levels[0] bounds x_{k+1}.
+    xs = (m, s, x_0, ..., x_{k-1}), where x_0 = 0 stands for no coordinate,
+    x_k runs over x_lo..x_lo + count - 1, and levels[0] bounds x_{k+1}; so
+    the walk's constant r_m m + r_s s enters each row's dot product, with no
+    step of its own.
     """
     if len(levels) == 1:
-        yield xs[1:], x_lo, count
+        yield xs, x_lo, count
         return
-    for x, (lo, hi) in enumerate(_ranges(levels[0], xs[1:], m, x_lo, count), x_lo):
+    for x, (lo, hi) in enumerate(_ranges(levels[0], xs, x_lo, count), x_lo):
         if lo <= hi:
-            yield from _walk(levels[1:], m, (*xs, x), lo, hi - lo + 1)
+            yield from _walk(levels[1:], (*xs, x), lo, hi - lo + 1)
 
 
 def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]:
-    """h0(mL) and the weight totals with levels capped at each of caps, one
-    WeightSample per cap, from one walk over the lattice points of m * P_L.
+    """H(m) and W(m), the values at m of the h0 polynomial and of the weight
+    polynomial with levels capped at each of caps, one WeightSample per cap,
+    from one walk.
 
-    At each prefix (x_1, ..., x_{n-2}) that _walk yields, the same kernel,
-    _ranges, steps the last level through the range of x_{n-1}; the slice at
+    For m > 0 the walk is over m * P_L, and H(m) = h0(mL) and
+    W(m) = w_m = sum of min(l_m(x), cap) over its lattice points x, where
+    l_m is _sigma_form's level and cap = c m.  For m = -M < 0 the walk is
+    over the N lattice points of int(M * P_L), and, by Ehrhart-Macdonald
+    reciprocity, H(-M) = (-1)^n N and
+    W(-M) = (-1)^(n+1) * sum of min(l_M(x), cM) over them, with cM = -cap.
+
+    Proof.  Let P = P_L, of dimension n, and let Q be P or a polytope cut from
+    it.  For a polynomial f on (x, m), S(m) = sum of f(x, m) over the lattice
+    points of m Q is a polynomial on the m-samples (the fit witnesses check
+    it), and S(-M) = (-1)^n * sum of f(-x, -M) over int(M Q): for f = 1 this
+    is reciprocity (Macdonald, J. London Math. Soc. 1971; Beck-Robins,
+    Computing the Continuous Discretely, Thm 4.1), and a monomial x^a m^j of
+    degree |a| + j takes the sign (-1)^(|a| + j) under (x, m) -> (-x, -m),
+    which is the weighted form of the same theorem.  f = 1 on P gives H.
+    For W, min(l, cm) = cm - max(0, cm - l), and on m P the weight
+    g(x, m) = cm - l_m(x), linear in (x, m), is positive only on m A, where
+    A is the part of P with l_1 <= c; it is 0 on the cut.  So
+    W(m) = cm H(m) - G(m), with G the sum of g over m A.  Since
+    g(-x, -M) = -g(x, M),
+    G(-M) = (-1)^(n+1) * sum of g(x, M) over int(M A), which is
+    int(M P) and l_M < cM, that is, the sum of max(0, cM - l_M(x)) over
+    int(M P).  Then W(-M) = -cM H(-M) - G(-M) is (-1)^n times the sum over
+    int(M P) of max(0, cM - l_M(x)) - cM = -min(l_M(x), cM).  (An A with no
+    interior lies in the cut l_1 = c, where g and max(0, cM - l_M) vanish.)
+
+    At each prefix (m, s, x_0, ..., x_{n-2}) that _walk yields, the same
+    kernel, _ranges, steps the last level through the range of x_{n-1}; the
+    slice at
     x_{n-1} holds the points t = lo..hi with filtration levels
     base + step * t, where t is x_n, or -x_n when u_sigma has a negative
     last coordinate, so step >= 0.
     """
     h0, ws = 0, [0] * len(caps)
+    if m < 0:  # the kernel caps at cM = -cap
+        caps = [-cap for cap in caps]
     u_sigma, offset = _sigma_form(model)
+    form = (offset, 0, 0, *u_sigma)  # the level's coefficients on a prefix
     level, step = levels[-1], u_sigma[-1]
     if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
         level, step = level[::-1], -step
     u_prev = u_sigma[-2] if len(levels) > 1 else 0
-    for p, x_lo, count in _walk(levels, m):
-        base = sum(map(mul, p, u_sigma)) + m * offset + u_prev * x_lo
-        for lo, hi in _ranges(level, p, m, x_lo, count):
+    for p, x_lo, count in _walk(levels, _walk_of(m)):
+        base = sum(map(mul, p, form)) + u_prev * x_lo
+        for lo, hi in _ranges(level, p, x_lo, count):
             if lo <= hi:
                 points = hi - lo + 1
                 h0 += points
@@ -217,14 +280,20 @@ def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]
                         ws[j] += (below * base + step * ((lo + k) * below // 2)
                                   + (hi - k) * cap)
             base += u_prev
+    if m < 0:
+        sign = (-1) ** model.fan.dim
+        h0, ws = sign * h0, [-sign * w for w in ws]
     return tuple(WeightSample(m, h0, w) for w in ws)
 
 
 def default_m_list(n: int, c) -> list[int]:
-    """The first n + 3 multiples of c's denominator: with the known sample at
-    m = 0, enough for the degree-(n+1) weight fit plus two witnesses."""
-    d = Fraction(c).denominator
-    return [d * i for i in range(1, n + 4)]
+    """The first n + 3 of q, -q, 2q, -2q, ..., where q is c's denominator:
+    with the known sample at m = 0, enough for the degree-(n+1) weight fit
+    plus two witnesses.  A negative m is walked over the interior of
+    |m| * P_L (see _sample), so the largest dilation walked is
+    ceil((n + 3) / 2) q, not (n + 3) q."""
+    q = Fraction(c).denominator
+    return [s * q * i for i in range(1, n // 2 + 3) for s in (1, -1)][:n + 3]
 
 
 def fit_expansions(model: ToricModel, cs, m_list=None,
@@ -234,19 +303,23 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
 
     Each c is checked in turn: check_c(c) first when given, then the sample
     count of an explicit m_list (at least n + 4), the elimination (once, at
-    the first c), its own m-list (every m positive and distinct) and the
-    prefix budget over it, and the integrality of c*m.  Only then is each
-    distinct m of the m-lists walked, once, with the caps c*m of every c
-    whose list holds it.  m = 0 is never walked: by Ehrhart's theorem
+    the first c), its own m-list (an explicit one's m positive and distinct)
+    and the prefix budget over it, and the integrality of c*m.  Only then is
+    each distinct m of the m-lists walked, once, with the caps c*m of every c
+    whose list holds it.  The default m-list takes half its samples at
+    negative m, each the value H(m) and W(m) of the fitted polynomials that
+    _sample reads off the interior of |m| * P_L by reciprocity.  The
+    elimination refuses an empty or lower-dimensional P_L, whose interior is
+    empty, before any walk.  m = 0 is never walked: by Ehrhart's theorem
     h0(0L) = 1 and w_0 = 0, so (0, 1) comes first in the h0 fit and (0, 0)
     first in each weight fit, and the default m-list walks n + 3 samples for
-    fits of n + 4 points.  h0 does not depend on c: it is fitted once, over
-    m = 0 and every m walked in increasing order, the points past the first
-    n + 1 as witnesses.  A fit witness that disagrees raises RuntimeError:
-    the counts are polynomials in m, so it is a fault of the oracle, not of
-    the input.  An L that is not big, so that h0 has no m^n term, raises
-    ToricError; that is checked before the m = 0 point is added, which an
-    empty m * P_L would contradict.
+    fits of n + 4 points.  h0 does not depend on c: it is fitted once, over m = 0 and every
+    m walked in increasing order, the points past the first n + 1 as
+    witnesses.  A fit witness that disagrees raises RuntimeError: the counts
+    are polynomials in m, so it is a fault of the oracle, not of the input.
+    An L that is not big, so that h0 has no m^n term, raises ToricError;
+    that is checked before the m = 0 point is added, which an empty m * P_L
+    would contradict.
     """
     n = model.fan.dim
     plans, counts, levels = [], {}, None
@@ -259,7 +332,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
             raise ToricError(f"need at least {n + 4} m-samples, got {len(ms)}")
         if not plans:
             levels = _levels(model)
-        _check_budget(levels, ms, counts)
+        _check_budget(levels, ms, counts, m_list is not None)
         caps = []
         for m in ms:
             cap, rest = divmod(c.numerator * m, c.denominator)

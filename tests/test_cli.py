@@ -388,11 +388,12 @@ class TestVerifyOneWalkPerOp:
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", cs)
         assert (code, out, err) == (2, "", "error: c=2 outside (0, 1]\n")
 
-    # p2 visits m + 1 prefixes at m: c = 1 takes m = 1..5 (20 prefixes in all),
-    # c = 1/2 takes m = 2, 4, ..., 10 (35), and both together 8 distinct m (50);
-    # at 19 and 20 the first c to go over decides, at 30 only c = 1/2 does
+    # p2 visits m + 1 prefixes at m > 0 and max(0, M - 2) at m = -M, the
+    # interior of M * P: c = 1 takes m = 1, -1, 2, -2, 3 (9 prefixes in all),
+    # c = 1/2 takes m = 2, -2, 4, -4, 6 (17), and both together 8 distinct m
+    # (23); at 8 and 9 the first c to go over decides, at 16 only c = 1/2 does
     @pytest.mark.parametrize("budget, cs, m", [
-        (19, "1,1/2", 5), (20, "1/2,1", 8), (30, "1,1/2", 10), (30, "1/2,1", 10),
+        (8, "1,1/2", 3), (9, "1/2,1", -4), (16, "1,1/2", 6), (16, "1/2,1", 6),
     ])
     def test_budget_refusal_names_the_failing_c_own_m(self, capsys, models_dir,
                                                       monkeypatch, budget, cs, m):
@@ -403,8 +404,8 @@ class TestVerifyOneWalkPerOp:
                        f"{budget} prefixes to enumerate\n")
 
     def test_budget_is_per_c_not_per_op(self, capsys, models_dir, monkeypatch):
-        # each c's own m-list stays within 50 prefixes, their union does not
-        monkeypatch.setattr(oracle, "_PREFIX_BUDGET", 50)
+        # each c's own m-list stays within 20 prefixes, their union does not
+        monkeypatch.setattr(oracle, "_PREFIX_BUDGET", 20)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1,1/2")
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == [
@@ -436,8 +437,8 @@ class TestVerifyOneWalkPerOp:
         calls = self.count_work(monkeypatch)
         code, _, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/3,2/3")
         assert code == 0
-        # m = 3, 6, ..., 15 once each, with the caps m/3 and 2m/3
-        assert calls["sample"] == [(m, (m // 3, 2 * m // 3)) for m in range(3, 16, 3)]
+        # m = 3, -3, 6, -6, 9 once each, with the caps m/3 and 2m/3
+        assert calls["sample"] == [(m, (m // 3, 2 * m // 3)) for m in (3, -3, 6, -6, 9)]
         # one table, one h0 fit for the shared m-list and one weight fit per c
         assert (calls["export_table"], calls["fit_polynomial"]) == (1, 3)
 
@@ -447,8 +448,9 @@ class TestVerifyOneWalkPerOp:
         assert code == 0
         walked = dict(calls["sample"])
         assert len(calls["sample"]) == len(walked) == 8
-        assert sorted(walked) == [1, 2, 3, 4, 5, 6, 8, 10]
-        assert walked[4] == (2, 4) and walked[5] == (5,) and walked[8] == (4,)
+        assert sorted(walked) == [-4, -2, -1, 1, 2, 3, 4, 6]
+        assert walked[2] == (1, 2) and walked[-2] == (-1, -2)
+        assert walked[3] == (3,) and walked[6] == (3,)
         # one table, one h0 fit over all eight m and one weight fit per c
         assert (calls["export_table"], calls["fit_polynomial"]) == (1, 3)
 
@@ -464,7 +466,7 @@ class TestVerifyOneWalkPerOp:
         code, out, _ = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2,1/2")
         assert code == 0
         assert out.splitlines()[1:] == ["P2 O(1) point 1/2 1/8 1/8 True True"] * 2
-        assert [caps for _, caps in calls["sample"]] == [(m // 2,) for m in range(2, 11, 2)]
+        assert [caps for _, caps in calls["sample"]] == [(m // 2,) for m in (2, -2, 4, -4, 6)]
 
     @pytest.mark.parametrize("name", [
         "p2", "p2_o2", "p3", "f1_ample", "f1_bignef",
@@ -520,17 +522,17 @@ class TestInternalFault:
 
         def forged(model, m, levels, caps):
             out = sample(model, m, levels, caps)
-            return tuple(replace(s, h0=s.h0 + 1) for s in out) if m == 10 else out
+            return tuple(replace(s, h0=s.h0 + 1) for s in out) if m == 6 else out
 
         monkeypatch.setattr(oracle, "_sample", forged)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
                              "--c", "1/2")
         p2 = load_model("p2")
-        h0 = sample(p2, 10, oracle._levels(p2), (0,))[0].h0
+        h0 = sample(p2, 6, oracle._levels(p2), (0,))[0].h0
         assert code == 4 and out == ""
         assert err == ("internal error: RuntimeError: "
                        "oracle counts are not polynomial in m: "
-                       f"witness sample at x=10: fit predicts {h0}, "
+                       f"witness sample at x=6: fit predicts {h0}, "
                        f"sample gives {h0 + 1}\n")
 
     def test_generic_direction_fault_exits_4(self, capsys, models_dir, monkeypatch):

@@ -3,6 +3,7 @@ import builtins
 import importlib
 import pathlib
 import sys
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil, comb, floor
@@ -33,22 +34,30 @@ REFERENCE_MODELS = (
 P1_O3 = ToricModel("P1 O(3) point", Fan(((1,), (-1,)), ((0,), (1,))), (0, 3), (0,))
 P2_FAN = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 P1_SQUARED_FAN = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
-P6_O2 = ToricModel(
-    "P6 O(2)",
-    Fan(tuple(tuple(int(i == j) for j in range(6)) for i in range(6)) + ((-1,) * 6,),
-        tuple(combinations(range(7), 6))),
-    (0,) * 6 + (2,),
-    (0, 1),
-)
+
+
+def projective_space(n, d):
+    """P^n with L = d O(1), blown up along the codimension-2 face of rays 0, 1."""
+    return ToricModel(
+        f"P{n} O({d})",
+        Fan(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) + ((-1,) * n,),
+            tuple(combinations(range(n + 1), n))),
+        (0,) * n + (d,),
+        (0, 1),
+    )
+
+
+P6_O2 = projective_space(6, 2)
 # P^n with L = d O(1), blown up once per delta_j (n, d, deltas, seed), and their ids
 BLOW_UPS = [(2, 3, (1,), 1), (2, 5, (2, 1), 3), (2, 4, (1, 1), 2),
             (3, 3, (1,), 1), (3, 3, (1, 1), 1), (3, 4, (1, 1, 1), 2)]
 BLOW_UP_IDS = ["P2-d3-1", "P2-d5-2", "P2-d4-2", "P3-d3-1", "P3-d3-2", "P3-d4-3"]
 
 
-def box_levels(model, m):
+def box_levels(model, m, interior=False):
     """Reference counter: the filtration level of every lattice point of
-    m * P_L, by testing each point of the bounding box against every facet."""
+    m * P_L, or of its interior, by testing each point of the bounding box
+    against every facet, <x, u_rho> >= -m a_rho (+ 1 for the interior)."""
     verts = polytope_of(model.fan, model.L).vertices
     ranges = [
         range(floor(m * min(v[d] for v in verts)), ceil(m * max(v[d] for v in verts)) + 1)
@@ -59,7 +68,7 @@ def box_levels(model, m):
         sum(x * u for x, u in zip(pt, u_sigma)) + m * offset
         for pt in product(*ranges)
         if all(
-            sum(x * u for x, u in zip(pt, ray)) >= -m * a
+            sum(x * u for x, u in zip(pt, ray)) >= -m * a + interior
             for ray, a in zip(model.fan.rays, model.L)
         )
     ]
@@ -161,19 +170,29 @@ class TestWeightTotal:
 
 class TestDefaultMList:
     def test_denominator_multiples(self):
-        assert default_m_list(2, F(1, 3)) == [3, 6, 9, 12, 15]
-        assert default_m_list(3, 1) == [1, 2, 3, 4, 5, 6]
+        assert default_m_list(2, F(1, 3)) == [3, -3, 6, -6, 9]
+        assert default_m_list(3, 1) == [1, -1, 2, -2, 3, -3]
 
     def test_budget_reaches_p6_o2_at_one_half(self):
-        # m = 2, ..., 18 visit 1622466 prefixes; n + 4 walked samples would
-        # end at m = 20, past the budget.  Only the budget is counted here.
+        # m = 2, -2, ..., -8 and 10 visit 83340 prefixes, the interiors at
+        # negative m included; n + 4 positive samples, m = 2, ..., 20, go past
+        # the budget at m = 20.  Only the budget is counted here.
         levels, counts = oracle._levels(P6_O2), {}
         ms = default_m_list(6, F(1, 2))
-        assert ms == list(range(2, 19, 2))
-        oracle._check_budget(levels, ms, counts)
-        assert sum(counts.values()) == 1622466
+        assert ms == [2, -2, 4, -4, 6, -6, 8, -8, 10]
+        oracle._check_budget(levels, ms, counts, False)
+        assert sum(counts.values()) == 83340
         with pytest.raises(ToricError, match="^lattice-point budget exceeded at m=20: "):
-            oracle._check_budget(levels, [*ms, 20], counts)
+            oracle._check_budget(levels, range(2, 21, 2), counts, True)
+
+    def test_p8_o1_verifies_at_one_half(self):
+        # n + 4 positive samples would end at m = 22, past the budget; the
+        # default list walks no dilation above 12
+        start = time.perf_counter()
+        rec = verify_main_theorem(projective_space(8, 1), F(1, 2))
+        assert time.perf_counter() - start < 3
+        assert rec.exact_match and rec.df_oracle == F(7, 128)
+        assert [s.m for s in rec.samples] == [2, -2, 4, -4, 6, -6, 8, -8, 10, -10, 12]
 
     @pytest.mark.parametrize("m_list, message", [
         ((0, 1, 2, 3, 4, 5), "m=0 is not a positive m-sample"),
@@ -185,6 +204,19 @@ class TestDefaultMList:
             oracle.verify(load_model("p2"), (1,), m_list)
 
 
+def positive_fits(model):
+    """(c, a, b) for c = eps/2 and eps: h0 and w fitted by the reference from
+    the oracle's samples at the first n + 4 positive multiples of c's
+    denominator, with no m = 0 point and no negative m."""
+    n, levels = model.fan.dim, oracle._levels(model)
+    eps = export_table(model).epsilon
+    for c in (eps / 2, eps):
+        ms = [c.denominator * i for i in range(1, n + 5)]
+        own = [oracle._sample(model, m, levels, ((c * m).numerator,))[0] for m in ms]
+        yield c, newton_fit([(s.m, s.h0) for s in own], n), newton_fit(
+            [(s.m, s.w) for s in own], n + 1)
+
+
 class TestKnownSampleAtZero:
     """Counting confirms the values the fits take at m = 0 without a walk,
     h0(0L) = 1 and w_0 = 0: h0 and w fitted by the reference from n + 4
@@ -192,14 +224,8 @@ class TestKnownSampleAtZero:
 
     @staticmethod
     def assert_constant_terms(model):
-        n, levels = model.fan.dim, oracle._levels(model)
-        eps = export_table(model).epsilon
-        for c in (eps / 2, eps):
-            ms = [c.denominator * i for i in range(1, n + 5)]
-            own = [oracle._sample(model, m, levels, ((c * m).numerator,))[0] for m in ms]
-            a = newton_fit([(s.m, s.h0) for s in own], n)
-            b = newton_fit([(s.m, s.w) for s in own], n + 1)
-            assert (a.degree, a.coeff(0), b.coeff(0)) == (n, 1, 0)
+        for _, a, b in positive_fits(model):
+            assert (a.degree, a.coeff(0), b.coeff(0)) == (model.fan.dim, 1, 0)
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_reference_models(self, load_model, name):
@@ -208,6 +234,46 @@ class TestKnownSampleAtZero:
     @pytest.mark.parametrize("n, d, deltas, seed", BLOW_UPS, ids=BLOW_UP_IDS)
     def test_generated_blow_ups(self, blown_up_projective_space, n, d, deltas, seed):
         self.assert_constant_terms(blown_up_projective_space(n, d, deltas, seed))
+
+
+class TestReciprocity:
+    """The samples at m = -M, M = q and 2q: h0 and w fitted by the reference
+    from positive multiples of c's denominator q take at -M the values that
+    Ehrhart-Macdonald reciprocity reads off the brute-force interior of
+    M * P_L, H(-M) = (-1)^n N and W(-M) = (-1)^(n+1) sum of min(l_M, cM)
+    over its N lattice points; _sample at -M gives both."""
+
+    @staticmethod
+    def assert_identities(model):
+        n, levels = model.fan.dim, oracle._levels(model)
+        nonzero = 0
+        for c, a, b in positive_fits(model):
+            for big_m in (c.denominator, 2 * c.denominator):
+                cap = (c * big_m).numerator
+                inner = box_levels(model, big_m, interior=True)
+                h0 = (-1) ** n * len(inner)
+                w = (-1) ** (n + 1) * sum(min(lv, cap) for lv in inner)
+                assert (a(-big_m), b(-big_m)) == (h0, w)
+                assert oracle._sample(model, -big_m, levels, (-cap,)) == (
+                    oracle.WeightSample(-big_m, h0, w),)
+                nonzero += w != 0
+        return nonzero
+
+    def test_values_are_not_all_zero(self, load_model):
+        # the interiors at M = q and 2q hold points on most models
+        found = sum(self.assert_identities(load_model(name)) > 0 for name in REFERENCE_MODELS)
+        assert found >= 5
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_reference_models(self, load_model, name):
+        self.assert_identities(load_model(name))
+
+    @pytest.mark.parametrize("n, d, deltas, seed", BLOW_UPS, ids=BLOW_UP_IDS)
+    def test_generated_blow_ups(self, blown_up_projective_space, n, d, deltas, seed):
+        self.assert_identities(blown_up_projective_space(n, d, deltas, seed))
+
+    def test_p1(self):
+        assert self.assert_identities(P1_O3)
 
 
 class TestFitExpansions:
@@ -255,10 +321,21 @@ class TestFitExpansions:
         (P2_FAN, (0, 0, -1), "^h0\\(mL\\) has no m\\^2 term: L is not big$"),
         # eliminating y leaves the row -m >= 0
         (P1_SQUARED_FAN, (0, 0, 0, -1), "^sections polytope is empty: L is not big$"),
-    ], ids=["p2-point", "p2-empty", "p1xp1-empty"])
+        # a segment, whose interior is empty: eliminating y (for the first) or
+        # x (for the second) leaves -2 s >= 0 at s = 1, before any walk
+        (P1_SQUARED_FAN, (0, 0, 1, 0), "^h0\\(mL\\) has no m\\^2 term: L is not big$"),
+        (P1_SQUARED_FAN, (0, 0, 0, 1), "^h0\\(mL\\) has no m\\^2 term: L is not big$"),
+    ], ids=["p2-point", "p2-empty", "p1xp1-empty", "p1xp1-segment-x", "p1xp1-segment-y"])
     def test_not_big_l_refused(self, fan, L, message):
         with pytest.raises(ToricError, match=message):
             fit_one(ToricModel("not big", fan, L, (0, 1)), F(1, 2))
+
+    def test_empty_polytope_refused_before_a_long_m_list(self):
+        # every m-sample of an empty m * P_L visits no prefix, so the budget
+        # never stops the list: the elimination must refuse it first
+        model = ToricModel("empty", P2_FAN, (0, 0, -1), (0, 1))
+        with pytest.raises(ToricError, match="^h0\\(mL\\) has no m\\^2 term: L is not big$"):
+            fit_one(model, F(1, 2), m_list=range(2, 10**20, 2))
 
 
 class TestVerifyMainTheorem:
@@ -266,7 +343,7 @@ class TestVerifyMainTheorem:
         rec = verify_main_theorem(load_model("p2"), F(1, 2))
         assert rec.sign_match and rec.exact_match
         assert rec.df_oracle == rec.df_predicted == F(1, 8)
-        assert [s.m for s in rec.samples] == [2, 4, 6, 8, 10]
+        assert [s.m for s in rec.samples] == [2, -2, 4, -4, 6]
 
     def test_p2_boundary_zero(self, load_model):
         rec = verify_main_theorem(load_model("p2"), 1)
