@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from . import oracle as oracle_mod
@@ -22,6 +22,7 @@ from .models import (
     IntersectionTable,
     MixedTable,
     ModelError,
+    _format_pair,
     format_rational,
     parse_model,
     parse_rational,
@@ -30,6 +31,7 @@ from .models import (
 )
 from .polynomials import DEFAULT_ISOLATION_WIDTH, UniPoly
 from .slope import (
+    _mu_c_pair,
     alpha_polys,
     mu_c,
     perturbation_limit,
@@ -97,9 +99,12 @@ def _coerce_table(model) -> IntersectionTable:
 
 
 def _poly_line(p: UniPoly) -> str:
-    if p.is_zero:
+    """p's coefficients, constant term first, each reduced from p's integer
+    form by one gcd; "0" for the zero polynomial."""
+    ints, den = p.integer_form
+    if not ints:
         return "0"
-    return " ".join(format_rational(c) for c in p.coeffs)
+    return " ".join(_format_pair(c // (g := gcd(c, den)), den // g) for c in ints)
 
 
 def _emit(text: str, out_path):
@@ -145,6 +150,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    """One CSV row c, mu, mu_c, Q_sign at each c = i epsilon / steps,
+    i = 1..steps, built from integer pairs: c reduced by one gcd, mu_c from
+    _mu_c_pair, and Q_sign, the sign of Q(c) = (mu - mu_c) int_0^c alpha0,
+    as the sign of mu - mu_c, since the integral is positive."""
     if args.steps < 1:
         raise ModelError(f"--steps must be at least 1, got {args.steps}")
     if args.steps > MAX_STEPS:
@@ -153,15 +162,18 @@ def cmd_scan(args) -> int:
     table = _coerce_table(model)
     pair = alpha_polys(table)
     mu = slope_mu(pair)
+    mu_num, mu_den = mu.numerator, mu.denominator
     mu_text = format_rational(mu)
-    eps = table.epsilon
+    eps_num, den = table.epsilon.numerator, table.epsilon.denominator * args.steps
     rows = ["c,mu,mu_c,Q_sign"]
     for i in range(1, args.steps + 1):
-        c = Fraction(i * eps.numerator, eps.denominator * args.steps)
-        # Q(c) = (mu - mu_c) * int_0^c alpha0, and the integral is positive
-        mc = mu_c(pair, c)
-        sign = "+" if mu > mc else "-" if mu < mc else "0"
-        rows.append(f"{format_rational(c)},{mu_text},{format_rational(mc)},{sign}")
+        num = i * eps_num
+        g = gcd(num, den)
+        num, c_den = num // g, den // g
+        p, q = _mu_c_pair(pair, num, c_den)
+        d = mu_num * q - mu_den * p  # the sign of mu - p/q
+        sign = "+" if d > 0 else "-" if d < 0 else "0"
+        rows.append(f"{_format_pair(num, c_den)},{mu_text},{_format_pair(p, q)},{sign}")
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

@@ -51,15 +51,23 @@ def parse_rational(value) -> Fraction:
     )
 
 
-def format_rational(x: Fraction) -> str:
-    """The "p/q" text of x, or "p" when x is an integer; parse_rational
-    reads it back."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    if not -_LITERAL_BOUND < x.numerator < _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
+def _format_pair(num: int, den: int) -> str:
+    """The "num/den" text of a reduced pair with den > 0, or "num" when
+    den == 1; parse_rational reads it back.  A part of more than
+    MAX_LITERAL_DIGITS digits, which parse_rational would refuse, is refused
+    here."""
+    if not -_LITERAL_BOUND < num < _LITERAL_BOUND or den >= _LITERAL_BOUND:
         raise ModelError(f"rational too long to write: a part of more than "
                          f"{MAX_LITERAL_DIGITS} digits")
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def format_rational(x: Fraction) -> str:
+    """The "p/q" text of x, or "p" when x is an integer: _format_pair of its
+    numerator and denominator."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return _format_pair(x.numerator, x.denominator)
 
 
 @dataclass(frozen=True)

@@ -165,13 +165,14 @@ def _check_budget(levels, ms, counts: dict, explicit: bool) -> None:
 
 
 def _ranges(level, prefix, x_lo: int, count: int):
-    """(lo, hi), the integer range of the coordinate that level bounds, at
-    each x = x_lo, ..., x_lo + count - 1 of the coordinate before it, after
-    prefix: the walk's (m, s) and the coordinates before x.
+    """(x, lo, hi), with lo..hi the integer range of the coordinate that
+    level bounds, at each x = x_lo, ..., x_lo + count - 1 of the coordinate
+    before it, after prefix: the walk's (m, s) and the coordinates before x.
 
     A row's value is b + e * x, with b fixed by the prefix; its values step
     by e and are floor-divided by d in C.  A lower bound -((b + e x) // d)
-    is (d - 1 - b - e x) // d.
+    is (d - 1 - b - e x) // d.  The range of x bounds the walk, so count may
+    exceed sys.maxsize (the budget then stops the walk at its first slices).
     """
     ends = []
     for rows, lower in zip(level, (True, False)):
@@ -183,9 +184,9 @@ def _ranges(level, prefix, x_lo: int, count: int):
                 b, e = d - 1 - b, -e
             v = b + e * x_lo
             bounds.append(map(floordiv, range(v, v + e * count, e), repeat(d)) if e
-                          else repeat(v // d, count))
+                          else repeat(v // d))
         ends.append(bounds[0] if len(bounds) == 1 else map(max if lower else min, *bounds))
-    return zip(*ends)
+    return zip(range(x_lo, x_lo + count), *ends)
 
 
 def _walk_of(m: int) -> tuple[int, int]:
@@ -210,7 +211,7 @@ def _walk(levels, xs, x_lo=0, count=1):
     if len(levels) == 1:
         yield xs, x_lo, count
         return
-    for x, (lo, hi) in enumerate(_ranges(levels[0], xs, x_lo, count), x_lo):
+    for x, lo, hi in _ranges(levels[0], xs, x_lo, count):
         if lo <= hi:
             yield from _walk(levels[1:], (*xs, x), lo, hi - lo + 1)
 
@@ -264,7 +265,7 @@ def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]
     u_prev = u_sigma[-2] if len(levels) > 1 else 0
     for p, x_lo, count in _walk(levels, _walk_of(m)):
         base = sum(map(mul, p, form)) + u_prev * x_lo
-        for lo, hi in _ranges(level, p, x_lo, count):
+        for _, lo, hi in _ranges(level, p, x_lo, count):
             if lo <= hi:
                 points = hi - lo + 1
                 h0 += points

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .models import IntersectionTable, MixedTable, ModelError, format_rational
 from .polynomials import (
@@ -130,17 +130,31 @@ def slope_mu(alpha: AlphaPair) -> Fraction:
     return alpha.mu
 
 
+def _mu_c_pair(alpha: AlphaPair, num: int, den: int) -> tuple[int, int]:
+    """mu_c at c = num/den, for den > 0 and c in (0, epsilon], as the reduced
+    pair (p, q) with q > 0: the integer Horner values a/b of
+    int_0^c (alpha1 + alpha0'/2) and u/v of int_0^c alpha0 give
+    mu_c = (a v) / (b u), reduced by one gcd.  The integral of alpha0 is
+    positive on (0, epsilon], since alpha0 is, so q > 0 is an invariant; a
+    q <= 0 raises RuntimeError, a fault of this package, not of its input."""
+    a, b = alpha.numerator_integral.at(num, den)
+    u, v = alpha.alpha0_integral.at(num, den)
+    p, q = a * v, b * u
+    if q <= 0:
+        raise RuntimeError(f"int_0^c alpha0 is not positive at c={num}/{den}")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 def mu_c(alpha: AlphaPair, c) -> Fraction:
     """The quotient slope: integral of (alpha1 + alpha0'/2) over [0, c]
-    divided by the integral of alpha0, as one quotient of integer Horner
-    values."""
+    divided by the integral of alpha0, for c in (0, epsilon]; the Fraction
+    of _mu_c_pair's reduced pair."""
     if not isinstance(c, Fraction):
         c = Fraction(c)
     if not 0 < c <= alpha.epsilon:
         raise ModelError(f"c={c} outside (0, {alpha.epsilon}]")
-    a, b = alpha.numerator_integral.at(c.numerator, c.denominator)
-    p, q = alpha.alpha0_integral.at(c.numerator, c.denominator)
-    return Fraction(a * q, b * p)
+    return Fraction(*_mu_c_pair(alpha, c.numerator, c.denominator))
 
 
 def df_numerator(alpha: AlphaPair) -> UniPoly:

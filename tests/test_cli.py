@@ -30,6 +30,10 @@ P1_O3 = {"kind": "toric", "label": "P1 O(3) point", "rays": [[1], [-1]],
 TABLE_DOC = {"kind": "table", "label": "x", "n": 1, "AE": [1, 0], "KAE": [-2], "epsilon": 1}
 P2_DOC = {"kind": "toric", "label": "P2", "rays": [[1, 0], [0, 1], [-1, -1]],
           "max_cones": [[0, 1], [1, 2], [0, 2]], "L": [0, 0, 1], "sigma": [0, 1]}
+P4_DOC = {"kind": "toric", "label": "P4 O(1)",
+          "rays": [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4],
+          "max_cones": [[j for j in range(5) if j != i] for i in range(5)],
+          "L": [0, 0, 0, 0, 1], "sigma": [0]}
 
 
 def child_env(root):
@@ -243,6 +247,39 @@ class TestScan:
         assert time.perf_counter() - start < 2
         assert code == 0 and len(out.splitlines()) == 21
 
+    def test_fraction_count_independent_of_steps(self, capsys, models_dir, monkeypatch):
+        # rows are built from integer pairs: on an integer table, a scan
+        # constructs the same Fractions however many rows it writes
+        argv = ["scan", str(models_dir / "t3.json"), "--steps"]
+        assert cli.main([*argv, "1"]) == 0  # any set-up on first use is done
+        new, counts = F.__new__, []
+
+        def counted(cls, *args, **kwargs):
+            counts[-1] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        for steps in ("1", "32"):
+            counts.append(0)
+            assert cli.main([*argv, steps]) == 0
+        monkeypatch.undo()
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 2 + 33
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("model, fields, steps", [
+        # c = i eps / steps has a denominator past the digit limit
+        pytest.param("t3.json", {"epsilon": f"{10**4299 + 6}/{10**4299 + 7}"}, "20",
+                     id="c"),
+        # c has one digit, mu_c has parts past the limit
+        pytest.param("t1.json", {"AE": [10**4299 - 1, 0, -1]}, "3", id="mu_c"),
+    ])
+    def test_overlong_row_named(self, capsys, tmp_path, models_dir, model, fields, steps):
+        doc = {**json.loads((models_dir / model).read_text()), **fields}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "scan", str(path), "--steps", steps) == (
+            2, "", "error: rational too long to write: a part of more than 4300 digits\n")
+
     def test_dimension_96_table_within_a_second(self, capsys, tmp_path):
         # the n = 96 table of the benchmark's table recipe (3-digit entries,
         # AE[0] above the dominance bound that keeps alpha0 positive on
@@ -311,17 +348,40 @@ class TestVerify:
         ]
 
     def test_point_budget_exits_2_quickly(self, capsys, tmp_path):
-        rays = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
-        doc = {"kind": "toric", "label": "P4 O(1)", "rays": rays,
-               "max_cones": [[j for j in range(5) if j != i] for i in range(5)],
-               "L": [0, 0, 0, 0, 1], "sigma": [0]}
         path = tmp_path / "p4.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(P4_DOC))
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", str(path), "--c", "1", "--max-m", "100000")
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert "budget exceeded at m=" in err
+
+    @pytest.mark.parametrize("model, q, max_m", [
+        pytest.param("p3", 10**19, None, id="p3-20-digits"),
+        pytest.param("p3", 10**59 + 1, None, id="p3-60-digits"),
+        pytest.param("p3", 10**4300 - 1, None, id="p3-4300-digits"),
+        pytest.param("p3", 10**19, 10**20, id="p3-20-digits-max-m"),
+        pytest.param("p4", 10**19, None, id="p4-20-digits"),
+        pytest.param("p4", 10**59 + 1, 10**60, id="p4-60-digits-max-m"),
+    ])
+    def test_point_budget_past_sys_maxsize_exits_2(self, capsys, tmp_path, models_dir,
+                                                   model, q, max_m):
+        # a slice of more than sys.maxsize points in dimension 3 or more is
+        # refused by the budget, not by the integer size of a C counter
+        if model == "p4":
+            path = tmp_path / "p4.json"
+            path.write_text(json.dumps(P4_DOC))
+        else:
+            path = models_dir / f"{model}.json"
+        argv = ["verify", str(path), "--c", f"1/{q}"]
+        if max_m is not None:
+            argv += ["--max-m", str(max_m)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == (f"error: lattice-point budget exceeded at m={q}: "
+                       "more than 2000000 prefixes to enumerate\n")
 
     def test_p5_o2_codim_3_within_budget(self, capsys, tmp_path):
         # the bounding boxes of its m-samples hold 2.6 * 10^6 prefixes, more than

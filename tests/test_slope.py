@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import ceil
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference import poly_antiderivative, poly_scale, ref_alpha, ref_specialize
-from slopestab.models import IntersectionTable, MixedTable, ModelError
+from slopestab import cli
+from slopestab.models import IntersectionTable, MixedTable, ModelError, format_rational
 from slopestab.polynomials import UniPoly
 from slopestab.slope import (
     PositivityError,
@@ -100,26 +102,35 @@ def cauchy_epsilon(alpha0):
     return F(1, 1 + ceil(max(map(abs, a[1:]), default=0) / a[0]))
 
 
+def random_cases(rng, count=2000):
+    """(n, AE, KAE, *ref_alpha of the table at epsilon 1) for count random
+    tables drawn from rng: n = 1..8, entries of up to 40 digits, fractional
+    in every third case, and in every fourth the specialization L + sH of a
+    random mixed table at an s of up to 35 digits, checked against
+    ref_specialize.  AE[0] is made positive, so alpha0(0) > 0."""
+    for case in range(count):
+        n, fractional = case % 8 + 1, case % 3 == 0
+        if case % 4:
+            ae = tuple(random_entry(rng, fractional) for _ in range(n + 1))
+            kae = tuple(random_entry(rng, fractional) for _ in range(n))
+        else:  # the entries of a specialization L + sH, s = p/q
+            mixed = random_mixed(rng, n, fractional)
+            s = F(rng.randint(-10**rng.randint(0, 35), 10**rng.randint(0, 35)),
+                  rng.randint(1, 10 ** rng.choice((1, 10, 35))))
+            spec = mixed.specialize(s)
+            ae, kae = spec.ae, spec.kae
+            assert (ae, kae) == ref_specialize(mixed, s)
+        ae = (abs(ae[0]) or F(1), *ae[1:])
+        yield n, ae, kae, *ref_alpha(IntersectionTable("t", n, ae, kae, F(1)))
+
+
 class TestClosedForms:
     """The closed integer forms of `alpha_polys`, `df_numerator` and
     `MixedTable.specialize` against their definitions in `reference`."""
 
     def test_match_definitions(self):
         rng = random.Random(23)
-        for case in range(2000):
-            n, fractional = case % 8 + 1, case % 3 == 0
-            if case % 4:
-                ae = tuple(random_entry(rng, fractional) for _ in range(n + 1))
-                kae = tuple(random_entry(rng, fractional) for _ in range(n))
-            else:  # the entries of a specialization L + sH, s = p/q
-                mixed = random_mixed(rng, n, fractional)
-                s = F(rng.randint(-10**rng.randint(0, 35), 10**rng.randint(0, 35)),
-                      rng.randint(1, 10 ** rng.choice((1, 10, 35))))
-                spec = mixed.specialize(s)
-                ae, kae = spec.ae, spec.kae
-                assert (ae, kae) == ref_specialize(mixed, s)
-            ae = (abs(ae[0]) or F(1), *ae[1:])  # alpha0(0) > 0
-            alpha0, alpha1, i0, i1, mu, q = ref_alpha(IntersectionTable("t", n, ae, kae, F(1)))
+        for n, ae, kae, alpha0, alpha1, i0, i1, mu, q in random_cases(rng):
             eps = cauchy_epsilon(alpha0)
             pair = alpha_polys(IntersectionTable("t", n, ae, kae, eps))
             assert (pair.alpha0, pair.alpha1) == (alpha0, alpha1)
@@ -142,6 +153,38 @@ class TestClosedForms:
         q = df_numerator(pair)
         monkeypatch.undo()
         assert slope_mu(pair) == 6 and q == ref_alpha(P3)[5]
+
+
+def ref_scan_rows(eps, i0, i1, mu, steps):
+    """The rows of `scan` by one Fraction per value: c = i eps / steps,
+    mu_c = int_0^c (alpha1 + alpha0'/2) / int_0^c alpha0 as a quotient of two
+    Fractions, and the sign of Q(c) as that of mu - mu_c."""
+    rows = ["c,mu,mu_c,Q_sign"]
+    for i in range(1, steps + 1):
+        c = F(i * eps.numerator, eps.denominator * steps)
+        mc = i1(c) / i0(c)
+        sign = "+" if mu > mc else "-" if mu < mc else "0"
+        rows.append(f"{format_rational(c)},{format_rational(mu)},{format_rational(mc)},{sign}")
+    return rows
+
+
+class TestPrintedLines:
+    """`scan`'s rows and `analyze`'s polynomial lines, printed from integer
+    pairs, against one Fraction per value on the random tables."""
+
+    def test_match_fraction_loop(self, capsys, monkeypatch):
+        # the first 1000 cases: every n, entry kind and specialization recurs
+        for n, ae, kae, alpha0, alpha1, i0, i1, mu, q in random_cases(random.Random(23), 1000):
+            table = IntersectionTable("t", n, ae, kae, cauchy_epsilon(alpha0))
+            monkeypatch.setattr(cli, "_load_model", lambda path: table)
+            for steps in (1, 7, 32):
+                assert cli.main(["scan", "t", "--steps", str(steps)]) == 0
+                assert (capsys.readouterr().out.splitlines()
+                        == ref_scan_rows(table.epsilon, i0, i1, mu, steps))
+            pair = alpha_polys(table)
+            for p in (pair.alpha0, pair.alpha1, df_numerator(pair)):
+                text = " ".join(map(format_rational, p.coeffs)) if not p.is_zero else "0"
+                assert cli._poly_line(p) == text
 
 
 class TestMu:
@@ -178,6 +221,13 @@ class TestMuC:
         monkeypatch.undo()
         assert values == (F(30, 11), 3 * (3 - F(1, 4)) / (3 - F(1, 16)))
         assert df_numerator(pair) == ref_alpha(T1)[5]
+
+    def test_nonpositive_integral_is_a_fault(self):
+        # int_0^c alpha0 > 0 on (0, epsilon] holds for every AlphaPair that
+        # alpha_polys builds: a pair that breaks it is not refused input
+        pair = replace(alpha_polys(T1), alpha0_integral=UniPoly([0, -1]))
+        with pytest.raises(RuntimeError, match="not positive at c=1/2"):
+            mu_c(pair, F(1, 2))
 
     def test_out_of_range(self):
         pair = alpha_polys(T1)
