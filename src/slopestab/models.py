@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -70,22 +69,18 @@ def format_rational(x: Fraction) -> str:
     return _format_pair(x.numerator, x.denominator)
 
 
-@dataclass(frozen=True)
 class IntersectionTable:
     """The finitely many intersection numbers that determine the slope invariants.
 
     ae[k] houses ((pi*L)^(n-k) . E^k) for k = 0..n and kae[k] houses
     (K_X' . (pi*L)^(n-1-k) . E^k) for k = 0..n-1, together with the nef
-    threshold epsilon.
+    threshold epsilon.  Immutable by convention; two tables are equal when
+    they are of one class and agree on (label, n, ae, kae, epsilon).
     """
 
-    label: str
-    n: int
-    ae: tuple[Fraction, ...]
-    kae: tuple[Fraction, ...]
-    epsilon: Fraction
-
-    def __post_init__(self):
+    def __init__(self, label: str, n: int, ae: tuple[Fraction, ...],
+                 kae: tuple[Fraction, ...], epsilon: Fraction):
+        self.label, self.n, self.ae, self.kae, self.epsilon = label, n, ae, kae, epsilon
         if self.epsilon <= 0:
             raise ModelError(f"epsilon must be positive, got {format_rational(self.epsilon)}")
         if self.n < 1:
@@ -95,21 +90,33 @@ class IntersectionTable:
         if len(self.kae) != self.n:
             raise ModelError(f"KAE must have {self.n} entries, got {len(self.kae)}")
 
+    def _key(self):
+        return self.label, self.n, self.ae, self.kae, self.epsilon
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 class MixedTable(IntersectionTable):
     """Two-polarization table for L + sH perturbations.
 
     mixed[(i, j, k)] houses ((pi*L)^i . (pi*H)^j . E^k) over i+j+k = n and
     kmixed the analogous K_X' pairings over i+j+k = n-1.  The j = 0 slice
-    is the table of L itself: it must agree with AE and KAE.
+    is the table of L itself: it must agree with AE and KAE.  Equality and
+    hash ignore mixed and kmixed.
     """
 
-    mixed: dict[tuple[int, int, int], Fraction] = field(compare=False)
-    kmixed: dict[tuple[int, int, int], Fraction] = field(compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, label: str, n: int, ae: tuple[Fraction, ...],
+                 kae: tuple[Fraction, ...], epsilon: Fraction,
+                 mixed: dict[tuple[int, int, int], Fraction],
+                 kmixed: dict[tuple[int, int, int], Fraction]):
+        super().__init__(label, n, ae, kae, epsilon)
+        self.mixed, self.kmixed = mixed, kmixed
         for deg, entries, name in (
             (self.n, self.mixed, "MIX"),
             (self.n - 1, self.kmixed, "KMIX"),

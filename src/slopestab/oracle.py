@@ -19,11 +19,11 @@ machinery of the table path."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from math import gcd
 from operator import floordiv, mul
+from typing import NamedTuple
 
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
@@ -35,8 +35,7 @@ _PREFIX_BUDGET = 2_000_000
 _ROW_LIMIT = 1_000
 
 
-@dataclass(frozen=True)
-class WeightSample:
+class WeightSample(NamedTuple):
     """The values at m of the h0 polynomial and of one capped weight
     polynomial.  m is negative for an interior sample: h0 and w are then
     read off the interior of |m| * P_L by reciprocity (see _sample), and
@@ -47,8 +46,7 @@ class WeightSample:
     w: int
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
+class ExpansionFit(NamedTuple):
     """Exact expansion coefficients, leading term first:
     h0(mL) = a[0] m^n + ... + a[n], w_m = b[0] m^(n+1) + ... + b[n+1]."""
 
@@ -58,8 +56,7 @@ class ExpansionFit:
     samples: tuple[WeightSample, ...]
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     label: str
     c: Fraction
     df_oracle: Fraction

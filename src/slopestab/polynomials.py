@@ -12,10 +12,9 @@ result.  Everything here is pure and deterministic; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .models import format_rational
 
@@ -167,8 +166,7 @@ def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class IsolatingInterval:
+class IsolatingInterval(NamedTuple):
     """Interval (lo, hi] holding exactly one root; lo == hi marks an exact
     rational root.
 

@@ -9,10 +9,10 @@ integer numerators over one common denominator: no Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
+from typing import NamedTuple
 
 from .models import IntersectionTable, MixedTable, ModelError, format_rational
 from .polynomials import (
@@ -29,8 +29,7 @@ class PositivityError(ModelError):
     """alpha0 fails to be positive on [0, epsilon)."""
 
 
-@dataclass(frozen=True)
-class AlphaPair:
+class AlphaPair(NamedTuple):
     """The volume-type polynomial alpha0(t) and canonical-pairing polynomial
     alpha1(t) of a table, valid for t in [0, epsilon], with what mu, mu_c and
     Q are made of: mu = alpha1(0) / alpha0(0), alpha0_integral =
@@ -45,8 +44,7 @@ class AlphaPair:
     mu: Fraction
 
 
-@dataclass(frozen=True)
-class SignInterval:
+class SignInterval(NamedTuple):
     """A maximal sub-interval of (0, epsilon] on which Q is negative.
 
     Endpoints are isolating intervals; degenerate ones are exact rationals.
@@ -65,8 +63,7 @@ class SignInterval:
 _VERDICTS = {1: "positive", -1: "negative", 0: "zero"}
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     epsilon: Fraction
     mu: Fraction
     Q: UniPoly

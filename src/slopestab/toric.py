@@ -27,12 +27,12 @@ vertices take one adjugate per n-subset of facets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .models import IntersectionTable, MixedTable, ModelError, _require_keys
 
@@ -86,14 +86,13 @@ def _apply(det: int, adj, v) -> list:
 # ---------------------------------------------------------------------------
 # fans and divisors
 
-@dataclass(frozen=True)
 class Fan:
-    """Complete simplicial fan given by primitive rays and maximal cones."""
+    """Complete simplicial fan given by primitive rays and maximal cones;
+    immutable by convention."""
 
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, rays: tuple[tuple[int, ...], ...],
+                 max_cones: tuple[tuple[int, ...], ...]):
+        self.rays, self.max_cones = rays, max_cones
         if not self.rays:
             raise ToricError("fan has no rays")
         dim = len(self.rays[0])
@@ -112,7 +111,7 @@ class Fan:
     def dim(self) -> int:
         return len(self.rays[0])
 
-    # computed once per fan (a frozen dataclass may still fill its __dict__)
+    # computed once per fan
 
     @cached_property
     def adjugates(self) -> tuple[tuple[int, list[list[int]] | None], ...]:
@@ -163,8 +162,7 @@ class Fan:
         return tuple(walls)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Codimension-one face shared by two maximal cones."""
 
     rays: tuple[int, ...]  # the n-1 common ray indices
@@ -487,24 +485,21 @@ def polytope_of(fan: Fan, coefficients) -> LatticePolytope:
 # ---------------------------------------------------------------------------
 # toric models and table export
 
-@dataclass(frozen=True)
 class ToricModel:
     """Combinatorial (X, L, Z): a fan, a nef and big divisor, an optional
-    ample companion H, and the smooth cone sigma whose orbit closure is Z."""
+    ample companion H, and the smooth cone sigma whose orbit closure is Z;
+    immutable by convention.  sigma is kept sorted and without repeats, L
+    and H as tuples."""
 
-    label: str
-    fan: Fan
-    L: tuple[int, ...]
-    sigma: tuple[int, ...]
-    H: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(sorted(set(self.sigma))))
-        for name, divisor in (("L", self.L), ("H", self.H)):
+    def __init__(self, label: str, fan: Fan, L: tuple[int, ...], sigma: tuple[int, ...],
+                 H: tuple[int, ...] | None = None):
+        self.label, self.fan, self.L, self.H = label, fan, L, H
+        self.sigma = tuple(sorted(set(sigma)))
+        for name, divisor in (("L", L), ("H", H)):
             if divisor is None:
                 continue
             divisor = tuple(divisor)
-            object.__setattr__(self, name, divisor)
+            setattr(self, name, divisor)
             if len(divisor) != len(self.fan.rays):
                 raise ToricError(f"{name} coefficient count does not match the fan")
             for i, a in enumerate(divisor):

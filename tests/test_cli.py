@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb, lcm
 
@@ -582,7 +581,7 @@ class TestInternalFault:
 
         def forged(model, m, levels, caps):
             out = sample(model, m, levels, caps)
-            return tuple(replace(s, h0=s.h0 + 1) for s in out) if m == 6 else out
+            return tuple(s._replace(h0=s.h0 + 1) for s in out) if m == 6 else out
 
         monkeypatch.setattr(oracle, "_sample", forged)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
@@ -923,3 +922,26 @@ class TestDeterminism:
             first, second = once(args), once(args)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
+
+
+class TestImportCost:
+    def test_no_dataclasses_or_inspect(self, models_dir):
+        # the records and validated types are built without generated code:
+        # a bare interpreter that imports the CLI and runs an op loads neither
+        # module, and loads the package's seven modules, no more and no fewer
+        root = models_dir.parent
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(root / 'src')!r})\n"
+            "from slopestab.cli import main\n"
+            f"code = main(['analyze', {str(models_dir / 'p2.json')!r}])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m in ('dataclasses', 'inspect') or m.startswith('slopestab')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, cwd=str(root))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "0 " + str([
+            "slopestab", "slopestab.cli", "slopestab.models", "slopestab.oracle",
+            "slopestab.polynomials", "slopestab.slope", "slopestab.toric",
+        ])

@@ -206,6 +206,60 @@ class TestRoundTrip:
         assert again == mx
 
 
+class TestValueSemantics:
+    FIELDS = ("T", 2, (F(1), F(0), F(-1)), (F(-3), F(-1)), F(1))
+
+    def test_tables_compare_by_value(self):
+        t = IntersectionTable(*self.FIELDS)
+        same = IntersectionTable(*self.FIELDS)
+        assert t == same and not t != same and hash(t) == hash(same)
+        label, n, ae, kae, epsilon = self.FIELDS
+        for other in (
+            IntersectionTable("U", n, ae, kae, epsilon),
+            IntersectionTable(label, n, (F(2), F(0), F(-1)), kae, epsilon),
+            IntersectionTable(label, n, ae, (F(-3), F(-2)), epsilon),
+            IntersectionTable(label, n, ae, kae, F(1, 2)),
+            IntersectionTable(label, 1, ae[:2], kae[:1], epsilon),
+        ):
+            assert t != other and not t == other
+
+    def test_mixed_maps_do_not_affect_equality(self, load_model):
+        from slopestab.toric import export_table
+
+        mx = export_table(load_model("f1_bignef"))
+        n = mx.n
+        # only the j = 0 slice is tied to AE and KAE: change the rest
+        mixed = {k: v + 1 if k[1] else v for k, v in mx.mixed.items()}
+        kmixed = {k: v - 1 if k[1] else v for k, v in mx.kmixed.items()}
+        other = MixedTable(mx.label, n, mx.ae, mx.kae, mx.epsilon, mixed, kmixed)
+        assert other.mixed != mx.mixed and other.kmixed != mx.kmixed
+        assert other == mx and hash(other) == hash(mx)
+        plain = IntersectionTable(mx.label, n, mx.ae, mx.kae, mx.epsilon)
+        assert plain != mx and mx != plain
+        assert not plain == mx and not mx == plain
+
+    def test_records_are_immutable(self, load_model):
+        # the eight records: every field is read-only, and _replace copies
+        from slopestab.oracle import fit_expansions, verify
+        from slopestab.polynomials import IsolatingInterval
+        from slopestab.slope import SignInterval, stability_scan
+
+        pair = alpha_polys(IntersectionTable(*self.FIELDS))
+        p2 = load_model("p2")
+        record = verify(p2, [F(1, 2)])[0]
+        iv = IsolatingInterval(F(0), F(1))
+        records = [pair, stability_scan(pair), record, record.samples[0],
+                   fit_expansions(p2, [F(1, 2)])[0], p2.fan.walls[0], iv,
+                   SignInterval(iv, IsolatingInterval(F(1), F(1)), True)]
+        assert len({type(rec) for rec in records}) == 8
+        for rec in records:
+            for field in rec._fields:
+                with pytest.raises(AttributeError):
+                    setattr(rec, field, None)
+            assert rec._replace() == rec
+        assert str(iv._replace(hi=F(1, 2))) == "(0, 1/2]" and str(iv) == "(0, 1]"
+
+
 class TestMixedTable:
     def test_specialize_zero_is_base(self, load_model):
         from slopestab.toric import export_table

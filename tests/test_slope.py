@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from math import ceil
 
@@ -225,7 +224,7 @@ class TestMuC:
     def test_nonpositive_integral_is_a_fault(self):
         # int_0^c alpha0 > 0 on (0, epsilon] holds for every AlphaPair that
         # alpha_polys builds: a pair that breaks it is not refused input
-        pair = replace(alpha_polys(T1), alpha0_integral=UniPoly([0, -1]))
+        pair = alpha_polys(T1)._replace(alpha0_integral=UniPoly([0, -1]))
         with pytest.raises(RuntimeError, match="not positive at c=1/2"):
             mu_c(pair, F(1, 2))
 

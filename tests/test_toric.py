@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
 from itertools import combinations, permutations
@@ -482,13 +481,13 @@ class TestExportTable:
     def test_builds_no_fan(self, models_dir, monkeypatch, name):
         # the blow-up is read off the parent fan: no Fan is built for it
         built = []
-        post_init = Fan.__post_init__
+        init = Fan.__init__
 
-        def counting(fan):
+        def counting(fan, *args):
             built.append(fan)
-            post_init(fan)
+            init(fan, *args)
 
-        monkeypatch.setattr(Fan, "__post_init__", counting)
+        monkeypatch.setattr(Fan, "__init__", counting)
         model = parse_model((models_dir / f"{name}.json").read_bytes())
         assert built == [model.fan]
         export_table(model)
@@ -624,7 +623,8 @@ def unimodular(model, rng):
         g[i] = [a + k * b for a, b in zip(g[i], g[j])]
     rays = tuple(tuple(sum(a * x for a, x in zip(row, ray)) for row in g)
                  for ray in model.fan.rays)
-    return signed_permutation(replace(model, fan=Fan(rays, model.fan.max_cones)), rng)
+    return signed_permutation(ToricModel(model.label, Fan(rays, model.fan.max_cones), model.L,
+                                         model.sigma, model.H), rng)
 
 
 class TestMetamorphic:
@@ -732,7 +732,8 @@ class TestScaling:
     def assert_dilation(model, d):
         # L -> dL: epsilon scales by d, and an entry of degree i in L by d^i
         base = export_table(model)
-        scaled = export_table(replace(model, L=tuple(d * a for a in model.L)))
+        scaled = export_table(ToricModel(model.label, model.fan, tuple(d * a for a in model.L),
+                                          model.sigma, model.H))
         n = base.n
         assert scaled.epsilon == d * base.epsilon
         assert list(scaled.ae) == [d ** (n - k) * a for k, a in enumerate(base.ae)]
@@ -777,6 +778,15 @@ class TestModelValidation:
             "H not ample: degree 0 on wall (1,)",
             "H not ample: degree 0 on wall (2,)",
         ]
+
+    def test_fields_normalized(self):
+        # sigma is sorted without repeats; L and H become tuples
+        model = ToricModel("p2", P2_FAN, [0, 0, 1], [1, 0, 1], H=[1, 1, 1])
+        assert model.sigma == (0, 1)
+        assert model.L == (0, 0, 1) and isinstance(model.L, tuple)
+        assert model.H == (1, 1, 1) and isinstance(model.H, tuple)
+        assert ToricModel("p2", P2_FAN, iter((0, 0, 1)), (2,)).L == (0, 0, 1)
+        assert ToricModel("p2", P2_FAN, (0, 0, 1), (2,)).H is None
 
     @pytest.mark.parametrize("L, H, message", [
         ((0, 0, 1, F(-1, 2)), None, "L coefficient 3 is -1/2, not an integer"),
