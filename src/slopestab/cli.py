@@ -15,7 +15,6 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 from . import oracle as oracle_mod
 from .models import (
@@ -80,8 +79,11 @@ def _parse_rationals(text: str, flag: str) -> list[Fraction]:
 
 
 def _load_model(path: str):
+    """The model in the file at path, opened as given: a trailing slash, an
+    empty path or a doubled separator is not normalized away."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
     except ValueError as exc:  # a NUL byte in the path
@@ -108,9 +110,12 @@ def _poly_line(p: UniPoly) -> str:
 
 
 def _emit(text: str, out_path):
+    """Write text to the file at out_path, opened as given, or to stdout."""
     try:
         if out_path:  # encode first, so an unencodable label leaves the file as it was
-            Path(out_path).write_bytes(text.encode("utf-8"))
+            data = text.encode("utf-8")
+            with open(out_path, "wb") as f:
+                f.write(data)
         else:
             sys.stdout.write(text)
     except OSError as exc:
@@ -226,16 +231,18 @@ def cmd_export_table(args) -> int:
     return EXIT_OK
 
 
-@functools.cache  # built on first use, then shared: parse_args leaves it as it is
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on first use, then shared: parsing leaves them as they are
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="slopestab",
         description="Exact slope-stability invariants along subschemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, func, **flags):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         p.add_argument("model", help="model document (JSON)")
         if flags.get("c"):
             p.add_argument("--c", default=None,
@@ -258,18 +265,32 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.set_defaults(func=func)
-        return p
 
     add("analyze", cmd_analyze, c=True, width=True)
     add("scan", cmd_scan, steps=True)
     add("verify", cmd_verify, c=True, max_m=True)
     add("limit", cmd_limit, c=True, eps=True)
     add("export-table", cmd_export_table)
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] by default) and return its exit code.
+
+    A line that starts with a command's name is parsed once, by that
+    command's parser; a leftover string is refused as the top-level parser
+    refuses it.  Any other line (no command, -h, an unknown command) goes
+    through the top-level parser, which exits on it.
+    """
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: %s" % " ".join(extras))
     try:
         if getattr(args, "c", None) is not None:
             args.c = _parse_rationals(args.c, "--c")

@@ -194,7 +194,7 @@ def _show_key(raw: str) -> str:
 
 
 def _unique_keys(pairs) -> dict:
-    """object_pairs_hook for json.loads: a repeated key is refused, not
+    """object_pairs_hook of the JSON decoder: a repeated key is refused, not
     overwritten by its last value."""
     seen = set()
     for key, _ in pairs:
@@ -204,16 +204,20 @@ def _unique_keys(pairs) -> dict:
     return dict(pairs)
 
 
+# one decoder for every document: json.loads with a hook would build a new
+# decoder, and its scanner, per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
     v = doc[key]
     if not isinstance(v, dict):
         raise ModelError(f"field {key!r} must be an object")
     out = {}
     for raw, val in v.items():
-        shown = _show_key(raw)
         parts = raw.split(",")
         if len(parts) != 3:
-            raise ModelError(f"{key} key {shown} is not of the form 'i,j,k'")
+            raise ModelError(f"{key} key {_show_key(raw)} is not of the form 'i,j,k'")
         longest = max(len(p.strip().lstrip("+-")) for p in parts)
         if longest > MAX_LITERAL_DIGITS:  # too long for int(): refused without echoing it
             raise ModelError(f"{key} key too long: an index of {longest} digits, "
@@ -221,11 +225,13 @@ def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
         try:
             idx = tuple(int(p) for p in parts)
         except ValueError as exc:
-            raise ModelError(f"{key} key {shown} is not integral") from exc
+            raise ModelError(f"{key} key {_show_key(raw)} is not integral") from exc
         if min(idx) < 0 or sum(idx) != degree:
-            raise ModelError(f"{key} key {shown} outside the degree-{degree} simplex")
+            raise ModelError(f"{key} key {_show_key(raw)} outside the degree-{degree} "
+                             "simplex")
         if idx in out:
-            raise ModelError(f"{key} key {shown} repeats the index {','.join(map(str, idx))}")
+            raise ModelError(f"{key} key {_show_key(raw)} repeats the index "
+                             f"{','.join(map(str, idx))}")
         out[idx] = parse_rational(val)
     return out
 
@@ -234,7 +240,9 @@ def parse_model(data):
     """Parse a model document (bytes, str or already-decoded dict).
 
     Returns an IntersectionTable, MixedTable or ToricModel according to the
-    document's "kind"; every rational is parsed exactly.
+    document's "kind"; every rational is parsed exactly.  Text is decoded by
+    one module-level JSON decoder, which refuses a repeated key; a leading
+    byte-order mark is refused with json.loads's message.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -242,8 +250,11 @@ def parse_model(data):
         except UnicodeDecodeError as exc:
             raise ModelError(str(exc)) from exc
     if isinstance(data, str):
+        if data.startswith("\ufeff"):  # json.loads's refusal: the decoder has none
+            raise ModelError("malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                             "line 1 column 1 (char 0)")
         try:
-            doc = json.loads(data, object_pairs_hook=_unique_keys)
+            doc = _DECODER.decode(data)
         except ModelError:  # a repeated key, refused by _unique_keys
             raise
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply

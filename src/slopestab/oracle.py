@@ -19,11 +19,11 @@ machinery of the table path."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product, repeat
 from math import gcd
 from operator import floordiv, mul
-from typing import NamedTuple
 
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
@@ -35,35 +35,30 @@ _PREFIX_BUDGET = 2_000_000
 _ROW_LIMIT = 1_000
 
 
-class WeightSample(NamedTuple):
+class WeightSample(namedtuple("WeightSample", "m h0 w")):
     """The values at m of the h0 polynomial and of one capped weight
-    polynomial.  m is negative for an interior sample: h0 and w are then
-    read off the interior of |m| * P_L by reciprocity (see _sample), and
-    are not counts."""
+    polynomial, all ints.  m is negative for an interior sample: h0 and w
+    are then read off the interior of |m| * P_L by reciprocity (see
+    _sample), and are not counts."""
 
-    m: int
-    h0: int
-    w: int
+    __slots__ = ()
 
 
-class ExpansionFit(NamedTuple):
+class ExpansionFit(namedtuple("ExpansionFit", "a b df samples")):
     """Exact expansion coefficients, leading term first:
-    h0(mL) = a[0] m^n + ... + a[n], w_m = b[0] m^(n+1) + ... + b[n+1]."""
+    h0(mL) = a[0] m^n + ... + a[n], w_m = b[0] m^(n+1) + ... + b[n+1]; a and
+    b are tuples of Fractions, df a Fraction, samples the WeightSamples."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    df: Fraction
-    samples: tuple[WeightSample, ...]
+    __slots__ = ()
 
 
-class VerificationRecord(NamedTuple):
-    label: str
-    c: Fraction
-    df_oracle: Fraction
-    df_predicted: Fraction
-    sign_match: bool
-    exact_match: bool
-    samples: tuple[WeightSample, ...]
+class VerificationRecord(namedtuple("VerificationRecord", "label c df_oracle df_predicted "
+                                                          "sign_match exact_match samples")):
+    """One oracle check at c: the label, the Fractions c, df_oracle and
+    df_predicted, the bools sign_match and exact_match, and the
+    WeightSamples it was fitted from."""
+
+    __slots__ = ()
 
 
 def _sigma_form(model: ToricModel):

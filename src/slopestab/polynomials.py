@@ -12,9 +12,10 @@ result.  Everything here is pure and deterministic; no floats anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
 
 from .models import format_rational
 
@@ -166,16 +167,15 @@ def fit_polynomial(samples: Sequence[tuple], degree: int) -> UniPoly:
     return poly
 
 
-class IsolatingInterval(NamedTuple):
-    """Interval (lo, hi] holding exactly one root; lo == hi marks an exact
-    rational root.
+class IsolatingInterval(namedtuple("IsolatingInterval", "lo hi")):
+    """Interval (lo, hi] of Fractions holding exactly one root; lo == hi
+    marks an exact rational root.
 
     An inexact interval's ends are neither a window bound nor an exact root,
     so the polynomial is nonzero at both and its root lies strictly inside.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
     @property
     def is_exact(self) -> bool:

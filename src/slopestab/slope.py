@@ -9,10 +9,10 @@ integer numerators over one common denominator: no Fraction arithmetic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
-from typing import NamedTuple
 
 from .models import IntersectionTable, MixedTable, ModelError, format_rational
 from .polynomials import (
@@ -29,31 +29,27 @@ class PositivityError(ModelError):
     """alpha0 fails to be positive on [0, epsilon)."""
 
 
-class AlphaPair(NamedTuple):
+class AlphaPair(namedtuple("AlphaPair", "alpha0 alpha1 epsilon alpha0_integral "
+                                        "numerator_integral mu")):
     """The volume-type polynomial alpha0(t) and canonical-pairing polynomial
     alpha1(t) of a table, valid for t in [0, epsilon], with what mu, mu_c and
     Q are made of: mu = alpha1(0) / alpha0(0), alpha0_integral =
     int_0^t alpha0 (the denominator of mu_c) and numerator_integral =
-    int_0^t (alpha1 + alpha0'/2) (its numerator)."""
+    int_0^t (alpha1 + alpha0'/2) (its numerator).  The four polynomials are
+    UniPolys; epsilon and mu are Fractions."""
 
-    alpha0: UniPoly
-    alpha1: UniPoly
-    epsilon: Fraction
-    alpha0_integral: UniPoly
-    numerator_integral: UniPoly
-    mu: Fraction
+    __slots__ = ()
 
 
-class SignInterval(NamedTuple):
+class SignInterval(namedtuple("SignInterval", "left right right_closed")):
     """A maximal sub-interval of (0, epsilon] on which Q is negative.
 
     Endpoints are isolating intervals; degenerate ones are exact rationals.
-    The interval is open at roots and closed at epsilon when Q(epsilon) < 0.
+    The interval is open at roots and closed at epsilon when Q(epsilon) < 0,
+    as the bool right_closed says.
     """
 
-    left: IsolatingInterval
-    right: IsolatingInterval
-    right_closed: bool
+    __slots__ = ()
 
     def __str__(self):
         right = f"{self.right}]" if self.right_closed else f"{self.right})"
@@ -63,12 +59,11 @@ class SignInterval(NamedTuple):
 _VERDICTS = {1: "positive", -1: "negative", 0: "zero"}
 
 
-class SlopeReport(NamedTuple):
-    epsilon: Fraction
-    mu: Fraction
-    Q: UniPoly
-    destabilizing: tuple[SignInterval, ...]
-    flat: bool
+class SlopeReport(namedtuple("SlopeReport", "epsilon mu Q destabilizing flat")):
+    """The Fractions epsilon and mu, the UniPoly Q, the SignIntervals on
+    which Q is negative, and whether Q is identically zero."""
+
+    __slots__ = ()
 
     def verdict(self, c) -> str:
         c = Fraction(c)

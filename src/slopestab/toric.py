@@ -27,12 +27,12 @@ vertices take one adjugate per n-subset of facets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
-from typing import NamedTuple
 
 from .models import IntersectionTable, MixedTable, ModelError, _require_keys
 
@@ -162,12 +162,12 @@ class Fan:
         return tuple(walls)
 
 
-class Wall(NamedTuple):
-    """Codimension-one face shared by two maximal cones."""
+class Wall(namedtuple("Wall", "rays opposite relation")):
+    """Codimension-one face shared by two maximal cones: rays holds the n-1
+    common ray indices, opposite the two non-shared ones (a, b), and
+    relation the c_i, one per wall ray, of u_a + u_b = sum_i c_i u_i."""
 
-    rays: tuple[int, ...]  # the n-1 common ray indices
-    opposite: tuple[int, int]  # the two non-shared ray indices
-    relation: tuple[int | Fraction, ...]  # c_i per wall ray: u_a + u_b = sum_i c_i u_i
+    __slots__ = ()
 
 
 def check_fan(fan: Fan) -> list[str]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -886,6 +887,55 @@ def command_lines(draw, path):
     return argv
 
 
+class TestPathsAsGiven:
+    """Model and --out paths are opened as given, not normalized first."""
+
+    def test_trailing_slash_on_model_refused(self, capsys, models_dir):
+        path = str(models_dir / "t1.json") + "/"
+        assert run(capsys, "analyze", path) == (
+            2, "", f"error: cannot read model file: [Errno 20] Not a directory: {path!r}\n")
+
+    def test_empty_model_path_refused(self, capsys):
+        assert run(capsys, "analyze", "") == (
+            2, "", "error: cannot read model file: [Errno 2] No such file or directory: ''\n")
+
+    def test_doubled_separator_echoed(self, capsys, models_dir):
+        path = f"{models_dir}//missing.json"
+        assert run(capsys, "analyze", path) == (
+            2, "", f"error: cannot read model file: [Errno 2] No such file or directory: "
+                   f"{path!r}\n")
+
+    def test_trailing_slash_on_out_refused(self, capsys, models_dir, tmp_path):
+        out = f"{tmp_path}/new/"
+        assert run(capsys, "analyze", str(models_dir / "t1.json"), "--out", out) == (
+            2, "", f"error: cannot write output file: [Errno 21] Is a directory: {out!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOneParsePass:
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "t1.json", "--c", "1/2"),
+        ("scan", "t1.json", "--steps", "2"),
+        ("verify", "p2.json", "--c", "1/2"),
+        ("limit", "f1_bignef.json", "--c", "1/2"),
+        ("export-table", "p2.json"),
+    ], ids=lambda argv: argv[0])
+    def test_one_parse_pass_per_command(self, capsys, models_dir, monkeypatch, argv):
+        # the command's own parser parses the line, once; the top-level
+        # parser does not parse it first
+        passes = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            passes.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code, _, err = run(capsys, argv[0], str(models_dir / argv[1]), *argv[2:])
+        assert (code, err) == (0, "")
+        assert passes == [f"slopestab {argv[0]}"]
+
+
 class TestMutatedInput:
     """Every run on an edited model, with any value of each flag, is an
     answer or a refusal: never exit 3 or 4, and never an escaped exception."""
@@ -925,23 +975,36 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    def test_no_dataclasses_or_inspect(self, models_dir):
-        # the records and validated types are built without generated code:
-        # a bare interpreter that imports the CLI and runs an op loads neither
-        # module, and loads the package's seven modules, no more and no fewer
+    @pytest.fixture(scope="class")
+    def loaded(self, models_dir):
+        """The exit code of analyze in a bare interpreter that imports the
+        CLI, then the watched modules it holds, sorted."""
         root = models_dir.parent
         script = (
             "import sys\n"
             f"sys.path.insert(0, {str(root / 'src')!r})\n"
             "from slopestab.cli import main\n"
             f"code = main(['analyze', {str(models_dir / 'p2.json')!r}])\n"
-            "print(code, sorted(m for m in sys.modules\n"
-            "                   if m in ('dataclasses', 'inspect') or m.startswith('slopestab')))\n"
+            "print(code, *sorted(m for m in sys.modules\n"
+            "                    if m in ('dataclasses', 'inspect', 'typing')\n"
+            "                    or m.startswith('slopestab')))\n"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", script],
                               capture_output=True, text=True, cwd=str(root))
         assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout.splitlines()[-1] == "0 " + str([
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_no_dataclasses_or_inspect(self, loaded):
+        # the records and validated types are built without generated code:
+        # a bare interpreter that imports the CLI and runs an op loads neither
+        # module, and loads the package's seven modules, no more and no fewer
+        assert loaded[0] == "0" and not {"dataclasses", "inspect"} & set(loaded)
+        assert [m for m in loaded if m.startswith("slopestab")] == [
             "slopestab", "slopestab.cli", "slopestab.models", "slopestab.oracle",
             "slopestab.polynomials", "slopestab.slope", "slopestab.toric",
-        ])
+        ]
+
+    def test_no_typing(self, loaded):
+        # the records are collections.namedtuple subclasses, and the
+        # annotation names come from collections.abc
+        assert loaded[0] == "0" and "typing" not in loaded

@@ -169,6 +169,59 @@ class TestParseTable:
             parse_model(json.dumps(table_doc(AE=[1, 0])))
 
 
+class TestSharedDecoder:
+    """parse_model decodes text with one shared JSON decoder: no decoder is
+    built per document, the messages are those of json.loads, and a refused
+    document leaves the decoder usable."""
+
+    REFUSED = {
+        "bom-bytes": (b"\xef\xbb\xbf" + json.dumps(table_doc()).encode(),
+                      "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                      "line 1 column 1 (char 0)"),
+        "bom-str": ("\ufeff" + json.dumps(table_doc()),
+                    "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                    "line 1 column 1 (char 0)"),
+        "repeated-key": ('{"kind": "table", "MIX": {"x": 1, "x": 2}}',
+                         "repeated key 'x' in a JSON object"),
+        "overlong-number": ('{"n": 1' + "0" * 5000 + "}",
+                            "malformed JSON: a number of more than 4300 digits"),
+        "malformed": ('{"kind": ', "malformed JSON: Expecting value: line 1 column 10 (char 9)"),
+        "unclosed": ("[1, 2", "malformed JSON: Expecting ',' delimiter: line 1 column 6 (char 5)"),
+    }
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refusal_messages_unchanged(self, name):
+        text, message = self.REFUSED[name]
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_parses_right_after_a_refusal(self, load_model, name):
+        from slopestab.toric import export_table
+
+        good = json.dumps(serialize_model(export_table(load_model("f1_bignef"))))
+        with pytest.raises(ModelError):
+            parse_model(self.REFUSED[name][0])
+        table = parse_model(good)
+        # the dict path does not touch the decoder
+        assert table == parse_model(json.loads(good))
+        assert table.mixed == parse_model(json.loads(good)).mixed
+
+    def test_builds_no_decoder(self, monkeypatch, models_dir):
+        built = []
+        init = json.JSONDecoder.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "__init__", counted)
+        for path in sorted(models_dir.glob("*.json")):
+            parse_model(path.read_bytes())
+        assert built == []
+
+
 class TestValidate:
     def test_t1_clean(self):
         assert validate(parse_model(json.dumps(table_doc()))) == []
