@@ -193,6 +193,18 @@ def _show_key(raw: str) -> str:
     return repr(raw) if len(raw) <= _MAX_ECHO else f"of {len(raw)} characters"
 
 
+def _show_number(x) -> str:
+    """str(x) of an int or Fraction; past the MAX_LITERAL_DIGITS digits that
+    str() writes, "a number of N digits", N those of its longer part."""
+    a = max(abs(x.numerator), x.denominator)
+    if a < _LITERAL_BOUND:
+        return str(x)
+    digits = (a.bit_length() - 1) * 3 // 10  # 10**digits <= a, as 3/10 < log10(2)
+    while 10**digits <= a:
+        digits += 1
+    return f"a number of {digits} digits"
+
+
 def _unique_keys(pairs) -> dict:
     """object_pairs_hook of the JSON decoder: a repeated key is refused, not
     overwritten by its last value."""

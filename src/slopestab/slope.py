@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 
-from .models import IntersectionTable, MixedTable, ModelError, format_rational
+from .models import IntersectionTable, MixedTable, ModelError, _show_number, format_rational
 from .polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
@@ -96,7 +96,7 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
     alpha0 = UniPoly._of([(-1) ** k * comb(n, k) * a for k, a in enumerate(ae)],
                          factorial(n) * d)
     if ae[0] <= 0:
-        raise PositivityError(f"alpha0(0) = {alpha0(0)} is not positive")
+        raise PositivityError(f"alpha0(0) = {_show_number(alpha0(0))} is not positive")
     bound = descartes_bound(alpha0, 0, table.epsilon)  # 0: no root in (0, epsilon)
     for iv in isolate_roots(alpha0, 0, table.epsilon) if bound else ():
         # an exact root at epsilon itself is allowed (half-open positivity);

@@ -34,7 +34,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .models import IntersectionTable, MixedTable, ModelError, _require_keys
+from .models import IntersectionTable, MixedTable, ModelError, _require_keys, _show_number
 
 
 class ToricError(ModelError):
@@ -175,7 +175,7 @@ def check_fan(fan: Fan) -> list[str]:
     for smooth cones, covering: a generic direction lies in exactly one
     maximal cone.  One message per failed check; empty when the fan is valid."""
     errors = [
-        f"non-smooth cone {tuple(cone)}, det {det}"
+        f"non-smooth cone {tuple(cone)}, det {_show_number(det)}"
         for cone, (det, _) in zip(fan.max_cones, fan.adjugates)
         if abs(det) != 1
     ]
@@ -303,41 +303,39 @@ def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
 
 
 def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
-    """sup{t >= 0 : pi*L - tE nef} on the blow-up along the orbit closure of
-    sigma, from per-wall affine bounds read off the parent fan's walls.
+    """sup{t >= 0 : pi*L - tE nef} on the blow-up along the orbit closure Z
+    of sigma, for a model that `ToricModel.validate` passes: the least
+    degree L.C of L on the invariant curves that leave Z at its fixed
+    points, the curves of the walls tau - i with tau a maximal cone that
+    contains sigma and i in sigma (the opposite-ray walls).  So it is an
+    integer (returned as a Fraction), as the Seshadri constant at a
+    torus-fixed point is (Di Rocco, Math. Z. 1999).
 
     A divisor is nef when its degree on every wall's curve is >= 0
     (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton, Introduction to
-    Toric Varieties, 5.1).  With L.C = `curve_degree` of L on a parent wall
-    and c_i the wall's relation coefficients, the blow-up's walls come in
-    three kinds (see `_blow_up` for its cones):
-    - sigma among the wall's rays: for each i in sigma, a wall between
-      tau_i and tau'_i, with pi*L.C = L.C and E.C = -c_i, so the bound is
-      L.C / max_{i in sigma}(-c_i) when that max is positive;
-    - an opposite ray u_i completing sigma: the wall tau - i between tau_i
-      and a kept cone, with pi*L.C = L.C and E.C = 1: the bound L.C;
-    - any other: a kept wall, with E.C = 0, or a wall inside E, between
-      tau_i and tau_j, with pi*L.C = 0 and E.C = -1: no bound.
-    So pi*L is nef when L is, which `ToricModel.validate` checks.
+    Toric Varieties, 5.1).  With `_blow_up`'s cones, the wall tau - i lies
+    between tau_i and a kept cone, with pi*L.C = L.C and E.C = 1: the bound
+    L.C.  A kept wall has E.C = 0, and a wall inside E, between tau_i and
+    tau_j, has pi*L.C = 0 and E.C = -1: no bound.  A parent wall W that
+    contains sigma, with relation coefficients c, gives for each i in sigma
+    a wall with pi*L.C = L.C_W and E.C = -c_i, whose bound
+    L.C_W / (-c_i) for -c_i > 0 never binds.  On the toric surface of the
+    cone W - i, with a an opposite ray of W, (u_i, u_a) is a basis, as
+    W + a is smooth, and u_b = c_i u_i - u_a; measure height by
+    <m, u_i> + a_i.  The edge of P_L for the curve C' of the wall
+    (W + a) - i starts at the vertex of W + a, at height 0, and rises by
+    L.C', while the strip between the edge lines of u_a and u_b narrows
+    from width L.C_W by -c_i per unit of height.  Its top vertex is in P_L,
+    L being nef, so L.C' <= L.C_W / (-c_i).  The proof uses smooth cones:
+    simplicial fans must revisit it.
     """
     sigma = set(sigma)
-    bounds = []
-    for wall in fan.walls:
-        inside = [-c for i, c in zip(wall.rays, wall.relation) if i in sigma]
-        if len(inside) == len(sigma):
-            de = max(inside)
-        elif len(inside) + 1 == len(sigma) and sigma.intersection(wall.opposite):
-            de = 1
-        else:
-            continue
-        if de > 0:
-            bounds.append(Fraction(curve_degree(wall, L), de))
-    if not bounds:
-        raise ToricError("no wall constrains t: nef threshold unbounded")
-    eps = min(bounds)
+    eps = min(curve_degree(wall, L) for wall in fan.walls
+              if len(sigma.intersection(wall.rays)) + 1 == len(sigma)
+              and sigma.intersection(wall.opposite))
     if eps <= 0:
         raise ToricError("nef threshold is zero: center not permissible")
-    return eps
+    return Fraction(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +524,12 @@ class ToricModel:
             deg = curve_degree(wall, self.L)
             if deg < 0:
                 l_nef = False
-                errors.append(f"L not nef: degree {deg} on wall {wall.rays}")
+                errors.append(f"L not nef: degree {_show_number(deg)} on wall {wall.rays}")
             if self.H is not None:
                 hdeg = curve_degree(wall, self.H)
                 if hdeg <= 0:
-                    errors.append(f"H not ample: degree {hdeg} on wall {wall.rays}")
+                    errors.append(f"H not ample: degree {_show_number(hdeg)} "
+                                  f"on wall {wall.rays}")
         # for nef L, L^n is n! times the volume of its sections polytope
         if l_nef and _intersect(_localize(self.fan, (self.L,)), (self.fan.dim,)) <= 0:
             errors.append("L not big: sections polytope is flat")
@@ -566,12 +565,13 @@ def export_table(model: ToricModel):
 
     Every entry is an intersection number on the blow-up Bl_Z X, by
     fixed-point localization over the fixed points that `_blow_up` reads
-    off the parent fan: AE[k] = (pi*L)^(n-k).E^k,
-    KAE[k] = K.(pi*L)^(n-1-k).E^k with K = -sum D_rho over the blow-up's
-    rays, and MIX[(i, j, k)] = (pi*L)^i.(pi*H)^j.E^k, KMIX likewise with K
-    (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton, Introduction to
-    Toric Varieties, 5.1).  epsilon is `nef_threshold`.  No fan is built
-    for the blow-up.
+    off the parent fan: MIX[(i, j, k)] = (pi*L)^i.(pi*H)^j.E^k and
+    KMIX[(i, j, k)] = K.(pi*L)^i.(pi*H)^j.E^k with K = -sum D_rho over the
+    blow-up's rays (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton,
+    Introduction to Toric Varieties, 5.1), built by one comprehension for
+    both kinds, with j <= 0 when H is absent.  AE[k] = MIX[(n-k, 0, k)] and
+    KAE[k] = KMIX[(n-1-k, 0, k)] are read from the j = 0 slices.  epsilon is
+    `nef_threshold`.  No fan is built for the blow-up.
     """
     errors = model.validate()
     if errors:
@@ -579,26 +579,13 @@ def export_table(model: ToricModel):
     n = model.fan.dim
     eps = nef_threshold(model.fan, model.L, model.sigma)
     points = _blow_up(model)
-
-    def number(i, j, k, kappa):
-        # (pi*L)^i . (pi*H)^j . E^k . K^kappa
-        return _intersect(points, (i, k, kappa, j))
-
-    if model.H is None:
-        ae = tuple(number(n - k, 0, k, 0) for k in range(n + 1))
-        kae = tuple(number(n - 1 - k, 0, k, 1) for k in range(n))
-        return IntersectionTable(model.label, n, ae, kae, eps)
-    mixed = {
-        (i, j, n - i - j): number(i, j, n - i - j, 0)
-        for i in range(n + 1)
-        for j in range(n + 1 - i)
-    }
-    kmixed = {
-        (i, j, n - 1 - i - j): number(i, j, n - 1 - i - j, 1)
-        for i in range(n)
-        for j in range(n - i)
-    }
-    # the j = 0 slices are the table of L itself
+    top = 0 if model.H is None else n
+    # _blow_up's values are (pi*L, E, K[, pi*H]); K takes the exponent kappa
+    mixed, kmixed = ({(i, j, deg - i - j): _intersect(points, (i, deg - i - j, kappa, j))
+                      for i in range(deg + 1) for j in range(min(top, deg - i) + 1)}
+                     for deg, kappa in ((n, 0), (n - 1, 1)))
     ae = tuple(mixed[(n - k, 0, k)] for k in range(n + 1))
     kae = tuple(kmixed[(n - 1 - k, 0, k)] for k in range(n))
+    if model.H is None:
+        return IntersectionTable(model.label, n, ae, kae, eps)
     return MixedTable(model.label, n, ae, kae, eps, mixed, kmixed)

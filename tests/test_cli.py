@@ -936,6 +936,53 @@ class TestOneParsePass:
         assert passes == [f"slopestab {argv[0]}"]
 
 
+OVERLONG = 10**4300 - 1  # the longest int that str() writes; sums and products run past it
+
+
+class TestOverlongNumbers:
+    """A diagnostic that names an integer past the 4300 digits str() writes
+    gives its digit count: the run exits 2, never 4."""
+
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json")
+        if json.loads(path.read_text())["kind"] == "toric"))
+    def test_every_toric_leaf(self, capsys, tmp_path, models_dir, name):
+        # each rays, L and H entry set in turn to +-OVERLONG
+        doc = json.loads((models_dir / f"{name}.json").read_text())
+        vectors = [*doc["rays"], doc["L"], *([doc["H"]] if "H" in doc else [])]
+        path = tmp_path / "model.json"
+        for v, vector in enumerate(vectors):
+            for j, kept in enumerate(vector):
+                for value in (OVERLONG, -OVERLONG):
+                    vector[j] = value
+                    path.write_text(json.dumps(doc))
+                    code, _, err = run(capsys, "export-table", str(path))
+                    assert code in (0, 2), (v, j, value > 0, err[:200])
+                vector[j] = kept
+
+    @pytest.mark.parametrize("doc, message", [
+        (_doc(P2_DOC, L=[-OVERLONG, -OVERLONG, 0]),
+         "; ".join(f"L not nef: degree a number of 4301 digits on wall ({i},)" for i in range(3))),
+        (_doc(P2_DOC, rays=[[1, -OVERLONG], [0, 1], [-1, -1]]),
+         "non-smooth cone (0, 2), det a number of 4301 digits"),
+        (_doc(P2_DOC, H=[-OVERLONG, -OVERLONG, 0]),
+         "; ".join(f"H not ample: degree a number of 4301 digits on wall ({i},)" for i in range(3))),
+    ])
+    def test_diagnostic_gives_digit_count(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "export-table", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_limit_gives_digit_count(self, capsys, tmp_path):
+        # L + eps H with H = -10^4299 and eps = 10^4299: alpha0(0) = 1 - 10^8598
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(_doc(
+            TABLE_DOC, kind="mixed-table", AE=[1, 1],
+            MIX={"1,0,0": 1, "0,1,0": -10**4299, "0,0,1": 1}, KMIX={"0,0,0": -2})))
+        assert run(capsys, "limit", str(path), "--c", "1/2", "--eps", str(10**4299)) == (
+            2, "", "error: alpha0(0) = a number of 8598 digits is not positive\n")
+
+
 class TestMutatedInput:
     """Every run on an edited model, with any value of each flag, is an
     answer or a refusal: never exit 3 or 4, and never an escaped exception."""

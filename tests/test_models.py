@@ -8,6 +8,7 @@ from slopestab.models import (
     IntersectionTable,
     MixedTable,
     ModelError,
+    _show_number,
     format_rational,
     parse_model,
     parse_rational,
@@ -58,6 +59,25 @@ class TestFormatRational:
         with pytest.raises(ModelError) as excinfo:
             format_rational(x)
         assert str(excinfo.value) == "rational too long to write: a part of more than 4300 digits"
+
+
+class TestShowNumber:
+    """Diagnostics name a number by str() up to the 4300 digits it writes,
+    and past them by its digit count."""
+
+    @pytest.mark.parametrize("x", [0, -7, 10**4300 - 1, -(10**4300 - 1), F(-3, 4),
+                                   F(10**4300 - 1, 10**4299)],
+                             ids=["0", "-7", "10^4300-1", "1-10^4300", "-3/4", "(10^4300-1)/10^4299"])
+    def test_str_within_the_limit(self, x):
+        assert _show_number(x) == str(x)
+
+    @pytest.mark.parametrize("x, digits", [
+        (10**4300, 4301), (-(10**4300), 4301), (2**20000, 6021), (-(10**9000) + 1, 9000),
+        (10**9000 + 7, 9001), (F(1, 10**5000), 5001), (F(-(10**4400), 3), 4401),
+    ], ids=["10^4300", "-10^4300", "2^20000", "1-10^9000", "10^9000+7", "1/10^5000",
+            "-10^4400/3"])
+    def test_digit_count_past_it(self, x, digits):
+        assert _show_number(x) == f"a number of {digits} digits"
 
 
 class TestParseTable:

@@ -288,8 +288,9 @@ class TestCurveDegree:
 
 
 class TestNefThreshold:
-    """nef_threshold reads the bound off the parent's walls; the bound from
-    every wall of the subdivided fan, wall_nef_threshold, is the reference."""
+    """nef_threshold is the least degree of L on the curves of the parent's
+    opposite-ray walls; the bound from every wall of the subdivided fan,
+    wall_nef_threshold, is the reference."""
 
     def test_p2_blowup(self):
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
@@ -297,8 +298,8 @@ class TestNefThreshold:
         assert wall_nef_threshold(fan, (0, 0, 1, 0), e_idx) == 1
 
     def test_threshold_is_a_fraction(self):
-        # curve degrees of integral divisors are ints; their quotient must not
-        # become a float
+        # the least curve degree, and the reference's least quotient of curve
+        # degrees, come back as Fractions, never as floats
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
         for eps in (nef_threshold(P2_FAN, (0, 0, 3), (0, 1)),
                     wall_nef_threshold(fan, (0, 0, 3, 0), e_idx)):
@@ -331,6 +332,26 @@ class TestNefThreshold:
             for w in fan.walls
         ]
         assert min(past) < 0
+
+    def test_walls_containing_sigma_never_bind(self, load_model):
+        # on the models of the differential test: the bound L.C_W / (-c_i)
+        # of each wall W that contains sigma, i in sigma with -c_i > 0, is
+        # never below epsilon, and epsilon is an integer
+        quotients = 0
+        for model in differential_models(load_model):
+            try:
+                eps = export_table(model).epsilon
+            except ToricError:
+                continue
+            assert eps.denominator == 1, model
+            for wall in model.fan.walls:
+                if set(model.sigma) <= set(wall.rays):
+                    degree = curve_degree(wall, model.L)
+                    for i, c in zip(wall.rays, wall.relation):
+                        if i in model.sigma and c < 0:
+                            quotients += 1
+                            assert F(degree, -c) >= eps, (model, wall)
+        assert quotients > 100
 
 
 class TestPolytopes:
@@ -530,6 +551,12 @@ def generated_blow_ups(count, seed):
                          H if rng.random() < 1 / 3 else None)
 
 
+def differential_models(load_model):
+    """The 1009 models on which export_table meets the reference path: the
+    reference models, then 1000 generated ones."""
+    return [load_model(name) for name in REFERENCE_MODELS] + list(generated_blow_ups(1000, seed=25))
+
+
 class TestBlowUpFromParent:
     """export_table reads the blow-up off the parent fan; the star
     subdivision of tests/reference.py, built afresh, with the bound from
@@ -556,10 +583,8 @@ class TestBlowUpFromParent:
 
     def test_matches_subdivided_fan(self, load_model):
         # the same table, or the same refusal, on 1009 models
-        models = [load_model(name) for name in REFERENCE_MODELS]
-        models += generated_blow_ups(1000, seed=25)
         outcomes, centers, fallbacks = Counter(), set(), 0
-        for model in models:
+        for model in differential_models(load_model):
             results = []
             for export in (export_table, ref_export_table):
                 try:
