@@ -22,6 +22,7 @@ from .models import (
     MixedTable,
     ModelError,
     _format_pair,
+    _format_ratio,
     format_rational,
     parse_model,
     parse_rational,
@@ -61,7 +62,7 @@ def _parse_width(text: str) -> Fraction:
         w = Fraction(1, 2 ** min(int(digits or 0), MAX_WIDTH_BITS + 1))
     else:
         try:
-            w = parse_rational(text)
+            w = Fraction(*parse_rational(text))
         except ModelError as exc:
             raise ModelError(f"bad --width value {text!r}: {exc}") from exc
     if w <= 0:
@@ -73,7 +74,7 @@ def _parse_width(text: str) -> Fraction:
 
 def _parse_rationals(text: str, flag: str) -> list[Fraction]:
     try:
-        return [parse_rational(part) for part in text.split(",") if part]
+        return [Fraction(*parse_rational(part)) for part in text.split(",") if part]
     except ModelError as exc:
         raise ModelError(f"bad {flag} value {text!r}: {exc}") from exc
 
@@ -101,12 +102,10 @@ def _coerce_table(model) -> IntersectionTable:
 
 
 def _poly_line(p: UniPoly) -> str:
-    """p's coefficients, constant term first, each reduced from p's integer
-    form by one gcd; "0" for the zero polynomial."""
+    """p's coefficients, constant term first, each printed from p's integer
+    form by _format_ratio; "0" for the zero polynomial."""
     ints, den = p.integer_form
-    if not ints:
-        return "0"
-    return " ".join(_format_pair(c // (g := gcd(c, den)), den // g) for c in ints)
+    return " ".join(_format_ratio(c, den) for c in ints) if ints else "0"
 
 
 def _emit(text: str, out_path):
@@ -125,27 +124,23 @@ def _emit(text: str, out_path):
 
 
 def cmd_analyze(args) -> int:
-    model = _load_model(args.model)
-    table = _coerce_table(model)
+    """The table's lines up to mu are written before stability_scan
+    isolates, so a value too long to write is refused before bisection."""
+    width = _parse_width(args.width)
+    table = _coerce_table(_load_model(args.model))
     pair = alpha_polys(table)
-    report = stability_scan(pair, width=_parse_width(args.width))
     lines = [
         f"label: {table.label}",
         f"n: {table.n}",
-        f"epsilon: {format_rational(report.epsilon)}",
+        f"epsilon: {format_rational(pair.epsilon)}",
         f"alpha0: {_poly_line(pair.alpha0)}",
         f"alpha1: {_poly_line(pair.alpha1)}",
-        f"mu: {format_rational(report.mu)}",
-        f"Q: {_poly_line(report.Q)}",
+        f"mu: {format_rational(pair.mu)}",
     ]
-    if report.flat:
-        lines.append("destabilizing: flat (Q identically zero)")
-    elif not report.destabilizing:
-        lines.append("destabilizing: none")
-    else:
-        lines.append(
-            "destabilizing: " + "; ".join(str(iv) for iv in report.destabilizing)
-        )
+    report = stability_scan(pair, width)
+    intervals = "; ".join(map(str, report.destabilizing)) or "none"
+    lines += [f"Q: {_poly_line(report.Q)}",
+              f"destabilizing: {'flat (Q identically zero)' if report.flat else intervals}"]
     for c in args.c or []:
         lines.append(f"c: {format_rational(c)}")
         lines.append(f"mu_c: {format_rational(mu_c(pair, c))}")

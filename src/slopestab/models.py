@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(-?\d+))?")
 # int() refuses a decimal string of more digits than this (Python's default
@@ -26,12 +26,15 @@ class ModelError(ValueError):
     flag value, or a resource limit.  The CLI exits 2 on it, 4 on any other."""
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int or a "p/q" string."""
+def parse_rational(value) -> tuple[int, int]:
+    """Parse an exact rational from an int or a "p/q" string, as the pair
+    (p, q) of its literal with q > 0, not reduced: "2/4" is (2, 4).  Table
+    entries stay integers over one lcm of these q; the flags and epsilon,
+    which need a Fraction, wrap the pair in one."""
     if isinstance(value, bool):
         raise ModelError(f"expected rational, got boolean {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         m = _RATIONAL_RE.fullmatch(value.strip())
         if not m:
@@ -44,7 +47,7 @@ def parse_rational(value) -> Fraction:
         den = int(m.group(2)) if m.group(2) is not None else 1
         if den <= 0:
             raise ModelError(f"non-positive denominator in {value!r}")
-        return Fraction(num, den)
+        return num, den
     raise ModelError(
         f"rationals must be integers or 'p/q' strings, got {type(value).__name__}"
     )
@@ -61,6 +64,12 @@ def _format_pair(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _format_ratio(num: int, den: int) -> str:
+    """_format_pair of num/den, for den > 0, reduced by one gcd: how a
+    table entry or a polynomial coefficient of an integer form prints."""
+    return _format_pair(num // (g := gcd(num, den)), den // g)
+
+
 def format_rational(x: Fraction) -> str:
     """The "p/q" text of x, or "p" when x is an integer: _format_pair of its
     numerator and denominator."""
@@ -72,15 +81,21 @@ def format_rational(x: Fraction) -> str:
 class IntersectionTable:
     """The finitely many intersection numbers that determine the slope invariants.
 
-    ae[k] houses ((pi*L)^(n-k) . E^k) for k = 0..n and kae[k] houses
-    (K_X' . (pi*L)^(n-1-k) . E^k) for k = 0..n-1, together with the nef
-    threshold epsilon.  Immutable by convention; two tables are equal when
-    they are of one class and agree on (label, n, ae, kae, epsilon).
+    The entries are held in one integer form over a denominator den > 0,
+    which need not be the least: ae[k] / den is ((pi*L)^(n-k) . E^k) for
+    k = 0..n and kae[k] / den is (K_X' . (pi*L)^(n-1-k) . E^k) for
+    k = 0..n-1, ae and kae tuples of ints, together with the nef threshold
+    epsilon, a Fraction.  Immutable by convention; two tables are equal when
+    they are of one class and agree on label, n, epsilon and (den, ae, kae)
+    reduced by one gcd, so one table over two denominators compares equal.
     """
 
-    def __init__(self, label: str, n: int, ae: tuple[Fraction, ...],
-                 kae: tuple[Fraction, ...], epsilon: Fraction):
-        self.label, self.n, self.ae, self.kae, self.epsilon = label, n, ae, kae, epsilon
+    def __init__(self, label: str, n: int, den: int, ae: tuple[int, ...],
+                 kae: tuple[int, ...], epsilon: Fraction):
+        self.label, self.n, self.den = label, n, den
+        self.ae, self.kae, self.epsilon = ae, kae, epsilon
+        if self.den <= 0:
+            raise ModelError(f"denominator must be positive, got {_show_number(self.den)}")
         if self.epsilon <= 0:
             raise ModelError(f"epsilon must be positive, got {format_rational(self.epsilon)}")
         if self.n < 1:
@@ -91,7 +106,9 @@ class IntersectionTable:
             raise ModelError(f"KAE must have {self.n} entries, got {len(self.kae)}")
 
     def _key(self):
-        return self.label, self.n, self.ae, self.kae, self.epsilon
+        form = self.den, *self.ae, *self.kae  # flat: n fixes the lengths of AE and KAE
+        g = gcd(*form)
+        return self.label, self.n, self.epsilon, *(x // g for x in form)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -105,17 +122,18 @@ class IntersectionTable:
 class MixedTable(IntersectionTable):
     """Two-polarization table for L + sH perturbations.
 
-    mixed[(i, j, k)] houses ((pi*L)^i . (pi*H)^j . E^k) over i+j+k = n and
-    kmixed the analogous K_X' pairings over i+j+k = n-1.  The j = 0 slice
-    is the table of L itself: it must agree with AE and KAE.  Equality and
-    hash ignore mixed and kmixed.
+    mixed[(i, j, k)] / den houses ((pi*L)^i . (pi*H)^j . E^k) over
+    i+j+k = n and kmixed the analogous K_X' pairings over i+j+k = n-1, both
+    maps of ints over the table's den.  The j = 0 slice is the table of L
+    itself: its ints must equal AE and KAE.  Equality and hash ignore mixed
+    and kmixed.
     """
 
-    def __init__(self, label: str, n: int, ae: tuple[Fraction, ...],
-                 kae: tuple[Fraction, ...], epsilon: Fraction,
-                 mixed: dict[tuple[int, int, int], Fraction],
-                 kmixed: dict[tuple[int, int, int], Fraction]):
-        super().__init__(label, n, ae, kae, epsilon)
+    def __init__(self, label: str, n: int, den: int, ae: tuple[int, ...],
+                 kae: tuple[int, ...], epsilon: Fraction,
+                 mixed: dict[tuple[int, int, int], int],
+                 kmixed: dict[tuple[int, int, int], int]):
+        super().__init__(label, n, den, ae, kae, epsilon)
         self.mixed, self.kmixed = mixed, kmixed
         for deg, entries, name in (
             (self.n, self.mixed, "MIX"),
@@ -143,26 +161,24 @@ class MixedTable(IntersectionTable):
 
     def specialize(self, s) -> IntersectionTable:
         """Single-polarization table of L + sH, exact in s: entry k of a
-        degree-deg index map is sum_j C(deg-k, j) s^j index[(deg-k-j, j, k)],
-        summed by Horner in integers: for s = p/q and the entries' numerators
-        over their common denominator d, q^(deg-k) d times entry k is
-        sum_j C(deg-k, j) p^j q^(deg-k-j) (d index[(deg-k-j, j, k)])."""
+        degree-deg index map is sum_j C(deg-k, j) s^j index[(deg-k-j, j, k)].
+        For s = p/q the table is over q^n den, and the integer of entry k,
+        q^(n-deg+k) sum_j C(deg-k, j) p^j q^(deg-k-j) index[(deg-k-j, j, k)],
+        is summed by Horner."""
         s = Fraction(s)
-        p, q = s.numerator, s.denominator
-        d = lcm(*(x.denominator for x in (*self.mixed.values(), *self.kmixed.values())))
+        p, q, n = s.numerator, s.denominator, self.n
 
         def entries(index, deg):
             for k in range(deg + 1):
-                acc, scale = 0, 1
+                acc, scale = 0, q ** (n - deg + k)
                 for j in range(deg - k, -1, -1):
-                    x = index[(deg - k - j, j, k)]
-                    acc = acc * p + comb(deg - k, j) * x.numerator * (d // x.denominator) * scale
+                    acc = acc * p + comb(deg - k, j) * index[(deg - k - j, j, k)] * scale
                     scale *= q
-                yield Fraction(acc, q ** (deg - k) * d)
+                yield acc
 
         label = self.label if s == 0 else f"{self.label} [s={format_rational(s)}]"
-        return IntersectionTable(label, self.n, tuple(entries(self.mixed, self.n)),
-                                 tuple(entries(self.kmixed, self.n - 1)), self.epsilon)
+        return IntersectionTable(label, n, q**n * self.den, tuple(entries(self.mixed, n)),
+                                 tuple(entries(self.kmixed, n - 1)), self.epsilon)
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset()):
@@ -182,7 +198,7 @@ def _parse_int(doc, key) -> int:
     return v
 
 
-def _parse_rational_list(doc, key) -> tuple[Fraction, ...]:
+def _parse_rational_list(doc, key) -> tuple[tuple[int, int], ...]:
     v = doc[key]
     if not isinstance(v, list):
         raise ModelError(f"field {key!r} must be a list")
@@ -221,7 +237,7 @@ def _unique_keys(pairs) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], Fraction]:
+def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], tuple[int, int]]:
     v = doc[key]
     if not isinstance(v, dict):
         raise ModelError(f"field {key!r} must be an object")
@@ -252,9 +268,10 @@ def parse_model(data):
     """Parse a model document (bytes, str or already-decoded dict).
 
     Returns an IntersectionTable, MixedTable or ToricModel according to the
-    document's "kind"; every rational is parsed exactly.  Text is decoded by
-    one module-level JSON decoder, which refuses a repeated key; a leading
-    byte-order mark is refused with json.loads's message.
+    document's "kind"; every rational is parsed exactly, and a table's
+    entries are put over one lcm of their literals' denominators.  Text is
+    decoded by one module-level JSON decoder, which refuses a repeated key;
+    a leading byte-order mark is refused with json.loads's message.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -284,10 +301,13 @@ def parse_model(data):
         _require_keys(doc, {"kind", "label", "n", "AE", "KAE", "epsilon", *map_keys})
         label = str(doc["label"])
         n = _parse_int(doc, "n")
-        entries = (_parse_rational_list(doc, "AE"), _parse_rational_list(doc, "KAE"))
+        lists = (_parse_rational_list(doc, "AE"), _parse_rational_list(doc, "KAE"))
         maps = [_parse_index_map(doc, key, n - i) for i, key in enumerate(map_keys)]
-        epsilon = parse_rational(doc["epsilon"])
-        return (MixedTable if maps else IntersectionTable)(label, n, *entries, epsilon, *maps)
+        epsilon = Fraction(*parse_rational(doc["epsilon"]))
+        den = lcm(*(q for pairs in (*lists, *(m.values() for m in maps)) for _, q in pairs))
+        entries = [tuple(p * (den // q) for p, q in pairs) for pairs in lists]
+        maps = [{k: p * (den // q) for k, (p, q) in m.items()} for m in maps]
+        return (MixedTable if maps else IntersectionTable)(label, n, den, *entries, epsilon, *maps)
     if kind == "toric":
         from .toric import parse_toric_model
 
@@ -301,13 +321,14 @@ def serialize_model(table: IntersectionTable) -> dict:
         "kind": "mixed-table" if isinstance(table, MixedTable) else "table",
         "label": table.label,
         "n": table.n,
-        "AE": [format_rational(x) for x in table.ae],
-        "KAE": [format_rational(x) for x in table.kae],
+        "AE": [_format_ratio(x, table.den) for x in table.ae],
+        "KAE": [_format_ratio(x, table.den) for x in table.kae],
     }
     if isinstance(table, MixedTable):
         for key, entries in (("MIX", table.mixed), ("KMIX", table.kmixed)):
             doc[key] = {
-                ",".join(map(str, k)): format_rational(v) for k, v in sorted(entries.items())
+                ",".join(map(str, k)): _format_ratio(v, table.den)
+                for k, v in sorted(entries.items())
             }
     doc["epsilon"] = format_rational(table.epsilon)
     return doc
@@ -317,5 +338,5 @@ def validate(table) -> list[str]:
     """Hypothesis checks on a parsed table beyond its structure, one message
     per failed check; an empty list means valid."""
     if table.ae[0] <= 0:
-        return [f"not big: top self-intersection {format_rational(table.ae[0])} <= 0"]
+        return [f"not big: top self-intersection {_format_ratio(table.ae[0], table.den)} <= 0"]
     return []

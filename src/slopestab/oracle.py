@@ -25,6 +25,7 @@ from itertools import product, repeat
 from math import gcd
 from operator import floordiv, mul
 
+from .models import _show_number
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
 from .slope import alpha_polys, df_numerator, mu_c, slope_mu
 from .toric import ToricError, ToricModel, export_table
@@ -374,7 +375,7 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
 
     def check_c(c):  # before c's own samples
         if not 0 < c <= table.epsilon:
-            raise ToricError(f"c={c} outside (0, {table.epsilon}]")
+            raise ToricError(f"c={c} outside (0, {_show_number(table.epsilon)}]")
 
     fits = fit_expansions(model, cs, m_list, check_c)
     q, mu = df_numerator(pair), slope_mu(pair)

@@ -3,8 +3,8 @@ numerator Q(c), exact destabilizing intervals, and ample-perturbation limits.
 
 All quantities are exact rationals or rational polynomials; verdicts are
 signs of exact evaluations, never approximations.  Every invariant is a
-polynomial in the table entries AE and KAE, built in closed form from their
-integer numerators over one common denominator: no Fraction arithmetic.
+polynomial in the table entries AE and KAE, built in closed form from the
+table's integers over its denominator: no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class SlopeReport(namedtuple("SlopeReport", "epsilon mu Q destabilizing flat")):
     def verdict(self, c) -> str:
         c = Fraction(c)
         if not 0 < c <= self.epsilon:
-            raise ModelError(f"c={c} outside (0, {self.epsilon}]")
+            raise ModelError(f"c={c} outside (0, {_show_number(self.epsilon)}]")
         if self.flat:
             return "flat"
         return _VERDICTS[_sign(self.Q.at(c.numerator, c.denominator)[0])]
@@ -84,15 +84,12 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
             = sum_{j=1}^{n} (-1)^j C(n,j) (AE[j] + KAE[j-1]) t^j / (2 n!)
         mu = -n KAE[0] / (2 AE[0])
 
-    each built in integer form from the entries' numerators over their
-    common denominator.  Positivity of alpha0 on [0, epsilon) is verified
+    each built in integer form from the table's integers over its
+    denominator d.  Positivity of alpha0 on [0, epsilon) is verified
     by one Descartes test, and by exact root isolation when that test
     allows a root, not assumed.
     """
-    n = table.n
-    d = lcm(*(x.denominator for x in (*table.ae, *table.kae)))
-    ae = [x.numerator * (d // x.denominator) for x in table.ae]
-    kae = [x.numerator * (d // x.denominator) for x in table.kae]
+    n, d, ae, kae = table.n, table.den, table.ae, table.kae
     alpha0 = UniPoly._of([(-1) ** k * comb(n, k) * a for k, a in enumerate(ae)],
                          factorial(n) * d)
     if ae[0] <= 0:
@@ -145,7 +142,7 @@ def mu_c(alpha: AlphaPair, c) -> Fraction:
     if not isinstance(c, Fraction):
         c = Fraction(c)
     if not 0 < c <= alpha.epsilon:
-        raise ModelError(f"c={c} outside (0, {alpha.epsilon}]")
+        raise ModelError(f"c={c} outside (0, {_show_number(alpha.epsilon)}]")
     return Fraction(*_mu_c_pair(alpha, c.numerator, c.denominator))
 
 

@@ -279,15 +279,12 @@ def _blow_up(model: ToricModel) -> tuple[int, list[tuple[int, tuple]]]:
     return denom, [(denom // w, values) for w, values in points]
 
 
-def _intersect(localized, exponents) -> Fraction:
+def _intersect(localized, exponents) -> int:
     """D_1^e_1 ... D_m^e_m with sum e = n over the localized divisors, by
-    fixed-point localization (Brion 1988): sum over the fixed points of the
-    weight times the product of the divisor values, over the denominator."""
-    denom, points = localized
-    return Fraction(
-        sum(w * prod(map(pow, values, exponents)) for w, values in points),
-        denom,
-    )
+    fixed-point localization (Brion 1988), times the localization's
+    denominator: the sum over the fixed points of the weight times the
+    product of the divisor values, an int when the values are."""
+    return sum(w * prod(map(pow, values, exponents)) for w, values in localized[1])
 
 
 def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
@@ -569,9 +566,11 @@ def export_table(model: ToricModel):
     KMIX[(i, j, k)] = K.(pi*L)^i.(pi*H)^j.E^k with K = -sum D_rho over the
     blow-up's rays (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton,
     Introduction to Toric Varieties, 5.1), built by one comprehension for
-    both kinds, with j <= 0 when H is absent.  AE[k] = MIX[(n-k, 0, k)] and
-    KAE[k] = KMIX[(n-1-k, 0, k)] are read from the j = 0 slices.  epsilon is
-    `nef_threshold`.  No fan is built for the blow-up.
+    both kinds, with j <= 0 when H is absent.  Every entry is the int
+    `_intersect` sums over `_blow_up`'s denominator, the table's den.
+    AE[k] = MIX[(n-k, 0, k)] and KAE[k] = KMIX[(n-1-k, 0, k)] are read from
+    the j = 0 slices.  epsilon is `nef_threshold`.  No fan is built for the
+    blow-up.
     """
     errors = model.validate()
     if errors:
@@ -587,5 +586,5 @@ def export_table(model: ToricModel):
     ae = tuple(mixed[(n - k, 0, k)] for k in range(n + 1))
     kae = tuple(kmixed[(n - 1 - k, 0, k)] for k in range(n))
     if model.H is None:
-        return IntersectionTable(model.label, n, ae, kae, eps)
-    return MixedTable(model.label, n, ae, kae, eps, mixed, kmixed)
+        return IntersectionTable(model.label, n, points[0], ae, kae, eps)
+    return MixedTable(model.label, n, points[0], ae, kae, eps, mixed, kmixed)

@@ -229,6 +229,37 @@ def ref_isolate_roots(p, lo, hi, width):
     return out
 
 
+# -- tables by their rational entries: the package holds AE, KAE and
+# MIX/KMIX as ints over one denominator, and the tests build and read them as
+# Fractions through these --
+
+
+def table_of(label, n, ae, kae, epsilon, mixed=None, kmixed=None):
+    """The IntersectionTable with the rational entries AE and KAE, or the
+    MixedTable when the maps MIX and KMIX are given too, over the lcm of the
+    entries' denominators."""
+    lists = [tuple(map(Fraction, ae)), tuple(map(Fraction, kae))]
+    maps = [] if mixed is None else [{k: Fraction(v) for k, v in m.items()}
+                                     for m in (mixed, kmixed)]
+    den = lcm(*(x.denominator for xs in (*lists, *(m.values() for m in maps)) for x in xs))
+    ae, kae = (tuple(x.numerator * (den // x.denominator) for x in xs) for xs in lists)
+    maps = [{k: x.numerator * (den // x.denominator) for k, x in m.items()} for m in maps]
+    return (MixedTable if maps else IntersectionTable)(label, n, den, ae, kae,
+                                                       Fraction(epsilon), *maps)
+
+
+def entries(table):
+    """(AE, KAE) of a table as tuples of Fractions."""
+    return tuple(Fraction(a, table.den) for a in table.ae), tuple(
+        Fraction(a, table.den) for a in table.kae)
+
+
+def mixed_entries(mixed):
+    """(MIX, KMIX) of a mixed table as dicts of Fractions."""
+    return tuple({k: Fraction(v, mixed.den) for k, v in m.items()}
+                 for m in (mixed.mixed, mixed.kmixed))
+
+
 # -- slope invariants by their definitions: the binomial expansion, then
 # derivative, antiderivative, sum and product of coefficient lists, and a
 # Fraction Horner in s for L + sH; the package builds each in closed integer
@@ -238,10 +269,10 @@ def ref_isolate_roots(p, lo, hi, width):
 def ref_alpha(table):
     """(alpha0, alpha1, int_0^t alpha0, int_0^t (alpha1 + alpha0'/2), mu, Q)
     with Q = mu int_0^t alpha0 - int_0^t (alpha1 + alpha0'/2)."""
-    n = table.n
-    alpha0 = poly_scale([(-1) ** k * comb(n, k) * a for k, a in enumerate(table.ae)],
+    n, (ae, kae) = table.n, entries(table)
+    alpha0 = poly_scale([(-1) ** k * comb(n, k) * a for k, a in enumerate(ae)],
                         Fraction(1, factorial(n)))
-    alpha1 = poly_scale([(-1) ** k * comb(n - 1, k) * a for k, a in enumerate(table.kae)],
+    alpha1 = poly_scale([(-1) ** k * comb(n - 1, k) * a for k, a in enumerate(kae)],
                         Fraction(-1, 2 * factorial(n - 1)))
     i0 = poly_antiderivative(alpha0)
     i1 = poly_antiderivative(poly_add(alpha1, poly_scale(poly_derivative(alpha0), Fraction(1, 2))))
@@ -261,12 +292,13 @@ def ref_specialize(mixed, s):
     """(AE, KAE) of L + sH: entry k of a degree-deg index map is
     sum_j C(deg-k, j) s^j index[(deg-k-j, j, k)], by Fraction Horner in s."""
 
-    def entries(index, deg):
+    def by_horner(index, deg):
         return tuple(fraction_horner([comb(deg - k, j) * index[(deg - k - j, j, k)]
                                       for j in range(deg - k + 1)], Fraction(s))
                      for k in range(deg + 1))
 
-    return entries(mixed.mixed, mixed.n), entries(mixed.kmixed, mixed.n - 1)
+    mix, kmix = mixed_entries(mixed)
+    return by_horner(mix, mixed.n), by_horner(kmix, mixed.n - 1)
 
 
 # -- the blow-up as a fan: the star subdivision, its walls and its
@@ -388,14 +420,14 @@ def ref_export_table(model):
     n = model.fan.dim
 
     def number(i, j, k, kappa):
-        return _intersect(points, (i, k, kappa, j))
+        return Fraction(_intersect(points, (i, k, kappa, j)), points[0])
 
     ae = tuple(number(n - k, 0, k, 0) for k in range(n + 1))
     kae = tuple(number(n - 1 - k, 0, k, 1) for k in range(n))
     if model.H is None:
-        return IntersectionTable(model.label, n, ae, kae, eps)
+        return table_of(model.label, n, ae, kae, eps)
     mixed = {(i, j, n - i - j): number(i, j, n - i - j, 0)
              for i in range(n + 1) for j in range(n + 1 - i)}
     kmixed = {(i, j, n - 1 - i - j): number(i, j, n - 1 - i - j, 1)
               for i in range(n) for j in range(n - i)}
-    return MixedTable(model.label, n, ae, kae, eps, mixed, kmixed)
+    return table_of(model.label, n, ae, kae, eps, mixed, kmixed)

@@ -124,10 +124,7 @@ def test_criterion_7_scaling_law(load_model):
     report1 = stability_scan(alpha_polys(base), WIDTH)
     ok = True
     for d in (2, 3):
-        scaled = IntersectionTable(
-            f"T1 x{d}", 2,
-            (F(d * d), F(0), F(-1)), (F(-3 * d), F(-1)), F(d),
-        )
+        scaled = IntersectionTable(f"T1 x{d}", 2, 1, (d * d, 0, -1), (-3 * d, -1), F(d))
         report_d = stability_scan(alpha_polys(scaled), WIDTH)
         ok = ok and report_d.epsilon == d * report1.epsilon
         for i in range(1, 9):

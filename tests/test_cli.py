@@ -15,8 +15,9 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import mixed_entries
 from slopestab import cli, oracle, slope, toric
-from slopestab.models import parse_model, serialize_model
+from slopestab.models import IntersectionTable, parse_model, serialize_model
 from slopestab.oracle import VerificationRecord
 from slopestab.toric import export_table
 
@@ -707,7 +708,7 @@ class TestExportTable:
                          "--out", str(out_path))
         assert code == 0
         again = parse_model(out_path.read_bytes())
-        assert again.mixed == export_table(load_model("f1_bignef")).mixed
+        assert mixed_entries(again) == mixed_entries(export_table(load_model("f1_bignef")))
 
     def test_table_model_rejected(self, capsys, models_dir):
         code, _, err = run(capsys, "export-table", str(models_dir / "t1.json"))
@@ -981,6 +982,34 @@ class TestOverlongNumbers:
             MIX={"1,0,0": 1, "0,1,0": -10**4299, "0,0,1": 1}, KMIX={"0,0,0": -2})))
         assert run(capsys, "limit", str(path), "--c", "1/2", "--eps", str(10**4299)) == (
             2, "", "error: alpha0(0) = a number of 8598 digits is not positive\n")
+
+    def test_verify_epsilon_gives_digit_count(self, capsys, tmp_path):
+        # L = (10^4300 - 1) (1, 1, 1) on the plane: epsilon = 3 (10^4300 - 1)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_doc(P2_DOC, L=[OVERLONG] * 3)))
+        assert run(capsys, "verify", str(path), "--c", "0") == (
+            2, "", "error: c=0 outside (0, a number of 4301 digits]\n")
+
+    def test_mu_c_and_verdict_give_digit_count(self):
+        eps = F(3 * OVERLONG)
+        pair = slope.alpha_polys(IntersectionTable("t", 2, 1, (1, 0, 0), (-3, -1), eps))
+        report = slope.SlopeReport(eps, pair.mu, slope.df_numerator(pair), (), False)
+        for outside in (lambda: slope.mu_c(pair, 0), lambda: report.verdict(0)):
+            with pytest.raises(slope.ModelError) as excinfo:
+                outside()
+            assert str(excinfo.value) == "c=0 outside (0, a number of 4301 digits]"
+
+    def test_analyze_refuses_before_isolating(self, capsys, tmp_path, models_dir):
+        # epsilon = 10^4300 - 1 is written, but alpha0 has coefficients past
+        # the limit: the refusal comes before Q's roots are isolated in
+        # (0, epsilon], which took over a minute
+        doc = json.loads((models_dir / "f1_ample.json").read_text())
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_doc(doc, L=[0, 0, OVERLONG, -1])))
+        start = time.perf_counter()
+        assert run(capsys, "analyze", str(path)) == (
+            2, "", "error: rational too long to write: a part of more than 4300 digits\n")
+        assert time.perf_counter() - start < 2
 
 
 class TestMutatedInput:

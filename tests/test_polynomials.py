@@ -16,9 +16,9 @@ from reference import (
     sign_at,
     squarefree_sturm,
     sturm_count,
+    table_of,
 )
 from slopestab import cli, polynomials
-from slopestab.models import IntersectionTable
 from slopestab.polynomials import (
     DEFAULT_ISOLATION_WIDTH,
     IsolatingInterval,
@@ -134,7 +134,7 @@ def integrands(pair):
 
 
 # the plane through a point: alpha0 = (1 - t^2)/2, alpha1 + alpha0'/2 = (3 - 2t)/2
-T1 = IntersectionTable("t1", 2, (F(1), F(0), F(-1)), (F(-3), F(-1)), F(1))
+T1 = table_of("t1", 2, (1, 0, -1), (-3, -1), 1)
 
 
 class TestIntegration:
@@ -149,7 +149,7 @@ class TestIntegration:
 
     def test_zero_polynomial(self):
         # AE = (1, 2), KAE = (-2): alpha1 = 1 and alpha0'/2 = -1 cancel
-        pair = alpha_polys(IntersectionTable("t", 1, (F(1), F(2)), (F(-2),), F(1, 2)))
+        pair = alpha_polys(table_of("t", 1, (1, 2), (-2,), F(1, 2)))
         assert pair.numerator_integral.is_zero
         assert integrate(pair.numerator_integral, F(-3, 7), 5) == 0
 
@@ -178,7 +178,7 @@ class TestIntegration:
         # with AE[0] >= 1 and |AE[k]| <= 4, alpha0 stays positive on [0, 1/64]
         # for n <= 3; each integral vanishes at 0 and differentiates to its
         # integrand, so integrate() is the definite integral
-        table = IntersectionTable("t", n, (head, *tail[:n]), tuple(tail[3:3 + n]), F(1, 64))
+        table = table_of("t", n, (head, *tail[:n]), tail[3:3 + n], F(1, 64))
         pair = alpha_polys(table)
         a, b, c = sorted(pts)
         integrals = (pair.alpha0_integral, pair.numerator_integral)

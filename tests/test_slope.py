@@ -5,9 +5,16 @@ from math import ceil
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import poly_antiderivative, poly_scale, ref_alpha, ref_specialize
+from reference import (
+    entries,
+    poly_antiderivative,
+    poly_scale,
+    ref_alpha,
+    ref_specialize,
+    table_of,
+)
 from slopestab import cli
-from slopestab.models import IntersectionTable, MixedTable, ModelError, format_rational
+from slopestab.models import MixedTable, ModelError, format_rational
 from slopestab.polynomials import UniPoly
 from slopestab.slope import (
     PositivityError,
@@ -22,7 +29,7 @@ from slopestab.toric import export_table
 
 
 def table(ae, kae, epsilon, n=2, label="t"):
-    return IntersectionTable(label, n, tuple(map(F, ae)), tuple(map(F, kae)), F(epsilon))
+    return table_of(label, n, ae, kae, epsilon)
 
 
 T1 = table([1, 0, -1], [-3, -1], 1)
@@ -89,8 +96,8 @@ def random_mixed(rng, n, fractional):
            for i in range(n + 1) for j in range(n + 1 - i)}
     kmix = {(i, j, n - 1 - i - j): random_entry(rng, fractional)
             for i in range(n) for j in range(n - i)}
-    return MixedTable("m", n, tuple(mix[(n - k, 0, k)] for k in range(n + 1)),
-                      tuple(kmix[(n - 1 - k, 0, k)] for k in range(n)), F(1), mix, kmix)
+    return table_of("m", n, tuple(mix[(n - k, 0, k)] for k in range(n + 1)),
+                    tuple(kmix[(n - 1 - k, 0, k)] for k in range(n)), F(1), mix, kmix)
 
 
 def cauchy_epsilon(alpha0):
@@ -117,10 +124,10 @@ def random_cases(rng, count=2000):
             s = F(rng.randint(-10**rng.randint(0, 35), 10**rng.randint(0, 35)),
                   rng.randint(1, 10 ** rng.choice((1, 10, 35))))
             spec = mixed.specialize(s)
-            ae, kae = spec.ae, spec.kae
+            ae, kae = entries(spec)
             assert (ae, kae) == ref_specialize(mixed, s)
         ae = (abs(ae[0]) or F(1), *ae[1:])
-        yield n, ae, kae, *ref_alpha(IntersectionTable("t", n, ae, kae, F(1)))
+        yield n, ae, kae, *ref_alpha(table_of("t", n, ae, kae, F(1)))
 
 
 class TestClosedForms:
@@ -131,7 +138,7 @@ class TestClosedForms:
         rng = random.Random(23)
         for n, ae, kae, alpha0, alpha1, i0, i1, mu, q in random_cases(rng):
             eps = cauchy_epsilon(alpha0)
-            pair = alpha_polys(IntersectionTable("t", n, ae, kae, eps))
+            pair = alpha_polys(table_of("t", n, ae, kae, eps))
             assert (pair.alpha0, pair.alpha1) == (alpha0, alpha1)
             assert (pair.alpha0_integral, pair.numerator_integral) == (i0, i1)
             assert slope_mu(pair) == mu and df_numerator(pair) == q
@@ -174,7 +181,7 @@ class TestPrintedLines:
     def test_match_fraction_loop(self, capsys, monkeypatch):
         # the first 1000 cases: every n, entry kind and specialization recurs
         for n, ae, kae, alpha0, alpha1, i0, i1, mu, q in random_cases(random.Random(23), 1000):
-            table = IntersectionTable("t", n, ae, kae, cauchy_epsilon(alpha0))
+            table = table_of("t", n, ae, kae, cauchy_epsilon(alpha0))
             monkeypatch.setattr(cli, "_load_model", lambda path: table)
             for steps in (1, 7, 32):
                 assert cli.main(["scan", "t", "--steps", str(steps)]) == 0
@@ -363,6 +370,6 @@ class TestPerturbationLimit:
         mx = export_table(load_model("f1_bignef"))
         with pytest.raises(ModelError, match="^MIX j=0 slice disagrees with AE at k=0$"):
             MixedTable(
-                mx.label, mx.n, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae,
+                mx.label, mx.n, mx.den, (mx.ae[0] + 1,) + mx.ae[1:], mx.kae,
                 mx.epsilon, mx.mixed, mx.kmixed,
             )
