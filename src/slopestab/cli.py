@@ -33,6 +33,7 @@ from .polynomials import DEFAULT_ISOLATION_WIDTH, UniPoly
 from .slope import (
     _mu_c_pair,
     alpha_polys,
+    df_numerator,
     mu_c,
     perturbation_limit,
     slope_mu,
@@ -124,11 +125,13 @@ def _emit(text: str, out_path):
 
 
 def cmd_analyze(args) -> int:
-    """The table's lines up to mu are written before stability_scan
-    isolates, so a value too long to write is refused before bisection."""
+    """The table's lines up to Q are written before stability_scan
+    isolates, so a value too long to write is refused before bisection;
+    Q is built once, here, and handed to the scan."""
     width = _parse_width(args.width)
     table = _coerce_table(_load_model(args.model))
     pair = alpha_polys(table)
+    q = df_numerator(pair)
     lines = [
         f"label: {table.label}",
         f"n: {table.n}",
@@ -136,11 +139,11 @@ def cmd_analyze(args) -> int:
         f"alpha0: {_poly_line(pair.alpha0)}",
         f"alpha1: {_poly_line(pair.alpha1)}",
         f"mu: {format_rational(pair.mu)}",
+        f"Q: {_poly_line(q)}",
     ]
-    report = stability_scan(pair, width)
+    report = stability_scan(pair, width, q)
     intervals = "; ".join(map(str, report.destabilizing)) or "none"
-    lines += [f"Q: {_poly_line(report.Q)}",
-              f"destabilizing: {'flat (Q identically zero)' if report.flat else intervals}"]
+    lines.append(f"destabilizing: {'flat (Q identically zero)' if report.flat else intervals}")
     for c in args.c or []:
         lines.append(f"c: {format_rational(c)}")
         lines.append(f"mu_c: {format_rational(mu_c(pair, c))}")

@@ -161,10 +161,11 @@ def df_numerator(alpha: AlphaPair) -> UniPoly:
 
 
 def stability_scan(
-    alpha: AlphaPair, width: Fraction = DEFAULT_ISOLATION_WIDTH
+    alpha: AlphaPair, width: Fraction = DEFAULT_ISOLATION_WIDTH, q: UniPoly | None = None
 ) -> SlopeReport:
-    """Full sign analysis of Q on (0, epsilon] with exact interval endpoints."""
-    q = df_numerator(alpha)
+    """Full sign analysis of Q on (0, epsilon] with exact interval endpoints;
+    q, when given, is the caller's df_numerator(alpha)."""
+    q = df_numerator(alpha) if q is None else q
     mu = slope_mu(alpha)
     eps = alpha.epsilon
     if q.is_zero:

@@ -13,16 +13,21 @@ that its L and H are.
 
 Intersection numbers come from fixed-point localization: one exact sum over
 the torus-fixed points (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
-form), summed in integers over one common denominator.  The polytopes,
-their volumes and vertices are only a reference, for the tests and the
-benchmark: the oracle enumerates lattice points without them.
+form), summed in integers over one common denominator.  The fixed-point
+data carry each divisor value's powers up to the dimension, so an
+intersection number costs a few multiplications per fixed point.  The
+polytopes, their volumes and vertices are only a reference, for the tests
+and the benchmark: the oracle enumerates lattice points without them.
 
-All linear algebra goes through one integer kernel, `_adjugate`
-(fraction-free Gauss-Jordan, Bareiss 1968).  Each fan keeps the (det, adj)
-of its maximal cones, so cone determinants, the cone coordinates of the
-generic direction and the wall relations behind curve degrees are integer
-matrix-vector products, and Bareiss runs once per input cone; polytope
-vertices take one adjugate per n-subset of facets.
+All linear algebra is fraction-free (Bareiss 1968): one integer kernel,
+`_adjugate` (Gauss-Jordan), and its rank-one step `_cross`.  Each fan keeps
+the (det, adj) of its maximal cones from one walk over its wall graph:
+Bareiss runs at the first cone of each connected component, and crossing a
+wall gives the next cone's (det, adj) by one rank-one step, from the same
+matrix-vector product that gives the wall's relation.  So cone
+determinants, the cone coordinates of the generic direction and the wall
+relations behind curve degrees are integer matrix-vector products;
+polytope vertices take one adjugate per n-subset of facets.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ def _adjugate(rows) -> tuple[int, list[list[int]] | None]:
         pivot_row = m[k]
         piv = pivot_row[k]
         for i in range(n):
-            if i != k:
-                f = m[i][k]
+            f = m[i][k]
+            if i != k and (f or piv != prev):  # else the row is unchanged
                 m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], pivot_row)]
         prev = piv
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
@@ -77,10 +82,35 @@ def _adjugate(rows) -> tuple[int, list[list[int]] | None]:
 def _apply(det: int, adj, v) -> list:
     """The solution x = adj v / det of A x = v for nonzero det: ints when
     |det| = 1 and v is integral, Fractions otherwise."""
-    xs = [sum(map(mul, row, v)) for row in adj]
+    return _divide(det, [sum(map(mul, row, v)) for row in adj])
+
+
+def _divide(det: int, xs) -> list:
+    """xs / det, as `_apply` returns it."""
     if det in (1, -1):
         return [det * x for x in xs]
     return [Fraction(x, det) for x in xs]
+
+
+def _cross(det: int, adj, y, p: int, order) -> tuple[int, list[list[int]] | None]:
+    """(det, adj) of the matrix A' that trades column p of A = (det, adj)
+    for a vector u with adj u = y, nonzero det, and then takes its columns
+    in `order` (positions in A').
+
+    One fraction-free rank-one step (Bareiss 1968): det A' = y_p, row p of
+    adj A' is adj[p] and row i is (y_p adj[i] - y_i adj[p]) / det, a
+    division that is exact because the result is the adjugate.  Reordering
+    the columns reorders the rows of the adjugate, and an odd permutation
+    flips the sign of both.
+    """
+    yp, pivot = y[p], adj[p]
+    if not yp:
+        return 0, None
+    rows = [row if i == p else [(yp * a - yi * b) // det for a, b in zip(row, pivot)]
+            for i, (row, yi) in enumerate(zip(adj, y))]
+    if sum(i > j for i, j in combinations(order, 2)) % 2:
+        return -yp, [[-a for a in rows[i]] for i in order]
+    return yp, [rows[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +145,53 @@ class Fan:
 
     @cached_property
     def adjugates(self) -> tuple[tuple[int, list[list[int]] | None], ...]:
-        """(det, adj) per maximal cone of the matrix with its rays as columns."""
-        return tuple(
-            _adjugate([[self.rays[i][d] for i in cone] for d in range(self.dim)])
-            for cone in self.max_cones
-        )
+        """(det, adj) per maximal cone of the matrix with its rays as columns,
+        adj None when det is 0: Bareiss at the first cone of each component
+        of the wall graph, and a rank-one step per wall crossing (`_walk`)."""
+        return self._walk[0]
+
+    @cached_property
+    def _walk(self) -> tuple[tuple, dict[tuple[int, ...], list[int]]]:
+        """`adjugates`, and per wall the product adj_a u_b of its first cone
+        a with the opposite ray u_b of the other, from one breadth-first
+        walk over the wall graph: the maximal cones, joined by the facets
+        that have exactly two.
+
+        Bareiss (`_adjugate`) runs at the first cone of each connected
+        component, and at any cone that the walk reaches only through a
+        cone of det 0.  From a cone a of nonzero det the walk crosses each
+        wall to a cone b it has not reached yet, which trades the ray at
+        position p of a for u_b, by one `_cross` step on y = adj_a u_b;
+        when a is the wall's first cone, y is the wall's product too.
+        """
+        rays, cones = self.rays, self.max_cones
+        neighbours = [[] for _ in cones]
+        for facet, inc in self.facets:
+            if len(inc) == 2:
+                (ca, ia), (cb, ib) = inc
+                neighbours[ca].append((facet, ia, cb, ib))
+                neighbours[cb].append((None, ib, ca, ia))  # not the wall's first cone
+        pairs, products = [None] * len(cones), {}
+        for root, cone in enumerate(cones):
+            if pairs[root] is not None:
+                continue
+            pairs[root] = _adjugate([[rays[i][d] for i in cone] for d in range(self.dim)])
+            queue = [root]
+            for a in queue:  # grows while it is read
+                det, adj = pairs[a]
+                if not det:
+                    continue
+                for facet, ia, b, ib in neighbours[a]:
+                    if facet is None and pairs[b] is not None:
+                        continue
+                    y = [sum(map(mul, row, rays[ib])) for row in adj]
+                    if facet is not None:
+                        products[facet] = y
+                    if pairs[b] is None:  # b's rays at their positions in a, u_b at u_a's
+                        order = [cones[a].index(ia if i == ib else i) for i in cones[b]]
+                        pairs[b] = _cross(det, adj, y, cones[a].index(ia), order)
+                        queue.append(b)
+        return tuple(pairs), products
 
     @cached_property
     def generic(self):
@@ -144,16 +216,17 @@ class Fan:
         relations.
 
         The relation u_a + u_b = sum_i c_i u_i over the wall's rays is read
-        from the coordinates x of u_b in the ray basis of cone a: it holds,
-        with c_i = x_i, exactly when x_a = -1.
+        from the coordinates x = adj_a u_b / det_a of u_b in the ray basis
+        of the wall's first cone a, with the product adj_a u_b from `_walk`:
+        it holds, with c_i = x_i, exactly when x_a = -1.
         """
-        walls = []
+        (pairs, products), walls = self._walk, []
         for facet, inc in self.facets:
             if len(inc) != 2:
                 raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
             (ca, ia), (_, ib) = inc
-            det, adj = self.adjugates[ca]
-            x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
+            det = pairs[ca][0]
+            x = dict(zip(self.max_cones[ca], _divide(det, products[facet]))) if det else {}
             if x.get(ia) != -1:
                 if not facet:
                     raise ToricError("wall data inconsistent in dimension one")
@@ -231,21 +304,34 @@ def _generic_direction(fan: Fan, sigma=()):
     raise RuntimeError(f"no generic direction among {bound + 1} candidates")
 
 
-def _localize(fan: Fan, divisors) -> tuple[int, list[tuple[int, tuple]]]:
-    """Fixed-point data at the generic direction, in integers: a common
-    denominator D, the lcm of |prod_i y_{sigma,i}| over the maximal cones,
-    and per cone sigma the weight D / prod_i y_{sigma,i} with the value
-    sum_{i in sigma} a_i y_{sigma,i} of each divisor."""
+def _localized(points, n: int) -> tuple[int, list[int], list[list[tuple]]]:
+    """Fixed points given as (w, values) pairs, in the form that `_intersect`
+    reads: a common denominator D, the lcm of the w, the weights D / w, and
+    per divisor its power table, whose row e holds the e-th power of the
+    divisor's value at each point, for e = 0..n."""
+    weights, values = zip(*points)
+    denom, tables = lcm(*weights), []
+    for column in zip(*values):
+        rows = [(1,) * len(column), column]
+        for _ in range(n - 1):
+            rows.append(tuple(map(mul, rows[-1], column)))
+        tables.append(rows)
+    return denom, [denom // w for w in weights], tables
+
+
+def _localize(fan: Fan, divisors) -> tuple[int, list[int], list[list[tuple]]]:
+    """Fixed-point data at the generic direction, in integers: per maximal
+    cone sigma the weight prod_i y_{sigma,i} and the value
+    sum_{i in sigma} a_i y_{sigma,i} of each divisor, in `_localized`
+    form up to the dimension."""
     _, coords = fan.generic
-    weights = [prod(ys) for ys in coords]
-    denom = lcm(*weights)
-    return denom, [
-        (denom // w, tuple(sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors))
-        for cone, ys, w in zip(fan.max_cones, coords, weights)
-    ]
+    return _localized([
+        (prod(ys), tuple(sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors))
+        for cone, ys in zip(fan.max_cones, coords)
+    ], fan.dim)
 
 
-def _blow_up(model: ToricModel) -> tuple[int, list[tuple[int, tuple]]]:
+def _blow_up(model: ToricModel) -> tuple[int, list[int], list[list[tuple]]]:
     """The fixed-point data of the blow-up of X along Z, in the form of
     `_localize`, with the values of (pi*L, E, K) and then pi*H, if any, read
     off the parent fan in one integer pass.
@@ -275,16 +361,20 @@ def _blow_up(model: ToricModel) -> tuple[int, list[tuple[int, tuple]]]:
             y = ys[cone.index(i)]
             weight = y * prod(x - y if j in sigma else x for j, x in zip(cone, ys) if j != i)
             points.append((weight, (pi_l, y, canonical + (len(sigma) - 1) * y, *pi_h)))
-    denom = lcm(*(w for w, _ in points))
-    return denom, [(denom // w, values) for w, values in points]
+    return _localized(points, model.fan.dim)
 
 
 def _intersect(localized, exponents) -> int:
     """D_1^e_1 ... D_m^e_m with sum e = n over the localized divisors, by
     fixed-point localization (Brion 1988), times the localization's
     denominator: the sum over the fixed points of the weight times the
-    product of the divisor values, an int when the values are."""
-    return sum(w * prod(map(pow, values, exponents)) for w, values in localized[1])
+    product of the divisor values, an int when the values are.  The powers
+    are rows of the power tables, so an entry costs m multiplications per
+    point."""
+    _, terms, tables = localized
+    for table, e in zip(tables, exponents):
+        terms = map(mul, terms, table[e])
+    return sum(terms)
 
 
 def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:

@@ -67,6 +67,83 @@ EXTRA_TORIC = {
 }
 
 
+# -- cscK families: products of projective spaces with any polarization, and
+# the Kahler-Einstein hexagon dP6 and its products with -K --
+
+def _projective_fan(a):
+    """P^a: rays e_1..e_a and -(e_1 + ... + e_a), every a of them a cone."""
+    rays = tuple(tuple(int(i == j) for j in range(a)) for i in range(a)) + ((-1,) * a,)
+    return rays, tuple(combinations(range(a + 1), a))
+
+
+# the toric del Pezzo surface of degree 6: six rays around the hexagon
+_DP6_FAN = (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+            tuple((i, (i + 1) % 6) for i in range(6)))
+
+
+def _product_model(label, shape, degrees=None, sigma=None, with_h=False):
+    """The toric model on a product of factors, each an int a for P^a or
+    "dP6" for the hexagon: the rays of each factor in its own block of
+    coordinates, one maximal cone per choice of a cone in each factor.  L
+    is sum_i d_i times the pullback of the i-th factor's last ray divisor,
+    which is O(d_i) on a P^a factor; degrees None gives -K, every
+    coefficient 1.  H is -K, ample on these factors.  sigma defaults to the
+    first two rays of the first cone."""
+    factors = [_DP6_FAN if f == "dP6" else _projective_fan(f) for f in shape]
+    dim = sum(len(rays[0]) for rays, _ in factors)
+    rays, blocks, at = [], [], 0
+    for fan_rays, _ in factors:
+        blocks.append(len(rays))
+        width = len(fan_rays[0])
+        rays += [(0,) * at + ray + (0,) * (dim - at - width) for ray in fan_rays]
+        at += width
+    cones = tuple(tuple(b + i for b, cone in zip(blocks, choice) for i in cone)
+                  for choice in product(*(cones for _, cones in factors)))
+    L = [1] * len(rays)
+    if degrees is not None:
+        L = [0] * len(rays)
+        for b, (fan_rays, _), d in zip(blocks, factors, degrees):
+            L[b + len(fan_rays) - 1] = d
+    return ToricModel(label, Fan(tuple(rays), cones), tuple(L),
+                      cones[0][:2] if sigma is None else sigma,
+                      (1,) * len(rays) if with_h else None)
+
+
+@pytest.fixture(scope="session")
+def product_model():
+    return _product_model
+
+
+@pytest.fixture(scope="session")
+def csck_models():
+    """A seeded sample of models over the two cscK families: 13 shapes of
+    P^{a_1} x ... x P^{a_k}, each with 3 random degree vectors
+    O(d_1, ..., d_k), d_i in 1..4, and dP6, dP6 x P^1, dP6 x P^2,
+    dP6 x P^1 x P^1 and dP6 x dP6 with -K; on each, 8 random faces sigma
+    of random maximal cones, repeats allowed.  Every table exported from them must be slope semistable
+    along every sigma: a product of Fubini-Study metrics has constant scalar
+    curvature, and dP6, whose anticanonical polytope has barycenter 0, is
+    Kahler-Einstein (Wang-Zhu, Adv. Math. 2004), as are its products; cscK
+    implies slope semistability (Ross-Thomas, J. Differential Geom. 2006)."""
+    rng = random.Random(15)
+    shapes = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 3), (4,), (1, 1, 2),
+              (2, 3), (1, 1, 1, 1), (5,)]
+    bases = [(shape, degrees) for shape in shapes
+             for degrees in (tuple(rng.randint(1, 4) for _ in shape) for _ in range(3))]
+    bases += [(("dP6", *others), None) for others in ((), (1,), (2,), (1, 1), ("dP6",))]
+    sample = []
+    for shape, degrees in bases:
+        label = " x ".join(f if f == "dP6" else f"P{f}" for f in shape)
+        label += " -K" if degrees is None else f" O{degrees}"
+        base = _product_model(label, shape, degrees)
+        for _ in range(8):
+            cone = rng.choice(base.fan.max_cones)
+            sigma = tuple(rng.sample(cone, rng.randint(1, len(cone))))
+            sample.append(ToricModel(f"{label} sigma {sorted(sigma)}", base.fan, base.L,
+                                     sigma))
+    return sample
+
+
 @pytest.fixture(scope="session")
 def blown_up_projective_space():
     """P^n with one star subdivision per delta_j, at a random smooth face,

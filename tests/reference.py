@@ -3,13 +3,23 @@ against.  Nothing here is imported by the package."""
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import sub
 
 from slopestab.models import IntersectionTable, MixedTable
 from slopestab.polynomials import IsolatingInterval, UniPoly, WitnessMismatch
-from slopestab.toric import Fan, ToricError, _intersect, _localize, curve_degree
+from slopestab.toric import (
+    Fan,
+    ToricError,
+    Wall,
+    _adjugate,
+    _apply,
+    _intersect,
+    _localize,
+    curve_degree,
+)
 
 
 # -- polynomial arithmetic on coefficient lists (constant term first, ints
@@ -303,6 +313,33 @@ def ref_specialize(mixed, s):
 
 # -- the blow-up as a fan: the star subdivision, its walls and its
 # localization, which `toric.export_table` reads off the parent fan instead --
+
+
+class PerConeFan(Fan):
+    """A fan built cone by cone, the reference for `Fan`'s wall walk: one
+    Bareiss elimination per maximal cone, and each wall's relation solved
+    from its first cone's adjugate, with the same messages as `Fan.walls`."""
+
+    @cached_property
+    def adjugates(self):
+        return tuple(_adjugate([[self.rays[i][d] for i in cone] for d in range(self.dim)])
+                     for cone in self.max_cones)
+
+    @cached_property
+    def walls(self):
+        walls = []
+        for facet, inc in self.facets:
+            if len(inc) != 2:
+                raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
+            (ca, ia), (_, ib) = inc
+            det, adj = self.adjugates[ca]
+            x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
+            if x.get(ia) != -1:
+                if not facet:
+                    raise ToricError("wall data inconsistent in dimension one")
+                raise ToricError(f"wall data inconsistent at {facet}")
+            walls.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
+        return tuple(walls)
 
 
 def star_subdivide(fan, sigma):

@@ -68,6 +68,14 @@ class TestAnalyze:
         assert "Q: 0 0 1/2 -1/2\n" in out
         assert "destabilizing: none" in out
 
+    def test_csck_product_is_semistable(self, capsys, tmp_path, product_model):
+        # P^1 x P^1 with O(1, 2) is cscK, so slope semistable (Ross-Thomas):
+        # the theorem gate's round trip through the command line
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(toric_doc(product_model("P1 x P1 O(1, 2)", (1, 1), (1, 2)))))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0 and out.endswith("destabilizing: none\n")
+
     def test_toric_model_accepted(self, capsys, models_dir):
         code, out, _ = run(capsys, "analyze", str(models_dir / "p2.json"))
         assert code == 0
@@ -1006,6 +1014,21 @@ class TestOverlongNumbers:
         doc = json.loads((models_dir / "f1_ample.json").read_text())
         path = tmp_path / "model.json"
         path.write_text(json.dumps(_doc(doc, L=[0, 0, OVERLONG, -1])))
+        start = time.perf_counter()
+        assert run(capsys, "analyze", str(path)) == (
+            2, "", "error: rational too long to write: a part of more than 4300 digits\n")
+        assert time.perf_counter() - start < 2
+
+
+    def test_analyze_refuses_q_before_isolating(self, capsys, tmp_path):
+        # epsilon, alpha0, alpha1 and mu have at most 3001 digits and are
+        # written, but Q has a coefficient past the limit: the refusal comes
+        # before Q's roots are isolated, which took several seconds
+        doc = {"kind": "table", "label": "long Q", "n": 2,
+               "AE": [10**3000 + 7, 10**2998 + 3, 1], "KAE": [3 * 10**2999 + 11, 10**2999],
+               "epsilon": "1/4"}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
         start = time.perf_counter()
         assert run(capsys, "analyze", str(path)) == (
             2, "", "error: rational too long to write: a part of more than 4300 digits\n")

@@ -1,14 +1,16 @@
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
 
 from reference import (
+    PerConeFan,
     entries,
     exceptional_setup,
     mixed_entries,
@@ -20,9 +22,9 @@ from reference import (
 )
 from slopestab import cli, oracle
 from slopestab import toric as toric_mod
-from slopestab.models import MixedTable, parse_model
+from slopestab.models import IntersectionTable, MixedTable, ModelError, parse_model
 from slopestab.polynomials import UniPoly
-from slopestab.slope import alpha_polys, slope_mu
+from slopestab.slope import alpha_polys, slope_mu, stability_scan
 from slopestab.toric import (
     Fan,
     LatticePolytope,
@@ -468,15 +470,15 @@ class TestExportTable:
         export_table(load_model(name))
         assert len(counted) == calls
 
-    @pytest.mark.parametrize("name, adjugates, fans", [
-        ("p2", 3, 1), ("p2_o2", 3, 1), ("p3", 4, 1), ("f1_ample", 4, 1), ("f1_bignef", 4, 1),
-        ("p4_o2_codim2", 5, 1), ("p1_cubed_point", 8, 1), ("blp3_014", 6, 1),
-        ("p2_o2_point_02", 3, 1),
+    @pytest.mark.parametrize("name, cones", [
+        ("p2", 3), ("p2_o2", 3), ("p3", 4), ("f1_ample", 4), ("f1_bignef", 4),
+        ("p4_o2_codim2", 5), ("p1_cubed_point", 8), ("blp3_014", 6), ("p2_o2_point_02", 3),
     ])
-    def test_bareiss_once_per_input_cone(self, load_model, monkeypatch, name, adjugates,
-                                         fans):
-        # Bareiss runs on the input fan's cones only, and the input fan, the
-        # only one, builds its facet incidence once
+    def test_bareiss_once_per_component(self, load_model, monkeypatch, name, cones):
+        # Bareiss runs once, at the first cone of the input fan, whose wall
+        # graph is connected: the wall walk derives every other cone's
+        # (det, adj); and the input fan, the only one, builds its facet
+        # incidence once
         m = load_model(name)
         model = ToricModel(m.label, Fan(m.fan.rays, m.fan.max_cones), m.L, m.sigma, m.H)
         bareiss, built = [], []
@@ -496,8 +498,27 @@ class TestExportTable:
         monkeypatch.setattr(toric_mod, "_adjugate", counting_adjugate)
         monkeypatch.setattr(Fan, "facets", counted)
         export_table(model)
-        assert len(bareiss) == adjugates == len(model.fan.max_cones)
-        assert len(built) == len({id(fan) for fan in built}) == fans
+        first = model.fan.max_cones[0]
+        assert bareiss == [[[model.fan.rays[i][d] for i in first] for d in range(model.fan.dim)]]
+        assert len(model.fan.max_cones) == cones
+        assert len(built) == len({id(fan) for fan in built}) == 1
+
+    def test_cones_axis(self, monkeypatch, product_model):
+        # (P^1)^10 with H, 1024 cones: one Bareiss, and an export well
+        # inside a generous time bound
+        model = product_model("(P1)^10 O(1) H", (1,) * 10, (1,) * 10, with_h=True)
+        bareiss = []
+
+        def counting_adjugate(rows):
+            bareiss.append(rows)
+            return _adjugate(rows)
+
+        monkeypatch.setattr(toric_mod, "_adjugate", counting_adjugate)
+        start = time.perf_counter()
+        table = export_table(model)
+        assert time.perf_counter() - start < 3
+        assert len(bareiss) == 1 and len(model.fan.max_cones) == 1024
+        assert isinstance(table, MixedTable) and table.epsilon == 1
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS[:5])
     def test_builds_no_fan(self, models_dir, monkeypatch, name):
@@ -604,6 +625,198 @@ class TestBlowUpFromParent:
         assert centers == {(n, k) for n in (2, 3, 4) for k in range(1, n + 1)}
         assert fallbacks > 0
 
+
+def wall_graph_bareiss(fan, dets):
+    """The cones at which the wall walk must run Bareiss: in cone order, each
+    cone not yet reached, and then every cone reachable from it across walls
+    of two cones, leaving only cones of nonzero det."""
+    neighbours = {ci: [] for ci in range(len(fan.max_cones))}
+    for _, inc in fan.facets:
+        if len(inc) == 2:
+            (ca, _), (cb, _) = inc
+            neighbours[ca].append(cb)
+            neighbours[cb].append(ca)
+    reached, roots = set(), []
+    for root in neighbours:
+        if root in reached:
+            continue
+        roots.append(root)
+        reached.add(root)
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            if dets[a]:
+                fresh = [b for b in neighbours[a] if b not in reached]
+                reached.update(fresh)
+                stack += fresh
+    return roots
+
+
+def outcome(fan, model=None):
+    """What a fan, or a model on it, reports: every (det, adj), check_fan's
+    messages, the walls with the type of each relation coefficient or the
+    refusal, and the model's validation messages."""
+    try:
+        walls = [(wall, tuple(map(type, wall.relation))) for wall in fan.walls]
+    except ToricError as exc:
+        walls = str(exc)
+    validated = None
+    if model is not None:
+        validated = ToricModel(model.label, fan, model.L, model.sigma, model.H).validate()
+    return fan.adjugates, check_fan(fan), walls, validated
+
+
+def random_fans(count, seed):
+    """Fans that are not all complete, smooth or even fans: each is a
+    complete fan, P^n (n = 1..4), F_a or (P^1)^n, or else the boundary of a
+    simplex on n + 1 random integer rays, which gives non-smooth cones,
+    cones of det 0 and folded walls; then, about half the time, with random
+    cones dropped, which leaves walls of one cone and can disconnect the
+    wall graph.  Cones and their rays come in random order."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n = 1 + index % 4
+        kind = rng.randrange(4)
+        if kind == 0:
+            rays = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) + ((-1,) * n,)
+            cones = list(combinations(range(n + 1), n))
+        elif kind == 1:
+            n = 2
+            rays = ((1, 0), (0, 1), (-1, rng.randint(0, 3)), (0, -1))
+            cones = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        elif kind == 2:
+            rays = tuple(tuple(s * int(i == j) for j in range(n)) for s in (1, -1)
+                         for i in range(n))
+            cones = [tuple(i if plus else i + n for i, plus in enumerate(choice))
+                     for choice in product((True, False), repeat=n)]
+        else:
+            rays = ()
+            while len(rays) < n + 1:
+                ray = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(ray):
+                    rays += (ray,)
+            cones = list(combinations(range(n + 1), n))
+        if rng.random() < 0.5 and len(cones) > 2:
+            cones = rng.sample(cones, rng.randint(2, len(cones) - 1))
+        cones = [tuple(rng.sample(cone, n)) for cone in rng.sample(cones, len(cones))]
+        yield Fan(rays, tuple(cones))
+
+
+class TestWallWalk:
+    """`Fan` derives every cone's (det, adj) and every wall's relation from
+    one walk over the wall graph; `PerConeFan`, Bareiss on each cone and a
+    solve per wall, is the reference.  Every value, type, order and
+    message must agree, and Bareiss must run only where the walk cannot
+    reach a cone."""
+
+    @staticmethod
+    def assert_walk(fan, monkeypatch, model=None):
+        bareiss = []
+
+        def counting_adjugate(rows):
+            bareiss.append(rows)
+            return _adjugate(rows)
+
+        walk = Fan(fan.rays, fan.max_cones)
+        with monkeypatch.context() as patch:
+            patch.setattr(toric_mod, "_adjugate", counting_adjugate)
+            walked = outcome(walk, model)
+        reference = PerConeFan(fan.rays, fan.max_cones)
+        assert walked == outcome(reference, model)
+        roots = wall_graph_bareiss(fan, [det for det, _ in reference.adjugates])
+        assert bareiss == [[[fan.rays[i][d] for i in fan.max_cones[ci]] for d in range(fan.dim)]
+                           for ci in roots]
+        return roots, walked
+
+    def test_differential_models(self, load_model, monkeypatch):
+        # the 1009 models of the export differential: each wall graph is
+        # connected, so Bareiss runs once
+        for model in differential_models(load_model):
+            roots, (pairs, *_) = self.assert_walk(model.fan, monkeypatch, model)
+            assert roots == [0] and all(abs(det) == 1 for det, _ in pairs)
+
+    def test_random_fans(self, monkeypatch):
+        seen = Counter()
+        for fan in random_fans(400, seed=18):
+            roots, (pairs, errors, walls, _) = self.assert_walk(fan, monkeypatch)
+            dets = [det for det, _ in pairs]
+            seen["several roots"] += len(roots) > 1
+            seen["det 0"] += 0 in dets
+            seen["non-smooth"] += any(abs(det) > 1 for det in dets)
+            components = wall_graph_bareiss(fan, [1] * len(dets))
+            seen["root past det 0"] += len(roots) > len(components)
+            seen["folded"] += isinstance(walls, str) and "inconsistent" in walls
+            seen["wall of one cone"] += isinstance(walls, str) and "1 incident" in walls
+            seen["valid"] += errors == [] and not isinstance(walls, str)
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("fan, roots", [
+        # P(1, 1, 2): the cone (0, 1) has det 2
+        (Fan(((-1, -2), (1, 0), (0, 1)), ((0, 1), (1, 2), (2, 0))), [0]),
+        # the cone (0, 1, 2) lies in a plane: det 0, so the walk starts over
+        (Fan(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (-1, -1, -1)),
+             ((0, 1, 2), (1, 0, 3), (0, 3, 4))), [0, 1]),
+        # the cones (0, 1) and (1, 2) lie on the same side of their wall
+        (Fan(((-1, 0), (0, 1), (-1, 1), (1, 0), (0, -1)),
+             ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))), [0]),
+        # two cones of P^1 x P^1 that share no wall: two components
+        (Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (2, 3))), [0, 1]),
+        # three rays of a line, one facet () shared by three cones
+        (Fan(((1,), (-1,), (2,)), ((0,), (1,), (2,))), [0, 1, 2]),
+        (WINDING_FAN, [0]),
+    ], ids=["weighted", "flat", "folded", "disconnected", "three-on-a-wall", "winding"])
+    def test_small_fans(self, fan, roots, monkeypatch):
+        assert self.assert_walk(fan, monkeypatch)[0] == roots
+
+
+def destabilized(table) -> bool:
+    """Whether the slope scan flags the table: a destabilizing interval, a
+    flat Q, or a refusal."""
+    try:
+        report = stability_scan(alpha_polys(table))
+    except ModelError:
+        return True
+    return report.flat or bool(report.destabilizing)
+
+
+# the table faults that the theorem gate must catch, each as the
+# (ae, kae, epsilon) it puts in place of a table's own
+TABLE_MUTANTS = {
+    "KAE doubled": lambda t: (t.ae, tuple(2 * x for x in t.kae), t.epsilon),
+    "last KAE entry + 1": lambda t: (t.ae, (*t.kae[:-1], t.kae[-1] + t.den), t.epsilon),
+    "sign of AE[1]": lambda t: ((t.ae[0], -t.ae[1], *t.ae[2:]), t.kae, t.epsilon),
+    "epsilon doubled": lambda t: (t.ae, t.kae, 2 * t.epsilon),
+}
+
+
+class TestTheoremGate:
+    """Ross-Thomas (J. Differential Geom. 2006): a cscK polarization is slope
+    semistable along every subscheme.  Products of projective spaces with
+    any O(d_1, ..., d_k) carry products of Fubini-Study metrics, and dP6 and
+    its products with -K are Kahler-Einstein (Wang-Zhu, Adv. Math. 2004),
+    so every table exported from them (conftest's `csck_models`) must give
+    "destabilizing: none"."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, csck_models):
+        return [export_table(model) for model in csck_models]
+
+    def test_no_destabilizing_interval(self, csck_models, tables):
+        assert len(tables) == 352
+        assert {(m.fan.dim, len(m.sigma)) for m in csck_models} == {
+            (n, k) for n in range(1, 6) for k in range(1, n + 1)}
+        assert [t.label for t in tables if destabilized(t)] == []
+
+    @pytest.mark.parametrize("mutant", TABLE_MUTANTS)
+    def test_catches_table_mutant(self, tables, mutant):
+        flagged = [destabilized(IntersectionTable(t.label, t.n, t.den, *TABLE_MUTANTS[mutant](t)))
+                   for t in tables]
+        assert any(flagged)
+
+    def test_negative_control(self, load_model):
+        # F_1 = Bl_p P^2 along E, a polarization with no cscK metric: the
+        # gate's scan flags it
+        assert destabilized(export_table(load_model("f1_ample")))
 
 def relabel_rays(model, rng):
     """The model with its rays renamed by a random permutation; cones keep
@@ -903,19 +1116,20 @@ class TestNoFloats:
         if isinstance(table, MixedTable):
             ints += [*table.mixed.values(), *table.kmixed.values()]
         assert all(type(x) is int for x in ints) and type(table.epsilon) is F
-        denom, points = _blow_up(model)
+        denom, weights, tables = _blow_up(model)
         assert type(denom) is int
-        assert all(type(w) is int and all(type(v) is int for v in values)
-                   for w, values in points)
+        assert all(type(w) is int for w in weights)
+        assert all(type(v) is int for table in tables for row in table for v in row)
 
     def test_fractional_coefficient(self):
         fan, _ = star_subdivide(P2_FAN, (0, 1))
         divisor = (0, 0, 1, F(-1, 2))
-        denom, points = _localize(fan, (divisor,))
-        assert type(denom) is int and all(type(w) is int for w, _ in points)
-        values = [v for _, (v,) in points]
+        localized = _localize(fan, (divisor,))
+        denom, weights, [table] = localized
+        assert type(denom) is int and all(type(w) is int for w in weights)
+        values = table[1]
         assert all(type(v) in (int, F) for v in values)
         assert any(type(v) is F and v.denominator == 2 for v in values)
-        square = _intersect((denom, points), (2,))
+        square = _intersect(localized, (2,))
         # D^2 = 2! vol(P_D) for nef D: the truncated simplex of area 3/8
         assert type(square) is F and square / denom == F(3, 4)
