@@ -209,10 +209,10 @@ def _walk(levels, xs, x_lo=0, count=1):
             yield from _walk(levels[1:], (*xs, x), lo, hi - lo + 1)
 
 
-def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]:
+def _sample(model: ToricModel, m: int, levels, sigma_form, caps) -> tuple[WeightSample, ...]:
     """H(m) and W(m), the values at m of the h0 polynomial and of the weight
     polynomial with levels capped at each of caps, one WeightSample per cap,
-    from one walk.
+    from one walk; sigma_form is the model's `_sigma_form`.
 
     For m > 0 the walk is over m * P_L, and H(m) = h0(mL) and
     W(m) = w_m = sum of min(l_m(x), cap) over its lattice points x, where
@@ -250,7 +250,7 @@ def _sample(model: ToricModel, m: int, levels, caps) -> tuple[WeightSample, ...]
     h0, ws = 0, [0] * len(caps)
     if m < 0:  # the kernel caps at cM = -cap
         caps = [-cap for cap in caps]
-    u_sigma, offset = _sigma_form(model)
+    u_sigma, offset = sigma_form
     form = (offset, 0, 0, *u_sigma)  # the level's coefficients on a prefix
     level, step = levels[-1], u_sigma[-1]
     if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
@@ -316,7 +316,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     would contradict.
     """
     n = model.fan.dim
-    plans, counts, levels = [], {}, None
+    plans, counts, levels, form = [], {}, None, None
     by_m = {}  # m -> its distinct caps, as dict keys in order of first use
     for c in map(Fraction, cs):
         if check_c is not None:
@@ -325,7 +325,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         if m_list is not None and len(ms[:n + 4]) < n + 4:  # a range's len() fails past sys.maxsize
             raise ToricError(f"need at least {n + 4} m-samples, got {len(ms)}")
         if not plans:
-            levels = _levels(model)
+            levels, form = _levels(model), _sigma_form(model)
         _check_budget(levels, ms, counts, m_list is not None)
         caps = []
         for m in ms:
@@ -336,7 +336,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
             by_m.setdefault(m, {})[cap] = None
         plans.append((ms, caps))
     samples = {  # m -> cap -> WeightSample
-        m: dict(zip(caps, _sample(model, m, levels, tuple(caps))))
+        m: dict(zip(caps, _sample(model, m, levels, form, tuple(caps))))
         for m, caps in by_m.items()
     }
     fits = []

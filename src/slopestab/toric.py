@@ -20,19 +20,21 @@ polytopes, their volumes and vertices are only a reference, for the tests
 and the benchmark: the oracle enumerates lattice points without them.
 
 All linear algebra is fraction-free (Bareiss 1968): one integer kernel,
-`_adjugate` (Gauss-Jordan), and its rank-one step `_cross`.  Each fan keeps
-the (det, adj) of its maximal cones from one walk over its wall graph:
-Bareiss runs at the first cone of each connected component, and crossing a
-wall gives the next cone's (det, adj) by one rank-one step, from the same
-matrix-vector product that gives the wall's relation.  So cone
-determinants, the cone coordinates of the generic direction and the wall
-relations behind curve degrees are integer matrix-vector products;
-polytope vertices take one adjugate per n-subset of facets.
+`_adjugate` (Gauss-Jordan), and its rank-one step `_cross`.  Each fan walks
+its wall graph once, breadth-first (`Fan._walk`): Bareiss runs at the first
+cone of each connected component, each edge of the walk's tree costs one
+matrix-vector product adj_a u_b, which gives the next cone's det, and a
+cone's adjugate comes from its parent's by one rank-one step only where the
+walk continues from it.  The generic direction's cone coordinates pass down
+the same tree in O(n) per cone, and curve degrees are read off the
+fixed-point values: L.C = (L(a) - L(b)) / y_{a,a} on the T-curve of a wall
+between the cones a and b (Goresky-Kottwitz-MacPherson 1998), so no wall
+relation is built.  Polytope vertices take one adjugate per n-subset of
+facets.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -82,20 +84,36 @@ def _adjugate(rows) -> tuple[int, list[list[int]] | None]:
 def _apply(det: int, adj, v) -> list:
     """The solution x = adj v / det of A x = v for nonzero det: ints when
     |det| = 1 and v is integral, Fractions otherwise."""
-    return _divide(det, [sum(map(mul, row, v)) for row in adj])
+    return _divide(det, _product(adj, v))
 
 
-def _divide(det: int, xs) -> list:
+def _product(adj, v) -> list:
+    """The matrix-vector product adj v."""
+    return [sum(map(mul, row, v)) for row in adj]
+
+
+def _divide(det, xs) -> list:
     """xs / det, as `_apply` returns it."""
     if det in (1, -1):
         return [det * x for x in xs]
     return [Fraction(x, det) for x in xs]
 
 
-def _cross(det: int, adj, y, p: int, order) -> tuple[int, list[list[int]] | None]:
-    """(det, adj) of the matrix A' that trades column p of A = (det, adj)
-    for a vector u with adj u = y, nonzero det, and then takes its columns
-    in `order` (positions in A').
+def _odd(order) -> bool:
+    """Whether the permutation `order` of 0..n-1 is odd: the parity of the
+    swaps that sort it, at most one per position."""
+    perm, odd = list(order), False
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j], odd = perm[j], j, not odd
+    return odd
+
+
+def _cross(det: int, adj, y, p: int, order) -> list[list[int]]:
+    """The adjugate of the matrix A' that trades column p of A = (det, adj)
+    for a vector u with adj u = y, nonzero det and y_p, and then takes its
+    columns in `order` (positions in A').
 
     One fraction-free rank-one step (Bareiss 1968): det A' = y_p, row p of
     adj A' is adj[p] and row i is (y_p adj[i] - y_i adj[p]) / det, a
@@ -104,13 +122,11 @@ def _cross(det: int, adj, y, p: int, order) -> tuple[int, list[list[int]] | None
     flips the sign of both.
     """
     yp, pivot = y[p], adj[p]
-    if not yp:
-        return 0, None
     rows = [row if i == p else [(yp * a - yi * b) // det for a, b in zip(row, pivot)]
             for i, (row, yi) in enumerate(zip(adj, y))]
-    if sum(i > j for i, j in combinations(order, 2)) % 2:
-        return -yp, [[-a for a in rows[i]] for i in order]
-    return yp, [rows[i] for i in order]
+    if _odd(order):
+        return [[-a for a in rows[i]] for i in order]
+    return [rows[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -144,54 +160,60 @@ class Fan:
     # computed once per fan
 
     @cached_property
-    def adjugates(self) -> tuple[tuple[int, list[list[int]] | None], ...]:
-        """(det, adj) per maximal cone of the matrix with its rays as columns,
-        adj None when det is 0: Bareiss at the first cone of each component
-        of the wall graph, and a rank-one step per wall crossing (`_walk`)."""
+    def dets(self) -> tuple[int, ...]:
+        """The det per maximal cone of the matrix with its rays as columns,
+        from one walk over the wall graph (`_walk`)."""
         return self._walk[0]
 
     @cached_property
-    def _walk(self) -> tuple[tuple, dict[tuple[int, ...], list[int]]]:
-        """`adjugates`, and per wall the product adj_a u_b of its first cone
-        a with the opposite ray u_b of the other, from one breadth-first
-        walk over the wall graph: the maximal cones, joined by the facets
-        that have exactly two.
+    def _walk(self) -> tuple[tuple[int, ...], list[tuple]]:
+        """`dets`, and the steps of one breadth-first walk over the wall
+        graph (the maximal cones, joined by the facets that have exactly
+        two), in the order it takes them: (b, None, (det, adj)) at a root b,
+        where Bareiss runs, and (b, a, (p, x, order)) across the wall from a
+        cone a to a cone b, with x = adj_a u_b / det_a the coordinates of
+        b's opposite ray u_b in a's ray basis, p the position in a of the
+        ray that u_b replaces, and order the positions in a of b's rays, u_b
+        taking p.
 
         Bareiss (`_adjugate`) runs at the first cone of each connected
         component, and at any cone that the walk reaches only through a
         cone of det 0.  From a cone a of nonzero det the walk crosses each
-        wall to a cone b it has not reached yet, which trades the ray at
-        position p of a for u_b, by one `_cross` step on y = adj_a u_b;
-        when a is the wall's first cone, y is the wall's product too.
+        wall to a cone b that it has not reached yet: one product
+        y = adj_a u_b per edge of its tree, and det_b = y_p, negated for an
+        odd `order`.  adj_a comes from a's parent by one `_cross` step, and
+        only when the walk continues from a: P^n's wall graph is complete,
+        so its tree is a star and needs no step at all.
         """
         rays, cones = self.rays, self.max_cones
         neighbours = [[] for _ in cones]
-        for facet, inc in self.facets:
+        for _, inc in self.facets:
             if len(inc) == 2:
                 (ca, ia), (cb, ib) = inc
-                neighbours[ca].append((facet, ia, cb, ib))
-                neighbours[cb].append((None, ib, ca, ia))  # not the wall's first cone
-        pairs, products = [None] * len(cones), {}
+                neighbours[ca].append((ia, cb, ib))
+                neighbours[cb].append((ib, ca, ia))
+        dets, steps, parents = [None] * len(cones), [], {}
         for root, cone in enumerate(cones):
-            if pairs[root] is not None:
+            if dets[root] is not None:
                 continue
-            pairs[root] = _adjugate([[rays[i][d] for i in cone] for d in range(self.dim)])
+            dets[root], adj = pair = _adjugate([[rays[i][d] for i in cone]
+                                                for d in range(self.dim)])
+            steps.append((root, None, pair))
             queue = [root]
             for a in queue:  # grows while it is read
-                det, adj = pairs[a]
-                if not det:
+                fresh = [(ia, b, ib) for ia, b, ib in neighbours[a] if dets[b] is None]
+                if not (dets[a] and fresh):
                     continue
-                for facet, ia, b, ib in neighbours[a]:
-                    if facet is None and pairs[b] is not None:
-                        continue
-                    y = [sum(map(mul, row, rays[ib])) for row in adj]
-                    if facet is not None:
-                        products[facet] = y
-                    if pairs[b] is None:  # b's rays at their positions in a, u_b at u_a's
-                        order = [cones[a].index(ia if i == ib else i) for i in cones[b]]
-                        pairs[b] = _cross(det, adj, y, cones[a].index(ia), order)
-                        queue.append(b)
-        return tuple(pairs), products
+                if a in parents:
+                    adj = _cross(*parents.pop(a))
+                for ia, b, ib in fresh:  # b's rays at their positions in a, u_b at u_a's
+                    y, p = _product(adj, rays[ib]), cones[a].index(ia)
+                    order = [cones[a].index(ia if i == ib else i) for i in cones[b]]
+                    dets[b] = -y[p] if _odd(order) else y[p]
+                    parents[b] = (dets[a], adj, y, p, order)
+                    steps.append((b, a, (p, _divide(dets[a], y), order)))
+                    queue.append(b)
+        return tuple(dets), steps
 
     @cached_property
     def generic(self):
@@ -206,41 +228,11 @@ class Fan:
         opposite ray) per maximal cone that has it."""
         inc: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for ci, cone in enumerate(self.max_cones):
+            rays = sorted(set(cone))
             for i in cone:
-                inc.setdefault(tuple(sorted(set(cone) - {i})), []).append((ci, i))
+                q = rays.index(i)
+                inc.setdefault((*rays[:q], *rays[q + 1:]), []).append((ci, i))
         return tuple(sorted(inc.items()))
-
-    @cached_property
-    def walls(self) -> tuple[Wall, ...]:
-        """The walls, each shared by exactly two maximal cones, with their
-        relations.
-
-        The relation u_a + u_b = sum_i c_i u_i over the wall's rays is read
-        from the coordinates x = adj_a u_b / det_a of u_b in the ray basis
-        of the wall's first cone a, with the product adj_a u_b from `_walk`:
-        it holds, with c_i = x_i, exactly when x_a = -1.
-        """
-        (pairs, products), walls = self._walk, []
-        for facet, inc in self.facets:
-            if len(inc) != 2:
-                raise ToricError(f"wall {facet} with {len(inc)} incident cone(s)")
-            (ca, ia), (_, ib) = inc
-            det = pairs[ca][0]
-            x = dict(zip(self.max_cones[ca], _divide(det, products[facet]))) if det else {}
-            if x.get(ia) != -1:
-                if not facet:
-                    raise ToricError("wall data inconsistent in dimension one")
-                raise ToricError(f"wall data inconsistent at {facet}")
-            walls.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
-        return tuple(walls)
-
-
-class Wall(namedtuple("Wall", "rays opposite relation")):
-    """Codimension-one face shared by two maximal cones: rays holds the n-1
-    common ray indices, opposite the two non-shared ones (a, b), and
-    relation the c_i, one per wall ray, of u_a + u_b = sum_i c_i u_i."""
-
-    __slots__ = ()
 
 
 def check_fan(fan: Fan) -> list[str]:
@@ -249,7 +241,7 @@ def check_fan(fan: Fan) -> list[str]:
     maximal cone.  One message per failed check; empty when the fan is valid."""
     errors = [
         f"non-smooth cone {tuple(cone)}, det {_show_number(det)}"
-        for cone, (det, _) in zip(fan.max_cones, fan.adjugates)
+        for cone, det in zip(fan.max_cones, fan.dets)
         if abs(det) != 1
     ]
     smooth = not errors
@@ -271,7 +263,12 @@ def _generic_direction(fan: Fan, sigma=()):
 
     c = (1, k, ..., k^(n-1)) for the first k >= 2 that works.  On smooth
     cones each coordinate is a nonzero polynomial of degree <= n-1 in k, so
-    at most n(n-1) values of k fail per cone.
+    at most n(n-1) values of k fail per cone.  Each candidate runs down the
+    steps of `Fan._walk`: an adjugate product at each root, and O(n) per
+    other cone b, from its parent a, with x the coordinates of u_b in a's
+    basis and p the position that u_b takes: c = t u_b + sum_{i != p}
+    (y_{a,i} - t x_i) u_i with t = y_{a,p} / x_p.  A cone of det 0 has no
+    coordinates, and then no k works.
 
     With a center sigma, the coordinates must moreover be pairwise distinct
     on sigma in each cone that contains it.  They are then the coordinates
@@ -290,14 +287,19 @@ def _generic_direction(fan: Fan, sigma=()):
     if sigma and distinct(fan.generic[1]):
         return fan.generic
     bound = n * (n - 1) * (len(fan.max_cones) + sum(len(ps) - 1 for ps in star.values()))
-    for k in range(2, bound + 3):
+    for k in range(2, bound + 3) if 0 not in fan.dets else ():  # a flat cone has no coordinates
         c = tuple(k**d for d in range(n))
-        coords = []
-        for det, adj in fan.adjugates:
-            ys = tuple(_apply(det, adj, c)) if det else (0,)  # flat: no coordinates
+        coords = [None] * len(fan.max_cones)
+        for b, a, step in fan._walk[1]:
+            if a is None:
+                ys = _apply(*step, c)
+            else:
+                p, x, order = step
+                t = _divide(x[p], [coords[a][p]])[0]
+                ys = [t if q == p else coords[a][q] - t * x[q] for q in order]
             if 0 in ys:
                 break
-            coords.append(ys)
+            coords[b] = tuple(ys)
         else:
             if distinct(coords):
                 return c, coords
@@ -319,22 +321,16 @@ def _localized(points, n: int) -> tuple[int, list[int], list[list[tuple]]]:
     return denom, [denom // w for w in weights], tables
 
 
-def _localize(fan: Fan, divisors) -> tuple[int, list[int], list[list[tuple]]]:
-    """Fixed-point data at the generic direction, in integers: per maximal
-    cone sigma the weight prod_i y_{sigma,i} and the value
-    sum_{i in sigma} a_i y_{sigma,i} of each divisor, in `_localized`
-    form up to the dimension."""
-    _, coords = fan.generic
-    return _localized([
-        (prod(ys), tuple(sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors))
-        for cone, ys in zip(fan.max_cones, coords)
-    ], fan.dim)
+def _value(a, cone, ys) -> int:
+    """The value sum_{i in tau} a_i y_{tau,i} of the divisor a at the fixed
+    point of the cone tau, whose coordinates are ys."""
+    return sum(map(mul, map(a.__getitem__, cone), ys))
 
 
 def _blow_up(model: ToricModel) -> tuple[int, list[int], list[list[tuple]]]:
-    """The fixed-point data of the blow-up of X along Z, in the form of
-    `_localize`, with the values of (pi*L, E, K) and then pi*H, if any, read
-    off the parent fan in one integer pass.
+    """The fixed-point data of the blow-up of X along Z, in `_localized`
+    form, with the values of (pi*L, E, K) and then pi*H, if any, read off
+    the parent fan in one integer pass.
 
     The blow-up's fan is the star subdivision at sigma: each parent cone
     tau that contains sigma gives way to the cones tau_i, i in sigma, that
@@ -349,10 +345,9 @@ def _blow_up(model: ToricModel) -> tuple[int, list[int], list[list[tuple]]]:
     """
     sigma = set(model.sigma)
     _, coords = _generic_direction(model.fan, model.sigma)
-    divisors = (model.L,) if model.H is None else (model.L, model.H)
     points = []
     for cone, ys in zip(model.fan.max_cones, coords):
-        pi_l, *pi_h = (sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors)
+        pi_l, *pi_h = (_value(a, cone, ys) for a in model._divisors)
         canonical = -sum(ys)
         if not sigma <= set(cone):
             points.append((prod(ys), (pi_l, 0, canonical, *pi_h)))
@@ -370,23 +365,40 @@ def _intersect(localized, exponents) -> int:
     denominator: the sum over the fixed points of the weight times the
     product of the divisor values, an int when the values are.  The powers
     are rows of the power tables, so an entry costs m multiplications per
-    point."""
+    point; exponents past the last given are 0."""
     _, terms, tables = localized
     for table, e in zip(tables, exponents):
         terms = map(mul, terms, table[e])
     return sum(terms)
 
 
-def curve_degree(wall: Wall, a: tuple[int, ...]) -> int:
-    """Degree of the divisor with coefficients a on the invariant curve of a
-    wall of the fan.
+def _wall_degrees(fan: Fan, divisors, walls):
+    """Yield (rays, (a, b), degrees) per wall of a smooth fan, for the walls
+    given as (facet, incidence) pairs of `Fan.facets`, each with two cones:
+    the wall's rays, the opposite rays a of its first cone and b of the
+    other, and the degree of each divisor on the wall's curve, an int.
 
-    With the wall relation u_a + u_b = sum_i c_i u_i over the wall's rays,
-    the degree is a_a + a_b - sum_i c_i a_i for the support-function
-    convention <x, u_rho> >= -a_rho.
+    The curve is the T-curve between the fixed points of the two cones, so
+    its degree is L.C = (L(a) - L(b)) / y_{a,a}, with L(tau) the divisor's
+    value at the fixed point tau (`_value`) and y the generic direction's
+    coordinates (Goresky-Kottwitz-MacPherson 1998).  Proof: the relation
+    u_b = -u_a + sum_i c_i u_i over the wall's rays turns
+    c = y_{a,a} u_a + sum_i y_{a,i} u_i into b's expansion, so
+    y_{b,b} = -y_{a,a} and y_{b,i} = y_{a,i} + c_i y_{a,a}, and
+    L(a) - L(b) = y_{a,a} (a_a + a_b - sum_i c_i a_i), the support-function
+    degree (Cox-Little-Schenck, Toric Varieties, 6.3-6.4).  When
+    y_{b,b} != -y_{a,a}, u_b has no such expansion: both cones lie on one
+    side of the wall, and ToricError says so.
     """
-    ia, ib = wall.opposite
-    return a[ia] + a[ib] - sum(map(mul, wall.relation, map(a.__getitem__, wall.rays)))
+    cones, (_, coords) = fan.max_cones, fan.generic
+    values = [[_value(a, cone, ys) for cone, ys in zip(cones, coords)] for a in divisors]
+    for facet, ((ca, ia), (cb, ib)) in walls:
+        y = coords[ca][cones[ca].index(ia)]
+        if coords[cb][cones[cb].index(ib)] != -y:
+            if not facet:
+                raise ToricError("wall data inconsistent in dimension one")
+            raise ToricError(f"wall data inconsistent at {facet}")
+        yield facet, (ia, ib), [(v[ca] - v[cb]) // y for v in values]
 
 
 def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
@@ -396,7 +408,8 @@ def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
     points, the curves of the walls tau - i with tau a maximal cone that
     contains sigma and i in sigma (the opposite-ray walls).  So it is an
     integer (returned as a Fraction), as the Seshadri constant at a
-    torus-fixed point is (Di Rocco, Math. Z. 1999).
+    torus-fixed point is (Di Rocco, Math. Z. 1999).  The degrees are read
+    off the fixed-point values of L (`_wall_degrees`).
 
     A divisor is nef when its degree on every wall's curve is >= 0
     (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton, Introduction to
@@ -417,9 +430,10 @@ def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
     simplicial fans must revisit it.
     """
     sigma = set(sigma)
-    eps = min(curve_degree(wall, L) for wall in fan.walls
-              if len(sigma.intersection(wall.rays)) + 1 == len(sigma)
-              and sigma.intersection(wall.opposite))
+    leaving = [(facet, inc) for facet, inc in fan.facets
+               if len(sigma.intersection(facet)) + 1 == len(sigma)
+               and sigma.intersection(ray for _, ray in inc)]
+    eps = min(degree for _, _, (degree,) in _wall_degrees(fan, (L,), leaving))
     if eps <= 0:
         raise ToricError("nef threshold is zero: center not permissible")
     return Fraction(eps)
@@ -590,6 +604,7 @@ class ToricModel:
             for i, a in enumerate(divisor):
                 if isinstance(a, bool) or not isinstance(a, int):
                     raise ToricError(f"{name} coefficient {i} is {a}, not an integer")
+        self._divisors = (self.L,) if self.H is None else (self.L, self.H)
         if not self.sigma:
             raise ToricError("sigma is empty")
         if not all(0 <= i < len(self.fan.rays) for i in self.sigma):
@@ -603,24 +618,26 @@ class ToricModel:
         if errors:
             return errors
         try:
-            walls = self.fan.walls
+            walls = list(_wall_degrees(self.fan, self._divisors, self.fan.facets))
         except ToricError as exc:  # a wall with both cones on one side
             return [str(exc)]
         l_nef = True
-        for wall in walls:
-            deg = curve_degree(wall, self.L)
+        for rays, _, (deg, *hdeg) in walls:
             if deg < 0:
                 l_nef = False
-                errors.append(f"L not nef: degree {_show_number(deg)} on wall {wall.rays}")
-            if self.H is not None:
-                hdeg = curve_degree(wall, self.H)
-                if hdeg <= 0:
-                    errors.append(f"H not ample: degree {_show_number(hdeg)} "
-                                  f"on wall {wall.rays}")
-        # for nef L, L^n is n! times the volume of its sections polytope
-        if l_nef and _intersect(_localize(self.fan, (self.L,)), (self.fan.dim,)) <= 0:
+                errors.append(f"L not nef: degree {_show_number(deg)} on wall {rays}")
+            if hdeg and hdeg[0] <= 0:
+                errors.append(f"H not ample: degree {_show_number(hdeg[0])} on wall {rays}")
+        # for nef L, L^n = (pi*L)^n is n! times the volume of its sections polytope
+        if l_nef and _intersect(self._points, (self.fan.dim,)) <= 0:
             errors.append("L not big: sections polytope is flat")
         return errors
+
+    @cached_property
+    def _points(self) -> tuple[int, list[int], list[list[tuple]]]:
+        """`_blow_up`'s fixed-point data, shared by `validate` and
+        `export_table`."""
+        return _blow_up(self)
 
 
 def parse_toric_model(doc: dict) -> ToricModel:
@@ -667,7 +684,7 @@ def export_table(model: ToricModel):
         raise ToricError("; ".join(errors))
     n = model.fan.dim
     eps = nef_threshold(model.fan, model.L, model.sigma)
-    points = _blow_up(model)
+    points = model._points
     top = 0 if model.H is None else n
     # _blow_up's values are (pi*L, E, K[, pi*H]); K takes the exponent kappa
     mixed, kmixed = ({(i, j, deg - i - j): _intersect(points, (i, deg - i - j, kappa, j))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from reference import exceptional_setup, star_subdivide
+from reference import curve_degree, exceptional_setup, star_subdivide
 from slopestab.models import MixedTable, parse_model
 from slopestab.slope import alpha_polys
-from slopestab.toric import Fan, ToricModel, curve_degree, export_table, polytope_of
+from slopestab.toric import Fan, ToricModel, export_table, polytope_of
 
 # the same examples on every run (100, the default count), and no example
 # database written to disk
@@ -169,7 +169,7 @@ def blown_up_projective_space():
             else:
                 raise RuntimeError(f"no ample subdivision of P{n} for delta {delta}")
         sigma = rng.choice(fan.max_cones)[:2]
-        return ToricModel(f"Bl P{n} seed {seed}", fan, coeffs, sigma)
+        return ToricModel(f"Bl P{n} seed {seed}", Fan(fan.rays, fan.max_cones), coeffs, sigma)
 
     return build
 

@@ -2,23 +2,23 @@
 against.  Nothing here is imported by the package."""
 
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from math import comb, factorial, gcd, lcm
-from operator import sub
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul, sub
 
-from slopestab.models import IntersectionTable, MixedTable
+from slopestab.models import IntersectionTable, MixedTable, _show_number
 from slopestab.polynomials import IsolatingInterval, UniPoly, WitnessMismatch
 from slopestab.toric import (
     Fan,
     ToricError,
-    Wall,
     _adjugate,
     _apply,
     _intersect,
-    _localize,
-    curve_degree,
+    _localized,
+    check_fan,
 )
 
 
@@ -315,18 +315,40 @@ def ref_specialize(mixed, s):
 # localization, which `toric.export_table` reads off the parent fan instead --
 
 
+class Wall(namedtuple("Wall", "rays opposite relation")):
+    """Codimension-one face shared by two maximal cones: rays holds the n-1
+    common ray indices, opposite the two non-shared ones (a, b), and
+    relation the c_i, one per wall ray, of u_a + u_b = sum_i c_i u_i."""
+
+    __slots__ = ()
+
+
 class PerConeFan(Fan):
     """A fan built cone by cone, the reference for `Fan`'s wall walk: one
-    Bareiss elimination per maximal cone, and each wall's relation solved
-    from its first cone's adjugate, with the same messages as `Fan.walls`."""
+    Bareiss elimination per maximal cone, the generic direction solved in
+    each cone (`generic_direction`), and each wall's relation solved from its
+    first cone's adjugate, which gives the curve degrees (`curve_degree`)."""
 
     @cached_property
     def adjugates(self):
+        """(det, adj) per maximal cone, adj None when det is 0."""
         return tuple(_adjugate([[self.rays[i][d] for i in cone] for d in range(self.dim)])
                      for cone in self.max_cones)
 
     @cached_property
+    def dets(self):
+        return tuple(det for det, _ in self.adjugates)
+
+    @cached_property
+    def generic(self):
+        return generic_direction(self)
+
+    @cached_property
     def walls(self):
+        """The walls, each shared by exactly two maximal cones, with their
+        relations: the coordinates x of u_b in the ray basis of the wall's
+        first cone a give u_a + u_b = sum_i c_i u_i, with c_i = x_i, exactly
+        when x_a = -1."""
         walls = []
         for facet, inc in self.facets:
             if len(inc) != 2:
@@ -340,6 +362,88 @@ class PerConeFan(Fan):
                 raise ToricError(f"wall data inconsistent at {facet}")
             walls.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
         return tuple(walls)
+
+
+def walls_of(fan):
+    """The reference walls of any fan."""
+    if not isinstance(fan, PerConeFan):
+        fan = PerConeFan(fan.rays, fan.max_cones)
+    return fan.walls
+
+
+def curve_degree(wall, a):
+    """Degree of the divisor with coefficients a on the invariant curve of a
+    wall: with the wall relation u_a + u_b = sum_i c_i u_i over the wall's
+    rays, a_a + a_b - sum_i c_i a_i, for the support-function convention
+    <x, u_rho> >= -a_rho."""
+    ia, ib = wall.opposite
+    return a[ia] + a[ib] - sum(map(mul, wall.relation, map(a.__getitem__, wall.rays)))
+
+
+def generic_direction(fan, sigma=()):
+    """The contract of `toric._generic_direction` on a `PerConeFan`, each
+    candidate c solved in every cone by its adjugate."""
+    n = fan.dim
+    star = {ci: [cone.index(i) for i in sigma]
+            for ci, cone in enumerate(fan.max_cones) if sigma and set(sigma) <= set(cone)}
+
+    def distinct(coords):
+        return all(len({coords[ci][p] for p in ps}) == len(ps) for ci, ps in star.items())
+
+    if sigma and distinct(fan.generic[1]):
+        return fan.generic
+    bound = n * (n - 1) * (len(fan.max_cones) + sum(len(ps) - 1 for ps in star.values()))
+    for k in range(2, bound + 3):
+        c = tuple(k**d for d in range(n))
+        coords = []
+        for det, adj in fan.adjugates:
+            ys = tuple(_apply(det, adj, c)) if det else (0,)  # flat: no coordinates
+            if 0 in ys:
+                break
+            coords.append(ys)
+        else:
+            if distinct(coords):
+                return c, coords
+    raise RuntimeError(f"no generic direction among {bound + 1} candidates")
+
+
+def localize(fan, divisors):
+    """Fixed-point data at the generic direction, in `toric._localized`
+    form: per maximal cone sigma the weight prod_i y_{sigma,i} and the value
+    sum_{i in sigma} a_i y_{sigma,i} of each divisor."""
+    _, coords = fan.generic
+    return _localized([
+        (prod(ys), tuple(sum(map(mul, map(a.__getitem__, cone), ys)) for a in divisors))
+        for cone, ys in zip(fan.max_cones, coords)
+    ], fan.dim)
+
+
+def ref_validate(model):
+    """The contract of `ToricModel.validate`, on the reference fan: its
+    walls and curve degrees, and L^n localized on the parent fan."""
+    fan = PerConeFan(model.fan.rays, model.fan.max_cones)
+    errors = check_fan(fan)
+    if not any(set(model.sigma) <= set(c) for c in fan.max_cones):
+        errors.append(f"sigma {model.sigma} is not a face of any cone")
+    if errors:
+        return errors
+    try:
+        walls = fan.walls
+    except ToricError as exc:
+        return [str(exc)]
+    l_nef = True
+    for wall in walls:
+        deg = curve_degree(wall, model.L)
+        if deg < 0:
+            l_nef = False
+            errors.append(f"L not nef: degree {_show_number(deg)} on wall {wall.rays}")
+        if model.H is not None:
+            hdeg = curve_degree(wall, model.H)
+            if hdeg <= 0:
+                errors.append(f"H not ample: degree {_show_number(hdeg)} on wall {wall.rays}")
+    if l_nef and _intersect(localize(fan, (model.L,)), (fan.dim,)) <= 0:
+        errors.append("L not big: sections polytope is flat")
+    return errors
 
 
 def star_subdivide(fan, sigma):
@@ -357,7 +461,8 @@ def star_subdivide(fan, sigma):
     subtracted from the rows of the other rays of sigma and moved last, and
     det and adj change sign when n - 1 - p is odd.  The other cones keep
     the parent's objects, and when the parent's walls have been computed,
-    each wall between two such cones is the parent's Wall.
+    each wall between two such cones is the parent's Wall.  The fan is a
+    `PerConeFan`, and so is the parent unless sigma is a single ray.
     """
     sigma = tuple(sorted(set(sigma)))
     if not sigma:
@@ -366,6 +471,8 @@ def star_subdivide(fan, sigma):
         raise ToricError(f"sigma {sigma} is not a face of any maximal cone")
     if len(sigma) == 1:
         return fan, sigma[0]
+    if not isinstance(fan, PerConeFan):
+        fan = PerConeFan(fan.rays, fan.max_cones)
     new_ray = tuple(sum(fan.rays[i][d] for i in sigma) for d in range(fan.dim))
     new_idx = len(fan.rays)
     cones, adjugates, kept = [], [], set()
@@ -388,14 +495,14 @@ def star_subdivide(fan, sigma):
                 adjugates.append((-det, [[-x for x in row] for row in rows]))
             else:
                 adjugates.append((det, rows))
-    fan1 = Fan(fan.rays + (new_ray,), tuple(cones))
+    fan1 = PerConeFan(fan.rays + (new_ray,), tuple(cones))
     fan1.__dict__["adjugates"] = tuple(adjugates)
     if "walls" in fan.__dict__:
         # two kept cones meet in fan1 as they met in fan, in the same order
         old = {wall.rays: wall for wall in fan.walls}
         fan1.__dict__["walls"] = tuple(
             old[wall.rays] if all(ci in kept for ci, _ in inc) else wall
-            for wall, (_, inc) in zip(Fan.walls.func(fan1), fan1.facets)
+            for wall, (_, inc) in zip(PerConeFan.walls.func(fan1), fan1.facets)
         )
     return fan1, new_idx
 
@@ -417,7 +524,7 @@ def wall_nef_threshold(fan, pi_l, e_index):
     bound that each of its walls puts on t."""
     e_div = tuple(int(i == e_index) for i in range(len(fan.rays)))
     bounds = []
-    for wall in fan.walls:
+    for wall in walls_of(fan):
         dl = curve_degree(wall, pi_l)
         if dl < 0:
             raise ToricError(f"pi*L is not nef: degree {dl} on wall {wall.rays}")
@@ -442,14 +549,14 @@ def subdivided_localization(model):
     divisors = [pi_l, tuple(int(i == e_idx) for i in range(nrays)), (-1,) * nrays]
     if model.H is not None:
         divisors.append(pullback(model.H))
-    return fan1, e_idx, pi_l, _localize(fan1, divisors)
+    return fan1, e_idx, pi_l, localize(fan1, divisors)
 
 
 def ref_export_table(model):
     """The contract of `toric.export_table`, on the subdivided fan: the
-    parent's validation, then `wall_nef_threshold` and localization on the
-    star subdivision."""
-    errors = model.validate()
+    parent's validation by `ref_validate`, then `wall_nef_threshold` and
+    localization on the star subdivision."""
+    errors = ref_validate(model)
     if errors:
         raise ToricError("; ".join(errors))
     fan1, e_idx, pi_l, points = subdivided_localization(model)

@@ -150,7 +150,7 @@ def test_box_points_on_toric_fixture(load_model, name):
     points = _load_run().box_points(tracer)
     # the bounding boxes of P_L and 2 P_L hold every lattice point of both
     assert type(points) is int
-    levels = oracle._levels(model)
-    assert points >= sum(oracle._sample(model, m, levels, (0,))[0].h0 for m in (1, 2))
+    levels, form = oracle._levels(model), oracle._sigma_form(model)
+    assert points >= sum(oracle._sample(model, m, levels, form, (0,))[0].h0 for m in (1, 2))
     if name == "p2":  # the unit triangle: boxes of 2 x 2 and 3 x 3 points
         assert points == 13

@@ -491,9 +491,9 @@ class TestVerifyOneWalkPerOp:
                 return fn(*args)
             return wrapper
 
-        def sample(model, m, levels, caps):
+        def sample(model, m, levels, form, caps):
             calls["sample"].append((m, tuple(caps)))
-            return original_sample(model, m, levels, caps)
+            return original_sample(model, m, levels, form, caps)
 
         original_sample = oracle._sample
         monkeypatch.setattr(oracle, "_sample", sample)
@@ -589,15 +589,15 @@ class TestInternalFault:
         # witness that disagrees is a fault of the oracle, not of the input
         sample = oracle._sample
 
-        def forged(model, m, levels, caps):
-            out = sample(model, m, levels, caps)
+        def forged(model, m, levels, form, caps):
+            out = sample(model, m, levels, form, caps)
             return tuple(s._replace(h0=s.h0 + 1) for s in out) if m == 6 else out
 
         monkeypatch.setattr(oracle, "_sample", forged)
         code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
                              "--c", "1/2")
         p2 = load_model("p2")
-        h0 = sample(p2, 6, oracle._levels(p2), (0,))[0].h0
+        h0 = sample(p2, 6, oracle._levels(p2), oracle._sigma_form(p2), (0,))[0].h0
         assert code == 4 and out == ""
         assert err == ("internal error: RuntimeError: "
                        "oracle counts are not polynomial in m: "

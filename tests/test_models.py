@@ -326,7 +326,7 @@ class TestValueSemantics:
         assert not plain == mx and not mx == plain
 
     def test_records_are_immutable(self, load_model):
-        # the eight records: every field is read-only, and _replace copies
+        # the seven records: every field is read-only, and _replace copies
         from slopestab.oracle import fit_expansions, verify
         from slopestab.polynomials import IsolatingInterval
         from slopestab.slope import SignInterval, stability_scan
@@ -336,9 +336,9 @@ class TestValueSemantics:
         record = verify(p2, [F(1, 2)])[0]
         iv = IsolatingInterval(F(0), F(1))
         records = [pair, stability_scan(pair), record, record.samples[0],
-                   fit_expansions(p2, [F(1, 2)])[0], p2.fan.walls[0], iv,
+                   fit_expansions(p2, [F(1, 2)])[0], iv,
                    SignInterval(iv, IsolatingInterval(F(1), F(1)), True)]
-        assert len({type(rec) for rec in records}) == 8
+        assert len({type(rec) for rec in records}) == 7
         for rec in records:
             for field in rec._fields:
                 with pytest.raises(AttributeError):

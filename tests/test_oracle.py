@@ -76,7 +76,7 @@ def box_levels(model, m, interior=False):
 
 def sample(model, m, cap):
     """The oracle's h0 and weight total of m * P_L with levels capped at cap."""
-    return oracle._sample(model, m, oracle._levels(model), (cap,))[0]
+    return oracle._sample(model, m, oracle._levels(model), _sigma_form(model), (cap,))[0]
 
 
 def fit_one(model, c, m_list=None):
@@ -97,14 +97,14 @@ def assert_counts_match(model):
     box_levels' at m = 1..4 and at every cap 0..max + 1, so every filtration
     count, a step between consecutive caps, does too.  The caps are counted
     one per call, and all in one call, in descending order."""
-    ranges = oracle._levels(model)
+    ranges, form = oracle._levels(model), _sigma_form(model)
     for m in range(1, 5):
         levels = box_levels(model, m)
         caps = range(max(levels) + 1, -1, -1)
         expected = [oracle.WeightSample(m, len(levels), sum(min(lv, cap) for lv in levels))
                     for cap in caps]
-        assert list(oracle._sample(model, m, ranges, caps)) == expected
-        assert [oracle._sample(model, m, ranges, (cap,))[0] for cap in caps] == expected
+        assert list(oracle._sample(model, m, ranges, form, caps)) == expected
+        assert [oracle._sample(model, m, ranges, form, (cap,))[0] for cap in caps] == expected
 
 
 class TestFiltrationCount:
@@ -212,7 +212,8 @@ def positive_fits(model):
     eps = export_table(model).epsilon
     for c in (eps / 2, eps):
         ms = [c.denominator * i for i in range(1, n + 5)]
-        own = [oracle._sample(model, m, levels, ((c * m).numerator,))[0] for m in ms]
+        own = [oracle._sample(model, m, levels, _sigma_form(model), ((c * m).numerator,))[0]
+               for m in ms]
         yield c, newton_fit([(s.m, s.h0) for s in own], n), newton_fit(
             [(s.m, s.w) for s in own], n + 1)
 
@@ -254,7 +255,7 @@ class TestReciprocity:
                 h0 = (-1) ** n * len(inner)
                 w = (-1) ** (n + 1) * sum(min(lv, cap) for lv in inner)
                 assert (a(-big_m), b(-big_m)) == (h0, w)
-                assert oracle._sample(model, -big_m, levels, (-cap,)) == (
+                assert oracle._sample(model, -big_m, levels, _sigma_form(model), (-cap,)) == (
                     oracle.WeightSample(-big_m, h0, w),)
                 nonzero += w != 0
         return nonzero
@@ -380,6 +381,18 @@ class TestVerify:
         model = load_model("f1_ample")
         cs = (F(1, 2), F(9, 10), F(1, 3), F(1, 2))
         assert oracle.verify(model, cs) == tuple(verify_main_theorem(model, c) for c in cs)
+
+    def test_sigma_form_once_per_verification(self, load_model, monkeypatch):
+        # the level form is the model's, the same for every m-sample and c
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return _sigma_form(model)
+
+        monkeypatch.setattr(oracle, "_sigma_form", counted)
+        records = oracle.verify(load_model("f1_ample"), (F(1, 2), F(9, 10)))
+        assert len({s.m for r in records for s in r.samples}) > 1 and len(calls) == 1
 
     # at c = eps/2 and eps: their denominators are at most 2, so m stays small
     @pytest.mark.parametrize("n, d, deltas, seed", BLOW_UPS, ids=BLOW_UP_IDS)

@@ -11,14 +11,19 @@ import pytest
 
 from reference import (
     PerConeFan,
+    Wall,
+    curve_degree,
     entries,
     exceptional_setup,
+    localize,
     mixed_entries,
     ref_export_table,
+    ref_validate,
     star_subdivide,
     subdivided_localization,
     table_of,
     wall_nef_threshold,
+    walls_of,
 )
 from slopestab import cli, oracle
 from slopestab import toric as toric_mod
@@ -30,14 +35,12 @@ from slopestab.toric import (
     LatticePolytope,
     ToricError,
     ToricModel,
-    Wall,
     _adjugate,
     _blow_up,
     _generic_direction,
     _intersect,
-    _localize,
+    _wall_degrees,
     check_fan,
-    curve_degree,
     export_table,
     nef_threshold,
     polytope_of,
@@ -122,11 +125,16 @@ def reference_vertices(polytope):
     return tuple(sorted(out))
 
 
-def wall_with_rays(fan, rays):
-    for w in fan.walls:
-        if w.rays == tuple(sorted(rays)):
-            return w
-    raise AssertionError(f"no wall {rays}")
+def kernel_calls(patch):
+    """Patch the integer kernel's Bareiss, products and rank-one steps to
+    record their arguments: name -> list of argument tuples, in call order."""
+    calls = {}
+    for name in ("_adjugate", "_product", "_cross"):
+        def recording(*args, _f=getattr(toric_mod, name), _calls=calls.setdefault(name, [])):
+            _calls.append(args)
+            return _f(*args)
+        patch.setattr(toric_mod, name, recording)
+    return calls
 
 
 class TestCheckFan:
@@ -177,9 +185,9 @@ class TestStarSubdivide:
 
 
 def assert_inherited_adjugates(fan, sigma):
-    """Subdivide fan at sigma: the derived (det, adj) of every cone must
-    equal Bareiss on its matrix, and the cones left alone must share the
-    parent's objects.  Returns the subdivided fan."""
+    """Subdivide the `PerConeFan` fan at sigma: the derived (det, adj) of
+    every cone must equal Bareiss on its matrix, and the cones left alone
+    must share the parent's objects.  Returns the subdivided fan."""
     fan1, new_idx = star_subdivide(fan, sigma)
     if fan1 is fan:
         return fan
@@ -208,8 +216,8 @@ class TestInheritedAdjugates:
             # each cone's rays in a random order, so that the replaced ray
             # takes every position p of the sign rule
             cones = [tuple(rng.sample(c, n)) for c in combinations(range(n + 1), n)]
-            fan = Fan(tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-                      + ((-1,) * n,), tuple(cones))
+            fan = PerConeFan(tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                             + ((-1,) * n,), tuple(cones))
             for _ in range(rng.randint(1, 3)):
                 cone = rng.choice(fan.max_cones)
                 sigma = rng.sample(cone, rng.randint(1, n))
@@ -220,7 +228,7 @@ class TestInheritedAdjugates:
     @pytest.mark.parametrize("sigma", [(0, 1), (1, 2), (0, 2)])
     def test_weighted_projective_plane(self, sigma):
         # P(1, 1, 2): u0 + u1 + 2 u2 = 0, and the cone (0, 1) has det 2
-        fan = Fan(((-1, -2), (1, 0), (0, 1)), ((0, 1), (1, 2), (2, 0)))
+        fan = PerConeFan(((-1, -2), (1, 0), (0, 1)), ((0, 1), (1, 2), (2, 0)))
         assert [det for det, _ in fan.adjugates] == [2, 1, 1]
         fan1 = assert_inherited_adjugates(fan, sigma)
         new_idx = len(fan1.rays) - 1
@@ -229,7 +237,7 @@ class TestInheritedAdjugates:
     def test_flat_cone(self):
         # the cone (0, 1, 2) lies in a plane: det 0, and so do its subdivisions
         rays = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (-1, -1, -1))
-        fan = Fan(rays, ((0, 1, 2), (1, 0, 3), (0, 3, 4)))
+        fan = PerConeFan(rays, ((0, 1, 2), (1, 0, 3), (0, 3, 4)))
         assert [det for det, _ in fan.adjugates] == [0, -1, 1]
         fan1 = assert_inherited_adjugates(fan, (0, 1))
         assert [adj for det, adj in fan1.adjugates if det == 0] == [None, None]
@@ -245,11 +253,12 @@ class TestInheritedWalls:
     def assert_inherited_walls(model):
         # a center of one ray leaves the fan as it is: take a 2-face then
         sigma = model.sigma if len(model.sigma) > 1 else model.fan.max_cones[0][:2]
-        fresh, _ = star_subdivide(Fan(model.fan.rays, model.fan.max_cones), sigma)
+        fresh, _ = star_subdivide(PerConeFan(model.fan.rays, model.fan.max_cones), sigma)
         assert "walls" not in fresh.__dict__  # nothing to carry over
-        parent = {id(wall) for wall in model.fan.walls}
-        fan1, new_idx = star_subdivide(model.fan, sigma)
-        reference = Fan(fan1.rays, fan1.max_cones).walls
+        fan = PerConeFan(model.fan.rays, model.fan.max_cones)
+        parent = {id(wall) for wall in fan.walls}
+        fan1, new_idx = star_subdivide(fan, sigma)
+        reference = PerConeFan(fan1.rays, fan1.max_cones).walls
         assert fan1.__dict__["walls"] == reference == fresh.walls
         # a wall between two kept cones has the new ray neither in it nor opposite
         kept = [new_idx not in (*wall.rays, *wall.opposite) for wall in fan1.walls]
@@ -267,29 +276,34 @@ class TestInheritedWalls:
 
 
 class TestCurveDegree:
+    """Curve degrees read off the fixed-point values (`_wall_degrees`), and
+    the reference's, from the wall relations (`curve_degree`)."""
+
+    @staticmethod
+    def degrees(fan, divisor):
+        walls = _wall_degrees(fan, (divisor,), fan.facets)
+        package = {rays: deg for rays, _, (deg,) in walls}
+        assert package == {w.rays: curve_degree(w, divisor) for w in walls_of(fan)}
+        return package
+
     def test_p2_lines(self):
         # O(1) as the single prime divisor of the ray (-1,-1)
-        d = (0, 0, 1)
-        for w in P2_FAN.walls:
-            assert curve_degree(w, d) == 1
+        assert set(self.degrees(P2_FAN, (0, 0, 1)).values()) == {1}
 
     def test_exceptional_self_intersection(self):
-        e = (0, 0, 0, 1)
-        w = wall_with_rays(F1_FAN, (3,))
-        assert curve_degree(w, e) == -1
+        assert self.degrees(F1_FAN, (0, 0, 0, 1))[(3,)] == -1
 
     def test_zero_divisor(self):
-        z = (0, 0, 0, 0)
-        for w in F1_FAN.walls:
-            assert curve_degree(w, z) == 0
+        assert set(self.degrees(F1_FAN, (0, 0, 0, 0)).values()) == {0}
 
     def test_dimension_one(self):
         p1 = Fan(((1,), (-1,)), ((0,), (1,)))
-        (wall,) = p1.walls
-        assert curve_degree(wall, (2, 3)) == 5
+        assert self.degrees(p1, (2, 3)) == {(): 5}
         folded = Fan(((1,), (1,)), ((0,), (1,)))
-        with pytest.raises(ToricError, match="^wall data inconsistent in dimension one$"):
-            folded.walls
+        for walls in (lambda: list(_wall_degrees(folded, ((2, 3),), folded.facets)),
+                      lambda: walls_of(folded)):
+            with pytest.raises(ToricError, match="^wall data inconsistent in dimension one$"):
+                walls()
 
 
 class TestNefThreshold:
@@ -349,7 +363,7 @@ class TestNefThreshold:
             except ToricError:
                 continue
             assert eps.denominator == 1, model
-            for wall in model.fan.walls:
+            for wall in walls_of(model.fan):
                 if set(model.sigma) <= set(wall.rays):
                     degree = curve_degree(wall, model.L)
                     for i, c in zip(wall.rays, wall.relation):
@@ -520,6 +534,34 @@ class TestExportTable:
         assert len(bareiss) == 1 and len(model.fan.max_cones) == 1024
         assert isinstance(table, MixedTable) and table.epsilon == 1
 
+    @staticmethod
+    def count_work(monkeypatch, model):
+        """The number of calls of the kernel's Bareiss, products and rank-one
+        steps in the wall walk, and in the whole export."""
+        with monkeypatch.context() as patch:
+            calls = kernel_calls(patch)
+            model.fan._walk
+            walk = {name: len(args) for name, args in calls.items()}
+            export_table(model)
+        return walk, {name: len(args) for name, args in calls.items()}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_projective_space_walk_is_a_star(self, monkeypatch, product_model, n):
+        # P^n's wall graph is complete: the root reaches every other cone,
+        # by one product each, and the walk continues from none of them
+        model = product_model(f"P{n} O(1) H", (n,), (1,), with_h=True)
+        walk, export = self.count_work(monkeypatch, model)
+        assert walk == {"_adjugate": 1, "_product": n, "_cross": 0}
+        assert export["_adjugate"] == 1 and export["_cross"] == 0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_products_on_the_walk_tree(self, monkeypatch, product_model, n):
+        # (P^1)^n: one product per edge of the walk's tree, cones - 1
+        model = product_model(f"(P1)^{n} O(1)", (1,) * n, (1,) * n)
+        walk, export = self.count_work(monkeypatch, model)
+        assert walk["_adjugate"] == 1 and walk["_product"] == 2**n - 1
+        assert walk["_cross"] < 2**n - 1 and export["_adjugate"] == 1
+
     @pytest.mark.parametrize("name", REFERENCE_MODELS[:5])
     def test_builds_no_fan(self, models_dir, monkeypatch, name):
         # the blow-up is read off the parent fan: no Fan is built for it
@@ -652,18 +694,32 @@ def wall_graph_bareiss(fan, dets):
     return roots
 
 
-def outcome(fan, model=None):
-    """What a fan, or a model on it, reports: every (det, adj), check_fan's
-    messages, the walls with the type of each relation coefficient or the
-    refusal, and the model's validation messages."""
-    try:
-        walls = [(wall, tuple(map(type, wall.relation))) for wall in fan.walls]
-    except ToricError as exc:
-        walls = str(exc)
+def outcome(fan, model=None, divisors=()):
+    """What a fan, or a model on it, reports: every det, check_fan's
+    messages, the generic direction or its refusal, each wall's rays,
+    opposite rays and degrees of the divisors, or the refusal, and the
+    model's validation messages.  On a `PerConeFan` the degrees are
+    `curve_degree` on its walls and the validation is `ref_validate`'s; the
+    degrees are compared on smooth fans whose every facet has two cones,
+    the only fans that `_wall_degrees` takes."""
+
+    def attempt(f):
+        try:
+            return f()
+        except (ToricError, RuntimeError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    reference = isinstance(fan, PerConeFan)
+    degrees = None
+    if all(abs(det) == 1 for det in fan.dets) and all(len(inc) == 2 for _, inc in fan.facets):
+        degrees = attempt(lambda: [
+            (w.rays, w.opposite, [curve_degree(w, d) for d in divisors]) for w in fan.walls
+        ] if reference else list(_wall_degrees(fan, divisors, fan.facets)))
     validated = None
     if model is not None:
-        validated = ToricModel(model.label, fan, model.L, model.sigma, model.H).validate()
-    return fan.adjugates, check_fan(fan), walls, validated
+        validated = ref_validate(model) if reference else ToricModel(
+            model.label, fan, model.L, model.sigma, model.H).validate()
+    return fan.dets, check_fan(fan), attempt(lambda: fan.generic), degrees, validated
 
 
 def random_fans(count, seed):
@@ -703,51 +759,54 @@ def random_fans(count, seed):
 
 
 class TestWallWalk:
-    """`Fan` derives every cone's (det, adj) and every wall's relation from
-    one walk over the wall graph; `PerConeFan`, Bareiss on each cone and a
-    solve per wall, is the reference.  Every value, type, order and
-    message must agree, and Bareiss must run only where the walk cannot
-    reach a cone."""
+    """`Fan` derives every cone's det and generic coordinates from one walk
+    over the wall graph, and reads curve degrees off the fixed-point values;
+    `PerConeFan`, Bareiss on each cone and a solve per wall and per cone, is
+    the reference.  Every value, type, order and message must agree,
+    Bareiss must run only where the walk cannot reach a cone, and the walk
+    takes one product adj_a u_b per cone it reaches."""
 
     @staticmethod
-    def assert_walk(fan, monkeypatch, model=None):
-        bareiss = []
-
-        def counting_adjugate(rows):
-            bareiss.append(rows)
-            return _adjugate(rows)
-
+    def assert_walk(fan, monkeypatch, model=None, divisors=()):
         walk = Fan(fan.rays, fan.max_cones)
         with monkeypatch.context() as patch:
-            patch.setattr(toric_mod, "_adjugate", counting_adjugate)
-            walked = outcome(walk, model)
+            calls = kernel_calls(patch)
+            walk._walk
+        bareiss, products, crosses = (calls[name] for name in ("_adjugate", "_product", "_cross"))
+        walked = outcome(walk, model, divisors)
         reference = PerConeFan(fan.rays, fan.max_cones)
-        assert walked == outcome(reference, model)
-        roots = wall_graph_bareiss(fan, [det for det, _ in reference.adjugates])
-        assert bareiss == [[[fan.rays[i][d] for i in fan.max_cones[ci]] for d in range(fan.dim)]
+        assert walked == outcome(reference, model, divisors)
+        roots = wall_graph_bareiss(fan, reference.dets)
+        assert bareiss == [([[fan.rays[i][d] for i in fan.max_cones[ci]] for d in range(fan.dim)],)
                            for ci in roots]
+        assert len(products) == len(fan.max_cones) - len(roots) >= len(crosses)
         return roots, walked
 
     def test_differential_models(self, load_model, monkeypatch):
         # the 1009 models of the export differential: each wall graph is
-        # connected, so Bareiss runs once
+        # connected, so Bareiss runs once; every degree of L and H is an int
         for model in differential_models(load_model):
-            roots, (pairs, *_) = self.assert_walk(model.fan, monkeypatch, model)
-            assert roots == [0] and all(abs(det) == 1 for det, _ in pairs)
+            divisors = (model.L,) if model.H is None else (model.L, model.H)
+            roots, (dets, _, _, degrees, _) = self.assert_walk(model.fan, monkeypatch, model,
+                                                               divisors)
+            assert roots == [0] and all(abs(det) == 1 for det in dets)
+            if not isinstance(degrees, str):
+                assert all(type(d) is int for _, _, ds in degrees for d in ds)
 
     def test_random_fans(self, monkeypatch):
-        seen = Counter()
+        seen, rng = Counter(), random.Random(19)
         for fan in random_fans(400, seed=18):
-            roots, (pairs, errors, walls, _) = self.assert_walk(fan, monkeypatch)
-            dets = [det for det, _ in pairs]
+            divisors = [tuple(rng.randint(-3, 3) for _ in fan.rays) for _ in range(2)]
+            roots, (dets, errors, _, degrees, _) = self.assert_walk(fan, monkeypatch,
+                                                                   divisors=divisors)
             seen["several roots"] += len(roots) > 1
             seen["det 0"] += 0 in dets
             seen["non-smooth"] += any(abs(det) > 1 for det in dets)
             components = wall_graph_bareiss(fan, [1] * len(dets))
             seen["root past det 0"] += len(roots) > len(components)
-            seen["folded"] += isinstance(walls, str) and "inconsistent" in walls
-            seen["wall of one cone"] += isinstance(walls, str) and "1 incident" in walls
-            seen["valid"] += errors == [] and not isinstance(walls, str)
+            seen["folded"] += isinstance(degrees, str) and "inconsistent" in degrees
+            seen["wall of one cone"] += any(len(inc) == 1 for _, inc in fan.facets)
+            seen["valid"] += errors == [] and isinstance(degrees, list)
         assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("fan, roots", [
@@ -766,7 +825,8 @@ class TestWallWalk:
         (WINDING_FAN, [0]),
     ], ids=["weighted", "flat", "folded", "disconnected", "three-on-a-wall", "winding"])
     def test_small_fans(self, fan, roots, monkeypatch):
-        assert self.assert_walk(fan, monkeypatch)[0] == roots
+        divisors = [tuple(range(len(fan.rays))), (1,) * len(fan.rays)]
+        assert self.assert_walk(fan, monkeypatch, divisors=divisors)[0] == roots
 
 
 def destabilized(table) -> bool:
@@ -1077,15 +1137,15 @@ class TestIntegerKernel:
         hs = [] if model.H is None else [model.H]
         for fan, divisors in (
             (model.fan, [model.L, *hs]),
-            (fan1, [pullback(model.L), e_div, *map(pullback, hs)]),
+            (Fan(fan1.rays, fan1.max_cones), [pullback(model.L), e_div, *map(pullback, hs)]),
         ):
             c, coords = fan.generic
             for cone, ys in zip(fan.max_cones, coords):
                 rows = [[fan.rays[i][d] for i in cone] for d in range(fan.dim)]
                 assert list(ys) == gauss_jordan_solve(rows, c)
-            for wall in fan.walls:
-                for d in divisors:
-                    assert curve_degree(wall, d) == reference_curve_degree(fan, wall, d)
+            for rays, opposite, degrees in _wall_degrees(fan, divisors, fan.facets):
+                wall = Wall(rays, opposite, None)
+                assert degrees == [reference_curve_degree(fan, wall, d) for d in divisors]
         eps = export_table(model).epsilon
         for p in (
             polytope_of(model.fan, model.L),
@@ -1100,8 +1160,10 @@ class TestIntegerKernel:
         # the wall (1,) between the cones (0, 1) and (1, 2), opposite rays 0 and 2
         wall = Wall((1,), (0, 2), ())
         assert reference_curve_degree(fan, wall, (1,) * 5) is None
-        with pytest.raises(ToricError, match=r"^wall data inconsistent at \(1,\)$"):
-            fan.walls
+        for walls in (lambda: list(_wall_degrees(fan, ((1,) * 5,), fan.facets)),
+                      lambda: walls_of(fan)):
+            with pytest.raises(ToricError, match=r"^wall data inconsistent at \(1,\)$"):
+                walls()
 
 
 class TestNoFloats:
@@ -1124,7 +1186,7 @@ class TestNoFloats:
     def test_fractional_coefficient(self):
         fan, _ = star_subdivide(P2_FAN, (0, 1))
         divisor = (0, 0, 1, F(-1, 2))
-        localized = _localize(fan, (divisor,))
+        localized = localize(fan, (divisor,))
         denom, weights, [table] = localized
         assert type(denom) is int and all(type(w) is int for w in weights)
         values = table[1]
