@@ -191,9 +191,15 @@ def _require_keys(doc: dict, required: set[str], optional: set[str] = frozenset(
         raise ModelError(f"unknown field(s): {', '.join(sorted(unknown))}")
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool, the one test of an integer
+    field, coefficient or index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_int(doc, key) -> int:
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise ModelError(f"field {key!r} must be an integer")
     return v
 

@@ -9,13 +9,19 @@ ray) is the identity blow-up.  It is never built: its fixed points, walls
 and intersection numbers are read off the parent fan (see `export_table`
 and `nef_threshold`).  A torus-invariant divisor sum_rho a_rho D_rho is the
 tuple of its integer coefficients a_rho, one per ray; `ToricModel` checks
-that its L and H are.
+that its L and H are, as `Fan` checks its ray entries and cone indices and
+`ToricModel` the entries of sigma.
 
+Each model's fixed-point data are computed once: sigma's star (the cones
+that contain sigma, with the positions of sigma's rays in each), the
+sigma-distinct generic coordinates, each divisor's value at each parent
+fixed point, and the degree of each divisor on each wall's T-curve.
+`ToricModel.validate`, `nef_threshold` and `_blow_up` read only these.
 Intersection numbers come from fixed-point localization: one exact sum over
 the torus-fixed points (Atiyah-Bott / Berline-Vergne; Brion 1988 in polytope
-form), summed in integers over one common denominator.  The fixed-point
-data carry each divisor value's powers up to the dimension, so an
-intersection number costs a few multiplications per fixed point.  The
+form), summed in integers over one common denominator.  The blow-up's
+fixed-point data carry each divisor value's powers up to the dimension, so
+an intersection number costs a few multiplications per fixed point.  The
 polytopes, their volumes and vertices are only a reference, for the tests
 and the benchmark: the oracle enumerates lattice points without them.
 
@@ -29,7 +35,9 @@ walk continues from it.  The generic direction's cone coordinates pass down
 the same tree in O(n) per cone, and curve degrees are read off the
 fixed-point values: L.C = (L(a) - L(b)) / y_{a,a} on the T-curve of a wall
 between the cones a and b (Goresky-Kottwitz-MacPherson 1998), so no wall
-relation is built.  Polytope vertices take one adjugate per n-subset of
+relation is built.  The degrees do not depend on the direction, so a model
+reads them at its sigma-distinct one, and `check_fan` stays on the fan's
+own (`Fan.generic`).  Polytope vertices take one adjugate per n-subset of
 facets.
 """
 
@@ -41,11 +49,21 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 
-from .models import IntersectionTable, MixedTable, ModelError, _require_keys, _show_number
+from .models import (IntersectionTable, MixedTable, ModelError, _is_int, _require_keys,
+                     _show_number)
 
 
 class ToricError(ModelError):
     """Inconsistent fan, divisor or model data, or an oracle count past a limit."""
+
+
+def _require_ints(values, name: str):
+    """ToricError naming the first entry of values that is not an int, a
+    bool not being one: "<name> <position> is <entry>, not an integer",
+    with {} in name standing for values (formatted only then)."""
+    for i, x in enumerate(values):
+        if not _is_int(x):
+            raise ToricError(f"{name.format(values)} {i} is {x}, not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +163,13 @@ class Fan:
         for ray in self.rays:
             if len(ray) != dim:
                 raise ToricError("rays of mixed dimension")
+            _require_ints(ray, "ray {} entry")
             if all(x == 0 for x in ray):
                 raise ToricError("zero ray")
         for cone in self.max_cones:
             if len(cone) != dim:
                 raise ToricError(f"maximal cone {cone} does not have {dim} rays")
+            _require_ints(cone, "cone {} entry")
             if not all(0 <= i < len(self.rays) for i in cone):
                 raise ToricError(f"cone {cone} references missing ray")
 
@@ -256,7 +276,7 @@ def check_fan(fan: Fan) -> list[str]:
     return errors
 
 
-def _generic_direction(fan: Fan, sigma=()):
+def _generic_direction(fan: Fan, star=None):
     """A direction c with nonzero coordinates y_tau in every maximal cone's
     ray basis, c = sum_{i in tau} y_{tau,i} u_i; returns c and the y_tau,
     ints on unimodular cones.
@@ -270,21 +290,21 @@ def _generic_direction(fan: Fan, sigma=()):
     (y_{a,i} - t x_i) u_i with t = y_{a,p} / x_p.  A cone of det 0 has no
     coordinates, and then no k works.
 
-    With a center sigma, the coordinates must moreover be pairwise distinct
-    on sigma in each cone that contains it.  They are then the coordinates
-    of a generic direction of the star subdivision at sigma (see
-    `_blow_up`), and c is the one `_generic_direction` picks on the
-    subdivided fan, under that fan's bound.  No k below the parent's own
-    (`Fan.generic`) qualifies, so that one is taken when it does.
+    With the star of a center sigma (`ToricModel._star`: each cone that
+    contains sigma, mapped to the positions of sigma's rays in it), the
+    coordinates must moreover be pairwise distinct at those positions.
+    They are then the coordinates of a generic direction of the star
+    subdivision at sigma (see `_blow_up`), and c is the one
+    `_generic_direction` picks on the subdivided fan, under that fan's
+    bound.  No k below the parent's own (`Fan.generic`) qualifies, so that
+    one is taken when it does.
     """
-    n = fan.dim
-    star = {ci: [cone.index(i) for i in sigma]
-            for ci, cone in enumerate(fan.max_cones) if sigma and set(sigma) <= set(cone)}
+    n, star = fan.dim, star or {}
 
     def distinct(coords):
         return all(len({coords[ci][p] for p in ps}) == len(ps) for ci, ps in star.items())
 
-    if sigma and distinct(fan.generic[1]):
+    if star and distinct(fan.generic[1]):
         return fan.generic
     bound = n * (n - 1) * (len(fan.max_cones) + sum(len(ps) - 1 for ps in star.values()))
     for k in range(2, bound + 3) if 0 not in fan.dets else ():  # a flat cone has no coordinates
@@ -321,16 +341,11 @@ def _localized(points, n: int) -> tuple[int, list[int], list[list[tuple]]]:
     return denom, [denom // w for w in weights], tables
 
 
-def _value(a, cone, ys) -> int:
-    """The value sum_{i in tau} a_i y_{tau,i} of the divisor a at the fixed
-    point of the cone tau, whose coordinates are ys."""
-    return sum(map(mul, map(a.__getitem__, cone), ys))
-
-
 def _blow_up(model: ToricModel) -> tuple[int, list[int], list[list[tuple]]]:
     """The fixed-point data of the blow-up of X along Z, in `_localized`
     form, with the values of (pi*L, E, K) and then pi*H, if any, read off
-    the parent fan in one integer pass.
+    the model's fixed-point record (`ToricModel._fixed_points`) and sigma's
+    star in one integer pass.
 
     The blow-up's fan is the star subdivision at sigma: each parent cone
     tau that contains sigma gives way to the cones tau_i, i in sigma, that
@@ -341,21 +356,21 @@ def _blow_up(model: ToricModel) -> tuple[int, list[int], list[list[tuple]]]:
     y_i prod_{j != i} (y_j - [j in sigma] y_i), and the values
     pi*D = D(tau), E = y_i and K = -sum_tau y + (|sigma| - 1) y_i, the last
     from K = -sum_rho D_rho (8.2).  Every other cone stays, with E = 0 and
-    K = -sum y.  For a single ray tau_i is tau, and E = D_sigma.
+    K = -sum y.  For a single ray tau_i is tau, and E = D_sigma.  The star
+    gives the positions of sigma's rays in tau, so j in sigma is a test of
+    position, and y the sigma-distinct coordinates that the values share.
     """
-    sigma = set(model.sigma)
-    _, coords = _generic_direction(model.fan, model.sigma)
+    star, (coords, values, _) = model._star, model._fixed_points
     points = []
-    for cone, ys in zip(model.fan.max_cones, coords):
-        pi_l, *pi_h = (_value(a, cone, ys) for a in model._divisors)
+    for ci, (ys, (pi_l, *pi_h)) in enumerate(zip(coords, zip(*values))):
         canonical = -sum(ys)
-        if not sigma <= set(cone):
+        ps = star.get(ci, ())
+        if not ps:
             points.append((prod(ys), (pi_l, 0, canonical, *pi_h)))
-            continue
-        for i in model.sigma:
-            y = ys[cone.index(i)]
-            weight = y * prod(x - y if j in sigma else x for j, x in zip(cone, ys) if j != i)
-            points.append((weight, (pi_l, y, canonical + (len(sigma) - 1) * y, *pi_h)))
+        for p in ps:
+            y = ys[p]
+            weight = y * prod(x - y if q in ps else x for q, x in enumerate(ys) if q != p)
+            points.append((weight, (pi_l, y, canonical + (len(ps) - 1) * y, *pi_h)))
     return _localized(points, model.fan.dim)
 
 
@@ -372,44 +387,53 @@ def _intersect(localized, exponents) -> int:
     return sum(terms)
 
 
-def _wall_degrees(fan: Fan, divisors, walls):
-    """Yield (rays, (a, b), degrees) per wall of a smooth fan, for the walls
-    given as (facet, incidence) pairs of `Fan.facets`, each with two cones:
-    the wall's rays, the opposite rays a of its first cone and b of the
-    other, and the degree of each divisor on the wall's curve, an int.
+def _wall_degrees(fan: Fan, coords, values):
+    """Yield (rays, incidence, degrees) per wall of a smooth fan whose every
+    facet has two cones, in the order of `Fan.facets`: the wall's rays, its
+    incidence ((a, i_a), (b, i_b)), the two cones and their opposite rays,
+    and the degree of each divisor on the wall's curve, an int.  coords are
+    the coordinates y_tau of a direction c with no zero coordinate, and
+    values hold, per divisor, its value at each cone's fixed point,
+    L(tau) = sum_{i in tau} a_i y_{tau,i}.
 
     The curve is the T-curve between the fixed points of the two cones, so
-    its degree is L.C = (L(a) - L(b)) / y_{a,a}, with L(tau) the divisor's
-    value at the fixed point tau (`_value`) and y the generic direction's
-    coordinates (Goresky-Kottwitz-MacPherson 1998).  Proof: the relation
-    u_b = -u_a + sum_i c_i u_i over the wall's rays turns
-    c = y_{a,a} u_a + sum_i y_{a,i} u_i into b's expansion, so
-    y_{b,b} = -y_{a,a} and y_{b,i} = y_{a,i} + c_i y_{a,a}, and
-    L(a) - L(b) = y_{a,a} (a_a + a_b - sum_i c_i a_i), the support-function
-    degree (Cox-Little-Schenck, Toric Varieties, 6.3-6.4).  When
-    y_{b,b} != -y_{a,a}, u_b has no such expansion: both cones lie on one
-    side of the wall, and ToricError says so.
+    its degree is L.C = (L(a) - L(b)) / y_{a,a}, with y_{a,a} the coordinate
+    of c on a's opposite ray (Goresky-Kottwitz-MacPherson 1998).  Proof:
+    on smooth cones a's rays are a basis, in which u_b = s u_a +
+    sum_i c_i u_i over the wall's rays, and s = +-1 since b is smooth too.
+    This turns c = y_{a,a} u_a + sum_i y_{a,i} u_i into b's expansion:
+    y_{b,b} = y_{a,a} / s and y_{b,i} = y_{a,i} - c_i y_{a,a} / s.  When
+    s = -1, the cones lie on opposite sides of the wall, y_{b,b} = -y_{a,a},
+    and L(a) - L(b) = y_{a,a} (a_a + a_b - sum_i c_i a_i), the
+    support-function degree (Cox-Little-Schenck, Toric Varieties, 6.3-6.4).
+    When s = 1, both cones lie on one side, y_{b,b} = y_{a,a} != -y_{a,a},
+    and ToricError says so.  Neither the test nor the degree depends on c,
+    as long as its coordinates are nonzero: `Fan.generic` and the
+    sigma-distinct direction of a model give the same walls.
     """
-    cones, (_, coords) = fan.max_cones, fan.generic
-    values = [[_value(a, cone, ys) for cone, ys in zip(cones, coords)] for a in divisors]
-    for facet, ((ca, ia), (cb, ib)) in walls:
+    cones = fan.max_cones
+    for facet, inc in fan.facets:
+        (ca, ia), (cb, ib) = inc
         y = coords[ca][cones[ca].index(ia)]
         if coords[cb][cones[cb].index(ib)] != -y:
             if not facet:
                 raise ToricError("wall data inconsistent in dimension one")
             raise ToricError(f"wall data inconsistent at {facet}")
-        yield facet, (ia, ib), [(v[ca] - v[cb]) // y for v in values]
+        yield facet, inc, [(v[ca] - v[cb]) // y for v in values]
 
 
-def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
+def nef_threshold(model: ToricModel) -> Fraction:
     """sup{t >= 0 : pi*L - tE nef} on the blow-up along the orbit closure Z
     of sigma, for a model that `ToricModel.validate` passes: the least
     degree L.C of L on the invariant curves that leave Z at its fixed
     points, the curves of the walls tau - i with tau a maximal cone that
     contains sigma and i in sigma (the opposite-ray walls).  So it is an
     integer (returned as a Fraction), as the Seshadri constant at a
-    torus-fixed point is (Di Rocco, Math. Z. 1999).  The degrees are read
-    off the fixed-point values of L (`_wall_degrees`).
+    torus-fixed point is (Di Rocco, Math. Z. 1999).  The walls and their
+    degrees come from the model's fixed-point record
+    (`ToricModel._fixed_points`): a wall is tau - i exactly when its
+    incidence holds (tau, i) with tau in sigma's star and i in sigma, so
+    no facet is scanned and no degree is computed again.
 
     A divisor is nef when its degree on every wall's curve is >= 0
     (Cox-Little-Schenck, Toric Varieties, 6.3-6.4; Fulton, Introduction to
@@ -429,11 +453,9 @@ def nef_threshold(fan: Fan, L: tuple[int, ...], sigma) -> Fraction:
     L being nef, so L.C' <= L.C_W / (-c_i).  The proof uses smooth cones:
     simplicial fans must revisit it.
     """
-    sigma = set(sigma)
-    leaving = [(facet, inc) for facet, inc in fan.facets
-               if len(sigma.intersection(facet)) + 1 == len(sigma)
-               and sigma.intersection(ray for _, ray in inc)]
-    eps = min(degree for _, _, (degree,) in _wall_degrees(fan, (L,), leaving))
+    star, sigma = model._star, model.sigma
+    eps = min(degrees[0] for _, inc, degrees in model._fixed_points[2]
+              if any(ci in star and i in sigma for ci, i in inc))
     if eps <= 0:
         raise ToricError("nef threshold is zero: center not permissible")
     return Fraction(eps)
@@ -588,11 +610,21 @@ class ToricModel:
     """Combinatorial (X, L, Z): a fan, a nef and big divisor, an optional
     ample companion H, and the smooth cone sigma whose orbit closure is Z;
     immutable by convention.  sigma is kept sorted and without repeats, L
-    and H as tuples."""
+    and H as tuples.
+
+    Construction also builds sigma's star (`_star`): each maximal cone that
+    contains sigma, mapped to the positions of sigma's rays in it, in
+    sigma's order.  It is the one place that decides sigma <= tau.  The
+    fixed-point record (`_fixed_points`) and the blow-up's data (`_points`)
+    are computed once, on first use, and `validate`, `nef_threshold`,
+    `_blow_up` and `export_table` read only these.
+    """
 
     def __init__(self, label: str, fan: Fan, L: tuple[int, ...], sigma: tuple[int, ...],
                  H: tuple[int, ...] | None = None):
         self.label, self.fan, self.L, self.H = label, fan, L, H
+        sigma = tuple(sigma)
+        _require_ints(sigma, "sigma entry")
         self.sigma = tuple(sorted(set(sigma)))
         for name, divisor in (("L", L), ("H", H)):
             if divisor is None:
@@ -601,24 +633,24 @@ class ToricModel:
             setattr(self, name, divisor)
             if len(divisor) != len(self.fan.rays):
                 raise ToricError(f"{name} coefficient count does not match the fan")
-            for i, a in enumerate(divisor):
-                if isinstance(a, bool) or not isinstance(a, int):
-                    raise ToricError(f"{name} coefficient {i} is {a}, not an integer")
+            _require_ints(divisor, name + " coefficient")
         self._divisors = (self.L,) if self.H is None else (self.L, self.H)
         if not self.sigma:
             raise ToricError("sigma is empty")
         if not all(0 <= i < len(self.fan.rays) for i in self.sigma):
             raise ToricError("sigma references a missing ray")
+        self._star = {ci: tuple(map(cone.index, self.sigma))
+                      for ci, cone in enumerate(fan.max_cones) if set(self.sigma) <= set(cone)}
 
     def validate(self) -> list[str]:
         """One message per failed check; empty when the model is valid."""
         errors = check_fan(self.fan)
-        if not any(set(self.sigma) <= set(c) for c in self.fan.max_cones):
+        if not self._star:
             errors.append(f"sigma {self.sigma} is not a face of any cone")
         if errors:
             return errors
         try:
-            walls = list(_wall_degrees(self.fan, self._divisors, self.fan.facets))
+            walls = self._fixed_points[2]
         except ToricError as exc:  # a wall with both cones on one side
             return [str(exc)]
         l_nef = True
@@ -634,6 +666,20 @@ class ToricModel:
         return errors
 
     @cached_property
+    def _fixed_points(self) -> tuple[list[tuple], list[list[int]], list[tuple]]:
+        """The model's fixed-point data, for a fan that `check_fan` passes
+        and a sigma with a star: the coordinates y_tau of the sigma-distinct
+        generic direction (`_generic_direction` at `_star`), each divisor's
+        values L(tau) = sum_{i in tau} a_i y_{tau,i} at the parent fixed
+        points, one list per divisor of L and H, and every wall with its
+        incidence and degrees (`_wall_degrees`).  ToricError when a wall
+        has both cones on one side."""
+        _, coords = _generic_direction(self.fan, self._star)
+        values = [[sum(map(mul, map(a.__getitem__, cone), ys))
+                   for cone, ys in zip(self.fan.max_cones, coords)] for a in self._divisors]
+        return coords, values, list(_wall_degrees(self.fan, coords, values))
+
+    @cached_property
     def _points(self) -> tuple[int, list[int], list[list[tuple]]]:
         """`_blow_up`'s fixed-point data, shared by `validate` and
         `export_table`."""
@@ -644,9 +690,7 @@ def parse_toric_model(doc: dict) -> ToricModel:
     _require_keys(doc, {"kind", "label", "rays", "max_cones", "L", "sigma"}, {"H"})
 
     def int_list(key, v, shape="be a list of integers"):
-        if not isinstance(v, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in v
-        ):
+        if not isinstance(v, list) or not all(map(_is_int, v)):
             raise ModelError(f"field {key!r} must {shape}")
         return tuple(v)
 
@@ -683,7 +727,7 @@ def export_table(model: ToricModel):
     if errors:
         raise ToricError("; ".join(errors))
     n = model.fan.dim
-    eps = nef_threshold(model.fan, model.L, model.sigma)
+    eps = nef_threshold(model)
     points = model._points
     top = 0 if model.H is None else n
     # _blow_up's values are (pi*L, E, K[, pi*H]); K takes the exponent kappa

@@ -137,6 +137,16 @@ def kernel_calls(patch):
     return calls
 
 
+def wall_degrees(fan, divisors):
+    """`_wall_degrees` at `Fan.generic`, with each divisor's value at each
+    cone's fixed point summed here: (rays, opposite rays, degrees) per wall."""
+    _, coords = fan.generic
+    values = [[sum(a[i] * y for i, y in zip(cone, ys)) for cone, ys in zip(fan.max_cones, coords)]
+              for a in divisors]
+    for rays, ((_, ia), (_, ib)), degrees in _wall_degrees(fan, coords, values):
+        yield rays, (ia, ib), degrees
+
+
 class TestCheckFan:
     def test_p2_ok(self):
         assert check_fan(P2_FAN) == []
@@ -281,7 +291,7 @@ class TestCurveDegree:
 
     @staticmethod
     def degrees(fan, divisor):
-        walls = _wall_degrees(fan, (divisor,), fan.facets)
+        walls = wall_degrees(fan, (divisor,))
         package = {rays: deg for rays, _, (deg,) in walls}
         assert package == {w.rays: curve_degree(w, divisor) for w in walls_of(fan)}
         return package
@@ -300,7 +310,7 @@ class TestCurveDegree:
         p1 = Fan(((1,), (-1,)), ((0,), (1,)))
         assert self.degrees(p1, (2, 3)) == {(): 5}
         folded = Fan(((1,), (1,)), ((0,), (1,)))
-        for walls in (lambda: list(_wall_degrees(folded, ((2, 3),), folded.facets)),
+        for walls in (lambda: list(wall_degrees(folded, ((2, 3),))),
                       lambda: walls_of(folded)):
             with pytest.raises(ToricError, match="^wall data inconsistent in dimension one$"):
                 walls()
@@ -313,26 +323,26 @@ class TestNefThreshold:
 
     def test_p2_blowup(self):
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
-        assert nef_threshold(P2_FAN, (0, 0, 1), (0, 1)) == 1
+        assert nef_threshold(ToricModel("P2", P2_FAN, (0, 0, 1), (0, 1))) == 1
         assert wall_nef_threshold(fan, (0, 0, 1, 0), e_idx) == 1
 
     def test_threshold_is_a_fraction(self):
         # the least curve degree, and the reference's least quotient of curve
         # degrees, come back as Fractions, never as floats
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
-        for eps in (nef_threshold(P2_FAN, (0, 0, 3), (0, 1)),
+        for eps in (nef_threshold(ToricModel("P2 O(3)", P2_FAN, (0, 0, 3), (0, 1))),
                     wall_nef_threshold(fan, (0, 0, 3, 0), e_idx)):
             assert type(eps) is F and eps == 3
 
     def test_scales_with_l(self):
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
         for d in (2, 3, 5):
-            assert nef_threshold(P2_FAN, (0, 0, d), (0, 1)) == d
+            assert nef_threshold(ToricModel("P2 O(d)", P2_FAN, (0, 0, d), (0, 1))) == d
             assert wall_nef_threshold(fan, (0, 0, d, 0), e_idx) == d
 
     def test_f1_divisor_case(self):
         # L = 2H - E0 with E = the (1,1) ray's divisor
-        assert nef_threshold(F1_FAN, (0, 0, 2, -1), (3,)) == 1
+        assert nef_threshold(ToricModel("F1", F1_FAN, (0, 0, 2, -1), (3,))) == 1
         assert wall_nef_threshold(F1_FAN, (0, 0, 2, -1), 3) == 1
 
     def test_threshold_boundary_is_sharp(self):
@@ -340,7 +350,7 @@ class TestNefThreshold:
         # with a 0, and pi*L - (eps + 1/1000) E a negative one
         fan, e_idx = star_subdivide(P2_FAN, (0, 1))
         pi_l = (0, 0, 1, 0)
-        eps = nef_threshold(P2_FAN, pi_l[:3], (0, 1))
+        eps = nef_threshold(ToricModel("P2", P2_FAN, pi_l[:3], (0, 1)))
         e = tuple(int(i == e_idx) for i in range(4))
         at = [curve_degree(w, pi_l) - eps * curve_degree(w, e)
               for w in fan.walls]
@@ -578,6 +588,39 @@ class TestExportTable:
         export_table(model)
         assert built == [model.fan]
 
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_fixed_point_data_once(self, load_model, monkeypatch, name):
+        # one export reads every wall degree off one pass (`_wall_degrees`)
+        # and looks for the sigma-distinct direction at most once; then
+        # nef_threshold reads its walls off the model's fixed-point record,
+        # scanning no facets, and a second export computes none of it again
+        m = load_model(name)
+        model = ToricModel(m.label, Fan(m.fan.rays, m.fan.max_cones), m.L, m.sigma, m.H)
+        walls, starred = [], []
+
+        def counting_walls(*args):
+            walls.append(args)
+            return _wall_degrees(*args)
+
+        def counting_direction(fan, *star):
+            starred.extend(star)
+            return _generic_direction(fan, *star)
+
+        class Unscanned(tuple):
+            def __iter__(self):
+                raise AssertionError("Fan.facets scanned")
+
+        monkeypatch.setattr(toric_mod, "_wall_degrees", counting_walls)
+        monkeypatch.setattr(toric_mod, "_generic_direction", counting_direction)
+        table = export_table(model)
+        assert len(walls) == 1 and len(starred) <= 1
+        facets = model.fan.facets
+        model.fan.__dict__["facets"] = Unscanned(facets)
+        assert nef_threshold(model) == table.epsilon
+        model.fan.__dict__["facets"] = facets
+        assert export_table(model) == table
+        assert len(walls) == 1 and len(starred) <= 1
+
     def test_blown_up_p3_at_point_on_e(self, load_model):
         t = export_table(load_model("blp3_014"))
         assert entries(t) == ((7, 0, 0, 1), (-14, 0, 2))
@@ -632,7 +675,7 @@ class TestBlowUpFromParent:
         model = ToricModel("F1 point (1, 3)", F1_FAN, (0, 0, 2, -1), (1, 3))
         fan1, _, _, points = subdivided_localization(model)
         assert F1_FAN.generic[0] == (1, 2)
-        assert _generic_direction(F1_FAN, model.sigma)[0] == _generic_direction(fan1)[0] == (1, 3)
+        assert _generic_direction(F1_FAN, model._star)[0] == _generic_direction(fan1)[0] == (1, 3)
         assert _blow_up(model) == points
 
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
@@ -641,7 +684,7 @@ class TestBlowUpFromParent:
         # same weights and divisor values
         model = load_model(name)
         fan1, _, _, points = subdivided_localization(model)
-        assert _generic_direction(model.fan, model.sigma)[0] == _generic_direction(fan1)[0]
+        assert _generic_direction(model.fan, model._star)[0] == _generic_direction(fan1)[0]
         assert _blow_up(model) == points
 
     def test_matches_subdivided_fan(self, load_model):
@@ -661,7 +704,7 @@ class TestBlowUpFromParent:
                 continue
             outcomes[type(table).__name__] += 1
             centers.add((model.fan.dim, len(model.sigma)))
-            fallbacks += _generic_direction(model.fan, model.sigma) != model.fan.generic
+            fallbacks += _generic_direction(model.fan, model._star) != model.fan.generic
         assert set(outcomes) == {"IntersectionTable", "MixedTable", "nef threshold is zero",
                                  "L not nef", "L not big", "H not ample"}
         assert centers == {(n, k) for n in (2, 3, 4) for k in range(1, n + 1)}
@@ -714,7 +757,7 @@ def outcome(fan, model=None, divisors=()):
     if all(abs(det) == 1 for det in fan.dets) and all(len(inc) == 2 for _, inc in fan.facets):
         degrees = attempt(lambda: [
             (w.rays, w.opposite, [curve_degree(w, d) for d in divisors]) for w in fan.walls
-        ] if reference else list(_wall_degrees(fan, divisors, fan.facets)))
+        ] if reference else list(wall_degrees(fan, divisors)))
     validated = None
     if model is not None:
         validated = ref_validate(model) if reference else ToricModel(
@@ -872,6 +915,22 @@ class TestTheoremGate:
         flagged = [destabilized(IntersectionTable(t.label, t.n, t.den, *TABLE_MUTANTS[mutant](t)))
                    for t in tables]
         assert any(flagged)
+
+    def test_oracle_matches_at_half_epsilon(self, csck_models, tables):
+        """The gate's models of dimension at most 3, 160 of them, checked
+        against the lattice-point oracle, which shares no code with the
+        table path: `oracle.verify` at c = epsilon/2 must give exact_match.
+        Products of projective spaces with any O(d_1, ..., d_k) and dP6
+        with its products under -K are cscK (Wang-Zhu, Adv. Math. 2004 for
+        dP6), hence slope semistable along every sigma (Ross-Thomas,
+        J. Differential Geom. 2006), so their exported tables are the ones
+        the theorem speaks about; here the oracle pins each entry of them,
+        not only the sign."""
+        small = [(model, table) for model, table in zip(csck_models, tables)
+                 if model.fan.dim <= 3]
+        assert len(small) == 160
+        assert [model.label for model, table in small
+                if not oracle.verify(model, (table.epsilon / 2,))[0].exact_match] == []
 
     def test_negative_control(self, load_model):
         # F_1 = Bl_p P^2 along E, a polarization with no cscK metric: the
@@ -1096,6 +1155,32 @@ class TestModelValidation:
             ToricModel("fractional", fan, L, (0,), H)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("rays, cones, message", [
+        # check_fan met a float det: AttributeError in _show_number
+        (((1.5, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)),
+         "ray (1.5, 0) entry 0 is 1.5, not an integer"),
+        # export met the index: TypeError
+        (((1, 0), (0, 1), (-1, -1)), ((0.0, 1), (1, 2), (0, 2)),
+         "cone (0.0, 1) entry 0 is 0.0, not an integer"),
+        (((1, 0), (0, 1), (-1, -1)), ((0, True), (1, 2), (0, 2)),
+         "cone (0, True) entry 1 is True, not an integer"),
+    ], ids=["float ray entry", "float cone index", "bool cone index"])
+    def test_non_integer_fan_refused(self, rays, cones, message):
+        with pytest.raises(ToricError) as err:
+            Fan(rays, cones)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("sigma, message", [
+        # exported a table, on which oracle.verify met a TypeError
+        ((0.0,), "sigma entry 0 is 0.0, not an integer"),
+        # silently meant ray 1
+        ((True,), "sigma entry 0 is True, not an integer"),
+    ], ids=["float", "bool"])
+    def test_non_integer_sigma_refused(self, sigma, message):
+        with pytest.raises(ToricError) as err:
+            ToricModel("P2", P2_FAN, (0, 0, 1), sigma)
+        assert str(err.value) == message
+
 class TestIntegerKernel:
     """The integer adjugate kernel against Fraction Gauss-Jordan elimination."""
 
@@ -1143,7 +1228,7 @@ class TestIntegerKernel:
             for cone, ys in zip(fan.max_cones, coords):
                 rows = [[fan.rays[i][d] for i in cone] for d in range(fan.dim)]
                 assert list(ys) == gauss_jordan_solve(rows, c)
-            for rays, opposite, degrees in _wall_degrees(fan, divisors, fan.facets):
+            for rays, opposite, degrees in wall_degrees(fan, divisors):
                 wall = Wall(rays, opposite, None)
                 assert degrees == [reference_curve_degree(fan, wall, d) for d in divisors]
         eps = export_table(model).epsilon
@@ -1160,7 +1245,7 @@ class TestIntegerKernel:
         # the wall (1,) between the cones (0, 1) and (1, 2), opposite rays 0 and 2
         wall = Wall((1,), (0, 2), ())
         assert reference_curve_degree(fan, wall, (1,) * 5) is None
-        for walls in (lambda: list(_wall_degrees(fan, ((1,) * 5,), fan.facets)),
+        for walls in (lambda: list(wall_degrees(fan, ((1,) * 5,))),
                       lambda: walls_of(fan)):
             with pytest.raises(ToricError, match=r"^wall data inconsistent at \(1,\)$"):
                 walls()
