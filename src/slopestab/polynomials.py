@@ -7,7 +7,8 @@ common denominator: it is fitted in integers, evaluates by one integer
 Horner pass, and builds its Fraction coefficients only when they are
 read; isolation runs on integers too, over the dyadic grid
 lo + i (hi - lo) / 2^k of its window, and builds a Fraction only for a
-result.  Everything here is pure and deterministic; no floats anywhere.
+result, and divides no root out.  Everything here is pure and
+deterministic; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -272,16 +273,6 @@ def _checked_window(p: UniPoly, lo, hi) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def descartes_bound(p: UniPoly, lo, hi) -> int:
-    """A bound on the roots of the nonzero p in the open interval (lo, hi),
-    counted with multiplicity, of their parity and exact when 0 or 1:
-    Descartes' rule after the map u = 1/(1 + t) of (0, inf) onto its (0, 1).
-    Like `isolate_roots`, raises ValueError for the zero polynomial and for
-    an empty window (lo >= hi)."""
-    c = _window(p.integer_form[0], *_checked_window(p, lo, hi))[0]
-    return sign_variations(_shift(c[::-1]))
-
-
 def _isolate(c: list[int]):
     """Cells (i, k, s), left to right, each holding one root of the
     square-free c(u) in (i/2^k, (i + 1)/2^k] and together all: its right
@@ -304,18 +295,18 @@ def _isolate(c: list[int]):
 
 def _cells(ints: Sequence[int], lo: Fraction, hi: Fraction):
     """(base, step, den, cells): the grid of (lo, hi] from `_window`, and
-    the cells of `_isolate` on it, left to right."""
+    the cells of `_isolate` on it, left to right, but the exact one at hi."""
     c, base, step, den = _window(ints, lo, hi)
-    return base, step, den, list(_isolate(c))
+    return base, step, den, [cell for cell in _isolate(c) if cell[2]]
 
 
 def _refine(ints: Sequence[int], grid, width: Fraction):
-    """For each root in (lo, hi] of `ints`, square-free with no rational root,
-    its cell of the grid of (lo, hi] at the first level where the cell is
-    at most `width` wide, lies strictly inside and holds no other: by the
-    exact cells (i, k) of `_isolate` in `grid` = `_cells(ints, lo, hi)`
-    (level j <= k holds the root in cell i >> (k - j)), then by halving on
-    the sign alone."""
+    """For each root of `ints` in (lo, hi), simple and irrational, its cell
+    of the grid of (lo, hi] at the first level where the cell is at most
+    `width` wide, lies strictly inside and holds no other root: by the
+    cells (i, k) in `grid` = `_cells(ints, lo, hi)` (level j <= k holds the
+    root in cell i >> (k - j)), then by halving on the sign alone.  So the
+    output depends only on the grid and the roots in (lo, hi]."""
     base, step, den, cells = grid
     need, have = step * width.denominator, width.numerator * den  # width <= need/have
     for n, (i, k, s) in enumerate(cells):
@@ -334,19 +325,17 @@ def _refine(ints: Sequence[int], grid, width: Fraction):
         yield IsolatingInterval(Fraction(a, den << j), Fraction(a + step, den << j))
 
 
-def _root_in(ints: Sequence[int], a: int, step: int, den: int):
+def _root_in(ints: Sequence[int], a: int, step: int, den: int, sign_b: int):
     """The root in the cell (a/den, (a + step)/den] if it is rational, else
-    None; the cell must hold exactly one root of the square-free integer
-    polynomial `ints`.
+    None; the cell must hold exactly one root of the integer polynomial
+    `ints`, a simple one strictly inside, and `ints` must have the sign
+    sign_b != 0 at its right end.
 
     A rational root of `ints` has a denominator dividing its leading
     coefficient `lead`, so it is a multiple of 1/lead.  Halving the cell on
     the sign alone, on the same grid, narrows it below 1/lead, where at most
     one multiple of 1/lead lies: the root, if it is rational.
     """
-    sign_b = _sign(_horner(ints, a + step, den))
-    if sign_b == 0:
-        return Fraction(a + step, den)
     lead = abs(ints[-1])
     span = lead * step
     while span >= den:  # the cell is at least 1/lead wide
@@ -356,7 +345,7 @@ def _root_in(ints: Sequence[int], a: int, step: int, den: int):
             return Fraction(a + step, den)
         if s != sign_b:
             a += step
-    y = (a + step) * lead // den  # the last multiple of 1/lead <= the right end
+    y = ((a + step) * lead - 1) // den  # the last multiple of 1/lead below the right end
     if y * den > a * lead and not _horner(ints, y, lead):
         return Fraction(y, lead)
     return None
@@ -368,31 +357,39 @@ def isolate_roots(
     """Isolate the distinct real roots of p in the window (lo, hi], left to
     right.
 
-    `_root_in` tests each cell of `_isolate`, one root of the square-free
-    part of p a cell, for a rational root: a degenerate interval (lo == hi),
-    then divided out.  These cut the window into segments, and `_refine`
-    gives every other root an interval of width <= `width` on the grid of
-    its segment, whose ends are neither a segment end nor a root; a window
-    with no exact root is one segment, refined from its first cells."""
+    One Descartes test of the window on p's own integer form counts its
+    sign variations, plus one for a root at hi.  Below 2 the window is one
+    cell: no root, an exact root at hi, or one simple root inside; from 2
+    on, `_isolate` splits it into cells of one root of the square-free part
+    of p, kept through the call.  `_root_in` tests each cell for a rational
+    root, a degenerate interval (lo == hi); these cut the window into
+    segments, and `_refine` gives every other root an interval of width <=
+    `width` on the grid of its segment, whose ends are neither a segment end
+    nor a root; a window with no exact root is refined from its first cells."""
     lo, hi = _checked_window(p, lo, hi)
-    ints = _squarefree(p.integer_form[0])
-    grid = _cells(ints, lo, hi)
-    base, step, den, cells = grid
+    ints = p.integer_form[0]
+    c, base, step, den = _window(ints, lo, hi)
+    t = _shift(c[::-1])
+    count = sign_variations(t) + (not t[0])
+    if count < 2:
+        cells = [(0, 0, _sign(t[0]))] if count else []
+    else:
+        ints = _squarefree(ints)
+        cells = list(_isolate(_window(ints, lo, hi)[0]))
     out, a, irrational = [], lo, False
     for i, k, s in cells:
         x, d = (base << k) + i * step, den << k
-        b = _root_in(ints, x, step, d) if s else Fraction(x + step, d)
+        b = _root_in(ints, x, step, d, s) if s else Fraction(x + step, d)
         if b is None:
             irrational = True
             continue
-        # the segment (a, b], then b, which leaves the polynomial
-        ints = _primitive(_pseudo_divide(ints, [-b.numerator, b.denominator])[0])
-        if irrational:
+        if irrational:  # the segment (a, b], then b
             out.extend(_refine(ints, _cells(ints, a, b), width))
         out.append(IsolatingInterval(b, b))
         a, irrational = b, False
     if irrational:  # with no exact root in the window, its cells are the segment's
-        out.extend(_refine(ints, grid if a == lo else _cells(ints, a, hi), width))
+        grid = (base, step, den, cells) if a == lo else _cells(ints, a, hi)
+        out.extend(_refine(ints, grid, width))
     return out
 
 

@@ -4,7 +4,9 @@ numerator Q(c), exact destabilizing intervals, and ample-perturbation limits.
 All quantities are exact rationals or rational polynomials; verdicts are
 signs of exact evaluations, never approximations.  Every invariant is a
 polynomial in the table entries AE and KAE, built in closed form from the
-table's integers over its denominator: no Fraction arithmetic.
+table's integers over its denominator: no Fraction arithmetic.  Both
+verdicts, alpha0 > 0 on [0, epsilon) and the sign of Q on (0, epsilon],
+take one `polynomials.isolate_roots` call each.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .polynomials import (
     IsolatingInterval,
     UniPoly,
     _sign,
-    descartes_bound,
     isolate_roots,
 )
 
@@ -59,6 +60,15 @@ class SignInterval(namedtuple("SignInterval", "left right right_closed")):
 _VERDICTS = {1: "positive", -1: "negative", 0: "zero"}
 
 
+def _checked_c(c, epsilon: Fraction) -> Fraction:
+    """c as a Fraction, for c in (0, epsilon]; ModelError otherwise."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    if not 0 < c <= epsilon:
+        raise ModelError(f"c={c} outside (0, {_show_number(epsilon)}]")
+    return c
+
+
 class SlopeReport(namedtuple("SlopeReport", "epsilon mu Q destabilizing flat")):
     """The Fractions epsilon and mu, the UniPoly Q, the SignIntervals on
     which Q is negative, and whether Q is identically zero."""
@@ -66,9 +76,7 @@ class SlopeReport(namedtuple("SlopeReport", "epsilon mu Q destabilizing flat")):
     __slots__ = ()
 
     def verdict(self, c) -> str:
-        c = Fraction(c)
-        if not 0 < c <= self.epsilon:
-            raise ModelError(f"c={c} outside (0, {_show_number(self.epsilon)}]")
+        c = _checked_c(c, self.epsilon)
         if self.flat:
             return "flat"
         return _VERDICTS[_sign(self.Q.at(c.numerator, c.denominator)[0])]
@@ -85,17 +93,16 @@ def alpha_polys(table: IntersectionTable) -> AlphaPair:
         mu = -n KAE[0] / (2 AE[0])
 
     each built in integer form from the table's integers over its
-    denominator d.  Positivity of alpha0 on [0, epsilon) is verified
-    by one Descartes test, and by exact root isolation when that test
-    allows a root, not assumed.
+    denominator d.  Positivity of alpha0 on [0, epsilon) is verified, not
+    assumed, by `isolate_roots` on (0, epsilon], whose one Descartes test
+    settles an alpha0 with no root there.
     """
     n, d, ae, kae = table.n, table.den, table.ae, table.kae
     alpha0 = UniPoly._of([(-1) ** k * comb(n, k) * a for k, a in enumerate(ae)],
                          factorial(n) * d)
     if ae[0] <= 0:
         raise PositivityError(f"alpha0(0) = {_show_number(alpha0(0))} is not positive")
-    bound = descartes_bound(alpha0, 0, table.epsilon)  # 0: no root in (0, epsilon)
-    for iv in isolate_roots(alpha0, 0, table.epsilon) if bound else ():
+    for iv in isolate_roots(alpha0, 0, table.epsilon):
         # an exact root at epsilon itself is allowed (half-open positivity);
         # any non-exact interval holds an irrational root strictly below it
         if not (iv.is_exact and iv.lo == table.epsilon):
@@ -139,10 +146,7 @@ def mu_c(alpha: AlphaPair, c) -> Fraction:
     """The quotient slope: integral of (alpha1 + alpha0'/2) over [0, c]
     divided by the integral of alpha0, for c in (0, epsilon]; the Fraction
     of _mu_c_pair's reduced pair."""
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    if not 0 < c <= alpha.epsilon:
-        raise ModelError(f"c={c} outside (0, {_show_number(alpha.epsilon)}]")
+    c = _checked_c(c, alpha.epsilon)
     return Fraction(*_mu_c_pair(alpha, c.numerator, c.denominator))
 
 

@@ -416,8 +416,6 @@ def _wall_degrees(fan: Fan, coords, values):
         (ca, ia), (cb, ib) = inc
         y = coords[ca][cones[ca].index(ia)]
         if coords[cb][cones[cb].index(ib)] != -y:
-            if not facet:
-                raise ToricError("wall data inconsistent in dimension one")
             raise ToricError(f"wall data inconsistent at {facet}")
         yield facet, inc, [(v[ca] - v[cb]) // y for v in values]
 

@@ -114,6 +114,24 @@ def product_model():
     return _product_model
 
 
+def _times_p1(model, d):
+    """X x P^1 with L x O(d) and the center Z x P^1: X's rays with a last
+    coordinate 0, then (0, ..., 0, 1) and (0, ..., 0, -1), each maximal cone
+    of X with one of the two, L with d on the last ray and sigma as it was.
+    No H."""
+    fan, k = model.fan, len(model.fan.rays)
+    rays = tuple((*ray, 0) for ray in fan.rays) + ((0,) * fan.dim + (1,),
+                                                    (0,) * fan.dim + (-1,))
+    cones = tuple((*cone, i) for cone in fan.max_cones for i in (k, k + 1))
+    return ToricModel(f"{model.label} x P1 O({d})", Fan(rays, cones), (*model.L, 0, d),
+                      model.sigma)
+
+
+@pytest.fixture(scope="session")
+def times_p1():
+    return _times_p1
+
+
 @pytest.fixture(scope="session")
 def csck_models():
     """A seeded sample of models over the two cscK families: 13 shapes of

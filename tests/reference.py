@@ -357,8 +357,6 @@ class PerConeFan(Fan):
             det, adj = self.adjugates[ca]
             x = dict(zip(self.max_cones[ca], _apply(det, adj, self.rays[ib]))) if det else {}
             if x.get(ia) != -1:
-                if not facet:
-                    raise ToricError("wall data inconsistent in dimension one")
                 raise ToricError(f"wall data inconsistent at {facet}")
             walls.append(Wall(facet, (ia, ib), tuple(x[i] for i in facet)))
         return tuple(walls)

@@ -2,8 +2,8 @@
 the layers that bench/spans.py traces, and the README's Library example.
 The traced path itself runs here too: installing and removing the tracer,
 and bench/run.py's box_points, which hands a model's L to the package.
-Conversely, every public function, method and property of the package has
-a caller outside the tests."""
+Conversely, every function, method and property of the package, public or
+private, has a caller outside the tests."""
 
 import ast
 import importlib
@@ -88,11 +88,12 @@ def _referenced(tree):
             yield from node.value.split(".")
 
 
-def test_every_public_function_has_a_caller():
-    # a public function, method or property that only the tests call is dead
-    # code: it is referenced elsewhere in the package (outside its own body),
-    # by the README's Library example, or by the benchmark (bench/spans.py
-    # traces it, bench/run.py imports it); dunders are exempt
+def _unreferenced(private):
+    """The functions, methods and properties of the package, public or
+    private as asked, that nothing refers to outside their own body: not
+    the package elsewhere, the README's Library example, or the benchmark
+    (bench/spans.py traces names, bench/run.py imports them).  Dunders are
+    exempt."""
     outside = set(_referenced(ast.parse(_readme_library())))
     for name in ("spans.py", "run.py"):
         outside.update(_referenced(ast.parse((ROOT / "bench" / name).read_text())))
@@ -105,15 +106,26 @@ def test_every_public_function_has_a_caller():
         node
         for statement in statements
         for node in (statement.body if isinstance(statement, ast.ClassDef) else [statement])
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") == private
+        and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     package = Counter(name for node in statements for name in _referenced(node))
-    unreferenced = [
+    return [
         node.name
         for node in defs
         if node.name not in outside and package[node.name] == Counter(_referenced(node))[node.name]
     ]
-    assert unreferenced == []
+
+
+def test_every_public_function_has_a_caller():
+    # a public function, method or property that only the tests call is dead
+    # code
+    assert _unreferenced(private=False) == []
+
+
+def test_every_private_function_has_a_caller():
+    # so is a private one that only its own body or the tests refer to
+    assert _unreferenced(private=True) == []
 
 
 def test_readme_library_imports():

@@ -24,7 +24,6 @@ from slopestab.polynomials import (
     IsolatingInterval,
     UniPoly,
     WitnessMismatch,
-    descartes_bound,
     fit_polynomial,
     isolate_roots,
     rational_roots,
@@ -425,18 +424,27 @@ def squarefree(p):
 def first_cells(p, lo, hi):
     """The square-free integer polynomial that `_root_in` searches, and the
     integer cells (a, step, den) of the first bisection of `isolate_roots` on
-    (lo, hi]."""
+    (lo, hi], each with the sign s of that polynomial at its right end."""
     ints = squarefree(p)
     c, base, step, den = polynomials._window(ints, F(lo), F(hi))
-    return ints, [((base << k) + i * step, step, den << k)
-                  for i, k, _ in polynomials._isolate(c)]
+    return ints, [((base << k) + i * step, step, den << k, s)
+                  for i, k, s in polynomials._isolate(c)]
+
+
+def window_count(ints, lo, hi):
+    """The Descartes count of the integer polynomial `ints` on the open
+    interval (lo, hi): the sign variations of its window polynomial on
+    (0, 1), reversed and shifted by one."""
+    c = polynomials._window(ints, F(lo), F(hi))[0]
+    return polynomials.sign_variations(polynomials._shift(c[::-1]))
 
 
 class TestRootIn:
     """`_root_in` bisects until its cell is narrower than 1/lead, then tests
-    the one multiple of 1/lead left in it: at most bits(lead step / den) + 2
-    evaluations on the cell (a/den, (a + step)/den], one at its right end,
-    one per level and one for that multiple."""
+    the one multiple of 1/lead left in it: at most bits(lead step / den) + 1
+    evaluations on the cell (a/den, (a + step)/den], one per level, at its
+    midpoint, and one for that multiple.  The sign at the right end is the
+    caller's, so that end is never evaluated."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -451,10 +459,11 @@ class TestRootIn:
         return seen
 
     @staticmethod
-    def root_in(calls, ints, a, step, den):
+    def root_in(calls, ints, a, step, den, s):
         calls.clear()
-        r = polynomials._root_in(ints, a, step, den)
-        assert len(calls) <= (abs(ints[-1]) * step // den).bit_length() + 2
+        r = polynomials._root_in(ints, a, step, den, s)
+        assert len(calls) <= (abs(ints[-1]) * step // den).bit_length() + 1
+        assert F(a + step, den) not in [F(*c[1:]) for c in calls]
         return r
 
     def test_evaluations_bounded_on_planted_roots(self, calls):
@@ -475,8 +484,9 @@ class TestRootIn:
                 ints, cells = first_cells(p, 0, 2)
                 leads.add(len(str(abs(ints[-1]))))
                 found = set()
-                for a, step, den in cells:
-                    r = self.root_in(calls, ints, a, step, den)
+                for a, step, den, s in cells:
+                    # a cell with its root at the right end is not searched
+                    r = self.root_in(calls, ints, a, step, den, s) if s else F(a + step, den)
                     if r is not None:
                         assert F(a, den) < r <= F(a + step, den) and p(r) == 0
                         found.add(r)
@@ -484,18 +494,18 @@ class TestRootIn:
         assert min(leads) <= 2 and max(leads) == 80
 
     def test_multiple_of_one_over_lead_that_is_not_a_root(self, calls):
-        # (x^2 - 2)(3x - 1) on (1, 3/2]: one step leaves (5/4, 3/2), whose one
-        # multiple of 1/3, 4/3, is tested and refused
+        # (x^2 - 2)(3x - 1) on (1, 3/2], positive at 3/2: one step leaves
+        # (5/4, 3/2), whose one multiple of 1/3, 4/3, is tested and refused
         ints = squarefree(product([-2, 0, 1], [-1, 3]))
-        assert self.root_in(calls, ints, 2, 1, 2) is None
-        assert [F(*c[1:]) for c in calls] == [F(3, 2), F(5, 4), F(4, 3)]
+        assert self.root_in(calls, ints, 2, 1, 2, 1) is None
+        assert [F(*c[1:]) for c in calls] == [F(5, 4), F(4, 3)]
 
     def test_midpoint_hits_the_root(self, calls):
-        # the root 3/8 is the third midpoint of (0, 1]; no multiple of 1/lead
-        # is tested after it
+        # the root 3/8 is the third midpoint of (0, 1], negative at 1; no
+        # multiple of 1/lead is tested after it
         ints = squarefree(product([-3, 8], [-7 * 10**30 - 1, 0, 10**30]))
-        assert self.root_in(calls, ints, 0, 1, 1) == F(3, 8)
-        assert [F(*c[1:]) for c in calls] == [1, F(1, 2), F(1, 4), F(3, 8)]
+        assert self.root_in(calls, ints, 0, 1, 1, -1) == F(3, 8)
+        assert [F(*c[1:]) for c in calls] == [F(1, 2), F(1, 4), F(3, 8)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_denominators_of_hundreds_of_digits(self, seed):
@@ -532,19 +542,28 @@ class TestIsolateRoots:
         assert ivs[0].is_exact and ivs[0].lo == F(1, 2)
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
+        # a refusal, not a window count of 0
+        with pytest.raises(ValueError, match="^cannot isolate roots of the zero polynomial$"):
             isolate_roots(UniPoly(), 0, 1)
 
-    def test_descartes_bound_zero_polynomial_rejected(self):
-        # the refusal of isolate_roots, not a count of 0
+    def test_descartes_bound_zero_polynomial_rejected(self, monkeypatch):
+        # the refusal comes before the window's Descartes bound is taken:
+        # the zero polynomial has no sign variations to count
+        def counted(coeffs):
+            raise AssertionError("Descartes bound taken on the zero polynomial")
+
+        monkeypatch.setattr(polynomials, "sign_variations", counted)
         with pytest.raises(ValueError, match="^cannot isolate roots of the zero polynomial$"):
-            descartes_bound(UniPoly(), 0, 1)
+            isolate_roots(UniPoly(), 0, 1)
+        # the bound is still taken on a nonzero polynomial
+        with pytest.raises(AssertionError, match="^Descartes bound taken"):
+            isolate_roots(poly(-1, 1), 0, 1)
 
     @pytest.mark.parametrize("lo, hi", [(2, 0), (1, 1), (F(1, 2), F(1, 3))])
-    def test_descartes_bound_empty_window_rejected(self, lo, hi):
-        # the refusal of isolate_roots, not a count on the reversed window
+    def test_empty_window_rejected(self, lo, hi):
+        # a refusal, not a count on the reversed window
         with pytest.raises(ValueError, match="^empty interval$"):
-            descartes_bound(poly(-1, 1), lo, hi)
+            isolate_roots(poly(-1, 1), lo, hi)
 
     def test_endpoints_stay_clear_of_window_bounds(self):
         # root at 1 - 1/sqrt(2) ~ 0.2929 near nothing special; window (0, 1]
@@ -597,6 +616,50 @@ class TestIsolateRoots:
         monkeypatch.setattr(polynomials, "_coprime_mod", recorded)
         isolate_roots(p, lo, hi)
         assert results == [square_free]
+
+    @pytest.mark.parametrize("p, lo, hi, calls", [
+        (poly(-2, 0, 1), 0, 1, 0),  # no root in the window
+        (product([-1, 2], [-1, 2]), 0, F(1, 2), 0),  # a double root at hi
+        # a simple root beside a double one at 3, outside the window:
+        # rational, then irrational
+        (product([-1, 1], [-3, 1], [-3, 1]), 0, 2, 0),
+        (product([-2, 0, 1], [-3, 1], [-3, 1]), 0, 2, 0),
+        (product([-2, 0, 1], [-3, 1], [-3, 1]), 0, 4, 1),  # the double root inside
+        (MIXED_SQUARE_FREE, -1, 2, 1),  # four simple roots
+    ])
+    def test_squarefree_only_for_a_count_of_two(self, monkeypatch, p, lo, hi, calls):
+        # one Descartes test of the window on p itself: below a count of 2
+        # the window is one cell, and only from 2 on is the square-free part
+        # of p taken and bisected
+        seen = []
+        real = polynomials._squarefree
+
+        def counted(ints):
+            seen.append(ints)
+            return real(ints)
+
+        monkeypatch.setattr(polynomials, "_squarefree", counted)
+        width = F(1, 2**30)
+        assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (0, F(2, 3)), (F(1, 3), 2), (F(1, 2), F(3, 2))])
+    def test_no_polynomial_division_past_the_square_free_part(self, monkeypatch, lo, hi):
+        # (3x - 1)(3x - 2)(x^2 - 2)(x - 1/2)^2: its exact roots are not
+        # divided out; the call keeps the one square-free part throughout
+        p = product([-1, 3], [-2, 3], [-2, 0, 1], [-1, 2], [-1, 2])
+        part = squarefree(p)
+
+        def refused(*args):
+            raise AssertionError("polynomial division")
+
+        monkeypatch.setattr(polynomials, "_squarefree", lambda ints: part)
+        monkeypatch.setattr(polynomials, "_pseudo_divide", refused)
+        width = F(1, 2**30)
+        ivs = isolate_roots(p, lo, hi, width)
+        monkeypatch.undo()
+        assert ivs == ref_isolate_roots(p, lo, hi, width)
+        assert any(iv.is_exact for iv in ivs)
 
     def test_exact_roots_evaluated_once(self, monkeypatch):
         # (3x - 1)(3x - 2)(x^2 - 2) on (0, 2]: no grid point is 1/3 or 2/3;
@@ -671,9 +734,49 @@ def random_case(rng):
     return product(*factors), lo, hi, width
 
 
+def exact_inside_case(rng):
+    """A polynomial m x^2 - k with irrational roots, sqrt(k/m) in (0, 3),
+    times one or two linear factors whose rational roots lie strictly inside
+    the window (0, 3], half of them within 1/den of sqrt(k/m); one case in
+    twenty has a denominator of 5 to 100 digits, the rest have 1 to 4.  One
+    case in ten has a random quadratic factor too.  Returns the polynomial,
+    its planted rational roots, the largest denominator's digit count, and
+    a width 2^-1..2^-12."""
+    m = rng.randint(1, 9)
+    k = rng.choice([x for x in range(1, 9 * m) if isqrt(x * m) ** 2 != x * m])
+    factors, roots, most = [[-k, 0, m]], set(), 0
+    if rng.random() < 0.1:
+        factors.append([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)])
+    for j in range(rng.randint(1, 2)):
+        digits = rng.randint(5, 100) if j == 0 and rng.random() < 0.05 else rng.randint(1, 4)
+        den = rng.randint(10 ** (digits - 1), 10**digits - 1)
+        num = isqrt(k * den * den // m) + rng.randint(0, 1)  # next to sqrt(k/m)
+        if rng.random() < 0.5 or not 0 < num < 3 * den:
+            num = rng.randint(1, 3 * den - 1)
+        factors.append([-num, den])
+        roots.add(F(num, den))
+        most = max(most, len(str(den)))
+    return product(*factors), roots, most, F(1, 2 ** rng.randint(1, 12))
+
+
 class TestIntegerKernel:
     """The integer Descartes kernel against the Sturm counter over Fractions
     of `reference`."""
+
+    def test_exact_roots_inside_next_to_irrational_ones(self):
+        # exact roots strictly inside the window, so that each cuts it into
+        # segments refined on their own grids, with the polynomial that the
+        # call keeps throughout: its exact roots sit at the segments' ends
+        rng = random.Random(35)
+        digits, irrational = set(), 0
+        for _ in range(2000):
+            p, roots, most, width = exact_inside_case(rng)
+            ivs = isolate_roots(p, 0, 3, width)
+            assert ivs == ref_isolate_roots(p, 0, 3, width)
+            assert {iv.lo for iv in ivs if iv.is_exact} >= roots
+            irrational += sum(not iv.is_exact for iv in ivs)
+            digits.add(most)
+        assert max(digits) >= 95 and len(digits) > 40 and irrational >= 2000
 
     def test_isolate_roots_matches_fraction_reference(self):
         rng = random.Random(13)
@@ -681,7 +784,7 @@ class TestIntegerKernel:
         for _ in range(3000):
             p, lo, hi, width = random_case(rng)
             assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
-            deep += descartes_bound(p, lo, hi) >= 2
+            deep += window_count(p.integer_form[0], lo, hi) >= 2
         assert deep >= 600
 
     @pytest.mark.parametrize("p, lo, hi, width", [
@@ -705,7 +808,7 @@ class TestIntegerKernel:
                 y = F(y)
                 at_y = sign_at(seq[0], y.numerator, y.denominator) == 0
                 roots = sturm_count(seq, x) - sturm_count(seq, y) - at_y
-                bound = descartes_bound(UniPoly(seq[0]), x, y)
+                bound = window_count(seq[0], x, y)
                 assert bound >= roots and (bound - roots) % 2 == 0
                 assert bound == roots or bound >= 2
                 counts.add(min(bound, 3))
