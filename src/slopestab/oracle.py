@@ -7,15 +7,17 @@ coordinate x_k by the ones before it, so a prefix outside the polytope's
 projection is never visited; the levels along each slice are summed in
 closed form.  One kernel steps every level: a bounding row's value is kept
 as b + e * x along the coordinate x before it, so its dot product is taken
-once per prefix.  Each m-sample is counted in one walk for every c that
-needs it, with one capped weight total per c.  The default m-samples come in
-pairs m and -m: by Ehrhart-Macdonald reciprocity, the value at -m of each
-count's polynomial is read off the interior of m * P_L, which the same
-elimination bounds, so the largest dilation walked is about half the sample
-count times c's denominator.  The counts are fitted exactly to their
-asymptotic expansions, h0 once for all c, and the extracted invariant is
-compared against the slope engine's prediction.  Nothing here reuses the
-machinery of the table path."""
+once per prefix.  Each m-sample is walked once: the prefix budget's count
+walk keeps its steps, up to a fixed number held per verification, and the
+count reads them for every c that needs the sample, with one capped weight
+total per c.  The default m-samples come in pairs m and -m: by
+Ehrhart-Macdonald reciprocity, the value at -m of each count's polynomial
+is read off the interior of m * P_L, which the same elimination bounds, so
+the largest dilation walked is about half the sample count times c's
+denominator.  The counts are fitted exactly to their asymptotic
+expansions, h0 once for all c, and the extracted invariant, one Fraction of
+the fits' integer forms, is compared against the slope engine's
+prediction.  Nothing here reuses the machinery of the table path."""
 
 from __future__ import annotations
 
@@ -27,13 +29,15 @@ from operator import floordiv, mul
 
 from .models import _show_number
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
-from .slope import alpha_polys, df_numerator, mu_c, slope_mu
+from .slope import _mu_c_pair, alpha_polys, df_numerator, slope_mu
 from .toric import ToricError, ToricModel, export_table
 
 # most prefixes (x_1, ..., x_{n-1}) one count may visit over its m-samples
 _PREFIX_BUDGET = 2_000_000
 # most rows one elimination step of _levels may keep
 _ROW_LIMIT = 1_000
+# most walk steps (prefix, x_lo, count) held for _sample over one verification
+_HELD_STEPS = 2**17
 
 
 class WeightSample(namedtuple("WeightSample", "m h0 w")):
@@ -129,32 +133,45 @@ def _levels(model: ToricModel):
     return levels
 
 
-def _check_budget(levels, ms, counts: dict, explicit: bool) -> None:
+def _check_budget(levels, ms, counts: dict, explicit: bool, held=None) -> None:
     """Refuse, before any slice is enumerated, an m-list ms with an m that
     repeats or, when the list is explicit, is not positive, and a count that
     would visit more than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over
     its m-samples, the interior walks of negative m included.
     counts keeps each m's prefix count for the next m-list; an m not in it
     is counted only as far as the budget left.  Each m is checked as it is
-    reached, so the budget stops a long list before it is read to the end."""
+    reached, so the budget stops a long list before it is read to the end.
+    held, when given, keeps the steps of each m this call walks, the
+    (prefix, x_lo, count) that _walk yields, for _sample to read instead of
+    walking again, while all it holds stays within _HELD_STEPS; an m past
+    that is not held, and _sample walks it afresh."""
     total, seen = 0, set()
+    room = 0 if held is None else _HELD_STEPS - sum(map(len, held.values()))
     for m in ms:
         if explicit and m <= 0:
             raise ToricError(f"m={m} is not a positive m-sample")
         if m in seen:
             raise ToricError(f"m={m} is repeated in the m-list")
         seen.add(m)
+        steps = None
         if m not in counts:
-            count = 0
-            for _, _, x_count in _walk(levels, _walk_of(m)):
-                count += x_count
+            count, steps = 0, [] if room > 0 else None
+            for step in _walk(levels, _walk_of(m)):
+                count += step[2]
                 if total + count > _PREFIX_BUDGET:
                     break
+                if steps is not None:
+                    steps.append(step)
+                    if len(steps) > room:
+                        steps = None
             counts[m] = count
         total += counts[m]
         if total > _PREFIX_BUDGET:
             raise ToricError(f"lattice-point budget exceeded at m={m}: more "
                              f"than {_PREFIX_BUDGET} prefixes to enumerate")
+        if steps is not None:
+            held[m] = steps
+            room -= len(steps)
 
 
 def _ranges(level, prefix, x_lo: int, count: int):
@@ -209,10 +226,13 @@ def _walk(levels, xs, x_lo=0, count=1):
             yield from _walk(levels[1:], (*xs, x), lo, hi - lo + 1)
 
 
-def _sample(model: ToricModel, m: int, levels, sigma_form, caps) -> tuple[WeightSample, ...]:
+def _sample(model: ToricModel, m: int, levels, sigma_form, caps,
+            steps=None) -> tuple[WeightSample, ...]:
     """H(m) and W(m), the values at m of the h0 polynomial and of the weight
     polynomial with levels capped at each of caps, one WeightSample per cap,
-    from one walk; sigma_form is the model's `_sigma_form`.
+    from one walk; sigma_form is the model's `_sigma_form`.  steps, when
+    given, are the steps of m's walk that _check_budget held, and are read
+    instead of walking levels again.
 
     For m > 0 the walk is over m * P_L, and H(m) = h0(mL) and
     W(m) = w_m = sum of min(l_m(x), cap) over its lattice points x, where
@@ -240,7 +260,7 @@ def _sample(model: ToricModel, m: int, levels, sigma_form, caps) -> tuple[Weight
     int(M P) of max(0, cM - l_M(x)) - cM = -min(l_M(x), cM).  (An A with no
     interior lies in the cut l_1 = c, where g and max(0, cM - l_M) vanish.)
 
-    At each prefix (m, s, x_0, ..., x_{n-2}) that _walk yields, the same
+    At each prefix (m, s, x_0, ..., x_{n-2}) of the walk, the same
     kernel, _ranges, steps the last level through the range of x_{n-1}; the
     slice at
     x_{n-1} holds the points t = lo..hi with filtration levels
@@ -256,7 +276,7 @@ def _sample(model: ToricModel, m: int, levels, sigma_form, caps) -> tuple[Weight
     if step < 0:  # t = -x_n: the lower rows of t are the upper ones of x_n
         level, step = level[::-1], -step
     u_prev = u_sigma[-2] if len(levels) > 1 else 0
-    for p, x_lo, count in _walk(levels, _walk_of(m)):
+    for p, x_lo, count in _walk(levels, _walk_of(m)) if steps is None else steps:
         base = sum(map(mul, p, form)) + u_prev * x_lo
         for _, lo, hi in _ranges(level, p, x_lo, count):
             if lo <= hi:
@@ -299,8 +319,10 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     count of an explicit m_list (at least n + 4), the elimination (once, at
     the first c), its own m-list (an explicit one's m positive and distinct)
     and the prefix budget over it, and the integrality of c*m.  Only then is
-    each distinct m of the m-lists walked, once, with the caps c*m of every c
-    whose list holds it.  The default m-list takes half its samples at
+    each distinct m of the m-lists sampled, once, with the caps c*m of every
+    c whose list holds it, from the steps the budget's walk held for it, or
+    from a walk of its own past _HELD_STEPS; an m's steps are dropped once
+    it is sampled.  The default m-list takes half its samples at
     negative m, each the value H(m) and W(m) of the fitted polynomials that
     _sample reads off the interior of |m| * P_L by reciprocity.  The
     elimination refuses an empty or lower-dimensional P_L, whose interior is
@@ -314,9 +336,12 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     An L that is not big, so that h0 has no m^n term, raises ToricError;
     that is checked before the m = 0 point is added, which an empty m * P_L
     would contradict.
+    df = (b[0] a[1] - b[1] a[0]) / a[0]^2 is one Fraction of the fits'
+    integer forms, h over hd and w over wd, constant term first:
+    (w[n+1] h[n-1] - w[n] h[n]) hd / (wd h[n]^2), a trimmed index read as 0.
     """
     n = model.fan.dim
-    plans, counts, levels, form = [], {}, None, None
+    plans, counts, held, levels, form = [], {}, {}, None, None
     by_m = {}  # m -> its distinct caps, as dict keys in order of first use
     for c in map(Fraction, cs):
         if check_c is not None:
@@ -326,7 +351,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
             raise ToricError(f"need at least {n + 4} m-samples, got {len(ms)}")
         if not plans:
             levels, form = _levels(model), _sigma_form(model)
-        _check_budget(levels, ms, counts, m_list is not None)
+        _check_budget(levels, ms, counts, m_list is not None, held)
         caps = []
         for m in ms:
             cap, rest = divmod(c.numerator * m, c.denominator)
@@ -336,7 +361,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
             by_m.setdefault(m, {})[cap] = None
         plans.append((ms, caps))
     samples = {  # m -> cap -> WeightSample
-        m: dict(zip(caps, _sample(model, m, levels, form, tuple(caps))))
+        m: dict(zip(caps, _sample(model, m, levels, form, tuple(caps), held.pop(m, None))))
         for m, caps in by_m.items()
     }
     fits = []
@@ -349,11 +374,14 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         if h_poly is None or h_poly.degree < n:
             raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
         a = tuple(h_poly.coeff(n - i) for i in range(n + 1))
+        h, hd = h_poly.integer_form
         for ms, caps in plans:
             own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
             w_poly = fit_polynomial([(0, 0), *((s.m, s.w) for s in own)], n + 1)
             b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
-            df = (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
+            w, wd = w_poly.integer_form
+            w += (0,) * (n + 2 - len(w))
+            df = Fraction((w[n + 1] * h[n - 1] - w[n] * h[n]) * hd, wd * h[n] ** 2)
             fits.append(ExpansionFit(a, b, df, own))
     except WitnessMismatch as exc:  # the counts are polynomials in m
         raise RuntimeError(f"oracle counts are not polynomial in m: {exc}") from exc
@@ -365,9 +393,12 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     record per c of cs, in order.
 
     The table, alpha polynomials, Q and the elimination are computed once,
-    and each m-sample is counted once for every c.  sign_match is the
+    and each m-sample is walked once for every c.  sign_match is the
     literal content of the theorem; exact_match tracks the fixed
-    normalization Q(c) / alpha0(0).
+    normalization Q(c) / alpha0(0).  Both sides of the cross-check are
+    integers: Q(c) = v / d from one Horner pass, d > 0, so df_predicted is
+    one Fraction over alpha0's integer form, and sign(v) must be that of
+    mu - mu_c, read off _mu_c_pair's reduced pair; RuntimeError otherwise.
     """
     cs = tuple(map(Fraction, cs))
     table = export_table(model)
@@ -379,12 +410,15 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
 
     fits = fit_expansions(model, cs, m_list, check_c)
     q, mu = df_numerator(pair), slope_mu(pair)
+    alpha0, alpha0_den = pair.alpha0.integer_form  # alpha0(0) = alpha0[0] / alpha0_den > 0
     records = []
     for c, fit in zip(cs, fits):
-        predicted = q(c) / pair.alpha0(0)
+        v, d = q.at(c.numerator, c.denominator)
         # cross-check the prediction path: Q/denominator must reproduce mu - mu_c
-        if _sign(predicted) != _sign(mu - mu_c(pair, c)):
+        p, r = _mu_c_pair(pair, c.numerator, c.denominator)
+        if _sign(v) != _sign(mu.numerator * r - p * mu.denominator):
             raise RuntimeError(f"sign of Q at c={c} disagrees with mu - mu_c")
+        predicted = Fraction(v * alpha0_den, d * alpha0[0])
         records.append(VerificationRecord(
             label=model.label,
             c=c,

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, lcm
 
@@ -491,9 +492,9 @@ class TestVerifyOneWalkPerOp:
                 return fn(*args)
             return wrapper
 
-        def sample(model, m, levels, form, caps):
+        def sample(model, m, levels, form, caps, steps=None):
             calls["sample"].append((m, tuple(caps)))
-            return original_sample(model, m, levels, form, caps)
+            return original_sample(model, m, levels, form, caps, steps)
 
         original_sample = oracle._sample
         monkeypatch.setattr(oracle, "_sample", sample)
@@ -501,6 +502,57 @@ class TestVerifyOneWalkPerOp:
         monkeypatch.setattr(oracle, "fit_polynomial",
                             counted("fit_polynomial", oracle.fit_polynomial))
         return calls
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        """(m, s) -> the top-level _walk calls of the m-sample's walk, and
+        (m, s) -> the steps its last walk yielded."""
+        walks, steps = Counter(), {}
+        walk = oracle._walk
+
+        def counted(levels, xs, *rest):
+            if rest:  # the walk's own recursion passes x_lo and count
+                return walk(levels, xs, *rest)
+            walks[xs] += 1
+            out = list(walk(levels, xs))
+            steps[xs] = len(out)
+            return iter(out)
+
+        monkeypatch.setattr(oracle, "_walk", counted)
+        return walks, steps
+
+    @pytest.mark.parametrize("name, cs, m_list", [
+        ("p2", (F(1, 2), 1), None), ("f1_ample", (F(1, 2), 1), None),
+        ("p3", (1,), range(1, 9)), ("blp3_014", (F(1, 2), F(1, 3)), None),
+    ], ids=["p2", "f1_ample", "p3-m-list", "blp3_014"])
+    def test_one_walk_per_m(self, load_model, monkeypatch, name, cs, m_list):
+        # the budget's count walk holds its steps, and _sample reads them
+        walks, _ = self.count_walks(monkeypatch)
+        records = oracle.verify(load_model(name), cs, m_list)
+        sampled = {s.m for r in records for s in r.samples}
+        assert len(sampled) > 5
+        assert walks == Counter(oracle._walk_of(m) for m in sampled)
+
+    # two c on default m-lists, and one explicit m-list
+    @pytest.mark.parametrize("op", [
+        ("p2.json", "1/2,1"), ("f1_ample.json", "1/2,1"), ("p3.json", "1", "--max-m", "8"),
+    ], ids=["p2", "f1_ample", "p3-max-m"])
+    def test_held_steps_cap(self, capsys, models_dir, monkeypatch, op):
+        # past the cap an m is walked again by _sample, with the same output
+        argv = ["verify", str(models_dir / op[0]), "--c", *op[1:]]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        walks, steps = self.count_walks(monkeypatch)
+        for cap in (0, 1):
+            walks.clear()
+            monkeypatch.setattr(oracle, "_HELD_STEPS", cap)
+            assert run(capsys, *argv) == expected
+            # an m walked once was held: at cap 0 none is, at cap 1 only
+            # walks of at most one step in all, as an empty interior's
+            held = [xs for xs, count in walks.items() if count == 1]
+            assert set(walks.values()) <= {1, 2}
+            assert sum(steps[xs] for xs in held) <= cap
+            assert cap or held == []
 
     def test_shared_m_list_walked_once(self, capsys, models_dir, monkeypatch):
         calls = self.count_work(monkeypatch)
@@ -589,8 +641,8 @@ class TestInternalFault:
         # witness that disagrees is a fault of the oracle, not of the input
         sample = oracle._sample
 
-        def forged(model, m, levels, form, caps):
-            out = sample(model, m, levels, form, caps)
+        def forged(model, m, levels, form, caps, steps=None):
+            out = sample(model, m, levels, form, caps, steps)
             return tuple(s._replace(h0=s.h0 + 1) for s in out) if m == 6 else out
 
         monkeypatch.setattr(oracle, "_sample", forged)

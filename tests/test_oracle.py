@@ -19,7 +19,7 @@ from slopestab.oracle import (
     verify_main_theorem,
 )
 from slopestab.models import ModelError
-from slopestab.slope import alpha_polys, slope_mu
+from slopestab.slope import alpha_polys, df_numerator, slope_mu
 from slopestab.toric import Fan, ToricError, ToricModel, export_table, polytope_of
 
 SRC = pathlib.Path(oracle.__file__).resolve().parent
@@ -367,7 +367,12 @@ class TestVerifyMainTheorem:
         assert rec.exact_match and rec.df_oracle == df
 
     def test_prediction_cross_check_is_an_internal_error(self, load_model, monkeypatch):
-        monkeypatch.setattr(oracle, "mu_c", lambda pair, c: slope_mu(pair) + 1)
+        # mu_c = mu + 1, so mu - mu_c < 0 while Q(1/2) > 0
+        def mu_plus_one(pair, num, den):
+            mu = slope_mu(pair)
+            return mu.numerator + mu.denominator, mu.denominator
+
+        monkeypatch.setattr(oracle, "_mu_c_pair", mu_plus_one)
         with pytest.raises(RuntimeError, match="disagrees"):
             verify_main_theorem(load_model("p2"), F(1, 2))
 
@@ -418,6 +423,75 @@ class TestVerify:
     def test_first_failing_c_decides(self, load_model, cs, m_list, error, message):
         with pytest.raises(error, match=message):
             oracle.verify(load_model("p2"), cs, m_list)
+
+
+@pytest.fixture(scope="module")
+def tail_models(load_model, csck_models):
+    """(model, alpha pair, Q) for every model of REFERENCE_MODELS and the
+    csck_models of dimension at most 3."""
+    models = [load_model(name) for name in REFERENCE_MODELS]
+    models += [model for model in csck_models if model.fan.dim <= 3]
+    return [(model, pair, df_numerator(pair))
+            for model, pair in ((model, alpha_polys(export_table(model))) for model in models)]
+
+
+class TestIntegerTail:
+    """fit_expansions' df and verify's df_predicted are each one Fraction
+    built from integer forms; they equal the Fraction formulas of the fits'
+    a and b, (b[0] a[1] - b[1] a[0]) / a[0]^2, and of Q(c) / alpha0(0), at
+    c = epsilon/2 and epsilon, on default m-lists and on one explicit one."""
+
+    def test_matches_fraction_forms(self, tail_models, monkeypatch):
+        fits = []
+        fit_expansions_ = oracle.fit_expansions
+
+        def recorded(*args):
+            fits.append(fit_expansions_(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(oracle, "fit_expansions", recorded)
+        assert len(tail_models) == 169
+        for model, pair, q in tail_models:
+            cs = (pair.epsilon / 2, pair.epsilon)
+            d = cs[0].denominator  # a multiple of epsilon's
+            for m_list in (None, range(d, d * (model.fan.dim + 5), d)):
+                fits.clear()
+                records = oracle.verify(model, cs, m_list)
+                (own,) = fits
+                for c, fit, record in zip(cs, own, records):
+                    a, b = fit.a, fit.b
+                    assert fit.df == record.df_oracle == (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
+                    assert record.df_predicted == q(c) / pair.alpha0(0)
+                    assert record.exact_match, (model.label, c, m_list)
+
+
+class TestEpsilonIsSharp:
+    """The nef threshold epsilon pinned from both sides through the oracle,
+    which shares no code with the table path: at c = epsilon its df is
+    Q(c) / alpha0(0), and at c = 5 epsilon / 4 it departs from it, or its
+    counts are not polynomial in m (past epsilon the cut polytope can have
+    non-lattice vertices).  fit_expansions takes a c past epsilon, which
+    verify refuses.  An epsilon too small by a factor of 5/4 or more, as a
+    halved one, would show a match past it."""
+
+    def test_exact_at_epsilon_departs_past_it(self, tail_models):
+        not_exact, matched, kinds = [], [], {"departs": 0, "witness": 0}
+        for model, pair, q in tail_models:
+            eps = pair.epsilon
+            if not oracle.verify(model, (eps,))[0].exact_match:
+                not_exact.append(model.label)
+            c = 5 * eps / 4
+            try:
+                (fit,) = fit_expansions(model, (c,))
+            except RuntimeError as exc:
+                assert str(exc).startswith("oracle counts are not polynomial in m: ")
+                kinds["witness"] += 1
+                continue
+            if fit.df == q(c) / pair.alpha0(0):
+                matched.append(model.label)
+            kinds["departs"] += 1
+        assert (not_exact, matched) == ([], [])
+        assert kinds == {"departs": 157, "witness": 12}
 
 
 def test_no_assert_statements_in_package():
