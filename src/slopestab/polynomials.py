@@ -6,7 +6,8 @@ polynomial is held in its integer form, integer coefficients over one
 common denominator: it is fitted in integers, evaluates by one integer
 Horner pass, and builds its Fraction coefficients only when they are
 read; isolation runs on integers too, over the dyadic grid
-lo + i (hi - lo) / 2^k of its window, and builds a Fraction only for a
+lo + i (hi - lo) / 2^k of its window, narrows each root's cell on that grid
+once, by quadratic interval refinement, builds a Fraction only for a
 result, and divides no root out.  Everything here is pure and
 deterministic; no floats anywhere.
 """
@@ -22,6 +23,7 @@ from .models import format_rational
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**20)
 _PRIME = 2**31 - 1  # the modulus of the square-free test
+_QIR_START = 2  # a root's first secant step aims at a quarter of its bracket
 
 
 class WitnessMismatch(ValueError):
@@ -246,17 +248,18 @@ def sign_variations(coeffs: Sequence[int]) -> int:
 
 
 def _shift(c: list[int], s: int = 1) -> list[int]:
-    """c(x + s), in place: the Taylor shift."""
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += s * c[j + 1]
+    """c(x + s), in place: the Taylor shift; a shift by 0 returns c as it is."""
+    if s:
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += s * c[j + 1]
     return c
 
 
 def _window(ints: Sequence[int], lo: Fraction, hi: Fraction):
     """(c, base, step, den): the dyadic grid lo + i (hi - lo) / 2^k of (lo, hi],
-    whose cell i of level k is ((base << k) + i step, step, den << k) as
-    (a, step, den), and c(u) = den^d ints((base + step u) / den) on it."""
+    whose point i of level k is ((base << k) + i step) / (den << k), and
+    c(u) = den^d ints((base + step u) / den) on it."""
     base, den = lo.numerator * hi.denominator, lo.denominator * hi.denominator
     step = hi.numerator * lo.denominator - base
     c = _shift([x * den ** (len(ints) - 1 - j) for j, x in enumerate(ints)], base)
@@ -274,81 +277,158 @@ def _checked_window(p: UniPoly, lo, hi) -> tuple[Fraction, Fraction]:
 
 
 def _isolate(c: list[int]):
-    """Cells (i, k, s), left to right, each holding one root of the
+    """Cells (i, k, fa, fb), left to right, each holding one root of the
     square-free c(u) in (i/2^k, (i + 1)/2^k] and together all: its right
-    end if s == 0, else one inside, c having the sign s at the right end.
+    end if fb == 0, else one inside.  fa and fb are 2^(kd) c at the cell's
+    left and right end, for c of `_window` the values `_horner` gives at
+    those grid points.
 
     Vincent-Collins-Akritas bisection: c(u) of a cell, reversed and shifted,
-    has its Descartes count and, as constant term, its right-end value."""
+    has its Descartes count and, as constant term, its right-end value; its
+    own constant term is its left-end value."""
     stack = [(0, 0, c)]  # cell i of level k, with its polynomial
     while stack:
         i, k, c = stack.pop()
         t = _shift(c[::-1])
         count = sign_variations(t) + (not t[0])
         if count == 1:
-            yield i, k, _sign(t[0])
+            yield i, k, c[0], t[0]
         elif count:
             left = [x << (len(c) - 1 - j) for j, x in enumerate(c)]
             stack.append((2 * i + 1, k + 1, _shift(left[:])))
             stack.append((2 * i, k + 1, left))
 
 
+def _bracket(i: int, k: int, fa: int, fb: int) -> list:
+    """The cell (i, k) of `_isolate` with its end values as a bracket of
+    `_narrow`: grid points i and i + 1 of level k, no secant estimate yet."""
+    return [i, i + 1, k, fa, fb, _QIR_START, None]
+
+
 def _cells(ints: Sequence[int], lo: Fraction, hi: Fraction):
-    """(base, step, den, cells): the grid of (lo, hi] from `_window`, and
-    the cells of `_isolate` on it, left to right, but the exact one at hi."""
-    c, base, step, den = _window(ints, lo, hi)
-    return base, step, den, [cell for cell in _isolate(c) if cell[2]]
+    """(frame, cells): the grid (base, step, den) of (lo, hi] from `_window`,
+    and the cells of `_isolate` on it, left to right, but the exact one at
+    hi, each as (i, k, its `_bracket`)."""
+    c, *frame = _window(ints, lo, hi)
+    return frame, [(i, k, _bracket(i, k, fa, fb)) for i, k, fa, fb in _isolate(c) if fb]
 
 
-def _refine(ints: Sequence[int], grid, width: Fraction):
-    """For each root of `ints` in (lo, hi), simple and irrational, its cell
-    of the grid of (lo, hi] at the first level where the cell is at most
-    `width` wide, lies strictly inside and holds no other root: by the
-    cells (i, k) in `grid` = `_cells(ints, lo, hi)` (level j <= k holds the
-    root in cell i >> (k - j)), then by halving on the sign alone.  So the
-    output depends only on the grid and the roots in (lo, hi]."""
-    base, step, den, cells = grid
+def _narrow(ints: Sequence[int], frame, br: list, level: int, span: int = 0):
+    """Narrow br = [l, r, k, fl, fr, t, (m, g)] in place by quadratic
+    interval refinement (Abbott 2014) on the grid `frame` of `_window`: the
+    one root of `ints`, a simple one, lies in (l, r] of level k, where
+    `_horner` gives fl and fr != 0, and (m, g) is the last step's secant
+    estimate and tolerance, or None.  A coarser br first moves to `level`.
+    It stops when br lies in one cell of `level`, or, given span = lead
+    step, is narrower than 1/lead.
+
+    A step bisects until its secant estimate lies within g of the last one;
+    then, with g = (r - l) / 2^t, it evaluates the estimate's grid point m
+    and m -+ g on the root's side.  If the root lies between them t doubles,
+    else t halves and the step after bisects.  Every point lies strictly
+    inside the bracket, so none twice; a zero is the root, returned.  With
+    span, each point is clamped so that bisection could still finish in the
+    evaluations left, bits(span (r - l) / (den 2^k)) + 1 on entry with one
+    kept for the caller, and half of any to spare is kept back."""
+    base, step, den = frame
+    l, r, k, fl, fr, t, prev = br
+    d = len(ints) - 1
+    if k < level:
+        e = level - k
+        l, r, k, fl, fr = l << e, r << e, level, fl << e * d, fr << e * d
+        prev = prev and (prev[0] << e, prev[1] << e)
+    dk = den << k
+    budget = ((r - l) * span // dk).bit_length() + 1
+    pair = 0  # 1 and 2: the secant's estimate m, then m -+ g
+    while ((r - l) * span >= dk) if span else l >> (k - level) != (r - 1) >> (k - level):
+        if pair == 2:
+            aim = m + g if l == m else m - g
+        else:
+            w = r - l
+            m = l + (2 * w * fl // (fl - fr) + 1) // 2  # the secant's estimate
+            pair = 1 if fl and prev and abs(m - prev[0]) <= prev[1] else 0
+            g = max(w >> t, 1)
+            aim, prev = m if pair else None, (m, g)
+        room = r - l
+        if span:
+            room = ((dk << (budget - 2)) - 1) // span
+            if 2 * room < r - l:  # only an odd bracket's midpoint, of level k + 1, is in reach
+                l, r, k, fl, fr = 2 * l, 2 * r, k + 1, fl << d, fr << d
+                dk, aim, m, g = 2 * dk, aim and 2 * aim, 2 * m, 2 * g
+                prev = m, g
+                room = ((dk << (budget - 2)) - 1) // span
+            room = (2 * room + r - l + 3) // 4  # spend at most half the slack
+        if aim is None:
+            p = (l + r) >> 1
+        else:
+            p = min(max(aim, l + 1, r - room), r - 1, l + room)
+        z = (p & -p).bit_length() - 1  # p is a point of level k - z, evaluated there
+        v = _horner(ints, (base << k - z) + (p >> z) * step, den << k - z) << z * d
+        budget -= 1
+        if not v:
+            return Fraction((base << k - z) + (p >> z) * step, den << k - z)
+        if (v > 0) == (fr > 0):
+            r, fr = p, v
+        else:
+            l, fl = p, v
+        if pair:
+            if r - l <= g:
+                t, pair = 2 * t, 0
+            elif l >= m + g or r <= m - g:  # the root is not within g of m: a miss
+                t, pair, prev = max(t >> 1, 1), 0, None
+            else:
+                pair = 2 if pair == 1 and p == m else 0
+    br[:] = l, r, k, fl, fr, t, prev
+    return None
+
+
+def _root_in(ints: Sequence[int], frame, br: list):
+    """The root in the bracket br of `_narrow` if it is rational, else
+    None; br must hold exactly one root of the integer polynomial `ints`, a
+    simple one, and is left narrowed for `_refine`.
+
+    A rational root of `ints` has a denominator dividing its leading
+    coefficient `lead`, so it is a multiple of 1/lead.  `_narrow` narrows br
+    below 1/lead, where at most one multiple of 1/lead lies: the root, if it
+    is rational.  From a cell (i, k) of `_isolate` that takes at most
+    bits(lead step / (den 2^k)) + 1 evaluations with the test, no more than
+    bisection would.
+    """
+    base, step, den = frame
+    lead = abs(ints[-1])
+    root = _narrow(ints, frame, br, (lead * step // den).bit_length(), lead * step)
+    if root is None:
+        l, r, k = br[:3]
+        y = (((base << k) + r * step) * lead - 1) // (den << k)  # the last multiple below r
+        if y * (den << k) > ((base << k) + l * step) * lead and not _horner(ints, y, lead):
+            return Fraction(y, lead)
+    return root
+
+
+def _refine(ints: Sequence[int], frame, cells, width: Fraction):
+    """For each root (i, k, br) of `cells` on the grid `frame` of (lo, hi],
+    simple and irrational, with its cell (i, k) of `_isolate` and its
+    bracket br of `_narrow`: its cell at the first level where the cell is
+    at most `width` wide, lies strictly inside and holds no other root.
+    `_narrow` narrows br into one cell of the first level narrow enough,
+    then of each next one until the cell qualifies; a root's cell of level
+    j <= k is i >> (k - j), and no other root is in a cell of level j > k.
+    So the output depends only on the grid and the roots in (lo, hi]."""
+    base, step, den = frame
     need, have = step * width.denominator, width.numerator * den  # width <= need/have
-    for n, (i, k, s) in enumerate(cells):
+    first = (-(-need // have) - 1).bit_length()  # the least j with need <= have << j
+    for n, (i, k, br) in enumerate(cells):
         near = cells[max(n - 1, 0):n] + cells[n + 1:n + 2]
-        j = 0
+        j = first
         while True:
-            if j > k:  # the half of the root's cell where the sign changes
-                i, k = 2 * i + 1, j
-                i -= _sign(_horner(ints, (base << k) + i * step, den << k)) == s
-            x = i >> (k - j)  # the cell of level j that holds the root
-            if (need <= have << j and 0 < x < (1 << j) - 1
-                    and all(j > k2 or i2 >> (k2 - j) != x for i2, k2, _ in near)):
+            _narrow(ints, frame, br, j)
+            x = br[0] >> (br[2] - j)  # the cell of level j that holds the root
+            if 0 < x < (1 << j) - 1 and all(j > k2 or i2 >> (k2 - j) != x
+                                            for i2, k2, _ in near):
                 break
             j += 1
         a = (base << j) + x * step
         yield IsolatingInterval(Fraction(a, den << j), Fraction(a + step, den << j))
-
-
-def _root_in(ints: Sequence[int], a: int, step: int, den: int, sign_b: int):
-    """The root in the cell (a/den, (a + step)/den] if it is rational, else
-    None; the cell must hold exactly one root of the integer polynomial
-    `ints`, a simple one strictly inside, and `ints` must have the sign
-    sign_b != 0 at its right end.
-
-    A rational root of `ints` has a denominator dividing its leading
-    coefficient `lead`, so it is a multiple of 1/lead.  Halving the cell on
-    the sign alone, on the same grid, narrows it below 1/lead, where at most
-    one multiple of 1/lead lies: the root, if it is rational.
-    """
-    lead = abs(ints[-1])
-    span = lead * step
-    while span >= den:  # the cell is at least 1/lead wide
-        a, den = 2 * a, 2 * den
-        s = _sign(_horner(ints, a + step, den))
-        if s == 0:
-            return Fraction(a + step, den)
-        if s != sign_b:
-            a += step
-    y = ((a + step) * lead - 1) // den  # the last multiple of 1/lead below the right end
-    if y * den > a * lead and not _horner(ints, y, lead):
-        return Fraction(y, lead)
-    return None
 
 
 def isolate_roots(
@@ -361,35 +441,38 @@ def isolate_roots(
     sign variations, plus one for a root at hi.  Below 2 the window is one
     cell: no root, an exact root at hi, or one simple root inside; from 2
     on, `_isolate` splits it into cells of one root of the square-free part
-    of p, kept through the call.  `_root_in` tests each cell for a rational
-    root, a degenerate interval (lo == hi); these cut the window into
-    segments, and `_refine` gives every other root an interval of width <=
-    `width` on the grid of its segment, whose ends are neither a segment end
-    nor a root; a window with no exact root is refined from its first cells."""
+    of p, kept through the call.  `_root_in` narrows each cell and tests it
+    for a rational root, a degenerate interval (lo == hi); these cut the
+    window into segments, and `_refine` gives every other root an interval
+    of width <= `width` on the grid of its segment, whose ends are neither
+    a segment end nor a root.  A segment that is the whole window goes on
+    from the brackets `_root_in` narrowed, so no grid point is evaluated
+    twice; any other is isolated again on its own grid."""
     lo, hi = _checked_window(p, lo, hi)
     ints = p.integer_form[0]
     c, base, step, den = _window(ints, lo, hi)
     t = _shift(c[::-1])
     count = sign_variations(t) + (not t[0])
     if count < 2:
-        cells = [(0, 0, _sign(t[0]))] if count else []
+        cells = [(0, 0, c[0], t[0])] if count else []
     else:
         ints = _squarefree(ints)
-        cells = list(_isolate(_window(ints, lo, hi)[0]))
-    out, a, irrational = [], lo, False
-    for i, k, s in cells:
-        x, d = (base << k) + i * step, den << k
-        b = _root_in(ints, x, step, d, s) if s else Fraction(x + step, d)
+        cells = _isolate(_window(ints, lo, hi)[0])
+    frame = base, step, den
+    out, a, roots = [], lo, []
+    for i, k, fa, fb in cells:
+        br = _bracket(i, k, fa, fb)
+        b = _root_in(ints, frame, br) if fb else Fraction((base << k) + (i + 1) * step, den << k)
         if b is None:
-            irrational = True
+            roots.append((i, k, br))
             continue
-        if irrational:  # the segment (a, b], then b
-            out.extend(_refine(ints, _cells(ints, a, b), width))
+        if roots:  # the segment (a, b], then b
+            grid = (frame, roots) if a is lo and b == hi else _cells(ints, a, b)
+            out.extend(_refine(ints, *grid, width))
         out.append(IsolatingInterval(b, b))
-        a, irrational = b, False
-    if irrational:  # with no exact root in the window, its cells are the segment's
-        grid = (base, step, den, cells) if a == lo else _cells(ints, a, hi)
-        out.extend(_refine(ints, grid, width))
+        a, roots = b, []
+    if roots:
+        out.extend(_refine(ints, *((frame, roots) if a is lo else _cells(ints, a, hi)), width))
     return out
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -160,6 +161,46 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))
         assert run(capsys, "analyze", str(path)) == (
             2, "", "error: rational too long to write: a part of more than 4300 digits\n")
+
+    def test_overlong_interval_end_named_at_finest_width(self, capsys, tmp_path, models_dir):
+        # the same table at the finest width: its one irrational root is
+        # narrowed from the first cell to level 4096 by quadratic steps, a
+        # few dozen Horner passes, where halving took one a level (4.5 s)
+        q = 10**4299 + 7
+        doc = json.loads((models_dir / "t3.json").read_text())
+        doc["epsilon"] = f"{q - 1}/{q}"
+        path = tmp_path / "t3_long_eps.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        result = run(capsys, "analyze", str(path), "--width", "2^-4096")
+        assert time.perf_counter() - start < 1
+        assert result == (
+            2, "", "error: rational too long to write: a part of more than 4300 digits\n")
+
+    def test_thousand_digit_table_within_bounds(self, capsys, tmp_path):
+        # the n = 6 table of the benchmark's table recipe with 1000-digit
+        # entries: Q's square-free part has a lead of about 2000 digits, so
+        # the rational-root test of its cell took about 6600 halvings (3 s);
+        # the digest is of the output the halving kernel printed
+        n, digits, eps, rng = 6, 1000, F(1, 2), random.Random(5)
+
+        def signed():
+            v = rng.randrange(10 ** (digits - 1), 10**digits)
+            return v if rng.random() < 0.5 else -v
+
+        ae_tail = [signed() for _ in range(n)]
+        bound = sum(comb(n, k) * eps**k * abs(a) for k, a in enumerate(ae_tail, 1))
+        doc = {"kind": "table", "label": "n6", "n": n,
+               "AE": [int(bound) + rng.randrange(1, 10**digits), *ae_tail],
+               "KAE": [signed() for _ in range(n)], "epsilon": "1/2"}
+        path = tmp_path / "n6.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(path), "--c", "1/4")
+        assert time.perf_counter() - start < 1.5
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "07aac6ec62cd9fcd1c844b674fb894aeef7aae545a9397667a53ad057f8c24db")
 
     def test_flat_table(self, capsys, tmp_path):
         path = tmp_path / "flat.json"

@@ -422,13 +422,19 @@ def squarefree(p):
 
 
 def first_cells(p, lo, hi):
-    """The square-free integer polynomial that `_root_in` searches, and the
-    integer cells (a, step, den) of the first bisection of `isolate_roots` on
-    (lo, hi], each with the sign s of that polynomial at its right end."""
+    """The square-free integer polynomial that `_root_in` searches, the grid
+    (base, step, den) of (lo, hi], and the cells (i, k, fa, fb) of the first
+    bisection of `isolate_roots` on it, with that polynomial's values at
+    their ends."""
     ints = squarefree(p)
-    c, base, step, den = polynomials._window(ints, F(lo), F(hi))
-    return ints, [((base << k) + i * step, step, den << k, s)
-                  for i, k, s in polynomials._isolate(c)]
+    c, *frame = polynomials._window(ints, F(lo), F(hi))
+    return ints, frame, list(polynomials._isolate(c))
+
+
+def whole_cell(ints, lo, hi):
+    """The grid of (lo, hi] and the window as its one cell (0, 0, fa, fb)."""
+    c, *frame = polynomials._window(ints, F(lo), F(hi))
+    return frame, (0, 0, c[0], sum(c))
 
 
 def window_count(ints, lo, hi):
@@ -440,11 +446,12 @@ def window_count(ints, lo, hi):
 
 
 class TestRootIn:
-    """`_root_in` bisects until its cell is narrower than 1/lead, then tests
-    the one multiple of 1/lead left in it: at most bits(lead step / den) + 1
-    evaluations on the cell (a/den, (a + step)/den], one per level, at its
-    midpoint, and one for that multiple.  The sign at the right end is the
-    caller's, so that end is never evaluated."""
+    """`_root_in` narrows its cell (a/den, (a + step)/den] below 1/lead by
+    quadratic interval refinement, then tests the one multiple of 1/lead
+    left in it: at most bits(lead step / den) + 1 evaluations, as many as
+    bisection could take (one a level, at its midpoint, and one for that
+    multiple).  The values at the cell's ends are the caller's, so neither
+    end is evaluated."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -459,11 +466,13 @@ class TestRootIn:
         return seen
 
     @staticmethod
-    def root_in(calls, ints, a, step, den, s):
+    def root_in(calls, ints, frame, cell):
+        (base, step, den), (i, k, fa, fb) = frame, cell
+        a, den = (base << k) + i * step, den << k
         calls.clear()
-        r = polynomials._root_in(ints, a, step, den, s)
+        r = polynomials._root_in(ints, frame, polynomials._bracket(*cell))
         assert len(calls) <= (abs(ints[-1]) * step // den).bit_length() + 1
-        assert F(a + step, den) not in [F(*c[1:]) for c in calls]
+        assert not {F(a, den), F(a + step, den)} & {F(*c[1:]) for c in calls}
         return r
 
     def test_evaluations_bounded_on_planted_roots(self, calls):
@@ -481,12 +490,15 @@ class TestRootIn:
                 planted = {root}
                 if isqrt(k * m) ** 2 == k * m and k <= 4 * m:
                     planted.add(F(isqrt(k * m), m))
-                ints, cells = first_cells(p, 0, 2)
+                ints, frame, cells = first_cells(p, 0, 2)
+                base, step, den0 = frame
                 leads.add(len(str(abs(ints[-1]))))
                 found = set()
-                for a, step, den, s in cells:
+                for i, k, fa, fb in cells:
+                    a, den = (base << k) + i * step, den0 << k
                     # a cell with its root at the right end is not searched
-                    r = self.root_in(calls, ints, a, step, den, s) if s else F(a + step, den)
+                    r = (self.root_in(calls, ints, frame, (i, k, fa, fb)) if fb
+                         else F(a + step, den))
                     if r is not None:
                         assert F(a, den) < r <= F(a + step, den) and p(r) == 0
                         found.add(r)
@@ -497,15 +509,18 @@ class TestRootIn:
         # (x^2 - 2)(3x - 1) on (1, 3/2], positive at 3/2: one step leaves
         # (5/4, 3/2), whose one multiple of 1/3, 4/3, is tested and refused
         ints = squarefree(product([-2, 0, 1], [-1, 3]))
-        assert self.root_in(calls, ints, 2, 1, 2, 1) is None
+        assert self.root_in(calls, ints, *whole_cell(ints, 1, F(3, 2))) is None
         assert [F(*c[1:]) for c in calls] == [F(5, 4), F(4, 3)]
 
-    def test_midpoint_hits_the_root(self, calls):
-        # the root 3/8 is the third midpoint of (0, 1], negative at 1; no
-        # multiple of 1/lead is tested after it
+    def test_grid_point_hits_the_root(self, calls):
+        # the root 3/8 is a grid point of (0, 1], negative at 1: the first
+        # step bisects, as no secant estimate is trusted yet, and the root
+        # is found where a step evaluates it, on the grid (a denominator
+        # 2^k, not lead); no multiple of 1/lead is tested after it
         ints = squarefree(product([-3, 8], [-7 * 10**30 - 1, 0, 10**30]))
-        assert self.root_in(calls, ints, 0, 1, 1, -1) == F(3, 8)
-        assert [F(*c[1:]) for c in calls] == [F(1, 2), F(1, 4), F(3, 8)]
+        assert self.root_in(calls, ints, *whole_cell(ints, 0, 1)) == F(3, 8)
+        assert F(*calls[0][1:]) == F(1, 2) and F(*calls[-1][1:]) == F(3, 8)
+        assert calls[-1][2] & (calls[-1][2] - 1) == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_denominators_of_hundreds_of_digits(self, seed):
@@ -679,6 +694,38 @@ class TestIsolateRoots:
         assert [exact_1, exact_2] == [IsolatingInterval(r, r) for r in (F(1, 3), F(2, 3))]
         assert not irr.is_exact and irr.lo**2 < 2 < irr.hi**2
 
+    def test_no_grid_point_evaluated_twice(self, monkeypatch):
+        # irrational roots only, and in every other case an exact root at hi:
+        # the window is then the one segment, so each cell is narrowed once,
+        # from `_root_in`'s rational-root test on to `_refine`'s width, and
+        # never again at a point evaluated before
+        points = []
+        real = polynomials._horner
+
+        def recorded(ints, num, den):
+            points.append(F(num, den))
+            return real(ints, num, den)
+
+        monkeypatch.setattr(polynomials, "_horner", recorded)
+        rng = random.Random(38)
+        evaluated = irrational = 0
+        for case in range(300):
+            factors = []
+            for _ in range(rng.randint(1, 3)):  # m x^2 - k, km not a square
+                m = rng.randint(1, 9)
+                factors.append([-rng.choice([x for x in range(1, 30 * m)
+                                             if isqrt(x * m) ** 2 != x * m]), 0, m])
+            lo = rng.choice([F(0), F(-rng.randint(1, 20), rng.randint(1, 5))])
+            hi = F(rng.randint(1, 40), rng.randint(1, 7))
+            if case % 2:
+                factors.append([-hi.numerator, hi.denominator])
+            points.clear()
+            ivs = isolate_roots(product(*factors), lo, hi, F(1, 2 ** rng.choice([20, 64])))
+            assert len(set(points)) == len(points)
+            evaluated += len(points)
+            irrational += sum(not iv.is_exact for iv in ivs)
+        assert irrational >= 400 and evaluated >= 10 * irrational
+
     @given(
         coeffs=st.lists(small_fractions, min_size=2, max_size=5),
     )
@@ -759,6 +806,26 @@ def exact_inside_case(rng):
     return product(*factors), roots, most, F(1, 2 ** rng.randint(1, 12))
 
 
+def deep_case(rng):
+    """A rational root of a denominator of 100 to 200 digits times m x^2 - k
+    with irrational roots, sometimes a random quadratic factor and a small
+    rational root as well; a window from 0 or from elsewhere, holding the
+    deep root, and a width of 2^-20, 2^-64 or 2^-200.  Returns the
+    polynomial, the window, the width and the deep root."""
+    lo, hi = rng.choice([(0, F(3, 2)), (0, F(5, 7)), (F(-1, 3), F(4, 3)), (F(1, 7), F(2))])
+    digits = rng.randint(100, 200)
+    den = rng.randint(10 ** (digits - 1), 10**digits - 1)
+    root = lo + (hi - lo) * F(rng.randint(1, den - 1), den)
+    m = rng.randint(1, 9)
+    k = rng.choice([x for x in range(1, 9 * m) if isqrt(x * m) ** 2 != x * m])
+    factors = [[-root.numerator, root.denominator], [-k, 0, m]]
+    if rng.random() < 0.5:
+        factors.append([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)])
+    if rng.random() < 0.3:
+        factors.append([-rng.randint(1, 20), rng.randint(1, 9)])
+    return product(*factors), lo, hi, F(1, 2 ** rng.choice([20, 64, 200])), root
+
+
 class TestIntegerKernel:
     """The integer Descartes kernel against the Sturm counter over Fractions
     of `reference`."""
@@ -786,6 +853,18 @@ class TestIntegerKernel:
             assert isolate_roots(p, lo, hi, width) == ref_isolate_roots(p, lo, hi, width)
             deep += window_count(p.integer_form[0], lo, hi) >= 2
         assert deep >= 600
+        # rational roots of 100 to 200 digits, at widths down to 2^-200
+        rng = random.Random(37)
+        seen, digits = set(), set()
+        for _ in range(120):
+            p, lo, hi, width, root = deep_case(rng)
+            ivs = isolate_roots(p, lo, hi, width)
+            assert ivs == ref_isolate_roots(p, lo, hi, width)
+            assert root in [iv.lo for iv in ivs if iv.is_exact]
+            seen.add((width.denominator.bit_length() - 1, lo == 0))
+            digits.add(len(str(root.denominator)))
+        assert seen == {(w, z) for w in (20, 64, 200) for z in (True, False)}
+        assert min(digits) >= 100 and max(digits) >= 199
 
     @pytest.mark.parametrize("p, lo, hi, width", [
         (MIXED_REPEATED, 0, F(3, 2), F(1, 2**20)),
