@@ -46,8 +46,9 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 EXIT_INTERNAL = 4
 
-# Input bounds: bisection to --width costs about quadratically in its bits,
-# and a scan writes one row per step.
+# Input bounds: --width bounds the grid level that root refinement reaches,
+# and with it the refinement passes and the digits of each printed interval
+# end; a scan writes one row per step.
 MAX_WIDTH_BITS = 4096
 MAX_STEPS = 10000
 
@@ -78,6 +79,28 @@ def _parse_rationals(text: str, flag: str) -> list[Fraction]:
         return [Fraction(*parse_rational(part)) for part in text.split(",") if part]
     except ModelError as exc:
         raise ModelError(f"bad {flag} value {text!r}: {exc}") from exc
+
+
+def _check_steps(steps: int) -> int:
+    if steps < 1:
+        raise ModelError(f"--steps must be at least 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ModelError(f"--steps must be at most {MAX_STEPS}, got {steps}")
+    return steps
+
+
+# Each flag: its add_argument keywords, and the check that turns its parsed
+# text into the value a command reads (None: argparse's value as it is).
+FLAGS = {
+    "--c": ({"help": "rational parameter(s), e.g. 1/2 or 1/3,1/2"},
+            functools.partial(_parse_rationals, flag="--c")),
+    "--steps": ({"type": int, "default": 20}, _check_steps),
+    "--eps": ({"help": "comma-separated perturbation sizes, e.g. 1/10,1/100"},
+              functools.partial(_parse_rationals, flag="--eps")),
+    "--max-m": ({"type": int}, None),
+    "--width": ({"default": f"1/{DEFAULT_ISOLATION_WIDTH.denominator}",
+                 "help": "isolation width, e.g. 2^-20 or 1/1000000"}, _parse_width),
+}
 
 
 def _load_model(path: str):
@@ -124,12 +147,11 @@ def _emit(text: str, out_path):
         raise ModelError(str(exc)) from exc
 
 
-def cmd_analyze(args) -> int:
-    """The table's lines up to Q are written before stability_scan
-    isolates, so a value too long to write is refused before bisection;
-    Q is built once, here, and handed to the scan."""
-    width = _parse_width(args.width)
-    table = _coerce_table(_load_model(args.model))
+def cmd_analyze(args, model) -> tuple[str, int]:
+    """The table's lines up to Q are formatted first, so a value too long
+    to write is refused before stability_scan isolates Q's roots; Q is
+    built once, here, and handed to the scan."""
+    table = _coerce_table(model)
     pair = alpha_polys(table)
     q = df_numerator(pair)
     lines = [
@@ -141,27 +163,21 @@ def cmd_analyze(args) -> int:
         f"mu: {format_rational(pair.mu)}",
         f"Q: {_poly_line(q)}",
     ]
-    report = stability_scan(pair, width, q)
+    report = stability_scan(pair, args.width, q)
     intervals = "; ".join(map(str, report.destabilizing)) or "none"
     lines.append(f"destabilizing: {'flat (Q identically zero)' if report.flat else intervals}")
     for c in args.c or []:
         lines.append(f"c: {format_rational(c)}")
         lines.append(f"mu_c: {format_rational(mu_c(pair, c))}")
         lines.append(f"verdict: {report.verdict(c)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, model) -> tuple[str, int]:
     """One CSV row c, mu, mu_c, Q_sign at each c = i epsilon / steps,
     i = 1..steps, built from integer pairs: c reduced by one gcd, mu_c from
     _mu_c_pair, and Q_sign, the sign of Q(c) = (mu - mu_c) int_0^c alpha0,
     as the sign of mu - mu_c, since the integral is positive."""
-    if args.steps < 1:
-        raise ModelError(f"--steps must be at least 1, got {args.steps}")
-    if args.steps > MAX_STEPS:
-        raise ModelError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
-    model = _load_model(args.model)
     table = _coerce_table(model)
     pair = alpha_polys(table)
     mu = slope_mu(pair)
@@ -177,12 +193,10 @@ def cmd_scan(args) -> int:
         d = mu_num * q - mu_den * p  # the sign of mu - p/q
         sign = "+" if d > 0 else "-" if d < 0 else "0"
         rows.append(f"{_format_pair(num, c_den)},{mu_text},{_format_pair(p, q)},{sign}")
-    _emit("\n".join(rows) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(rows) + "\n", EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    model = _load_model(args.model)
+def cmd_verify(args, model) -> tuple[str, int]:
     if not isinstance(model, ToricModel):
         raise ModelError("oracle requires toric realization")
     if not args.c:
@@ -200,12 +214,11 @@ def cmd_verify(args) -> int:
             f"{format_rational(rec.df_oracle)} {format_rational(rec.df_predicted)} "
             f"{rec.sign_match} {rec.exact_match}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_VERIFICATION if any_sign_fail else EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_VERIFICATION if any_sign_fail else EXIT_OK
 
 
-def cmd_limit(args) -> int:
-    mixed = _coerce_table(_load_model(args.model))
+def cmd_limit(args, model) -> tuple[str, int]:
+    mixed = _coerce_table(model)
     if not isinstance(mixed, MixedTable):
         raise ModelError("limit needs a mixed table or a toric model with H")
     if len(args.c or []) != 1:
@@ -216,17 +229,25 @@ def cmd_limit(args) -> int:
     for eps, val in zip(eps_list, values):
         lines.append(f"eps {format_rational(eps)}: {format_rational(val)}")
     lines.append(f"eps 0: {format_rational(limit)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_export_table(args) -> int:
-    model = _load_model(args.model)
+def cmd_export_table(args, model) -> tuple[str, int]:
     if not isinstance(model, ToricModel):
         raise ModelError("export-table expects a toric model")
-    table = export_table(model)
-    _emit(json.dumps(serialize_model(table), indent=2) + "\n", args.out)
-    return EXIT_OK
+    return json.dumps(serialize_model(export_table(model)), indent=2) + "\n", EXIT_OK
+
+
+# Each command, in help order: its function, which returns the output text
+# and exit code, and its flags, in help order, which main checks in this
+# order before it reads the model.
+COMMANDS = {
+    "analyze": (cmd_analyze, ("--c", "--width")),
+    "scan": (cmd_scan, ("--steps",)),
+    "verify": (cmd_verify, ("--c", "--max-m")),
+    "limit": (cmd_limit, ("--c", "--eps")),
+    "export-table": (cmd_export_table, ()),
+}
 
 
 @functools.cache  # built on first use, then shared: parsing leaves them as they are
@@ -238,37 +259,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def add(name, func, **flags):
+    for name, (_, flags) in COMMANDS.items():
         p = commands[name] = sub.add_parser(name)
         p.add_argument("model", help="model document (JSON)")
-        if flags.get("c"):
-            p.add_argument("--c", default=None,
-                           help="rational parameter(s), e.g. 1/2 or 1/3,1/2")
-        if flags.get("steps"):
-            p.add_argument("--steps", type=int, default=20)
-        if flags.get("eps"):
-            p.add_argument(
-                "--eps",
-                default=None,
-                help="comma-separated perturbation sizes, e.g. 1/10,1/100",
-            )
-        if flags.get("max_m"):
-            p.add_argument("--max-m", type=int, default=None, dest="max_m")
-        if flags.get("width"):
-            p.add_argument(
-                "--width",
-                default=f"1/{DEFAULT_ISOLATION_WIDTH.denominator}",
-                help="isolation width, e.g. 2^-20 or 1/1000000",
-            )
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag][0])
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(func=func)
-
-    add("analyze", cmd_analyze, c=True, width=True)
-    add("scan", cmd_scan, steps=True)
-    add("verify", cmd_verify, c=True, max_m=True)
-    add("limit", cmd_limit, c=True, eps=True)
-    add("export-table", cmd_export_table)
+        p.set_defaults(command=name)
     return parser, commands
 
 
@@ -290,11 +287,15 @@ def main(argv=None) -> int:
         if extras:
             parser.error("unrecognized arguments: %s" % " ".join(extras))
     try:
-        if getattr(args, "c", None) is not None:
-            args.c = _parse_rationals(args.c, "--c")
-        if getattr(args, "eps", None) is not None:
-            args.eps = _parse_rationals(args.eps, "--eps")
-        return args.func(args)
+        func, flags = COMMANDS[args.command]
+        values = vars(args)
+        for flag in flags:
+            dest, check = flag[2:].replace("-", "_"), FLAGS[flag][1]  # argparse's dest
+            if check is not None and values[dest] is not None:
+                values[dest] = check(values[dest])
+        text, code = func(args, _load_model(args.model))
+        _emit(text, args.out)
+        return code
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -27,9 +27,8 @@ from itertools import product, repeat
 from math import gcd
 from operator import floordiv, mul
 
-from .models import _show_number
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
-from .slope import _mu_c_pair, alpha_polys, df_numerator, slope_mu
+from .slope import _checked_c, _mu_c_pair, alpha_polys, df_numerator, slope_mu
 from .toric import ToricError, ToricModel, export_table
 
 # most prefixes (x_1, ..., x_{n-1}) one count may visit over its m-samples
@@ -399,16 +398,13 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     integers: Q(c) = v / d from one Horner pass, d > 0, so df_predicted is
     one Fraction over alpha0's integer form, and sign(v) must be that of
     mu - mu_c, read off _mu_c_pair's reduced pair; RuntimeError otherwise.
+    A c not in (0, epsilon] is refused by slope._checked_c, as analyze and
+    limit refuse it, before its own samples.
     """
     cs = tuple(map(Fraction, cs))
     table = export_table(model)
     pair = alpha_polys(table)
-
-    def check_c(c):  # before c's own samples
-        if not 0 < c <= table.epsilon:
-            raise ToricError(f"c={c} outside (0, {_show_number(table.epsilon)}]")
-
-    fits = fit_expansions(model, cs, m_list, check_c)
+    fits = fit_expansions(model, cs, m_list, lambda c: _checked_c(c, table.epsilon))
     q, mu = df_numerator(pair), slope_mu(pair)
     alpha0, alpha0_den = pair.alpha0.integer_form  # alpha0(0) = alpha0[0] / alpha0_den > 0
     records = []

@@ -178,7 +178,10 @@ def stability_scan(
     # breakpoints bounding the sign-constant segments of (0, eps]
     points = [IsolatingInterval(Fraction(0), Fraction(0))]
     points.extend(roots)
-    if not (roots and roots[-1].is_exact and roots[-1].lo == eps):
+    # eps, when not a root, ends the last gap, and Q has no root in that
+    # gap: Q(eps) has the gap's sign, so a negative last gap is closed at eps
+    eps_ends = not (roots and roots[-1].is_exact and roots[-1].lo == eps)
+    if eps_ends:
         points.append(IsolatingInterval(eps, eps))
     destabilizing = []
     for left, right in zip(points, points[1:]):
@@ -189,9 +192,7 @@ def stability_scan(
         x, y = left.hi, right.lo
         if q.at(x.numerator * y.denominator + y.numerator * x.denominator,
                 2 * x.denominator * y.denominator)[0] < 0:
-            right_closed = (right.is_exact and right.lo == eps
-                            and q.at(eps.numerator, eps.denominator)[0] < 0)
-            destabilizing.append(SignInterval(left, right, right_closed))
+            destabilizing.append(SignInterval(left, right, eps_ends and right is points[-1]))
     return SlopeReport(eps, mu, q, tuple(destabilizing), False)
 
 

@@ -939,6 +939,9 @@ MODEL_DOCS = [json.loads(path.read_text()) for path in
 LEAVES = st.one_of(
     st.integers(-3, 3),
     st.sampled_from(["1/2", "-2/3", "0", "1/0", "x", "", "\ud800", "1/" + "1" * 5000]),
+    # valid at the 4300-digit limit of a rational's part
+    st.sampled_from(["9" * 4300, "-" + "9" * 4300, "1/" + "3" * 4300,
+                     "9" * 4300 + "/" + "7" * 4300, 10**4300 - 1]),
     st.booleans(),
     st.none(),
     st.lists(st.integers(-2, 2), max_size=4),
@@ -946,7 +949,8 @@ LEAVES = st.one_of(
 C_VALUES = st.sampled_from(["1/2", "1", "1/3,1/2", "2", "0", "-1/2", "1/0", "x", ""])
 FLAGS = {
     "analyze": {"--c": C_VALUES,
-                "--width": st.sampled_from(["2^-5", "2^-64", "1/1000", "0", "-1", "2^-5000", "x"])},
+                "--width": st.sampled_from(["2^-5", "2^-64", "2^-4096", "1/1000", "0", "-1",
+                                            "2^-5000", "x"])},
     "scan": {"--steps": st.integers(-2, 12) | st.just(10001)},
     "verify": {"--c": C_VALUES, "--max-m": st.sampled_from([-4, 0, 12, 30, 10**20])},
     "limit": {"--c": C_VALUES,

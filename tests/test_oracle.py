@@ -377,8 +377,10 @@ class TestVerifyMainTheorem:
             verify_main_theorem(load_model("p2"), F(1, 2))
 
     def test_c_out_of_range(self, load_model):
-        with pytest.raises(ToricError, match="outside"):
+        # refused as slope refuses it: a ModelError, not a ToricError
+        with pytest.raises(ModelError, match="^c=2 outside \\(0, 1\\]$") as excinfo:
             verify_main_theorem(load_model("p2"), 2)
+        assert type(excinfo.value) is ModelError
 
 
 class TestVerify:
@@ -416,13 +418,15 @@ class TestVerify:
     # each c is checked in turn, range first: the first c to fail decides
     @pytest.mark.parametrize("cs, m_list, error, message", [
         ((F(1, 2), 2), range(1, 7), ToricError, "^m=1 does not make c\\*m integral$"),
-        ((2, F(1, 2)), range(1, 7), ToricError, "^c=2 outside"),
+        ((2, F(1, 2)), range(1, 7), ModelError, "^c=2 outside"),
         ((1, 2), (1, 2, 3), ToricError, "^need at least 6 m-samples, got 3$"),
-        ((2, 1), (1, 2, 3), ToricError, "^c=2 outside"),
+        ((2, 1), (1, 2, 3), ModelError, "^c=2 outside"),
     ], ids=["integrality", "range-before-integrality", "count", "range-before-count"])
     def test_first_failing_c_decides(self, load_model, cs, m_list, error, message):
-        with pytest.raises(error, match=message):
+        # the exact class: pytest.raises(ModelError) would also pass a ToricError
+        with pytest.raises(error, match=message) as excinfo:
             oracle.verify(load_model("p2"), cs, m_list)
+        assert type(excinfo.value) is error
 
 
 @pytest.fixture(scope="module")

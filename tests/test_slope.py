@@ -300,6 +300,20 @@ class TestStabilityScan:
         assert report.verdict(F(9, 10)) == "negative"
         assert report.verdict(F(1, 2)) == "positive"
 
+    def test_one_evaluation_per_gap(self, load_model, monkeypatch):
+        # f1_ample's Q has one root in (0, 1], so two gaps; Q(1) takes the
+        # last gap's sign, and is not evaluated again for right_closed
+        pair = alpha_polys(export_table(load_model("f1_ample")))
+        at, calls = UniPoly.at, []
+
+        def counted(self, num, den):
+            calls.append(F(num, den))
+            return at(self, num, den)
+
+        monkeypatch.setattr(UniPoly, "at", counted)
+        (iv,) = stability_scan(pair).destabilizing
+        assert len(calls) == 2 and iv.right_closed
+
     def test_flat_case(self):
         report = stability_scan(alpha_polys(FLAT))
         assert report.flat
