@@ -31,7 +31,7 @@ from .models import (
 )
 from .polynomials import DEFAULT_ISOLATION_WIDTH, UniPoly
 from .slope import (
-    _mu_c_pair,
+    _mu_c_pairs,
     alpha_polys,
     df_numerator,
     mu_c,
@@ -50,6 +50,7 @@ EXIT_INTERNAL = 4
 # and with it the refinement passes and the digits of each printed interval
 # end; a scan writes one row per step.
 MAX_WIDTH_BITS = 4096
+_MIN_WIDTH = Fraction(1, 2**MAX_WIDTH_BITS)
 MAX_STEPS = 10000
 
 
@@ -69,7 +70,7 @@ def _parse_width(text: str) -> Fraction:
             raise ModelError(f"bad --width value {text!r}: {exc}") from exc
     if w <= 0:
         raise ModelError("--width must be positive")
-    if w < Fraction(1, 2**MAX_WIDTH_BITS):
+    if w < _MIN_WIDTH:
         raise ModelError(f"--width must be at least 2^-{MAX_WIDTH_BITS}, got {text}")
     return w
 
@@ -176,8 +177,9 @@ def cmd_analyze(args, model) -> tuple[str, int]:
 def cmd_scan(args, model) -> tuple[str, int]:
     """One CSV row c, mu, mu_c, Q_sign at each c = i epsilon / steps,
     i = 1..steps, built from integer pairs: c reduced by one gcd, mu_c from
-    _mu_c_pair, and Q_sign, the sign of Q(c) = (mu - mu_c) int_0^c alpha0,
-    as the sign of mu - mu_c, since the integral is positive."""
+    one _mu_c_pairs kernel over the grid, and Q_sign, the sign of
+    Q(c) = (mu - mu_c) int_0^c alpha0, as the sign of mu - mu_c, since the
+    integral is positive."""
     table = _coerce_table(model)
     pair = alpha_polys(table)
     mu = slope_mu(pair)
@@ -185,11 +187,10 @@ def cmd_scan(args, model) -> tuple[str, int]:
     mu_text = format_rational(mu)
     eps_num, den = table.epsilon.numerator, table.epsilon.denominator * args.steps
     rows = ["c,mu,mu_c,Q_sign"]
-    for i in range(1, args.steps + 1):
+    for i, (p, q) in enumerate(_mu_c_pairs(pair, eps_num, den, args.steps), 1):
         num = i * eps_num
         g = gcd(num, den)
         num, c_den = num // g, den // g
-        p, q = _mu_c_pair(pair, num, c_den)
         d = mu_num * q - mu_den * p  # the sign of mu - p/q
         sign = "+" if d > 0 else "-" if d < 0 else "0"
         rows.append(f"{_format_pair(num, c_den)},{mu_text},{_format_pair(p, q)},{sign}")

@@ -39,10 +39,11 @@ def parse_rational(value) -> tuple[int, int]:
         m = _RATIONAL_RE.fullmatch(value.strip())
         if not m:
             raise ModelError(f"malformed rational literal {value!r}")
-        longest = max(len(part.lstrip("-")) for part in m.groups(""))
-        if longest > MAX_LITERAL_DIGITS:
-            raise ModelError(f"rational literal too long: a part of {longest} digits, "
-                             f"limit {MAX_LITERAL_DIGITS}")
+        if len(value) > MAX_LITERAL_DIGITS:  # a shorter text has no part that long
+            longest = max(len(part.lstrip("-")) for part in m.groups(""))
+            if longest > MAX_LITERAL_DIGITS:
+                raise ModelError(f"rational literal too long: a part of {longest} digits, "
+                                 f"limit {MAX_LITERAL_DIGITS}")
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) is not None else 1
         if den <= 0:
@@ -252,12 +253,13 @@ def _parse_index_map(doc, key, degree) -> dict[tuple[int, int, int], tuple[int, 
         parts = raw.split(",")
         if len(parts) != 3:
             raise ModelError(f"{key} key {_show_key(raw)} is not of the form 'i,j,k'")
-        longest = max(len(p.strip().lstrip("+-")) for p in parts)
-        if longest > MAX_LITERAL_DIGITS:  # too long for int(): refused without echoing it
-            raise ModelError(f"{key} key too long: an index of {longest} digits, "
-                             f"limit {MAX_LITERAL_DIGITS}")
+        if len(raw) > MAX_LITERAL_DIGITS:  # a shorter key has no index that long
+            longest = max(len(p.strip().lstrip("+-")) for p in parts)
+            if longest > MAX_LITERAL_DIGITS:  # too long for int(): refused without echoing it
+                raise ModelError(f"{key} key too long: an index of {longest} digits, "
+                                 f"limit {MAX_LITERAL_DIGITS}")
         try:
-            idx = tuple(int(p) for p in parts)
+            idx = tuple(map(int, parts))
         except ValueError as exc:
             raise ModelError(f"{key} key {_show_key(raw)} is not integral") from exc
         if min(idx) < 0 or sum(idx) != degree:

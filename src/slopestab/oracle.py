@@ -28,7 +28,7 @@ from math import gcd
 from operator import floordiv, mul
 
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
-from .slope import _checked_c, _mu_c_pair, alpha_polys, df_numerator, slope_mu
+from .slope import _checked_c, _mu_c_pairs, alpha_polys, df_numerator, slope_mu
 from .toric import ToricError, ToricModel, export_table
 
 # most prefixes (x_1, ..., x_{n-1}) one count may visit over its m-samples
@@ -48,12 +48,22 @@ class WeightSample(namedtuple("WeightSample", "m h0 w")):
     __slots__ = ()
 
 
-class ExpansionFit(namedtuple("ExpansionFit", "a b df samples")):
-    """Exact expansion coefficients, leading term first:
-    h0(mL) = a[0] m^n + ... + a[n], w_m = b[0] m^(n+1) + ... + b[n+1]; a and
-    b are tuples of Fractions, df a Fraction, samples the WeightSamples."""
+class ExpansionFit(namedtuple("ExpansionFit", "h0_poly w_poly df samples")):
+    """The exact fits of one c: the UniPolys h0_poly, of degree n, and
+    w_poly, of degree at most n + 1, in m; df a Fraction, samples the
+    WeightSamples.  a and b, their expansion coefficients leading term first,
+    h0(mL) = a[0] m^n + ... + a[n] and w_m = b[0] m^(n+1) + ... + b[n+1],
+    are tuples of Fractions built when read."""
 
     __slots__ = ()
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        return self.h0_poly.coeffs[::-1]
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(map(self.w_poly.coeff, range(self.h0_poly.degree + 1, -1, -1)))
 
 
 class VerificationRecord(namedtuple("VerificationRecord", "label c df_oracle df_predicted "
@@ -213,16 +223,27 @@ def _walk(levels, xs, x_lo=0, count=1):
 
     Every level but the last steps through _ranges: after
     xs = (m, s, x_0, ..., x_{k-1}), where x_0 = 0 stands for no coordinate,
-    x_k runs over x_lo..x_lo + count - 1, and levels[0] bounds x_{k+1}; so
+    x_k runs over x_lo..x_lo + count - 1, and levels[k] bounds x_{k+1}; so
     the walk's constant r_m m + r_s s enters each row's dot product, with no
-    step of its own.
+    step of its own.  The walk keeps one stack of (prefix, _ranges iterator),
+    so a step passes through no nested generator.
     """
-    if len(levels) == 1:
+    last = len(levels) - 1
+    if not last:
         yield xs, x_lo, count
         return
-    for x, lo, hi in _ranges(levels[0], xs, x_lo, count):
-        if lo <= hi:
-            yield from _walk(levels[1:], (*xs, x), lo, hi - lo + 1)
+    stack = [(xs, _ranges(levels[0], xs, x_lo, count))]
+    while stack:
+        prefix, ranges = stack[-1]
+        for x, lo, hi in ranges:
+            if lo <= hi:
+                p = (*prefix, x)
+                if len(stack) < last:
+                    stack.append((p, _ranges(levels[len(stack)], p, lo, hi - lo + 1)))
+                    break
+                yield p, lo, hi - lo + 1
+        else:
+            stack.pop()
 
 
 def _sample(model: ToricModel, m: int, levels, sigma_form, caps,
@@ -372,16 +393,14 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
         h_poly = fit_polynomial([(0, 1), *h0], n) if any(h for _, h in h0) else None
         if h_poly is None or h_poly.degree < n:
             raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
-        a = tuple(h_poly.coeff(n - i) for i in range(n + 1))
         h, hd = h_poly.integer_form
         for ms, caps in plans:
             own = tuple(samples[m][cap] for m, cap in zip(ms, caps))
             w_poly = fit_polynomial([(0, 0), *((s.m, s.w) for s in own)], n + 1)
-            b = tuple(w_poly.coeff(n + 1 - i) for i in range(n + 2))
             w, wd = w_poly.integer_form
             w += (0,) * (n + 2 - len(w))
             df = Fraction((w[n + 1] * h[n - 1] - w[n] * h[n]) * hd, wd * h[n] ** 2)
-            fits.append(ExpansionFit(a, b, df, own))
+            fits.append(ExpansionFit(h_poly, w_poly, df, own))
     except WitnessMismatch as exc:  # the counts are polynomials in m
         raise RuntimeError(f"oracle counts are not polynomial in m: {exc}") from exc
     return tuple(fits)
@@ -397,7 +416,7 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     normalization Q(c) / alpha0(0).  Both sides of the cross-check are
     integers: Q(c) = v / d from one Horner pass, d > 0, so df_predicted is
     one Fraction over alpha0's integer form, and sign(v) must be that of
-    mu - mu_c, read off _mu_c_pair's reduced pair; RuntimeError otherwise.
+    mu - mu_c, read off _mu_c_pairs' reduced pair; RuntimeError otherwise.
     A c not in (0, epsilon] is refused by slope._checked_c, as analyze and
     limit refuse it, before its own samples.
     """
@@ -411,7 +430,7 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     for c, fit in zip(cs, fits):
         v, d = q.at(c.numerator, c.denominator)
         # cross-check the prediction path: Q/denominator must reproduce mu - mu_c
-        p, r = _mu_c_pair(pair, c.numerator, c.denominator)
+        ((p, r),) = _mu_c_pairs(pair, c.numerator, c.denominator, 1)
         if _sign(v) != _sign(mu.numerator * r - p * mu.denominator):
             raise RuntimeError(f"sign of Q at c={c} disagrees with mu - mu_c")
         predicted = Fraction(v * alpha0_den, d * alpha0[0])

@@ -126,28 +126,53 @@ def slope_mu(alpha: AlphaPair) -> Fraction:
     return alpha.mu
 
 
-def _mu_c_pair(alpha: AlphaPair, num: int, den: int) -> tuple[int, int]:
-    """mu_c at c = num/den, for den > 0 and c in (0, epsilon], as the reduced
-    pair (p, q) with q > 0: the integer Horner values a/b of
-    int_0^c (alpha1 + alpha0'/2) and u/v of int_0^c alpha0 give
-    mu_c = (a v) / (b u), reduced by one gcd.  The integral of alpha0 is
-    positive on (0, epsilon], since alpha0 is, so q > 0 is an invariant; a
-    q <= 0 raises RuntimeError, a fault of this package, not of its input."""
-    a, b = alpha.numerator_integral.at(num, den)
-    u, v = alpha.alpha0_integral.at(num, den)
-    p, q = a * v, b * u
-    if q <= 0:
-        raise RuntimeError(f"int_0^c alpha0 is not positive at c={num}/{den}")
-    g = gcd(p, q)
-    return p // g, q // g
+def _scaled(ints, num: int, den: int, deg: int, scale: int) -> list[int]:
+    """The integer polynomial in i of scale * den^deg * p(i num / den), for
+    the integer polynomial p = ints of degree at most deg: coefficient k is
+    scale * ints[k] * num^k * den^(deg - k)."""
+    out, power = [], scale * den**deg
+    for c in ints:
+        out.append(c * power)
+        power = power // den * num
+    return out
+
+
+def _mu_c_pairs(alpha: AlphaPair, num: int, den: int, count: int):
+    """mu_c at each c = i num/den, i = 1..count, for den > 0 and every such c
+    in (0, epsilon], as the reduced pair (p, q) with q > 0.
+
+    With int_0^t (alpha1 + alpha0'/2) = A(t) / ad and int_0^t alpha0 =
+    U(t) / ud in integer form, and deg the larger of their degrees,
+    mu_c = p / q with p = ud den^deg A(i num/den) and
+    q = ad den^deg U(i num/den): each an integer polynomial in i, scaled
+    once, so a row takes two Horner passes in the small int i and one gcd.
+    Neither degree bounds the other: with AE[n] = 0, U drops to degree n,
+    and with AE[n - 1] = 0 too, below A.  The integral of alpha0 is positive
+    on (0, epsilon], since alpha0 is, so q > 0 is an invariant; a q <= 0
+    raises RuntimeError, a fault of this package, not of its input."""
+    (a, ad), (u, ud) = alpha.numerator_integral.integer_form, alpha.alpha0_integral.integer_form
+    deg = max(len(a), len(u)) - 1  # U holds AE[0] t: deg >= 1
+    a = _scaled(a, num, den, deg, ud)[::-1]
+    u = _scaled(u, num, den, deg, ad)[::-1]
+    for i in range(1, count + 1):
+        p = q = 0
+        for x in a:
+            p = p * i + x
+        for x in u:
+            q = q * i + x
+        if q <= 0:
+            raise RuntimeError(f"int_0^c alpha0 is not positive at c={i * num}/{den}")
+        g = gcd(p, q)
+        yield p // g, q // g
 
 
 def mu_c(alpha: AlphaPair, c) -> Fraction:
     """The quotient slope: integral of (alpha1 + alpha0'/2) over [0, c]
     divided by the integral of alpha0, for c in (0, epsilon]; the Fraction
-    of _mu_c_pair's reduced pair."""
+    of _mu_c_pairs' one reduced pair at c."""
     c = _checked_c(c, alpha.epsilon)
-    return Fraction(*_mu_c_pair(alpha, c.numerator, c.denominator))
+    (pair,) = _mu_c_pairs(alpha, c.numerator, c.denominator, 1)
+    return Fraction(*pair)
 
 
 def df_numerator(alpha: AlphaPair) -> UniPoly:

@@ -21,6 +21,7 @@ from reference import mixed_entries
 from slopestab import cli, oracle, slope, toric
 from slopestab.models import IntersectionTable, parse_model, serialize_model
 from slopestab.oracle import VerificationRecord
+from slopestab.polynomials import UniPoly
 from slopestab.toric import export_table
 
 
@@ -270,6 +271,25 @@ class TestScan:
         assert [row.split(",")[0] for row in lines[1:]] == ["1/4", "1/2", "3/4", "1"]
         assert [row.split(",")[3] for row in lines[1:]] == ["+", "+", "+", "-"]
         assert all(row.split(",")[1] == "5/3" for row in lines[1:])
+
+    def test_rows_take_no_polynomial_evaluation(self, capsys, models_dir, monkeypatch):
+        # mu_c comes from one kernel over the c-grid: the UniPoly.at calls
+        # of a scan are those of its analysis, whatever the number of rows
+        calls = []
+        at = UniPoly.at
+
+        def counted(poly, num, den):
+            calls.append((num, den))
+            return at(poly, num, den)
+
+        monkeypatch.setattr(UniPoly, "at", counted)
+        counts = []
+        for steps in ("1", "32"):
+            calls.clear()
+            code, out, _ = run(capsys, "scan", str(models_dir / "t3.json"), "--steps", steps)
+            assert code == 0 and len(out.splitlines()) == int(steps) + 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("steps", ["0", "-5"])
     def test_steps_below_one_rejected(self, capsys, models_dir, steps):

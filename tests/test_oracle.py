@@ -368,11 +368,11 @@ class TestVerifyMainTheorem:
 
     def test_prediction_cross_check_is_an_internal_error(self, load_model, monkeypatch):
         # mu_c = mu + 1, so mu - mu_c < 0 while Q(1/2) > 0
-        def mu_plus_one(pair, num, den):
+        def mu_plus_one(pair, num, den, count):
             mu = slope_mu(pair)
-            return mu.numerator + mu.denominator, mu.denominator
+            return [(mu.numerator + mu.denominator, mu.denominator)] * count
 
-        monkeypatch.setattr(oracle, "_mu_c_pair", mu_plus_one)
+        monkeypatch.setattr(oracle, "_mu_c_pairs", mu_plus_one)
         with pytest.raises(RuntimeError, match="disagrees"):
             verify_main_theorem(load_model("p2"), F(1, 2))
 

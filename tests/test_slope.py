@@ -18,6 +18,7 @@ from slopestab.models import MixedTable, ModelError, format_rational
 from slopestab.polynomials import UniPoly
 from slopestab.slope import (
     PositivityError,
+    _mu_c_pairs,
     alpha_polys,
     df_numerator,
     mu_c,
@@ -130,6 +131,17 @@ def random_cases(rng, count=2000):
         yield n, ae, kae, *ref_alpha(table_of("t", n, ae, kae, F(1)))
 
 
+def tail_zero_cases(rng, count):
+    """random_cases with AE's last one or two entries set to 0 (one when
+    n = 1, so AE[0] stays positive): int_0^t alpha0 then falls to degree n
+    or n - 1, and the degree n of int_0^t (alpha1 + alpha0'/2) ties with it
+    or passes it."""
+    for n, ae, kae, *_ in random_cases(rng, count):
+        zeros = min(rng.randint(1, 2), n)
+        ae = (*ae[:n + 1 - zeros], *(F(0),) * zeros)
+        yield n, ae, kae, *ref_alpha(table_of("t", n, ae, kae, F(1)))
+
+
 class TestClosedForms:
     """The closed integer forms of `alpha_polys`, `df_numerator` and
     `MixedTable.specialize` against their definitions in `reference`."""
@@ -178,9 +190,9 @@ class TestPrintedLines:
     """`scan`'s rows and `analyze`'s polynomial lines, printed from integer
     pairs, against one Fraction per value on the random tables."""
 
-    def test_match_fraction_loop(self, capsys, monkeypatch):
-        # the first 1000 cases: every n, entry kind and specialization recurs
-        for n, ae, kae, alpha0, alpha1, i0, i1, mu, q in random_cases(random.Random(23), 1000):
+    @staticmethod
+    def assert_match(cases, capsys, monkeypatch):
+        for n, ae, kae, alpha0, alpha1, i0, i1, mu, q in cases:
             table = table_of("t", n, ae, kae, cauchy_epsilon(alpha0))
             monkeypatch.setattr(cli, "_load_model", lambda path: table)
             for steps in (1, 7, 32):
@@ -188,9 +200,22 @@ class TestPrintedLines:
                 assert (capsys.readouterr().out.splitlines()
                         == ref_scan_rows(table.epsilon, i0, i1, mu, steps))
             pair = alpha_polys(table)
+            # the kernel's one pair at c, against mu_c by Fractions
+            for c in (table.epsilon, table.epsilon / 3):
+                mc = i1(c) / i0(c)
+                assert (list(_mu_c_pairs(pair, c.numerator, c.denominator, 1))
+                        == [(mc.numerator, mc.denominator)])
             for p in (pair.alpha0, pair.alpha1, df_numerator(pair)):
                 text = " ".join(map(format_rational, p.coeffs)) if not p.is_zero else "0"
                 assert cli._poly_line(p) == text
+
+    def test_match_fraction_loop(self, capsys, monkeypatch):
+        # the first 1000 cases: every n, entry kind and specialization recurs
+        self.assert_match(random_cases(random.Random(23), 1000), capsys, monkeypatch)
+
+    def test_match_fraction_loop_ae_tail_zeros(self, capsys, monkeypatch):
+        # the integrals' degrees tie or cross
+        self.assert_match(tail_zero_cases(random.Random(29), 300), capsys, monkeypatch)
 
 
 class TestMu:
