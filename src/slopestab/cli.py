@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import oracle as oracle_mod
 from .models import (
@@ -202,13 +202,9 @@ def cmd_verify(args, model) -> tuple[str, int]:
         raise ModelError("oracle requires toric realization")
     if not args.c:
         raise ModelError("verify needs at least one --c value")
-    m_list = None  # the oracle's default: m = q, -q, 2q, -2q, ..., by reciprocity
-    if args.max_m is not None:  # positive multiples only
-        d = lcm(*(c.denominator for c in args.c))
-        m_list = range(d, args.max_m + 1, d)
     lines = ["label c df_oracle df_predicted sign_match exact_match"]
     any_sign_fail = False
-    for rec in oracle_mod.verify(model, args.c, m_list):
+    for rec in oracle_mod.verify(model, args.c, args.max_m):
         any_sign_fail = any_sign_fail or not rec.sign_match
         lines.append(
             f"{rec.label} {format_rational(rec.c)} "

@@ -74,8 +74,6 @@ def _format_ratio(num: int, den: int) -> str:
 def format_rational(x: Fraction) -> str:
     """The "p/q" text of x, or "p" when x is an integer: _format_pair of its
     numerator and denominator."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
     return _format_pair(x.numerator, x.denominator)
 
 

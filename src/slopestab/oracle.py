@@ -10,7 +10,9 @@ as b + e * x along the coordinate x before it, so its dot product is taken
 once per prefix.  Each m-sample is walked once: the prefix budget's count
 walk keeps its steps, up to a fixed number held per verification, and the
 count reads them for every c that needs the sample, with one capped weight
-total per c.  The default m-samples come in pairs m and -m: by
+total per c.  The oracle builds every m-list it samples: each c's default
+one, or, under a bound max_m, the positive multiples up to it of the lcm of
+the c denominators.  The default m-samples come in pairs m and -m: by
 Ehrhart-Macdonald reciprocity, the value at -m of each count's polynomial
 is read off the interior of m * P_L, which the same elimination bounds, so
 the largest dilation walked is about half the sample count times c's
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import floordiv, mul
 
 from .polynomials import WitnessMismatch, _sign, fit_polynomial
@@ -142,11 +144,11 @@ def _levels(model: ToricModel):
     return levels
 
 
-def _check_budget(levels, ms, counts: dict, explicit: bool, held=None) -> None:
-    """Refuse, before any slice is enumerated, an m-list ms with an m that
-    repeats or, when the list is explicit, is not positive, and a count that
-    would visit more than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over
-    its m-samples, the interior walks of negative m included.
+def _check_budget(levels, ms, counts: dict, held=None) -> None:
+    """Refuse, before any slice is enumerated, a count that would visit more
+    than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over its m-samples ms,
+    the interior walks of negative m included; the m of ms are distinct, as
+    in every m-list that fit_expansions builds.
     counts keeps each m's prefix count for the next m-list; an m not in it
     is counted only as far as the budget left.  Each m is checked as it is
     reached, so the budget stops a long list before it is read to the end.
@@ -154,14 +156,9 @@ def _check_budget(levels, ms, counts: dict, explicit: bool, held=None) -> None:
     (prefix, x_lo, count) that _walk yields, for _sample to read instead of
     walking again, while all it holds stays within _HELD_STEPS; an m past
     that is not held, and _sample walks it afresh."""
-    total, seen = 0, set()
+    total = 0
     room = 0 if held is None else _HELD_STEPS - sum(map(len, held.values()))
     for m in ms:
-        if explicit and m <= 0:
-            raise ToricError(f"m={m} is not a positive m-sample")
-        if m in seen:
-            raise ToricError(f"m={m} is repeated in the m-list")
-        seen.add(m)
         steps = None
         if m not in counts:
             count, steps = 0, [] if room > 0 else None
@@ -214,7 +211,7 @@ def _walk_of(m: int) -> tuple[int, int]:
     return abs(m), int(m < 0)
 
 
-def _walk(levels, xs, x_lo=0, count=1):
+def _walk(levels, xs):
     """(prefix, x_lo, count) for each integer prefix (x_1, ..., x_{n-2}) of
     the projection of the polytope that levels bound at the walk xs = (m, s)
     of _walk_of, with x_lo..x_lo + count - 1 the range of x_{n-1} after it;
@@ -223,16 +220,17 @@ def _walk(levels, xs, x_lo=0, count=1):
 
     Every level but the last steps through _ranges: after
     xs = (m, s, x_0, ..., x_{k-1}), where x_0 = 0 stands for no coordinate,
-    x_k runs over x_lo..x_lo + count - 1, and levels[k] bounds x_{k+1}; so
-    the walk's constant r_m m + r_s s enters each row's dot product, with no
-    step of its own.  The walk keeps one stack of (prefix, _ranges iterator),
-    so a step passes through no nested generator.
+    x_k runs over the range that levels[k - 1] gives it (x_0 over 0 alone),
+    and levels[k] bounds x_{k+1}; so the walk's constant r_m m + r_s s
+    enters each row's dot product, with no step of its own.  The walk keeps
+    one stack of (prefix, _ranges iterator), so a step passes through no
+    nested generator.
     """
     last = len(levels) - 1
     if not last:
-        yield xs, x_lo, count
+        yield xs, 0, 1
         return
-    stack = [(xs, _ranges(levels[0], xs, x_lo, count))]
+    stack = [(xs, _ranges(levels[0], xs, 0, 1))]
     while stack:
         prefix, ranges = stack[-1]
         for x, lo, hi in ranges:
@@ -330,29 +328,34 @@ def default_m_list(n: int, c) -> list[int]:
     return [s * q * i for i in range(1, n // 2 + 3) for s in (1, -1)][:n + 3]
 
 
-def fit_expansions(model: ToricModel, cs, m_list=None,
+def fit_expansions(model: ToricModel, cs, max_m=None,
                    check_c=None) -> tuple[ExpansionFit, ...]:
     """Exact degree-n and degree-(n+1) fits of h0 and w with witness checks,
     one per c of cs, in order.
 
+    The oracle builds every m-list it samples.  With max_m None, each c
+    takes its default_m_list.  With an int max_m, every c takes
+    m = d, 2d, ..., up to max_m, where d is the lcm of the denominators of
+    cs; those are n + 4 positive samples or more, or the call is refused.
+    Either way the m of a list are distinct and make c*m integral.
     Each c is checked in turn: check_c(c) first when given, then the sample
-    count of an explicit m_list (at least n + 4), the elimination (once, at
-    the first c), its own m-list (an explicit one's m positive and distinct)
-    and the prefix budget over it, and the integrality of c*m.  Only then is
-    each distinct m of the m-lists sampled, once, with the caps c*m of every
-    c whose list holds it, from the steps the budget's walk held for it, or
-    from a walk of its own past _HELD_STEPS; an m's steps are dropped once
-    it is sampled.  The default m-list takes half its samples at
-    negative m, each the value H(m) and W(m) of the fitted polynomials that
-    _sample reads off the interior of |m| * P_L by reciprocity.  The
+    count under max_m, the elimination (once, at the first c) and the
+    prefix budget over its m-list.  Only then is each distinct m of the
+    m-lists sampled, once, with the caps c*m of every c whose list holds it,
+    from the steps the budget's walk held for it, or from a walk of its own
+    past _HELD_STEPS; an m's steps are dropped once it is sampled.  The
+    default m-list takes half its samples at negative m, each the value
+    H(m) and W(m) of the fitted polynomials that _sample reads off the
+    interior of |m| * P_L by reciprocity.  The
     elimination refuses an empty or lower-dimensional P_L, whose interior is
     empty, before any walk.  m = 0 is never walked: by Ehrhart's theorem
     h0(0L) = 1 and w_0 = 0, so (0, 1) comes first in the h0 fit and (0, 0)
     first in each weight fit, and the default m-list walks n + 3 samples for
-    fits of n + 4 points.  h0 does not depend on c: it is fitted once, over m = 0 and every
-    m walked in increasing order, the points past the first n + 1 as
-    witnesses.  A fit witness that disagrees raises RuntimeError: the counts
-    are polynomials in m, so it is a fault of the oracle, not of the input.
+    fits of n + 4 points.  h0 does not depend on c: it is fitted once, over
+    m = 0 and every m walked in increasing order, the points past the first
+    n + 1 as witnesses.  A fit witness that disagrees raises RuntimeError:
+    the counts are polynomials in m, so it is a fault of the oracle, not of
+    the input.
     An L that is not big, so that h0 has no m^n term, raises ToricError;
     that is checked before the m = 0 point is added, which an empty m * P_L
     would contradict.
@@ -360,24 +363,21 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     integer forms, h over hd and w over wd, constant term first:
     (w[n+1] h[n-1] - w[n] h[n]) hd / (wd h[n]^2), a trimmed index read as 0.
     """
-    n = model.fan.dim
+    n, cs = model.fan.dim, tuple(map(Fraction, cs))
+    d = lcm(*(c.denominator for c in cs))  # max_m's step
     plans, counts, held, levels, form = [], {}, {}, None, None
     by_m = {}  # m -> its distinct caps, as dict keys in order of first use
-    for c in map(Fraction, cs):
+    for c in cs:
         if check_c is not None:
             check_c(c)
-        ms = default_m_list(n, c) if m_list is None else m_list
-        if m_list is not None and len(ms[:n + 4]) < n + 4:  # a range's len() fails past sys.maxsize
-            raise ToricError(f"need at least {n + 4} m-samples, got {len(ms)}")
+        if max_m is not None and max_m // d < n + 4:
+            raise ToricError(f"need at least {n + 4} m-samples, got {max(max_m // d, 0)}")
+        ms = default_m_list(n, c) if max_m is None else range(d, max_m + 1, d)
         if not plans:
             levels, form = _levels(model), _sigma_form(model)
-        _check_budget(levels, ms, counts, m_list is not None, held)
-        caps = []
-        for m in ms:
-            cap, rest = divmod(c.numerator * m, c.denominator)
-            if rest:
-                raise ToricError(f"m={m} does not make c*m integral")
-            caps.append(cap)
+        _check_budget(levels, ms, counts, held)
+        caps = [c.numerator * m // c.denominator for m in ms]
+        for m, cap in zip(ms, caps):
             by_m.setdefault(m, {})[cap] = None
         plans.append((ms, caps))
     samples = {  # m -> cap -> WeightSample
@@ -406,7 +406,7 @@ def fit_expansions(model: ToricModel, cs, m_list=None,
     return tuple(fits)
 
 
-def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]:
+def verify(model: ToricModel, cs, max_m=None) -> tuple[VerificationRecord, ...]:
     """Compare the enumeration-based invariant against the slope engine, one
     record per c of cs, in order.
 
@@ -418,12 +418,13 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     one Fraction over alpha0's integer form, and sign(v) must be that of
     mu - mu_c, read off _mu_c_pairs' reduced pair; RuntimeError otherwise.
     A c not in (0, epsilon] is refused by slope._checked_c, as analyze and
-    limit refuse it, before its own samples.
+    limit refuse it, before its own samples.  max_m, None or an int bound,
+    chooses the m-samples as in fit_expansions.
     """
     cs = tuple(map(Fraction, cs))
     table = export_table(model)
     pair = alpha_polys(table)
-    fits = fit_expansions(model, cs, m_list, lambda c: _checked_c(c, table.epsilon))
+    fits = fit_expansions(model, cs, max_m, lambda c: _checked_c(c, table.epsilon))
     q, mu = df_numerator(pair), slope_mu(pair)
     alpha0, alpha0_den = pair.alpha0.integer_form  # alpha0(0) = alpha0[0] / alpha0_den > 0
     records = []
@@ -446,6 +447,6 @@ def verify(model: ToricModel, cs, m_list=None) -> tuple[VerificationRecord, ...]
     return tuple(records)
 
 
-def verify_main_theorem(model: ToricModel, c, m_list=None) -> VerificationRecord:
+def verify_main_theorem(model: ToricModel, c, max_m=None) -> VerificationRecord:
     """verify for the single value c."""
-    return verify(model, (c,), m_list)[0]
+    return verify(model, (c,), max_m)[0]

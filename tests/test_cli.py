@@ -407,6 +407,13 @@ class TestVerify:
         assert code == 0
         assert out.strip().splitlines()[1].endswith("True True")
 
+    @pytest.mark.parametrize("max_m, got", [("0", 0), ("-5", 0), ("5", 5)])
+    def test_max_m_too_small_exits_2(self, capsys, models_dir, max_m, got):
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"),
+                             "--c", "1", "--max-m", max_m)
+        assert (code, out) == (2, "")
+        assert err == f"error: need at least 6 m-samples, got {got}\n"
+
     def test_max_m_steps_by_lcm_of_denominators(self, capsys, models_dir):
         # m = 6, 12, ..., 60: every c*m integral (stepping by the largest
         # denominator, 3, would start at m = 3 with c = 1/2)
@@ -504,7 +511,7 @@ class TestVerify:
             sign_match=False, exact_match=False, samples=(),
         )
         monkeypatch.setattr(cli.oracle_mod, "verify",
-                            lambda model, cs, m_list=None: (fake,))
+                            lambda model, cs, max_m=None: (fake,))
         code, out, _ = run(capsys, "verify", str(models_dir / "p2.json"),
                            "--c", "1/2")
         assert code == 3
@@ -571,9 +578,7 @@ class TestVerifyOneWalkPerOp:
         walks, steps = Counter(), {}
         walk = oracle._walk
 
-        def counted(levels, xs, *rest):
-            if rest:  # the walk's own recursion passes x_lo and count
-                return walk(levels, xs, *rest)
+        def counted(levels, xs):
             walks[xs] += 1
             out = list(walk(levels, xs))
             steps[xs] = len(out)
@@ -582,19 +587,19 @@ class TestVerifyOneWalkPerOp:
         monkeypatch.setattr(oracle, "_walk", counted)
         return walks, steps
 
-    @pytest.mark.parametrize("name, cs, m_list", [
+    @pytest.mark.parametrize("name, cs, max_m", [
         ("p2", (F(1, 2), 1), None), ("f1_ample", (F(1, 2), 1), None),
-        ("p3", (1,), range(1, 9)), ("blp3_014", (F(1, 2), F(1, 3)), None),
+        ("p3", (1,), 8), ("blp3_014", (F(1, 2), F(1, 3)), None),
     ], ids=["p2", "f1_ample", "p3-m-list", "blp3_014"])
-    def test_one_walk_per_m(self, load_model, monkeypatch, name, cs, m_list):
+    def test_one_walk_per_m(self, load_model, monkeypatch, name, cs, max_m):
         # the budget's count walk holds its steps, and _sample reads them
         walks, _ = self.count_walks(monkeypatch)
-        records = oracle.verify(load_model(name), cs, m_list)
+        records = oracle.verify(load_model(name), cs, max_m)
         sampled = {s.m for r in records for s in r.samples}
         assert len(sampled) > 5
         assert walks == Counter(oracle._walk_of(m) for m in sampled)
 
-    # two c on default m-lists, and one explicit m-list
+    # two c on default m-lists, and one c on the m-list of --max-m
     @pytest.mark.parametrize("op", [
         ("p2.json", "1/2,1"), ("f1_ample.json", "1/2,1"), ("p3.json", "1", "--max-m", "8"),
     ], ids=["p2", "f1_ample", "p3-max-m"])
@@ -687,7 +692,7 @@ class TestVerifyOneWalkPerOp:
 
 class TestInternalFault:
     def test_runtime_error_exits_4(self, capsys, models_dir, monkeypatch):
-        def fail(model, cs, m_list=None):
+        def fail(model, cs, max_m=None):
             raise RuntimeError("sign of Q at c=1/2 disagrees with mu - mu_c")
 
         monkeypatch.setattr(cli.oracle_mod, "verify", fail)

@@ -79,9 +79,9 @@ def sample(model, m, cap):
     return oracle._sample(model, m, oracle._levels(model), _sigma_form(model), (cap,))[0]
 
 
-def fit_one(model, c, m_list=None):
+def fit_one(model, c, max_m=None):
     """fit_expansions for the single value c."""
-    (fit,) = fit_expansions(model, [c], m_list)
+    (fit,) = fit_expansions(model, [c], max_m)
     return fit
 
 
@@ -149,7 +149,7 @@ class TestAgainstBoxCounter:
 
     def test_point_budget(self, load_model):
         with pytest.raises(ToricError, match="budget exceeded at m="):
-            fit_one(load_model("p3"), 1, m_list=range(1, 10**6))
+            fit_one(load_model("p3"), 1, max_m=10**6 - 1)
 
 
 class TestWeightTotal:
@@ -180,10 +180,10 @@ class TestDefaultMList:
         levels, counts = oracle._levels(P6_O2), {}
         ms = default_m_list(6, F(1, 2))
         assert ms == [2, -2, 4, -4, 6, -6, 8, -8, 10]
-        oracle._check_budget(levels, ms, counts, False)
+        oracle._check_budget(levels, ms, counts)
         assert sum(counts.values()) == 83340
         with pytest.raises(ToricError, match="^lattice-point budget exceeded at m=20: "):
-            oracle._check_budget(levels, range(2, 21, 2), counts, True)
+            oracle._check_budget(levels, range(2, 21, 2), counts)
 
     def test_p8_o1_verifies_at_one_half(self):
         # n + 4 positive samples would end at m = 22, past the budget; the
@@ -193,15 +193,6 @@ class TestDefaultMList:
         assert time.perf_counter() - start < 3
         assert rec.exact_match and rec.df_oracle == F(7, 128)
         assert [s.m for s in rec.samples] == [2, -2, 4, -4, 6, -6, 8, -8, 10, -10, 12]
-
-    @pytest.mark.parametrize("m_list, message", [
-        ((0, 1, 2, 3, 4, 5), "m=0 is not a positive m-sample"),
-        ((1, 2, 3, -1, 4, 5), "m=-1 is not a positive m-sample"),
-        ((1, 2, 3, 3, 4, 5), "m=3 is repeated in the m-list"),
-    ], ids=["zero", "negative", "repeated"])
-    def test_m_list_refused(self, load_model, m_list, message):
-        with pytest.raises(ToricError, match=f"^{message}$"):
-            oracle.verify(load_model("p2"), (1,), m_list)
 
 
 def positive_fits(model):
@@ -310,11 +301,7 @@ class TestFitExpansions:
 
     def test_too_few_samples(self, load_model):
         with pytest.raises(ToricError, match="at least"):
-            fit_one(load_model("p2"), 1, m_list=[1, 2, 3])
-
-    def test_incompatible_m_list(self, load_model):
-        with pytest.raises(ToricError, match="integral"):
-            fit_one(load_model("p2"), F(1, 2), m_list=[1, 2, 3, 4, 5, 6])
+            fit_one(load_model("p2"), 1, max_m=3)
 
     # L not big: m * P_L is a point or empty, so h0(mL) has no m^n term
     @pytest.mark.parametrize("fan, L, message", [
@@ -331,12 +318,19 @@ class TestFitExpansions:
         with pytest.raises(ToricError, match=message):
             fit_one(ToricModel("not big", fan, L, (0, 1)), F(1, 2))
 
+    def test_unbounded_polytope_refused(self):
+        # A^2: one cone on (1, 0) and (0, 1), so P_L is the quadrant
+        # x, y >= -1, and no row bounds y from above
+        model = ToricModel("A2", Fan(((1, 0), (0, 1)), ((0, 1),)), (1, 1), (0,))
+        with pytest.raises(ToricError, match="^sections polytope is unbounded along x_2$"):
+            fit_one(model, F(1, 2))
+
     def test_empty_polytope_refused_before_a_long_m_list(self):
         # every m-sample of an empty m * P_L visits no prefix, so the budget
         # never stops the list: the elimination must refuse it first
         model = ToricModel("empty", P2_FAN, (0, 0, -1), (0, 1))
         with pytest.raises(ToricError, match="^h0\\(mL\\) has no m\\^2 term: L is not big$"):
-            fit_one(model, F(1, 2), m_list=range(2, 10**20, 2))
+            fit_one(model, F(1, 2), max_m=10**20 - 2)
 
 
 class TestVerifyMainTheorem:
@@ -415,18 +409,34 @@ class TestVerify:
         assert [(r.df_oracle, r.sign_match, r.exact_match) for r in recs] == [
             (F(5, 72), True, True), (F(1, 9), True, True)]
 
-    # each c is checked in turn, range first: the first c to fail decides
-    @pytest.mark.parametrize("cs, m_list, error, message", [
-        ((F(1, 2), 2), range(1, 7), ToricError, "^m=1 does not make c\\*m integral$"),
-        ((2, F(1, 2)), range(1, 7), ModelError, "^c=2 outside"),
-        ((1, 2), (1, 2, 3), ToricError, "^need at least 6 m-samples, got 3$"),
-        ((2, 1), (1, 2, 3), ModelError, "^c=2 outside"),
-    ], ids=["integrality", "range-before-integrality", "count", "range-before-count"])
-    def test_first_failing_c_decides(self, load_model, cs, m_list, error, message):
+    # each c is checked in turn, range first: the first c to fail decides;
+    # the count is of the multiples of the lcm of the c denominators, 2 for
+    # c = 1/2 and 2, which make every c*m integral
+    @pytest.mark.parametrize("cs, max_m, error, message", [
+        ((F(1, 2), 2), 11, ToricError, "^need at least 6 m-samples, got 5$"),
+        ((2, F(1, 2)), 6, ModelError, "^c=2 outside"),
+        ((1, 2), 3, ToricError, "^need at least 6 m-samples, got 3$"),
+        ((2, 1), 3, ModelError, "^c=2 outside"),
+    ], ids=["lcm-count", "range-before-integrality", "count", "range-before-count"])
+    def test_first_failing_c_decides(self, load_model, cs, max_m, error, message):
         # the exact class: pytest.raises(ModelError) would also pass a ToricError
         with pytest.raises(error, match=message) as excinfo:
-            oracle.verify(load_model("p2"), cs, m_list)
+            oracle.verify(load_model("p2"), cs, max_m)
         assert type(excinfo.value) is error
+
+    # max_m: the m-samples of every c are the multiples of the lcm d of the
+    # c denominators up to it, positive, distinct and with c*m integral
+    @pytest.mark.parametrize("name, cs, max_m, d", [
+        ("p2", (F(1, 2), F(1, 3)), 60, 6),
+        ("f1_ample", (F(1, 2), 1), 12, 2),
+        ("p3", (1,), 8, 1),
+    ], ids=["p2", "f1_ample", "p3"])
+    def test_max_m_samples_multiples_of_lcm(self, load_model, name, cs, max_m, d):
+        records = oracle.verify(load_model(name), cs, max_m)
+        assert len(records) == len(cs)
+        for record in records:
+            assert record.exact_match
+            assert [s.m for s in record.samples] == list(range(d, max_m + 1, d))
 
 
 @pytest.fixture(scope="module")
@@ -443,7 +453,7 @@ class TestIntegerTail:
     """fit_expansions' df and verify's df_predicted are each one Fraction
     built from integer forms; they equal the Fraction formulas of the fits'
     a and b, (b[0] a[1] - b[1] a[0]) / a[0]^2, and of Q(c) / alpha0(0), at
-    c = epsilon/2 and epsilon, on default m-lists and on one explicit one."""
+    c = epsilon/2 and epsilon, on default m-lists and on the one of a max_m."""
 
     def test_matches_fraction_forms(self, tail_models, monkeypatch):
         fits = []
@@ -458,15 +468,15 @@ class TestIntegerTail:
         for model, pair, q in tail_models:
             cs = (pair.epsilon / 2, pair.epsilon)
             d = cs[0].denominator  # a multiple of epsilon's
-            for m_list in (None, range(d, d * (model.fan.dim + 5), d)):
+            for max_m in (None, d * (model.fan.dim + 4)):
                 fits.clear()
-                records = oracle.verify(model, cs, m_list)
+                records = oracle.verify(model, cs, max_m)
                 (own,) = fits
                 for c, fit, record in zip(cs, own, records):
                     a, b = fit.a, fit.b
                     assert fit.df == record.df_oracle == (b[0] * a[1] - b[1] * a[0]) / a[0] ** 2
                     assert record.df_predicted == q(c) / pair.alpha0(0)
-                    assert record.exact_match, (model.label, c, m_list)
+                    assert record.exact_match, (model.label, c, max_m)
 
 
 class TestEpsilonIsSharp:
