@@ -144,7 +144,7 @@ def _levels(model: ToricModel):
     return levels
 
 
-def _check_budget(levels, ms, counts: dict, held=None) -> None:
+def _check_budget(levels, ms, counts: dict, held: dict) -> None:
     """Refuse, before any slice is enumerated, a count that would visit more
     than _PREFIX_BUDGET prefixes (x_1, ..., x_{n-1}) over its m-samples ms,
     the interior walks of negative m included; the m of ms are distinct, as
@@ -152,12 +152,12 @@ def _check_budget(levels, ms, counts: dict, held=None) -> None:
     counts keeps each m's prefix count for the next m-list; an m not in it
     is counted only as far as the budget left.  Each m is checked as it is
     reached, so the budget stops a long list before it is read to the end.
-    held, when given, keeps the steps of each m this call walks, the
-    (prefix, x_lo, count) that _walk yields, for _sample to read instead of
-    walking again, while all it holds stays within _HELD_STEPS; an m past
-    that is not held, and _sample walks it afresh."""
+    held keeps the steps of each m this call walks, the (prefix, x_lo,
+    count) that _walk yields, for _sample to read instead of walking again,
+    while all it holds stays within _HELD_STEPS; an m past that is not held,
+    and _sample walks it afresh."""
     total = 0
-    room = 0 if held is None else _HELD_STEPS - sum(map(len, held.values()))
+    room = _HELD_STEPS - sum(map(len, held.values()))
     for m in ms:
         steps = None
         if m not in counts:
@@ -356,9 +356,8 @@ def fit_expansions(model: ToricModel, cs, max_m=None,
     n + 1 as witnesses.  A fit witness that disagrees raises RuntimeError:
     the counts are polynomials in m, so it is a fault of the oracle, not of
     the input.
-    An L that is not big, so that h0 has no m^n term, raises ToricError;
-    that is checked before the m = 0 point is added, which an empty m * P_L
-    would contradict.
+    An h0 fit with no m^n term raises RuntimeError too: the elimination
+    refused every L that is not big, so it is a fault of the oracle.
     df = (b[0] a[1] - b[1] a[0]) / a[0]^2 is one Fraction of the fits'
     integer forms, h over hd and w over wd, constant term first:
     (w[n+1] h[n-1] - w[n] h[n]) hd / (wd h[n]^2), a trimmed index read as 0.
@@ -388,11 +387,11 @@ def fit_expansions(model: ToricModel, cs, max_m=None,
     try:
         # every cap's sample of an m holds the same h0
         h0 = [(m, next(iter(by_cap.values())).h0) for m, by_cap in sorted(samples.items())]
-        # an empty m * P_L (h0 == 0 at every m) has no m^n term either, and
-        # would contradict h0(0L) = 1; a[0] = 0 would divide df by zero
-        h_poly = fit_polynomial([(0, 1), *h0], n) if any(h for _, h in h0) else None
-        if h_poly is None or h_poly.degree < n:
-            raise ToricError(f"h0(mL) has no m^{n} term: L is not big")
+        # _levels refused an empty or flat P_L, so h0 has degree n; a[0] = 0
+        # would divide df by zero
+        h_poly = fit_polynomial([(0, 1), *h0], n)
+        if h_poly.degree < n:
+            raise RuntimeError(f"oracle h0(mL) has no m^{n} term, though P_L is full-dimensional")
         h, hd = h_poly.integer_form
         for ms, caps in plans:
             own = tuple(samples[m][cap] for m, cap in zip(ms, caps))

@@ -5,11 +5,11 @@ points, and real-root isolation by Descartes' rule of signs.  Each
 polynomial is held in its integer form, integer coefficients over one
 common denominator: it is fitted in integers, evaluates by one integer
 Horner pass, and builds its Fraction coefficients only when they are
-read; isolation runs on integers too, over the dyadic grid
+read; isolation runs on integers too, over the one dyadic grid
 lo + i (hi - lo) / 2^k of its window, narrows each root's cell on that grid
-once, by quadratic interval refinement, builds a Fraction only for a
-result, and divides no root out.  Everything here is pure and
-deterministic; no floats anywhere.
+once, by quadratic interval refinement, gives every irrational root a cell
+of that grid, builds a Fraction only for a result, and divides no root
+out.  Everything here is pure and deterministic; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -174,8 +174,10 @@ class IsolatingInterval(namedtuple("IsolatingInterval", "lo hi")):
     """Interval (lo, hi] of Fractions holding exactly one root; lo == hi
     marks an exact rational root.
 
-    An inexact interval's ends are neither a window bound nor an exact root,
-    so the polynomial is nonzero at both and its root lies strictly inside.
+    An inexact interval is a cell of its window's dyadic grid
+    lo + i (hi - lo) / 2^k, whose ends are neither a window bound nor a
+    root, so the polynomial is nonzero at both and its root lies strictly
+    inside.
     """
 
     __slots__ = ()
@@ -305,14 +307,6 @@ def _bracket(i: int, k: int, fa: int, fb: int) -> list:
     return [i, i + 1, k, fa, fb, _QIR_START, None]
 
 
-def _cells(ints: Sequence[int], lo: Fraction, hi: Fraction):
-    """(frame, cells): the grid (base, step, den) of (lo, hi] from `_window`,
-    and the cells of `_isolate` on it, left to right, but the exact one at
-    hi, each as (i, k, its `_bracket`)."""
-    c, *frame = _window(ints, lo, hi)
-    return frame, [(i, k, _bracket(i, k, fa, fb)) for i, k, fa, fb in _isolate(c) if fb]
-
-
 def _narrow(ints: Sequence[int], frame, br: list, level: int, span: int = 0):
     """Narrow br = [l, r, k, fl, fr, t, (m, g)] in place by quadratic
     interval refinement (Abbott 2014) on the grid `frame` of `_window`: the
@@ -405,26 +399,34 @@ def _root_in(ints: Sequence[int], frame, br: list):
     return root
 
 
-def _refine(ints: Sequence[int], frame, cells, width: Fraction):
-    """For each root (i, k, br) of `cells` on the grid `frame` of (lo, hi],
-    simple and irrational, with its cell (i, k) of `_isolate` and its
-    bracket br of `_narrow`: its cell at the first level where the cell is
-    at most `width` wide, lies strictly inside and holds no other root.
-    `_narrow` narrows br into one cell of the first level narrow enough,
-    then of each next one until the cell qualifies; a root's cell of level
-    j <= k is i >> (k - j), and no other root is in a cell of level j > k.
-    So the output depends only on the grid and the roots in (lo, hi]."""
+def _refine(ints: Sequence[int], frame, roots, width: Fraction):
+    """For each root (i, k, br, b) of `roots`, every root of `ints` in
+    (lo, hi] left to right, on the grid `frame` of (lo, hi], with its cell
+    (i, k) of `_isolate`: b if it is exact, else, for b None, its cell at
+    the first level where the cell is at most `width` wide, lies strictly
+    inside and holds, closed, no other root.  br is the irrational root's
+    bracket of `_narrow`, which narrows it into one cell of the first level
+    narrow enough, then of each next one until the cell qualifies; br is
+    None for an exact root at the right end of its cell.  A root's cell of
+    level j <= k is i >> (k - j), no other root is in a cell of level
+    j > k, and only an exact root at the right end of its cell can be the
+    left end of another's.  So the output depends only on the grid and the
+    roots in (lo, hi]."""
     base, step, den = frame
     need, have = step * width.denominator, width.numerator * den  # width <= need/have
     first = (-(-need // have) - 1).bit_length()  # the least j with need <= have << j
-    for n, (i, k, br) in enumerate(cells):
-        near = cells[max(n - 1, 0):n] + cells[n + 1:n + 2]
+    for n, (i, k, br, b) in enumerate(roots):
+        if b is not None:
+            yield IsolatingInterval(b, b)
+            continue
+        near = roots[n - 1:n] + roots[n + 1:n + 2]
         j = first
         while True:
             _narrow(ints, frame, br, j)
             x = br[0] >> (br[2] - j)  # the cell of level j that holds the root
-            if 0 < x < (1 << j) - 1 and all(j > k2 or i2 >> (k2 - j) != x
-                                            for i2, k2, _ in near):
+            if 0 < x < (1 << j) - 1 and all(
+                    (j > k2 or i2 >> (k2 - j) != x) and (br2 or x << k2 != (i2 + 1) << j)
+                    for i2, k2, br2, _ in near):
                 break
             j += 1
         a = (base << j) + x * step
@@ -442,12 +444,11 @@ def isolate_roots(
     cell: no root, an exact root at hi, or one simple root inside; from 2
     on, `_isolate` splits it into cells of one root of the square-free part
     of p, kept through the call.  `_root_in` narrows each cell and tests it
-    for a rational root, a degenerate interval (lo == hi); these cut the
-    window into segments, and `_refine` gives every other root an interval
-    of width <= `width` on the grid of its segment, whose ends are neither
-    a segment end nor a root.  A segment that is the whole window goes on
-    from the brackets `_root_in` narrowed, so no grid point is evaluated
-    twice; any other is isolated again on its own grid."""
+    for a rational root, a degenerate interval (lo == hi), and `_refine`
+    goes on from the brackets it narrowed to give every other root a cell
+    of the window's grid, of width <= `width`, whose ends are neither a
+    window bound nor a root: each root is narrowed once, so no grid point
+    is evaluated twice."""
     lo, hi = _checked_window(p, lo, hi)
     ints = p.integer_form[0]
     c, base, step, den = _window(ints, lo, hi)
@@ -459,21 +460,12 @@ def isolate_roots(
         ints = _squarefree(ints)
         cells = _isolate(_window(ints, lo, hi)[0])
     frame = base, step, den
-    out, a, roots = [], lo, []
+    roots = []
     for i, k, fa, fb in cells:
-        br = _bracket(i, k, fa, fb)
+        br = _bracket(i, k, fa, fb) if fb else None
         b = _root_in(ints, frame, br) if fb else Fraction((base << k) + (i + 1) * step, den << k)
-        if b is None:
-            roots.append((i, k, br))
-            continue
-        if roots:  # the segment (a, b], then b
-            grid = (frame, roots) if a is lo and b == hi else _cells(ints, a, b)
-            out.extend(_refine(ints, *grid, width))
-        out.append(IsolatingInterval(b, b))
-        a, roots = b, []
-    if roots:
-        out.extend(_refine(ints, *((frame, roots) if a is lo else _cells(ints, a, hi)), width))
-    return out
+        roots.append((i, k, br, b))
+    return list(_refine(ints, frame, roots, width))
 
 
 def rational_roots(p: UniPoly, lo=None, hi=None) -> list[Fraction]:

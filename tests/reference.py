@@ -170,16 +170,17 @@ def sturm_count(seq, x):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_bisect(count, lo, hi, width=None):
+def sturm_bisect(count, lo, hi, width=None, clear=()):
     """Cells (a, b] of the dyadic grid of (lo, hi] where `count` falls by
     exactly one, sorted: for each root counted, the first level's cell that
-    holds no other, and with a width, is at most that wide and lies strictly
-    inside (lo, hi)."""
+    holds no other, and with a width, is at most that wide, lies strictly
+    inside (lo, hi) and, closed, holds no point of `clear`."""
     out = []
     stack = [(lo, hi, count(lo), count(hi))]
     while stack:
         a, b, ca, cb = stack.pop()
-        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi)):
+        if ca - cb == 1 and (width is None or (b - a <= width and lo < a and b < hi
+                                               and not any(a <= r <= b for r in clear))):
             out.append((a, b))
         elif ca > cb:
             m = (a + b) / 2
@@ -221,8 +222,8 @@ def rational_root_in(ints, a, b):
 def ref_isolate_roots(p, lo, hi, width):
     """The contract of `polynomials.isolate_roots`, by Sturm counts over
     Fractions: each rational root in (lo, hi] exactly, and each irrational
-    one in the cell `sturm_bisect` gives it on the segment between the
-    rational roots (or window ends) around it."""
+    one in the cell `sturm_bisect` gives it on the grid of (lo, hi], which
+    keeps every rational root out of every closed cell."""
     lo, hi = Fraction(lo), Fraction(hi)
     seq = squarefree_sturm(p)
     cells = sturm_bisect(lambda x: sturm_count(seq, x), lo, hi)
@@ -232,9 +233,7 @@ def ref_isolate_roots(p, lo, hi, width):
         return sturm_count(seq, x) + bisect_right(exact, x)
 
     out = [IsolatingInterval(r, r) for r in exact]
-    ends = sorted({lo, hi, *exact})
-    for a, b in zip(ends, ends[1:]):
-        out.extend(IsolatingInterval(x, y) for x, y in sturm_bisect(count, a, b, width))
+    out.extend(IsolatingInterval(x, y) for x, y in sturm_bisect(count, lo, hi, width, exact))
     out.sort(key=lambda iv: iv.lo)
     return out
 

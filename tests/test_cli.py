@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -70,6 +71,26 @@ class TestAnalyze:
         assert "verdict: positive\n" in out
         assert "Q: 0 0 1/2 -1/2\n" in out
         assert "destabilizing: none" in out
+
+    def test_irrational_end_is_a_cell_of_the_window_grid(self, capsys, tmp_path):
+        # Q has an exact root at 10/21 beside an irrational one in (0, 3]:
+        # the irrational end is a cell of the window's own grid 3 i / 2^k,
+        # no wider than 2^-20, with Q nonzero at both ends
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"kind": "table", "label": "x", "n": 3, "AE": [5, 5, 7, -7],
+                                    "KAE": [-7, -4, -7], "epsilon": "3"}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, err) == (0, "")
+        line = out.splitlines()[-1]
+        assert line == "destabilizing: (10/21, (2414337/2097152, 4828677/4194304])"
+        q = UniPoly(map(F, next(x for x in out.splitlines() if x.startswith("Q: ")).split()[1:]))
+        cells = [(F(a), F(b)) for a, b in re.findall(r"\(([-\d/]+), ([-\d/]+)\]", line)]
+        assert cells
+        for a, b in cells:
+            level = 3 / (b - a)  # 2^k
+            assert level.denominator == 1 and level.numerator.bit_count() == 1
+            assert (a / (b - a)).denominator == 1 and b - a <= F(1, 2**20)
+            assert q(a) and q(b)
 
     def test_csck_product_is_semistable(self, capsys, tmp_path, product_model):
         # P^1 x P^1 with O(1, 2) is cscK, so slope semistable (Ross-Thomas):
@@ -721,6 +742,20 @@ class TestInternalFault:
                        "oracle counts are not polynomial in m: "
                        f"witness sample at x=6: fit predicts {h0}, "
                        f"sample gives {h0 + 1}\n")
+
+    def test_h0_without_top_term_exits_4(self, capsys, models_dir, monkeypatch):
+        # the elimination refuses an L that is not big before any walk, so
+        # flat counts on a valid model are a fault of the oracle
+        sample = oracle._sample
+
+        def flat(model, m, levels, form, caps, steps=None):
+            return tuple(s._replace(h0=1) for s in sample(model, m, levels, form, caps, steps))
+
+        monkeypatch.setattr(oracle, "_sample", flat)
+        code, out, err = run(capsys, "verify", str(models_dir / "p2.json"), "--c", "1/2")
+        assert (code, out) == (4, "")
+        assert err == ("internal error: RuntimeError: oracle h0(mL) has no m^2 term, "
+                       "though P_L is full-dimensional\n")
 
     def test_generic_direction_fault_exits_4(self, capsys, models_dir, monkeypatch):
         def fail(*args):

@@ -180,10 +180,10 @@ class TestDefaultMList:
         levels, counts = oracle._levels(P6_O2), {}
         ms = default_m_list(6, F(1, 2))
         assert ms == [2, -2, 4, -4, 6, -6, 8, -8, 10]
-        oracle._check_budget(levels, ms, counts)
+        oracle._check_budget(levels, ms, counts, {})
         assert sum(counts.values()) == 83340
         with pytest.raises(ToricError, match="^lattice-point budget exceeded at m=20: "):
-            oracle._check_budget(levels, range(2, 21, 2), counts)
+            oracle._check_budget(levels, range(2, 21, 2), counts, {})
 
     def test_p8_o1_verifies_at_one_half(self):
         # n + 4 positive samples would end at m = 22, past the budget; the

@@ -596,17 +596,17 @@ class TestIsolateRoots:
         # (x - 1/2)^2 (x^2 - 2)(2x - 3)(8x^2 - 1): not square-free, exact
         # roots at 1/2 and at hi, irrational ones at 1/sqrt(8) and sqrt(2)
         (MIXED_REPEATED, 0, F(3, 2), F(1, 2**20), [
-            "(370727/1048576, 46341/131072]", "1/2",
-            "(741455/524288, 1482911/1048576]", "3/2"]),
+            "(1482909/4194304, 46341/131072]", "1/2",
+            "(5931639/4194304, 2965821/2097152]", "3/2"]),
         (MIXED_REPEATED, 0, F(3, 2), F(1, 64),
-         ["(11/32, 23/64]", "1/2", "(45/32, 91/64]", "3/2"]),
+         ["(45/128, 93/256]", "1/2", "(45/32, 363/256]", "3/2"]),
         # (3x - 1)(x^2 - 3)(5x^2 - 1): square-free, a window of width 3
         (MIXED_SQUARE_FREE, -1, 2, F(1, 2**20), [
-            "(-234469/524288, -351703/786432]", "1/3",
-            "(468937/1048576, 2813627/6291456]",
-            "(10897117/6291456, 1816187/1048576]"]),
+            "(-1875751/4194304, -468937/1048576]", "1/3",
+            "(1875749/4194304, 234469/524288]",
+            "(7264745/4194304, 1816187/1048576]"]),
         (MIXED_SQUARE_FREE, -1, 2, F(1, 64),
-         ["(-43/96, -7/16]", "1/3", "(7/16, 173/384]", "(221/128, 167/96]"]),
+         ["(-115/256, -7/16]", "1/3", "(113/256, 29/64]", "(443/256, 223/128]"]),
     ])
     def test_exact_and_irrational_roots_pinned(self, p, lo, hi, width, expected):
         assert [str(iv) for iv in isolate_roots(p, lo, hi, width)] == expected
@@ -678,8 +678,8 @@ class TestIsolateRoots:
 
     def test_exact_roots_evaluated_once(self, monkeypatch):
         # (3x - 1)(3x - 2)(x^2 - 2) on (0, 2]: no grid point is 1/3 or 2/3;
-        # `_root_in` evaluates each once, to find it, and the refinement of
-        # the segments it cuts off never evaluates their ends
+        # `_root_in` evaluates each once, to find it, and `_refine` never
+        # again: no cell of the window's grid ends at an exact root
         points = []
         real = polynomials._horner
 
@@ -695,10 +695,10 @@ class TestIsolateRoots:
         assert not irr.is_exact and irr.lo**2 < 2 < irr.hi**2
 
     def test_no_grid_point_evaluated_twice(self, monkeypatch):
-        # irrational roots only, and in every other case an exact root at hi:
-        # the window is then the one segment, so each cell is narrowed once,
-        # from `_root_in`'s rational-root test on to `_refine`'s width, and
-        # never again at a point evaluated before
+        # irrational roots only, in every other case an exact root at hi, and
+        # then exact roots strictly inside: every window has one grid, so each
+        # cell is narrowed once, from `_root_in`'s rational-root test on to
+        # `_refine`'s width, and never again at a point evaluated before
         points = []
         real = polynomials._horner
 
@@ -725,6 +725,12 @@ class TestIsolateRoots:
             evaluated += len(points)
             irrational += sum(not iv.is_exact for iv in ivs)
         assert irrational >= 400 and evaluated >= 10 * irrational
+        rng = random.Random(35)
+        for _ in range(2000):
+            p, _, _, width = exact_inside_case(rng)
+            points.clear()
+            isolate_roots(p, 0, 3, width)
+            assert len(set(points)) == len(points)
 
     @given(
         coeffs=st.lists(small_fractions, min_size=2, max_size=5),
@@ -831,9 +837,9 @@ class TestIntegerKernel:
     of `reference`."""
 
     def test_exact_roots_inside_next_to_irrational_ones(self):
-        # exact roots strictly inside the window, so that each cuts it into
-        # segments refined on their own grids, with the polynomial that the
-        # call keeps throughout: its exact roots sit at the segments' ends
+        # exact roots strictly inside the window, beside irrational ones
+        # refined on the window's own grid, with the polynomial that the call
+        # keeps throughout: no closed cell holds an exact root
         rng = random.Random(35)
         digits, irrational = set(), 0
         for _ in range(2000):
@@ -921,8 +927,8 @@ class TestIntegerKernel:
                                          model, width, calls):
         # one test on alpha0's (0, eps), then one a cell: Q of t1 has only
         # its rational root at eps, and Q of t3 one irrational root, refined
-        # from the cell of the first pass (no exact root splits the window,
-        # so it is not isolated again); halving to --width takes no test
+        # from the cell of the first pass, as every root is, never isolated
+        # again; halving to --width takes no test
         seen = []
         real = polynomials.sign_variations
 
